@@ -76,10 +76,11 @@ def _stage(name: str):
     t0 = time.perf_counter()
     try:
         yield
-    except StageError:
+    except BaseException as e:
+        log.info("stage %s failed after %.3fs", name, time.perf_counter() - t0)
+        if isinstance(e, CmlaError) and not isinstance(e, StageError):
+            raise StageError(name, e) from e
         raise
-    except CmlaError as e:
-        raise StageError(name, e) from e
     log.info("stage %s done in %.3fs", name, time.perf_counter() - t0)
 
 

@@ -7,6 +7,15 @@ reachable from several clusters joins the cluster of the lowest-index core
 point that reaches it; everything else is noise, labeled -1. Seed expansion
 scans row ids in ascending order, so cluster ids count up in order of first
 discovery. All distances are euclidean on encoded vectors.
+
+Expansion works per node, not per edge: a point popped from the stack labels
+all its unlabeled core neighbors in one masked numpy step and pushes them, and
+a border point takes the label of the first core entry of its ascending
+neighbor list. Temporaries are the size of one neighbor list.
+
+A medoid is the member with the smallest exact (fsum) sum of distances to its
+cluster, ties to the lowest row id; kernels.medoid_local_index computes the
+exact sum only for rows whose lower bound does not rule them out.
 """
 
 from __future__ import annotations
@@ -110,32 +119,29 @@ def dbscan(matrix: EncodedMatrix, params: DbscanParams) -> ClusterLabeling:
     eps = params.eps if params.eps is not None else auto_eps(matrix, params.min_samples)
 
     neighbors = kernels.neighbor_lists(x, eps)
-    core = np.array([len(nb) >= params.min_samples for nb in neighbors], dtype=bool)
+    core = np.fromiter(map(len, neighbors), dtype=np.int64, count=n) >= params.min_samples
     labels = np.full(n, NOISE, dtype=np.int32)
 
     cluster = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != NOISE:
+    for seed in np.flatnonzero(core).tolist():
+        if labels[seed] != NOISE:
             continue
         labels[seed] = cluster
         stack = [seed]
         while stack:
-            j = stack.pop()
-            for nb in neighbors[j]:
-                if core[nb] and labels[nb] == NOISE:
-                    labels[nb] = cluster
-                    stack.append(nb)
+            nb = neighbors[stack.pop()]
+            new = nb[core[nb] & (labels[nb] == NOISE)]
+            labels[new] = cluster
+            stack.extend(new.tolist())
         cluster += 1
 
     # Border points: non-core within eps of a core point. Neighbor lists are
     # ascending, so the first core neighbor is the lowest-index one.
-    for i in range(n):
-        if core[i]:
-            continue
-        for nb in neighbors[i]:
-            if core[nb]:
-                labels[i] = labels[nb]
-                break
+    for i in np.flatnonzero(~core).tolist():
+        nb = neighbors[i]
+        hit = nb[core[nb]]
+        if len(hit):
+            labels[i] = labels[hit[0]]
 
     return ClusterLabeling(
         labels=labels,

@@ -5,7 +5,10 @@ differences (never the expanded dot-product identity) and compares the
 square-rooted distance against thresholds, so all code paths agree bitwise on
 every pair. The grid index only prefilters candidates; membership always goes
 through the same exact comparison, which keeps accelerated neighbor sets
-identical to brute force by construction.
+identical to brute force by construction. The medoid kernel follows the same
+pattern: triangle-inequality lower bounds, loosened by a proven rounding
+slack, skip rows whose exact sum must exceed the best one, and fsum sums
+decide among the rest.
 
 The CMLA_THREADS environment variable caps the worker threads used for row
 partitioning. Workers write disjoint output slices, so results do not depend
@@ -27,9 +30,14 @@ GRID_INDEX_MIN_ROWS = 50_000
 
 
 def thread_count() -> int:
+    """CMLA_THREADS if set, else the CPUs this process may run on, at most 8."""
     raw = os.environ.get("CMLA_THREADS")
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return min(8, cpus)
     try:
         n = int(raw)
     except ValueError:
@@ -81,11 +89,15 @@ def _grid_neighbor_lists(x: np.ndarray, eps: float) -> list[np.ndarray]:
     A point within eps in the full space is within one cell step along any
     subset of dimensions, so gathering the 3^g adjacent cells yields a
     superset of the true neighborhood; the exact filter then matches the
-    brute-force rule bit for bit.
+    brute-force rule bit for bit. Cell keys that would not fit in int64
+    (tiny eps, huge or non-finite coordinates) send the input to brute force.
     """
     n, d = x.shape
     g = min(3, d)
-    keys = np.floor(x[:, :g] / eps).astype(np.int64)
+    scaled = np.floor(x[:, :g] / eps)
+    if not (np.abs(scaled) < 2.0**62).all():
+        return _brute_neighbor_lists(x, eps)
+    keys = scaled.astype(np.int64)
     cells: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(map(tuple, keys)):
         cells.setdefault(key, []).append(i)
@@ -145,15 +157,50 @@ def medoid_local_index(members: np.ndarray) -> int:
     pass members in ascending row order. The per-row sums are exact (fsum):
     duplicated rows produce the same distance multiset in different orders,
     and a naive float sum can rank such exact ties either way.
+
+    Not every sum is computed (trimed; Newling & Fleuret, AISTATS 2017). Rows
+    are visited in ascending order of a lower bound on their sum, ties to the
+    lowest index, from all-zero bounds. Visiting row j computes its distance
+    row d_j and S(j) = fsum(d_j) and raises every bound to
+    |S(j) - m*d_j[i]| - slack. The visits stop once every unvisited bound
+    exceeds the best sum so far strictly, so a row that could tie is always
+    computed and the answer is the exhaustive argmin whatever the visit order.
+
+    Why the bound holds. Write D for the exact euclidean distance between the
+    stored vectors, S* for exact sums of D, dim for the dimension, u = 2^-53.
+    The triangle inequality gives D(i, k) >= |D(j, k) - D(j, i)|, so
+    S*(i) >= |S*(j) - m*D(j, i)|. A computed distance rounds the difference
+    (relative error u), the square (u) and a sum of dim non-negative terms
+    (gamma_{dim-1}), then the square root halves the relative error and adds
+    u: |d - D| <= (dim/2 + 2)*u*D to first order, plus at most
+    sqrt(dim)*2^-537 where squares underflow. fsum rounds the exact sum once,
+    so S(i) and S(j) are within (dim/2 + 3)*u relative (plus m times that
+    absolute term) of S*(i) and S*(j); forming m*d_j[i], the difference and
+    the subtraction of the slack add three more roundings. Collecting terms,
+    S(i) >= |S(j) - m*d_j[i]| - e with
+    e <= (dim + 9)*u*(S(j) + m*d_j[i]) + 3*m*sqrt(dim)*2^-537 to first
+    order. The slack is at least eight times the relative term and over
+    forty times the absolute one, which covers the higher-order terms for
+    any dim*u < 2^-6. NaN bounds, from sums that overflow, are ignored, and an
+    infinite best sum prunes nothing.
     """
-    n = len(members)
-    sums = np.empty(n, dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            sums[i] = math.fsum(dists_to(members[i], members))
-
-    _parallel_rows(n, fill)
+    m, dim = members.shape
+    rel = 16 * (dim + 4) * 2.0**-53
+    floor = m * math.sqrt(dim) * 2.0**-530
+    sums = np.full(m, np.inf)
+    bound = np.zeros(m)  # visited rows hold inf
+    best = math.inf
+    for _ in range(m):
+        j = int(np.argmin(bound))
+        if bound[j] > best:
+            break
+        d = dists_to(members[j], members)
+        s = math.fsum(d)
+        sums[j] = s
+        best = min(best, s)
+        md = m * d
+        np.fmax(bound, np.abs(s - md) - (rel * (s + md) + floor), out=bound)
+        bound[j] = np.inf
     return int(np.argmin(sums))
 
 

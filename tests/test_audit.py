@@ -1,6 +1,8 @@
 """End-to-end audits, report verification, and scenario runs."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +132,22 @@ def test_stage_errors_name_the_failing_stage(tmp_path):
     with pytest.raises(StageError) as exc:
         run_audit(AuditConfig(synthetic=str(synth), real=str(bad_real), eps=0.05))
     assert exc.value.stage == "load-real"
+
+
+def test_a_failing_stage_logs_its_elapsed_time(tmp_path, caplog):
+    # identical rows make auto eps collapse to zero inside the cluster stage
+    synth = tmp_path / "synthetic.csv"
+    synth.write_text("x,y\n" + "1.0,2.0\n" * 12)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        with pytest.raises(StageError) as exc:
+            run_audit(AuditConfig(synthetic=str(synth), out=str(out), min_samples=3))
+    assert exc.value.stage == "cluster"
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(re.fullmatch(r"stage encode done in \d+\.\d{3}s", m) for m in messages)
+    assert any(re.fullmatch(r"stage cluster failed after \d+\.\d{3}s", m) for m in messages)
+    assert not any("stage cluster done" in m for m in messages)
+    assert not (out / "report.json").exists()
 
 
 def test_verify_report_file_clean_and_tampered(tmp_path):

@@ -35,6 +35,29 @@ def test_labels_match_the_graph_reference_on_random_clouds(rng):
         assert got.n_clusters == int(want_labels.max()) + 1
 
 
+def test_labels_match_the_graph_reference_on_long_duplicate_heavy_chains(rng):
+    # three chains with eps-hop depth in the hundreds, 30% duplicated rows,
+    # background scatter, rows shuffled so discovery order is not chain order
+    t = np.linspace(0.0, 320.0, 1000) + rng.uniform(-0.1, 0.1, 1000)
+    t = t[(np.abs(t - 110.0) > 2.0) & (np.abs(t - 230.0) > 2.0)]
+    chain = np.column_stack([t, 3.0 * np.sin(t / 10.0)]) + rng.normal(0.0, 0.05, (len(t), 2))
+    scatter = rng.uniform([0.0, -8.0], [320.0, 8.0], size=(150, 2))
+    x = np.vstack([chain, scatter])
+    x = np.vstack([x, x[rng.integers(0, len(x), size=450)]])
+    x = np.ascontiguousarray(x[rng.permutation(len(x))])
+    eps, min_samples = 1.0, 6
+
+    got = cluster(x, eps=eps, min_samples=min_samples)
+    want_labels, want_core = reference.eps_graph_clustering(x, eps, min_samples)
+    np.testing.assert_array_equal(got.labels, want_labels)
+    np.testing.assert_array_equal(got.core_mask, want_core)
+    assert got.n_clusters == int(want_labels.max()) + 1 >= 3
+    extents = [np.ptp(x[got.labels == cid, 0]) for cid in range(got.n_clusters)]
+    assert max(extents) > 100 * eps  # a path of more than 100 eps-hops
+    border = (~got.core_mask) & (got.labels != -1)
+    assert border.any() and got.noise_count > 0
+
+
 def test_two_separated_blobs_form_two_clusters():
     x = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
     got = cluster(x, eps=0.5, min_samples=3)
