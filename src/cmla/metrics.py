@@ -150,8 +150,7 @@ def asr_curve(records: Sequence[DistanceRecord], grid: ThresholdGrid) -> np.ndar
     if not records:
         raise ConfigError("asr curve needs at least one record")
     dmin = np.array([r.d_min for r in records], dtype=np.float64)
-    counts = (dmin[:, None] < grid.taus[None, :]).sum(axis=0)
-    return counts / len(records)
+    return _count_below(dmin, grid) / len(records)
 
 
 def coverage_curve(
@@ -169,8 +168,14 @@ def coverage_curve(
 def coverage_from_minima(per_real_min: np.ndarray, grid: ThresholdGrid) -> np.ndarray:
     if len(per_real_min) == 0:
         raise ConfigError("coverage needs at least one real row")
-    counts = (per_real_min[:, None] < grid.taus[None, :]).sum(axis=0)
-    return counts / len(per_real_min)
+    return _count_below(per_real_min, grid) / len(per_real_min)
+
+
+def _count_below(values: np.ndarray, grid: ThresholdGrid) -> np.ndarray:
+    """Per threshold, how many values lie strictly below it, in O(N) memory:
+    a left insertion point in sorted order counts exactly the smaller values
+    (NaN sorts last and never counts, as with <)."""
+    return np.searchsorted(np.sort(values), grid.taus, side="left")
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,8 @@ def medoid_violations(
 
 def kth_nn_distance(x: np.ndarray, i: int, k: int) -> float:
     """k-th nearest neighbor distance of row i, self excluded: index k of the
-    sorted self-inclusive distance vector."""
-    ds = sorted(pair_dist(x[i], x[j]) for j in range(len(x)))
+    sorted self-inclusive distance vector, NaN sorted last as numpy does."""
+    ds = sorted((pair_dist(x[i], x[j]) for j in range(len(x))), key=lambda v: (math.isnan(v), v))
     return ds[k]
 
 

@@ -100,6 +100,22 @@ def test_coverage_hand_case():
         coverage_from_minima(np.array([]), g)
 
 
+def test_curve_counts_are_strict_on_ties_duplicates_and_infinity(rng):
+    g = ThresholdGrid(np.array([0.0, 0.1, 0.25, 0.5, 1.0, 2.0]))
+    # values exactly on thresholds, repeated values, 0 and +inf
+    values = [0.1, 0.1, 0.25, 0.5, 0.5, 0.5, 0.0, np.inf, 1.0, 0.3, np.inf]
+    values += list(rng.choice(g.taus, 40)) + list(rng.uniform(0.0, 2.5, 40))
+    want = [sum(1 for v in values if v < t) / len(values) for t in g.taus]
+    assert asr_curve(records_with(values), g).tolist() == want
+    assert coverage_from_minima(np.array(values), g).tolist() == want
+    assert coverage_from_minima(np.array([np.inf, np.inf]), g).tolist() == [0.0] * 6
+    assert asr_curve(records_with([0.5] * 3), g).tolist() == [0, 0, 0, 0, 1, 1]
+    with pytest.raises(ConfigError, match="at least one record"):
+        asr_curve([], g)
+    with pytest.raises(ConfigError, match="at least one real row"):
+        coverage_from_minima(np.array([]), g)
+
+
 def test_proximity_profile_matches_the_double_loop(rng):
     meds = rng.standard_normal((7, 3))
     real = rng.standard_normal((30, 3))
