@@ -34,11 +34,9 @@ from .encoding import (
     EncodedMatrix,
     EncodingModel,
     PcaModel,
-    distance,
     encode,
     fit_encoding,
     fit_pca,
-    gower_distance,
     with_pca,
 )
 from .clustering import (
@@ -56,9 +54,7 @@ from .metrics import (
     MetricCurves,
     ThresholdGrid,
     asr_curve,
-    coverage_curve,
     default_grid,
-    nearest_real_distances,
     summarize_dmin,
 )
 from .harness import (
@@ -84,13 +80,12 @@ __all__ = [
     "LineageError", "LoadError", "OrderingError", "SchemaError", "StageError",
     "CATEGORICAL", "NUMERIC", "ColumnSpec", "DataTable", "TableSchema",
     "load_csv", "unify_schema", "write_csv",
-    "EncodedMatrix", "EncodingModel", "PcaModel", "distance", "encode",
-    "fit_encoding", "fit_pca", "gower_distance", "with_pca",
+    "EncodedMatrix", "EncodingModel", "PcaModel", "encode",
+    "fit_encoding", "fit_pca", "with_pca",
     "ClusterLabeling", "DbscanParams", "Medoid", "MedoidSet",
     "auto_eps", "dbscan", "extract_medoids",
     "DistanceRecord", "DminSummary", "MetricCurves", "ThresholdGrid",
-    "asr_curve", "coverage_curve", "default_grid", "nearest_real_distances",
-    "summarize_dmin",
+    "asr_curve", "default_grid", "summarize_dmin",
     "GeneratorSpec", "HarnessScenario", "RealRecipe", "load_scenario",
     "make_real", "sample_synthetic",
     "LeakageReport", "build_report", "emit_curves_csv", "format_summary_row",

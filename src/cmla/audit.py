@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,10 @@ GOWER = "gower"
 
 @dataclass(frozen=True)
 class AuditConfig:
+    """One audit's settings. The field names are the setting keys of a
+    --config file, of a scenario's audit section and of the audit flags; eps
+    None selects automatic eps."""
+
     synthetic: str
     real: str | None = None
     out: str | None = None
@@ -60,6 +65,90 @@ class AuditConfig:
             raise ConfigError("pca dimension must be at least 1")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
+
+    @classmethod
+    def from_settings(
+        cls, settings: Mapping[str, object], source: str = "settings", **fixed: object
+    ) -> AuditConfig:
+        """Parse settings keyed by field name, as JSON or the command line
+        gives them, over the field defaults; a None value keeps the default.
+
+        fixed holds the settings the caller supplies itself: settings may not
+        name them, and any key that is not a field is reported as an unknown
+        key of source. A malformed value raises ConfigError naming its key.
+        """
+        settable = {f.name for f in fields(cls)} - fixed.keys()
+        unknown = sorted(set(settings) - settable)
+        if unknown:
+            raise ConfigError(f"unknown {source}: {unknown!r}")
+        given = {**settings, **fixed}
+        values = {}
+        for f in fields(cls):
+            value = given.get(f.name)
+            if value is not None:
+                values[f.name] = _PARSERS[f.type.removesuffix(" | None")](f.name, value)
+            elif f.default is MISSING:
+                raise ConfigError(f"{f.name} is required")
+        return cls(**values)
+
+
+def _text(key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _integer(key: str, value: object) -> int:
+    """An int, an integral float or an integer string; never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _flag(key: str, value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _as_float(value: object) -> float | None:
+    """A number or numeric string as a float, anything else (bools too) None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return None
+
+
+def _eps(key: str, value: object) -> float | None:
+    number = _as_float(value)
+    if number is None and value != "auto":
+        raise ConfigError(f"{key} must be a number or 'auto', got {value!r}")
+    return number
+
+
+def _marks(key: str, value: object) -> tuple[float, ...]:
+    """A list of numbers, or the comma-separated string --mark takes."""
+    items = value.split(",") if isinstance(value, str) else value
+    marks = [_as_float(v) for v in items] if isinstance(items, (list, tuple)) else [None]
+    if None in marks:
+        raise ConfigError(f"{key} must be numbers, as a list or comma-separated, got {value!r}")
+    return tuple(marks)
+
+
+# parser per field annotation; eps is the only float setting
+_PARSERS = {"str": _text, "int": _integer, "bool": _flag, "float": _eps,
+            "tuple[float, ...]": _marks}
 
 
 @dataclass(eq=False)
@@ -227,22 +316,20 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
         problems.append("serialization: document is not canonical")
 
     m = rpt.meta
-    config = AuditConfig(
-        synthetic=m.synthetic_path,
-        real=m.real_path,
-        out=None,
-        eps=None if m.eps_mode == "auto" else m.eps,
-        min_samples=m.min_samples,
-        scale=m.scale,
-        pca=m.pca_dim,
-        grid=None,
-        marks=tuple(rpt.grid.marks),
-        metric=m.metric,
-        seed=m.seed,
-        records=rpt.records is not None,
-        dataset_label=m.dataset_label,
-        generator_label=m.generator_label,
-    )
+    config = AuditConfig.from_settings({
+        "synthetic": m.synthetic_path,
+        "real": m.real_path,
+        "eps": "auto" if m.eps_mode == "auto" else m.eps,
+        "min_samples": m.min_samples,
+        "scale": m.scale,
+        "pca": m.pca_dim,
+        "marks": rpt.grid.marks,
+        "metric": m.metric,
+        "seed": m.seed,
+        "records": rpt.records is not None,
+        "dataset_label": m.dataset_label,
+        "generator_label": m.generator_label,
+    })
     grid = metrics.ThresholdGrid(
         np.asarray(rpt.grid.taus, dtype=np.float64).copy(), rpt.grid.marks
     )
@@ -281,44 +368,26 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
     real_path = data_dir / "real.csv"
     tables.write_csv(real, real_path)
 
-    synth_paths: dict[str, Path] = {}
+    configs: dict[str, AuditConfig] = {}
     for gen in sc.generators:
         synth = harness.sample_synthetic(real, gen, rng)
         sp = data_dir / f"{gen.label}.csv"
         tables.write_csv(synth, sp)
-        synth_paths[gen.label] = sp
-
-    audit_params = dict(sc.audit)
-    eps = audit_params.pop("eps", None)
-    if eps == "auto":
-        eps = None
-    config_base = AuditConfig(
-        synthetic="placeholder",
-        eps=None if eps is None else float(eps),
-        min_samples=int(audit_params.pop("min_samples", 5)),
-        scale=str(audit_params.pop("scale", encoding.MINMAX)),
-        pca=audit_params.pop("pca", None),
-        grid=audit_params.pop("grid", None),
-        marks=tuple(float(t) for t in audit_params.pop("marks", (0.1, 0.5))),
-        metric=str(audit_params.pop("metric", EUCLIDEAN)),
-        records=bool(audit_params.pop("records", False)),
-        seed=sc.seed,
-    )
-    if audit_params:
-        raise ConfigError(f"unknown audit settings in scenario: {sorted(audit_params)!r}")
-
-    reports: dict[str, report_mod.LeakageReport] = {}
-    for gen in sc.generators:
-        config = replace(
-            config_base,
-            synthetic=str(synth_paths[gen.label]),
+        configs[gen.label] = AuditConfig.from_settings(
+            sc.audit,
+            "audit settings in scenario",
+            synthetic=str(sp),
             real=str(real_path),
             out=str(out / gen.label),
+            seed=sc.seed,
             dataset_label=sc.name,
             generator_label=gen.label,
         )
-        log.info("auditing generator %s", gen.label)
-        reports[gen.label] = run_audit(config).report
+
+    reports: dict[str, report_mod.LeakageReport] = {}
+    for label, config in configs.items():
+        log.info("auditing generator %s", label)
+        reports[label] = run_audit(config).report
 
     grid_marks = next(iter(reports.values())).grid.marks if reports else ()
     for mark in grid_marks:

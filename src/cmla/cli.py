@@ -8,7 +8,8 @@ table for debugging).
 Exit codes: 0 success, 1 failed verification or violated scenario ordering,
 2 bad input or configuration (a malformed CSV reports the loading stage that
 rejected it). Config precedence: flags override --config file values, which
-override the built-in defaults.
+override the built-in defaults. A --config file is a JSON object keyed by the
+audit settings' names (the flag names with underscores, and marks for --mark).
 """
 
 from __future__ import annotations
@@ -17,27 +18,11 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, audit, encoding, report as report_mod, tables
 from .errors import CmlaError, ConfigError, OrderingError, StageError
-
-
-def _parse_eps(text: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"--eps must be a number or 'auto', got {text!r}") from None
-    return value
-
-
-def _parse_marks(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--mark must be comma-separated numbers, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,14 +42,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--scale", choices=["minmax", "zscore"])
     p_audit.add_argument("--pca", type=int, help="project to this many dimensions")
     p_audit.add_argument("--grid", help="threshold grid as start:stop:step")
-    p_audit.add_argument("--mark", help="reference thresholds, comma separated")
+    p_audit.add_argument("--mark", dest="marks", help="reference thresholds, comma separated")
     p_audit.add_argument("--metric", choices=["euclidean", "gower"])
     p_audit.add_argument("--seed", type=int, help="seed recorded in the report")
     p_audit.add_argument("--records", action="store_true", default=None,
                          help="emit per-medoid distance records")
     p_audit.add_argument("--verify", action="store_true",
                          help="recompute the emitted report and diff it")
-    p_audit.add_argument("--config", help="JSON file with default settings")
+    p_audit.add_argument("--config", help="JSON file with default settings, keyed by the "
+                         "flag names with underscores (marks for --mark)")
     p_audit.add_argument("--dataset-label", dest="dataset_label")
     p_audit.add_argument("--generator-label", dest="generator_label")
 
@@ -85,59 +71,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "synthetic", "real", "out", "eps", "min_samples", "scale", "pca",
-    "grid", "mark", "metric", "seed", "records", "dataset_label", "generator_label",
-)
-
-
 def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
+    """The --config file's settings with the given flags over them."""
     settings: dict = {}
     if args.config is not None:
         p = Path(args.config)
         if not p.is_file():
             raise ConfigError(f"no such config file: {p}")
         try:
-            loaded = json.loads(p.read_text(encoding="utf-8"))
+            settings = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{p.name}: invalid JSON: {e}") from None
-        unknown = set(loaded) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)!r}")
-        settings.update(loaded)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-
-    if "synthetic" not in settings or settings["synthetic"] is None:
-        raise ConfigError("--synthetic is required (flag or config file)")
-
-    eps = settings.get("eps")
-    if isinstance(eps, str):
-        eps = _parse_eps(eps)
-    marks = settings.get("mark")
-    if isinstance(marks, str):
-        marks = _parse_marks(marks)
-    elif isinstance(marks, (list, tuple)):
-        marks = tuple(float(t) for t in marks)
-
-    return audit.AuditConfig(
-        synthetic=str(settings["synthetic"]),
-        real=None if settings.get("real") is None else str(settings["real"]),
-        out=None if settings.get("out") is None else str(settings["out"]),
-        eps=eps,
-        min_samples=int(settings.get("min_samples", 5)),
-        scale=str(settings.get("scale", "minmax")),
-        pca=None if settings.get("pca") is None else int(settings["pca"]),
-        grid=settings.get("grid"),
-        marks=marks if marks is not None else (0.1, 0.5),
-        metric=str(settings.get("metric", "euclidean")),
-        seed=None if settings.get("seed") is None else int(settings["seed"]),
-        records=bool(settings.get("records", False)),
-        dataset_label=settings.get("dataset_label"),
-        generator_label=settings.get("generator_label"),
-    )
+        if not isinstance(settings, dict):
+            raise ConfigError(f"{p.name}: config must be a JSON object")
+    for f in fields(audit.AuditConfig):
+        if getattr(args, f.name) is not None:
+            settings[f.name] = getattr(args, f.name)
+    return audit.AuditConfig.from_settings(settings, "config keys")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -66,9 +66,6 @@ class ClusterLabeling:
     def noise_count(self) -> int:
         return int((self.labels == NOISE).sum())
 
-    def cluster_sizes(self) -> list[int]:
-        return [int((self.labels == cid).sum()) for cid in range(self.n_clusters)]
-
 
 @dataclass(frozen=True)
 class Medoid:

@@ -222,48 +222,19 @@ def encode(model: EncodingModel, table: DataTable) -> EncodedMatrix:
     return EncodedMatrix(base, model.model_hash())
 
 
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two encoded vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise SchemaError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.sqrt((diff * diff).sum()))
-
-
-def gower_distance(
-    a_row: tuple,
-    b_row: tuple,
-    schema: TableSchema,
+def gower_to_table(
+    row: tuple,
+    table: DataTable,
     ranges: dict[str, tuple[float, float]],
-) -> float:
-    """Mean per-column dissimilarity between two raw rows.
+) -> np.ndarray:
+    """Gower distance from one raw row to every row of a table: the mean
+    per-column dissimilarity.
 
     Numeric columns contribute |a - b| / (hi - lo) clamped to [0, 1], or 0 when
     the fitted range is empty; categorical columns contribute 0 on a match and
     1 otherwise. Ranges come from the fitted model so the comparison stays
     independent of the real table.
     """
-    if len(a_row) != len(schema.columns) or len(b_row) != len(schema.columns):
-        raise SchemaError("row length does not match the schema")
-    total = 0.0
-    for col, a, b in zip(schema.columns, a_row, b_row):
-        if col.kind == NUMERIC:
-            lo, hi = ranges[col.name]
-            if hi != lo:
-                total += min(abs(float(a) - float(b)) / (hi - lo), 1.0)
-        else:
-            total += 0.0 if a == b else 1.0
-    return total / len(schema.columns)
-
-
-def gower_to_table(
-    row: tuple,
-    table: DataTable,
-    ranges: dict[str, tuple[float, float]],
-) -> np.ndarray:
-    """Gower distance from one raw row to every row of a table, vectorized."""
     if len(row) != len(table.schema.columns):
         raise SchemaError("row length does not match the table schema")
     n = table.n_rows

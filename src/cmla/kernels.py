@@ -78,6 +78,7 @@ count nor on the tile size.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import os
@@ -127,14 +128,19 @@ def _row_ranges(n: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _parallel_rows(n: int, fill) -> None:
-    """Run fill(lo, hi) over a partition of range(n), threaded when allowed."""
+    """Run fill(lo, hi) over a partition of range(n), threaded when allowed.
+
+    Each range runs in a copy of the caller's context, which carries NumPy's
+    error state (np.errstate) into the workers."""
     workers = min(thread_count(), n)
     if workers <= 1 or n < 256:
         fill(0, n)
         return
     ranges = _row_ranges(n, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill, lo, hi) for lo, hi in ranges]
+        futures = [
+            pool.submit(contextvars.copy_context().run, fill, lo, hi) for lo, hi in ranges
+        ]
         for f in futures:
             f.result()
 
@@ -267,16 +273,12 @@ def _grid_neighbor_lists(x: np.ndarray, eps: float) -> list[np.ndarray]:
     return out  # type: ignore[return-value]
 
 
-def neighbor_lists(
-    x: np.ndarray,
-    eps: float,
-    *,
-    grid_threshold: int = GRID_INDEX_MIN_ROWS,
-) -> list[np.ndarray]:
-    """Sorted index arrays of all points within eps of each row (self included)."""
+def neighbor_lists(x: np.ndarray, eps: float) -> list[np.ndarray]:
+    """Sorted index arrays of all points within eps of each row (self included);
+    above GRID_INDEX_MIN_ROWS rows through the grid index."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
-    if len(x) > grid_threshold:
+    if len(x) > GRID_INDEX_MIN_ROWS:
         return _grid_neighbor_lists(x, eps)
     return _brute_neighbor_lists(x, eps)
 

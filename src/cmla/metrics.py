@@ -96,24 +96,32 @@ def grid_from_spec(spec: str, marks: Sequence[float] = (0.1, 0.5)) -> ThresholdG
     return ThresholdGrid(taus, marks)
 
 
+def _profile(medoids: MedoidSet, minima) -> ProximityProfile:
+    """Profile from minima() -> (d_min per medoid, its nearest real row, the
+    per-real-row minimum over medoids), called only when there are medoids."""
+    if len(medoids) == 0:
+        raise ConfigError("no medoids to evaluate")
+    d_min, nearest, per_real_min = minima()
+    records = [
+        DistanceRecord(
+            cluster_id=m.cluster_id,
+            medoid_row_id=m.row_id,
+            d_min=float(d_min[i]),
+            nearest_real_row_id=int(nearest[i]),
+        )
+        for i, m in enumerate(medoids.medoids)
+    ]
+    return ProximityProfile(records=records, per_real_min=per_real_min)
+
+
 def proximity_profile(medoids: MedoidSet, real: EncodedMatrix) -> ProximityProfile:
     """Brute-force nearest-real distances for every medoid, with the per-real
     minimum cached for the coverage sweep."""
     if medoids.model_hash != real.model_hash:
         raise LineageError("medoids and real matrix come from different encoding models")
-    if len(medoids) == 0:
-        raise ConfigError("no medoids to evaluate")
-    a_min, a_arg, b_min = kernels.cross_min_distances(medoids.vectors(), real.vectors)
-    records = [
-        DistanceRecord(
-            cluster_id=m.cluster_id,
-            medoid_row_id=m.row_id,
-            d_min=float(a_min[i]),
-            nearest_real_row_id=int(a_arg[i]),
-        )
-        for i, m in enumerate(medoids.medoids)
-    ]
-    return ProximityProfile(records=records, per_real_min=b_min)
+    return _profile(
+        medoids, lambda: kernels.cross_min_distances(medoids.vectors(), real.vectors)
+    )
 
 
 def proximity_profile_gower(
@@ -122,27 +130,19 @@ def proximity_profile_gower(
     ranges: dict[str, tuple[float, float]],
 ) -> ProximityProfile:
     """Gower variant: distances on raw rows with model-fitted numeric ranges."""
-    if len(medoids) == 0:
-        raise ConfigError("no medoids to evaluate")
-    n = real_table.n_rows
-    per_real = np.full(n, np.inf, dtype=np.float64)
-    records: list[DistanceRecord] = []
-    for m in medoids.medoids:
-        d = gower_to_table(m.raw, real_table, ranges)
-        records.append(
-            DistanceRecord(
-                cluster_id=m.cluster_id,
-                medoid_row_id=m.row_id,
-                d_min=float(d.min()),
-                nearest_real_row_id=int(np.argmin(d)),
-            )
-        )
-        np.minimum(per_real, d, out=per_real)
-    return ProximityProfile(records=records, per_real_min=per_real)
 
+    def minima():
+        d_min = np.empty(len(medoids), dtype=np.float64)
+        nearest = np.empty(len(medoids), dtype=np.int64)
+        per_real = np.full(real_table.n_rows, np.inf, dtype=np.float64)
+        for i, m in enumerate(medoids.medoids):
+            d = gower_to_table(m.raw, real_table, ranges)
+            d_min[i] = d.min()
+            nearest[i] = np.argmin(d)
+            np.minimum(per_real, d, out=per_real)
+        return d_min, nearest, per_real
 
-def nearest_real_distances(medoids: MedoidSet, real: EncodedMatrix) -> list[DistanceRecord]:
-    return proximity_profile(medoids, real).records
+    return _profile(medoids, minima)
 
 
 def asr_curve(records: Sequence[DistanceRecord], grid: ThresholdGrid) -> np.ndarray:
@@ -153,19 +153,9 @@ def asr_curve(records: Sequence[DistanceRecord], grid: ThresholdGrid) -> np.ndar
     return _count_below(dmin, grid) / len(records)
 
 
-def coverage_curve(
-    medoids: MedoidSet,
-    real: EncodedMatrix,
-    grid: ThresholdGrid,
-    profile: ProximityProfile | None = None,
-) -> np.ndarray:
-    """Fraction of real rows strictly within each threshold of some medoid."""
-    if profile is None:
-        profile = proximity_profile(medoids, real)
-    return coverage_from_minima(profile.per_real_min, grid)
-
-
 def coverage_from_minima(per_real_min: np.ndarray, grid: ThresholdGrid) -> np.ndarray:
+    """Fraction of real rows strictly within each threshold of some medoid,
+    from each real row's minimum distance over the medoids."""
     if len(per_real_min) == 0:
         raise ConfigError("coverage needs at least one real row")
     return _count_below(per_real_min, grid) / len(per_real_min)
@@ -222,8 +212,6 @@ class MetricCurves:
     taus: np.ndarray
     asr: np.ndarray
     coverage: np.ndarray
-    n_medoids: int
-    n_real: int
 
 
 def curves_from_profile(
@@ -233,6 +221,4 @@ def curves_from_profile(
         taus=grid.taus.copy(),
         asr=asr_curve(profile.records, grid),
         coverage=coverage_from_minima(profile.per_real_min, grid),
-        n_medoids=len(profile.records),
-        n_real=len(profile.per_real_min),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +33,8 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunMeta:
+    # keyword-only, so it can lead the serialized section and keep its default
+    tool_version: str = field(default=__version__, kw_only=True)
     dataset_label: str
     generator_label: str
     synthetic_path: str
@@ -48,7 +50,6 @@ class RunMeta:
     min_samples: int
     seed: int | None
     model_hash: str
-    tool_version: str = __version__
 
 
 @dataclass(frozen=True)
@@ -113,29 +114,27 @@ def build_report(
     )
 
 
+_CASTS = {"int": int, "float": float}
+
+
+def _section(obj) -> dict:
+    """A flat dataclass as a JSON object in field order. Fields annotated int
+    or float (optionally | None) pass through int() or float(), so numpy
+    scalars and an int where a float is declared serialize as Python numbers
+    of the declared type."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        cast = _CASTS.get(f.type.removesuffix(" | None"))
+        doc[f.name] = value if value is None or cast is None else cast(value)
+    return doc
+
+
 def report_to_dict(report: LeakageReport) -> dict:
-    m = report.meta
     doc: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "leakage_report",
-        "meta": {
-            "tool_version": m.tool_version,
-            "dataset_label": m.dataset_label,
-            "generator_label": m.generator_label,
-            "synthetic_path": m.synthetic_path,
-            "real_path": m.real_path,
-            "n_synthetic_rows": int(m.n_synthetic_rows),
-            "n_real_rows": None if m.n_real_rows is None else int(m.n_real_rows),
-            "scale": m.scale,
-            "metric": m.metric,
-            "pca_dim": None if m.pca_dim is None else int(m.pca_dim),
-            "encoded_dim": int(m.encoded_dim),
-            "eps": float(m.eps),
-            "eps_mode": m.eps_mode,
-            "min_samples": int(m.min_samples),
-            "seed": None if m.seed is None else int(m.seed),
-            "model_hash": m.model_hash,
-        },
+        "meta": _section(report.meta),
         "clustering": {
             "n_clusters": int(report.n_clusters),
             "cluster_sizes": [int(s) for s in report.cluster_sizes],
@@ -152,35 +151,16 @@ def report_to_dict(report: LeakageReport) -> dict:
         "records": None,
     }
     if report.dmin_summary is not None:
-        s = report.dmin_summary
-        doc["dmin_summary"] = {
-            "count": int(s.count),
-            "min": float(s.min),
-            "mean": float(s.mean),
-            "median": float(s.median),
-            "max": float(s.max),
-            "p10": float(s.p10),
-            "p90": float(s.p90),
-        }
+        doc["dmin_summary"] = _section(report.dmin_summary)
     if report.curves is not None:
         doc["curves"] = {
             "asr": [float(v) for v in report.curves.asr],
             "coverage": [float(v) for v in report.curves.coverage],
         }
     if report.readouts is not None:
-        doc["reference_readouts"] = [
-            {"tau": r.tau, "asr": r.asr, "coverage": r.coverage} for r in report.readouts
-        ]
+        doc["reference_readouts"] = [_section(r) for r in report.readouts]
     if report.records is not None:
-        doc["records"] = [
-            {
-                "cluster_id": int(r.cluster_id),
-                "medoid_row_id": int(r.medoid_row_id),
-                "d_min": float(r.d_min),
-                "nearest_real_row_id": int(r.nearest_real_row_id),
-            }
-            for r in report.records
-        ]
+        doc["records"] = [_section(r) for r in report.records]
     return doc
 
 
@@ -189,61 +169,25 @@ def report_from_dict(doc: dict) -> LeakageReport:
         raise ConfigError("not a leakage report document")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ConfigError(f"unsupported report schema_version {doc.get('schema_version')!r}")
-    m = doc["meta"]
-    meta = RunMeta(
-        dataset_label=m["dataset_label"],
-        generator_label=m["generator_label"],
-        synthetic_path=m["synthetic_path"],
-        real_path=m["real_path"],
-        n_synthetic_rows=m["n_synthetic_rows"],
-        n_real_rows=m["n_real_rows"],
-        scale=m["scale"],
-        metric=m["metric"],
-        pca_dim=m["pca_dim"],
-        encoded_dim=m["encoded_dim"],
-        eps=m["eps"],
-        eps_mode=m["eps_mode"],
-        min_samples=m["min_samples"],
-        seed=m["seed"],
-        model_hash=m["model_hash"],
-        tool_version=m["tool_version"],
-    )
     grid = ThresholdGrid(np.asarray(doc["grid"]["taus"], dtype=np.float64), doc["grid"]["marks"])
     summary = None
     if doc.get("dmin_summary") is not None:
-        s = doc["dmin_summary"]
-        summary = DminSummary(
-            count=s["count"], min=s["min"], mean=s["mean"], median=s["median"],
-            max=s["max"], p10=s["p10"], p90=s["p90"],
-        )
+        summary = DminSummary(**doc["dmin_summary"])
     curves = None
     if doc.get("curves") is not None:
         curves = MetricCurves(
             taus=grid.taus.copy(),
             asr=np.asarray(doc["curves"]["asr"], dtype=np.float64),
             coverage=np.asarray(doc["curves"]["coverage"], dtype=np.float64),
-            n_medoids=doc["clustering"]["n_clusters"],
-            n_real=0 if meta.n_real_rows is None else meta.n_real_rows,
         )
     readouts = None
     if doc.get("reference_readouts") is not None:
-        readouts = [
-            ReferenceReadout(tau=r["tau"], asr=r["asr"], coverage=r["coverage"])
-            for r in doc["reference_readouts"]
-        ]
+        readouts = [ReferenceReadout(**r) for r in doc["reference_readouts"]]
     records = None
     if doc.get("records") is not None:
-        records = [
-            DistanceRecord(
-                cluster_id=r["cluster_id"],
-                medoid_row_id=r["medoid_row_id"],
-                d_min=r["d_min"],
-                nearest_real_row_id=r["nearest_real_row_id"],
-            )
-            for r in doc["records"]
-        ]
+        records = [DistanceRecord(**r) for r in doc["records"]]
     return LeakageReport(
-        meta=meta,
+        meta=RunMeta(**doc["meta"]),
         n_clusters=doc["clustering"]["n_clusters"],
         cluster_sizes=list(doc["clustering"]["cluster_sizes"]),
         n_noise=doc["clustering"]["n_noise"],
@@ -275,10 +219,6 @@ def format_summary_row(summary: DminSummary) -> str:
         f"M={s.count}, min={s.min:.4f}, mean={s.mean:.4f}, median={s.median:.4f}, "
         f"max={s.max:.4f}, p10={s.p10:.4f}, p90={s.p90:.4f}"
     )
-
-
-def summary_columns() -> tuple[str, ...]:
-    return ("M", "min", "mean", "median", "max", "p10", "p90")
 
 
 def emit_curves_csv(curves: MetricCurves, path: str | Path) -> None:

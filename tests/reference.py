@@ -21,6 +21,19 @@ def pair_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt((diff * diff).sum()))
 
 
+def gower_pair(a_row: tuple, b_row: tuple, schema, ranges: dict) -> float:
+    """Mean per-column Gower dissimilarity of two raw rows, one column at a time."""
+    total = 0.0
+    for col, a, b in zip(schema.columns, a_row, b_row):
+        if col.kind == "numeric":
+            lo, hi = ranges[col.name]
+            if hi != lo:
+                total += min(abs(float(a) - float(b)) / (hi - lo), 1.0)
+        else:
+            total += 0.0 if a == b else 1.0
+    return total / len(schema.columns)
+
+
 def row_dists(x: np.ndarray, i: int) -> np.ndarray:
     diff = x - x[i]
     return np.sqrt((diff * diff).sum(axis=1))

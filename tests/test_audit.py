@@ -3,11 +3,12 @@
 import json
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmla import clustering, tables
+from cmla import audit, clustering, tables
 from cmla.audit import (
     AuditConfig,
     run_audit,
@@ -291,6 +292,31 @@ def test_scenario_runs_are_reproducible(tmp_path):
     del da["meta"]["synthetic_path"], db["meta"]["synthetic_path"]
     del da["meta"]["real_path"], db["meta"]["real_path"]
     assert da == db
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"eps": 0.05}, {}, {"eps": 0.05, "pca": 1}, {"eps": 0.05, "records": True},
+     {"eps": 0.05, "metric": "gower"}],
+    ids=["fixed-eps", "auto-eps", "pca", "records", "gower"],
+)
+def test_verify_rebuilds_the_original_config(tmp_path, monkeypatch, settings):
+    synth, real = write_tables(tmp_path)
+    original = AuditConfig(synthetic=str(synth), real=str(real), out=str(tmp_path / "out"),
+                           min_samples=5, seed=3, **settings)
+    meta = run_audit(original).report.meta
+    seen = []
+
+    def recording(config, grid_override=None):
+        seen.append(config)
+        return run_audit(config, grid_override)
+
+    monkeypatch.setattr(audit, "run_audit", recording)
+    assert verify_report_file(tmp_path / "out" / "report.json") == []
+    assert seen == [replace(
+        original, synthetic=str(synth.resolve()), real=str(real.resolve()), out=None,
+        dataset_label=meta.dataset_label, generator_label=meta.generator_label,
+    )]
 
 
 def test_config_validation():

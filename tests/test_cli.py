@@ -4,10 +4,13 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cmla import audit
+from cmla.audit import AuditConfig
 from cmla.cli import main
 
 
@@ -84,7 +87,7 @@ def test_eps_flag_accepts_auto_and_rejects_junk(csv_pair):
     assert proc.returncode == 0
     proc = run_cli("audit", "--synthetic", synth, "--eps", "wide")
     assert proc.returncode == 2
-    assert "--eps must be a number or 'auto'" in proc.stderr
+    assert "cmla: eps must be a number or 'auto', got 'wide'" in proc.stderr
 
 
 def test_verify_subcommand_detects_tampering(csv_pair, tmp_path):
@@ -204,7 +207,91 @@ def test_unknown_config_key_exits_2(csv_pair, tmp_path, capsys):
 def test_missing_synthetic_everywhere_exits_2(capsys):
     code = main(["audit", "--eps", "0.1"])
     assert code == 2
-    assert "--synthetic is required" in capsys.readouterr().err
+    assert "cmla: synthetic is required" in capsys.readouterr().err
+
+
+# Each malformed setting with the key its message must name. "mark" is the
+# old --config spelling of marks: it is an unknown key now, not a default.
+BAD_SETTINGS = [
+    ({"records": "false"}, "records"),
+    ({"min_samples": 2.7}, "min_samples"),
+    ({"min_samples": "x"}, "min_samples"),
+    ({"min_samples": True}, "min_samples"),
+    ({"eps": True}, "eps"),
+    ({"eps": "abc"}, "eps"),
+    ({"marks": [0.1, "x"]}, "marks"),
+    ({"marks": "0.1,x"}, "marks"),
+    ({"marks": 0.1}, "marks"),
+    ({"mark": [0.1, 0.5]}, "mark"),
+    ({"grid": 5}, "grid"),
+    ({"pca": 1.5}, "pca"),
+    ({"scale": 1}, "scale"),
+]
+
+
+@pytest.mark.parametrize("source", ["config", "scenario"])
+@pytest.mark.parametrize("bad, key", BAD_SETTINGS)
+def test_malformed_settings_exit_2_naming_the_key(csv_pair, tmp_path, capsys, source, bad, key):
+    synth, _ = csv_pair
+    if source == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"eps": 0.05, **bad}))
+        code = main(["audit", "--synthetic", str(synth), "--config", str(path)])
+    else:
+        doc = scenario_doc(["memorizer", "independent"])
+        doc["audit"].update(bad)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["scenario", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(rf"^cmla: .*\b{key}\b", err, re.MULTILINE), err
+
+
+class Recorded(Exception):
+    pass
+
+
+def recorded_config(monkeypatch, argv) -> AuditConfig:
+    """The AuditConfig the command hands to its first audit, paths and labels
+    blanked."""
+    seen = []
+
+    def record(config, grid_override=None):
+        seen.append(config)
+        raise Recorded
+
+    monkeypatch.setattr(audit, "run_audit", record)
+    with pytest.raises(Recorded):
+        main(argv)
+    return replace(seen[0], synthetic="", real=None, out=None,
+                   dataset_label=None, generator_label=None)
+
+
+def test_flags_config_file_and_scenario_section_agree(csv_pair, tmp_path, monkeypatch):
+    synth, real = csv_pair
+    settings = {"eps": 0.2, "min_samples": 15, "scale": "zscore", "pca": 2,
+                "grid": "0:1:0.05", "marks": [0.1, 0.5], "metric": "gower", "records": True}
+    want = AuditConfig(synthetic="", seed=404, **{**settings, "marks": (0.1, 0.5)})
+
+    flags = recorded_config(monkeypatch, [
+        "audit", "--synthetic", str(synth), "--real", str(real), "--eps", "0.2",
+        "--min-samples", "15", "--scale", "zscore", "--pca", "2", "--grid", "0:1:0.05",
+        "--mark", "0.1,0.5", "--metric", "gower", "--records", "--seed", "404",
+    ])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**settings, "seed": 404, "real": str(real)}))
+    from_file = recorded_config(monkeypatch, [
+        "audit", "--synthetic", str(synth), "--config", str(cfg),
+    ])
+    doc = scenario_doc(["memorizer", "independent"])
+    doc["audit"] = {**settings, "marks": "0.1,0.5"}
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps(doc))
+    from_scenario = recorded_config(monkeypatch, [
+        "scenario", str(sp), "--out", str(tmp_path / "run"),
+    ])
+    assert flags == from_file == from_scenario == want
 
 
 def test_version_flag():

@@ -89,10 +89,8 @@ def test_engine_is_exact_across_scales(rng):
                 )
 
 
-def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
-    # rows whose squared norm overflows or is NaN mixed with ordinary rows:
-    # only the exact comparison may decide their pairs, and NaN distances
-    # rank as np.partition, np.argmin and np.minimum rank them
+def non_finite_cloud(rng):
+    """300 rows whose squared norms overflow or are NaN mixed with ordinary rows."""
     x = clustered_cloud(rng, 300, 2)
     x[10] = [1.3e154, 0.0]
     x[20] = [1.3e154 + 1e140, 0.0]  # 1e140 from row 10, norms near 2^1024
@@ -100,6 +98,13 @@ def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
     x[40, 1] = np.nan
     x[50] = [np.inf, 1.0]
     x[260] = x[40]
+    return x
+
+
+def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
+    # only the exact comparison may decide the pairs of non-finite rows, and
+    # NaN distances rank as np.partition, np.argmin and np.minimum rank them
+    x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
         nb = neighbor_lists(x, 2e140)
         assert list(nb[10]) == [10, 20]
@@ -108,6 +113,18 @@ def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
         )
         got = cross_min_distances(x[[60, 61]], x)
     assert np.isnan(got[0]).all() and got[1].tolist() == [40, 40]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_caller_errstate_reaches_pool_workers(rng, monkeypatch):
+    # NumPy keeps the error state in a context variable, so each worker range
+    # has to run in a copy of the caller's context to honour np.errstate
+    monkeypatch.setenv("CMLA_THREADS", "2")
+    x = non_finite_cloud(rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert list(neighbor_lists(x, 2e140)[10]) == [10, 20]
+        assert np.isnan(kth_neighbor_distances(x, 4)[40])
+        assert cross_min_distances(x[[60, 61]], x)[1].tolist() == [40, 40]
 
 
 def test_far_offset_cloud_sends_every_pair_to_the_exact_path(rng, monkeypatch):
@@ -215,36 +232,42 @@ def test_neighbor_lists_are_sorted_closed_ball_and_include_self(rng):
         np.testing.assert_array_equal(nb, np.flatnonzero(d <= 0.9))
 
 
-def test_grid_index_equals_brute_force(rng):
+def neighbor_lists_above(monkeypatch, min_rows, x, eps):
+    """neighbor_lists with the grid index taking over above min_rows rows."""
+    monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", min_rows)
+    return neighbor_lists(x, eps)
+
+
+def test_grid_index_equals_brute_force(rng, monkeypatch):
     # same inputs through both paths must give identical neighbor sets
     for d in (1, 2, 3, 6):
         x = clustered_cloud(rng, 300, d, duplicates=0.05)
         for eps in (0.3, 0.9, 2.5):
-            brute = neighbor_lists(x, eps, grid_threshold=10**9)
-            grid = neighbor_lists(x, eps, grid_threshold=1)
+            brute = neighbor_lists_above(monkeypatch, 10**9, x, eps)
+            grid = neighbor_lists_above(monkeypatch, 1, x, eps)
             assert len(brute) == len(grid)
             for a, b in zip(brute, grid):
                 np.testing.assert_array_equal(a, b)
 
 
-def test_grid_index_handles_boundary_coordinates():
+def test_grid_index_handles_boundary_coordinates(monkeypatch):
     # points exactly on cell boundaries and exactly eps apart
     x = np.array([[0.0], [1.0], [2.0], [2.0], [4.0]])
-    brute = neighbor_lists(x, 1.0, grid_threshold=10**9)
-    grid = neighbor_lists(x, 1.0, grid_threshold=1)
+    brute = neighbor_lists_above(monkeypatch, 10**9, x, 1.0)
+    grid = neighbor_lists_above(monkeypatch, 1, x, 1.0)
     for a, b in zip(brute, grid):
         np.testing.assert_array_equal(a, b)
     assert list(brute[1]) == [0, 1, 2, 3]
 
 
-def test_grid_index_falls_back_to_brute_force_when_cell_keys_overflow(rng):
+def test_grid_index_falls_back_to_brute_force_when_cell_keys_overflow(rng, monkeypatch):
     # x / eps reaches 1e19 > 2^63 on [0, 1] data: int64 cell keys would wrap
     x = rng.uniform(0.0, 1.0, size=(60, 2))
     x[40:] = x[:20]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = neighbor_lists(x, 1e-19, grid_threshold=1)
-    brute = neighbor_lists(x, 1e-19, grid_threshold=10**9)
+        grid = neighbor_lists_above(monkeypatch, 1, x, 1e-19)
+    brute = neighbor_lists_above(monkeypatch, 10**9, x, 1e-19)
     for a, b in zip(brute, grid):
         np.testing.assert_array_equal(a, b)
     assert [len(nb) for nb in grid] == [2] * 20 + [1] * 20 + [2] * 20

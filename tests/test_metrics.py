@@ -7,12 +7,10 @@ from cmla.errors import ConfigError, LineageError
 from cmla.metrics import (
     ThresholdGrid,
     asr_curve,
-    coverage_curve,
     coverage_from_minima,
     curves_from_profile,
     default_grid,
     grid_from_spec,
-    nearest_real_distances,
     proximity_profile,
     proximity_profile_gower,
     summarize_dmin,
@@ -141,9 +139,7 @@ def test_proximity_profile_requires_medoids():
 def test_nearest_real_distance_ties_take_the_lowest_real_row():
     profile = proximity_profile(medoid_set([[0.0]]), matrix([[1.0], [1.0], [-1.0]]))
     assert profile.records[0].nearest_real_row_id == 0
-    assert nearest_real_distances(medoid_set([[0.0]]), matrix([[1.0], [1.0], [-1.0]]))[
-        0
-    ].d_min == 1.0
+    assert profile.records[0].d_min == 1.0
 
 
 def test_gower_profile_hand_case():
@@ -164,21 +160,19 @@ def test_curves_from_profile_carries_counts(rng):
     real = rng.standard_normal((11, 2))
     profile = proximity_profile(medoid_set(meds), matrix(real))
     curves = curves_from_profile(profile, default_grid())
-    assert curves.n_medoids == 4
-    assert curves.n_real == 11
+    assert len(profile.records) == 4
+    assert len(profile.per_real_min) == 11
     assert len(curves.asr) == 251
     assert len(curves.coverage) == 251
 
 
-def test_coverage_curve_accepts_a_precomputed_profile(rng):
+def test_coverage_from_the_profile_minima_matches_a_double_loop(rng):
     meds = rng.standard_normal((3, 2))
     real = rng.standard_normal((9, 2))
-    ms, rm = medoid_set(meds), matrix(real)
-    profile = proximity_profile(ms, rm)
+    profile = proximity_profile(medoid_set(meds), matrix(real))
     g = default_grid()
-    np.testing.assert_array_equal(
-        coverage_curve(ms, rm, g, profile), coverage_curve(ms, rm, g)
-    )
+    *_, cov = reference.double_loop_metrics(meds, real, g.taus)
+    assert coverage_from_minima(profile.per_real_min, g).tolist() == cov
 
 
 def test_summarize_dmin_hand_case():

@@ -1,5 +1,6 @@
 """Report assembly, JSON round-trips, CSV emission, and document diffs."""
 
+import hashlib
 import json
 import re
 
@@ -10,7 +11,10 @@ from cmla.clustering import DbscanParams, dbscan, extract_medoids
 from cmla.encoding import encode, fit_encoding
 from cmla.errors import ConfigError, CurveError, LineageError
 from cmla.metrics import (
+    DistanceRecord,
+    DminSummary,
     MetricCurves,
+    ProximityProfile,
     ThresholdGrid,
     curves_from_profile,
     default_grid,
@@ -18,6 +22,8 @@ from cmla.metrics import (
     summarize_dmin,
 )
 from cmla.report import (
+    LeakageReport,
+    ReferenceReadout,
     RunMeta,
     build_report,
     compare_reports,
@@ -28,7 +34,6 @@ from cmla.report import (
     render_json,
     report_from_dict,
     report_to_dict,
-    summary_columns,
     write_dmin_records_csv,
     write_heatmap_csv,
     write_report_json,
@@ -82,6 +87,77 @@ def test_render_parse_render_is_byte_stable():
     assert again == text
     # and the dict layer agrees too
     assert json.loads(text) == report_to_dict(parse_json(text))
+
+
+def numpy_typed_report(with_real, with_records):
+    """A report whose sections hold numpy scalars and an int eps, as a
+    caller outside the pipeline may build one."""
+    meta = RunMeta(
+        dataset_label="demo",
+        generator_label="toy",
+        synthetic_path="synthetic.csv",
+        real_path="real.csv" if with_real else None,
+        n_synthetic_rows=np.int64(7),
+        n_real_rows=np.int64(3) if with_real else None,
+        scale="zscore",
+        metric="euclidean",
+        pca_dim=np.int32(2),
+        encoded_dim=np.int64(2),
+        eps=1,
+        eps_mode="fixed",
+        min_samples=np.int64(2),
+        seed=np.uint64(2**63 + 5),
+        model_hash="0123abcd",
+    )
+    grid = ThresholdGrid(np.array([0.0, 0.25, 0.5, 1.0]), (0.25, 1.0))
+    profile = ProximityProfile(
+        records=[
+            DistanceRecord(np.int64(0), np.int64(1), np.float64(0.2), np.int64(2)),
+            DistanceRecord(np.int32(1), np.int64(4), np.float64(0.75), np.int64(0)),
+        ],
+        per_real_min=np.array([0.75, 0.3, 0.2]),
+    )
+    summary = curves = readouts = None
+    if with_real:
+        summary = DminSummary(
+            count=np.int64(2), min=np.float64(0.2), mean=np.float64(0.475),
+            median=np.float64(0.475), max=np.float64(0.75), p10=np.float64(0.255),
+            p90=np.float64(0.695),
+        )
+        curves = curves_from_profile(profile, grid)
+        readouts = [
+            ReferenceReadout(tau=float(grid.taus[i]), asr=curves.asr[i],
+                             coverage=curves.coverage[i])
+            for i in (1, 3)
+        ]
+    return LeakageReport(
+        meta=meta,
+        n_clusters=np.int64(2),
+        cluster_sizes=[np.int64(3), np.int64(2)],
+        n_noise=np.int64(1),
+        n_core=np.int64(4),
+        grid=grid,
+        dmin_summary=summary,
+        curves=curves,
+        readouts=readouts,
+        records=profile.records if with_records else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "with_real, with_records, digest",
+    [
+        (False, False, "96f282ac9d264ec337c5ae3cd4a3a1fa56a8fadce2e4389ea90b3ff60333e87e"),
+        (False, True, "ec9f823a7469edb731de0048910ae48bfd80b39e5ed13725113d18d7f590847b"),
+        (True, False, "312add1290cc0a2cc86f2a0a393a05363452df952658b24d821428704c90eff1"),
+        (True, True, "94d2499bb6b0963b4e022a7a1765a06f2acc7cb28e2544f828242275782b68ea"),
+    ],
+)
+def test_rendered_bytes_are_pinned_and_round_trip(with_real, with_records, digest):
+    text = render_json(numpy_typed_report(with_real, with_records))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert render_json(parse_json(text)) == text
+    assert '"eps": 1.0,' in text and '"seed": 9223372036854775813,' in text
 
 
 def test_report_without_real_table_has_no_curve_sections():
@@ -181,10 +257,6 @@ def test_format_summary_row_frozen_string():
     )
 
 
-def test_summary_columns_tuple():
-    assert summary_columns() == ("M", "min", "mean", "median", "max", "p10", "p90")
-
-
 def test_emit_curves_csv_layout(tmp_path):
     report = small_report()
     p = tmp_path / "curves.csv"
@@ -202,13 +274,13 @@ def test_emit_curves_csv_enforces_curve_laws(tmp_path):
     ok = np.array([0.0, 0.5, 1.0])
     p = tmp_path / "c.csv"
     with pytest.raises(CurveError, match="strictly increasing"):
-        emit_curves_csv(MetricCurves(np.array([0.0, 0.0, 0.2]), ok, ok, 1, 1), p)
+        emit_curves_csv(MetricCurves(np.array([0.0, 0.0, 0.2]), ok, ok), p)
     with pytest.raises(CurveError, match="leaves \\[0, 1\\]"):
-        emit_curves_csv(MetricCurves(taus, np.array([0.0, 0.5, 1.2]), ok, 1, 1), p)
+        emit_curves_csv(MetricCurves(taus, np.array([0.0, 0.5, 1.2]), ok), p)
     with pytest.raises(CurveError, match="not non-decreasing"):
-        emit_curves_csv(MetricCurves(taus, np.array([0.5, 0.1, 1.0]), ok, 1, 1), p)
+        emit_curves_csv(MetricCurves(taus, np.array([0.5, 0.1, 1.0]), ok), p)
     with pytest.raises(CurveError, match="length"):
-        emit_curves_csv(MetricCurves(taus, np.array([0.0, 1.0]), ok, 1, 1), p)
+        emit_curves_csv(MetricCurves(taus, np.array([0.0, 1.0]), ok), p)
 
 
 def test_dmin_records_csv(tmp_path):
