@@ -4,14 +4,20 @@ DBSCAN semantics, pinned: a point is core when at least min_samples points
 (itself included) lie within eps (closed ball); clusters are the maximal sets
 of density-connected core points plus their border points; a border point
 reachable from several clusters joins the cluster of the lowest-index core
-point that reaches it; everything else is noise, labeled -1. Seed expansion
-scans row ids in ascending order, so cluster ids count up in order of first
-discovery. All distances are euclidean on encoded vectors.
+point that reaches it; everything else is noise, labeled -1. Cluster ids
+count up in order of first discovery by a seed scan in ascending row order,
+which is the order of each cluster's lowest core row. All distances are
+euclidean on encoded vectors.
 
-Expansion works per node, not per edge: a point popped from the stack labels
-all its unlabeled core neighbors in one masked numpy step and pushes them, and
-a border point takes the label of the first core entry of its ascending
-neighbor list. Temporaries are the size of one neighbor list.
+Two streaming passes over kernels' hit blocks, and no neighbour list is
+stored whole. Pass 1 keeps each row's min_samples lowest-index neighbours: a
+row is core iff its list is full, and a non-core row's list is complete.
+Pass 2 takes the connected components of the eps-graph on the core rows
+(kernels.eps_components, a union-find whose roots are the lowest rows), which
+are the clusters' cores (Patwary et al., SC 2012; Schubert et al., TODS
+2017). A border point takes the label of the first core entry of its
+ascending list. Memory is O(n * min_samples) neighbour entries plus one
+tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index computes the
@@ -115,22 +121,15 @@ def dbscan(matrix: EncodedMatrix, params: DbscanParams) -> ClusterLabeling:
         raise ConfigError("cannot cluster an empty matrix")
     eps = params.eps if params.eps is not None else auto_eps(matrix, params.min_samples)
 
-    neighbors = kernels.neighbor_lists(x, eps)
+    # a row is core iff it has at least min_samples neighbours; a non-core row's
+    # list is complete, so lists cut to min_samples are all DBSCAN needs
+    neighbors = kernels.neighbor_lists(x, eps, params.min_samples)
     core = np.fromiter(map(len, neighbors), dtype=np.int64, count=n) >= params.min_samples
     labels = np.full(n, NOISE, dtype=np.int32)
-
-    cluster = 0
-    for seed in np.flatnonzero(core).tolist():
-        if labels[seed] != NOISE:
-            continue
-        labels[seed] = cluster
-        stack = [seed]
-        while stack:
-            nb = neighbors[stack.pop()]
-            new = nb[core[nb] & (labels[nb] == NOISE)]
-            labels[new] = cluster
-            stack.extend(new.tolist())
-        cluster += 1
+    core_rows = np.flatnonzero(core)
+    # components of the core graph, numbered by their lowest row
+    roots, ids = np.unique(kernels.eps_components(x[core_rows], eps), return_inverse=True)
+    labels[core_rows] = ids
 
     # Border points: non-core within eps of a core point. Neighbor lists are
     # ascending, so the first core neighbor is the lowest-index one.
@@ -143,7 +142,7 @@ def dbscan(matrix: EncodedMatrix, params: DbscanParams) -> ClusterLabeling:
     return ClusterLabeling(
         labels=labels,
         core_mask=core,
-        n_clusters=cluster,
+        n_clusters=len(roots),
         eps=eps,
         eps_mode=params.eps_mode,
         min_samples=params.min_samples,

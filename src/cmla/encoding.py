@@ -114,30 +114,6 @@ class EncodingModel:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def model_from_json_dict(doc: dict) -> EncodingModel:
-    if doc.get("kind") != "encoding_model":
-        raise ConfigError("not an encoding model document")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    specs = []
-    stats: dict[str, NumericStats] = {}
-    for col in doc["columns"]:
-        if col["kind"] == NUMERIC:
-            specs.append(ColumnSpec(col["name"], NUMERIC))
-            stats[col["name"]] = NumericStats(col["lo"], col["hi"], col["mean"], col["std"])
-        else:
-            specs.append(ColumnSpec(col["name"], CATEGORICAL, tuple(col["categories"])))
-    pca = None
-    if doc.get("pca") is not None:
-        p = doc["pca"]
-        pca = PcaModel(
-            mean=np.asarray(p["mean"], dtype=np.float64),
-            components=np.asarray(p["components"], dtype=np.float64),
-            explained=np.asarray(p["explained"], dtype=np.float64),
-        )
-    return EncodingModel(TableSchema(tuple(specs)), doc["mode"], stats, pca)
-
-
 @dataclass(eq=False)
 class EncodedMatrix:
     """N x D float64 matrix; rows correspond 1:1 with the source table's rows."""

@@ -5,13 +5,20 @@ coordinate differences, so all code paths agree bitwise on every pair. The
 kernels share one pattern: a cheap prefilter that provably settles most
 pairs, then that exact comparison for the rest.
 
-- Brute-force neighbour search, the k-th-neighbour pass and the cross minima
-  run on one row-tile engine (_bracket_tiles). For a block of rows against
-  every column, one BLAS product gives an upper bound U on the float sum of
+- Neighbour search, the k-th-neighbour pass and the cross minima run on one
+  row-tile engine (_bracket_tiles). For a block of rows against every
+  column, one BLAS product gives an upper bound U on the float sum of
   squares s that dists_to takes the square root of, and each row gets a
   spread with U - spread/2 <= s. Pairs these bounds settle never reach
-  dists_to.
-- The grid index gathers candidates from adjacent cells.
+  dists_to. A tile's left operand, its bounds and each batch of exact pairs
+  hold at most TILE_BYTES, whatever the widths.
+- The eps-graph is never stored whole. _hit_blocks yields it one block of
+  rows at a time as a boolean hit matrix against ascending columns: brute
+  tiles up to GRID_INDEX_MIN_ROWS rows, and above that one grid cell against
+  its adjacent cells, decided by the same tile test. neighbor_lists(x, eps,
+  limit) keeps at most limit of each row's lowest neighbours, and
+  eps_components unions the hits into connected components; each streams
+  the blocks once.
 - The medoid kernel skips rows whose triangle-inequality lower bound, loosened
   by a proven rounding slack, exceeds the best exact (fsum) sum.
 
@@ -49,7 +56,7 @@ rounding of fl(t - spread) keeps it at most t - spread/2.
 
 The decisions. fl(sqrt) is correctly rounded and monotone, and the distance
 is d = fl(sqrt(s)).
-- Neighbour search, for 2^-500 < eps < 2^500: U <= fl(eps^2)(1 - 4u) gives
+- Hits, for 2^-500 < eps < 2^500: U <= fl(eps^2)(1 - 4u) gives
   s <= eps^2, so d <= eps; U >= fl(v + spread) with v = fl(eps^2)(1 + 8u)
   gives s > eps^2(1 + u)^2, so sqrt(s) lies past the midpoint between eps and
   the next float and d > eps. Only the pairs in between are compared exactly.
@@ -71,9 +78,10 @@ is d = fl(sqrt(s)).
   propagate NaN as np.minimum does.
 
 The CMLA_THREADS environment variable caps the worker threads used for row
-partitioning. Workers write disjoint output slices, and cross minima merge
-per-worker partials in range order, so results depend neither on the worker
-count nor on the tile size.
+partitioning. Workers write disjoint output slices, cross minima merge
+per-worker partials in range order, and the component union runs serially
+and ends at the lowest index of each set whatever the block order, so results
+depend neither on the worker count nor on the tile size.
 """
 
 from __future__ import annotations
@@ -153,8 +161,9 @@ def _bracket_tiles(x: np.ndarray, y: np.ndarray):
     dists_to(x[i0 + r], y[j]) takes the square root of. A pair with a row
     whose squared norm is not finite or exceeds 2^1000 gets a NaN upper bound,
     and every spread is inf when y has such a row (only the row's own spread
-    when x has it). Each block spans all of y and holds at most TILE_BYTES, or
-    one row; the arrays are reused from block to block.
+    when x has it). Each block spans all of y; its bounds and its left
+    operand of d + 2 columns each hold at most TILE_BYTES, or one row. The
+    arrays are reused from block to block.
     """
     d = x.shape[1]
     x_up, x_slack = _norm_addends(x)
@@ -167,11 +176,12 @@ def _bracket_tiles(x: np.ndarray, y: np.ndarray):
     right[:d] = y.T
     right[d] = 1.0
     right[d + 1] = y_up
-    rows = max(1, TILE_BYTES // (8 * max(1, len(y))))
+    rows = max(1, TILE_BYTES // (8 * max(len(y), d + 2)))
 
     def tiles(lo: int, hi: int):
-        left = np.ones((rows, d + 2))
-        out = np.empty((rows, len(y)))
+        size = min(rows, hi - lo)
+        left = np.ones((size, d + 2))
+        out = np.empty((size, len(y)))
         for i0 in range(lo, hi, rows):
             m = min(rows, hi - i0)
             np.multiply(x[i0 : i0 + m], -2.0, out=left[:m, :d])
@@ -213,74 +223,151 @@ def _widen(bound: np.ndarray) -> np.ndarray:
     return bound * (1 + 8 * _U)
 
 
-def _brute_neighbor_lists(x: np.ndarray, eps: float) -> list[np.ndarray]:
-    n = len(x)
-    out: list[np.ndarray | None] = [None] * n
-    tiles = _bracket_tiles(x, x)
-    # U <= inside proves d <= eps and U >= outside + spread proves d > eps;
-    # the thresholds are only used where eps^2 is far from under- and overflow
+def _exact_dists(a: np.ndarray, ai: np.ndarray, b: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    """dists_to(a[ai], b[bi]) in batches of at most TILE_BYTES of coordinates."""
+    step = max(1, TILE_BYTES // (8 * a.shape[1]))
+    out = np.empty(len(ai))
+    for k in range(0, len(ai), step):
+        out[k : k + step] = dists_to(a[ai[k : k + step]], b[bi[k : k + step]])
+    return out
+
+
+def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float):
+    """hits(lo, hi) yields (i0, hit) for the tiles of rows x[lo:hi], where
+    hit[r, j] says dists_to(x[i0 + r], y[j]) <= eps."""
+    tiles = _bracket_tiles(x, y)
+    # U <= inside proves d <= eps, and U >= outside + spread proves d > eps
+    # for any spread at least the row's, so the tile's largest one serves all
+    # its rows; the thresholds are only used where eps^2 is far from under-
+    # and overflow
     if 2.0**-500 < eps < 2.0**500:
         inside, outside = eps * eps * (1 - 4 * _U), eps * eps * (1 + 8 * _U)
     else:
         inside = outside = math.nan
 
-    def fill(lo: int, hi: int) -> None:
+    def hits(lo: int, hi: int):
         for i0, upper, spread in tiles(lo, hi):
             hit = upper <= inside
-            settled = hit | (upper >= (outside + spread)[:, None])
+            settled = hit | (upper >= outside + spread.max())
             if not settled.all():
                 r, c = _pairs(~settled)
-                hit[r, c] = dists_to(x[i0 + r], x[c]) <= eps
-            flat = np.flatnonzero(hit)
-            rows = np.split(flat, np.searchsorted(flat, np.arange(1, len(hit)) * n))
-            for r, cols in enumerate(rows):
-                out[i0 + r] = cols - r * n
+                hit[r, c] = _exact_dists(x, i0 + r, y, c) <= eps
+            yield i0, hit
 
-    _parallel_rows(n, fill)
-    return out  # type: ignore[return-value]
+    return hits
 
 
-def _grid_neighbor_lists(x: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Neighbor lists through a uniform grid over the leading dimensions.
+def _grid_hit_blocks(x: np.ndarray, eps: float):
+    """Hit blocks through a uniform grid over the leading dimensions, one cell
+    of rows against its adjacent cells at a time, or None when the cell keys
+    would not fit in int64 (tiny eps, huge or non-finite coordinates).
 
     A point within eps in the full space is within one cell step along any
-    subset of dimensions, so gathering the 3^g adjacent cells yields a
-    superset of the true neighborhood; the exact filter then matches the
-    brute-force rule bit for bit. Cell keys that would not fit in int64
-    (tiny eps, huge or non-finite coordinates) send the input to brute force.
+    subset of dimensions, so the 3^g adjacent cells hold every neighbour of
+    the cell's rows, and the tile test decides them as brute force does.
     """
-    n, d = x.shape
-    g = min(3, d)
+    g = min(3, x.shape[1])
     scaled = np.floor(x[:, :g] / eps)
     if not (np.abs(scaled) < 2.0**62).all():
-        return _brute_neighbor_lists(x, eps)
-    keys = scaled.astype(np.int64)
+        return None
     cells: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, keys)):
+    for i, key in enumerate(map(tuple, scaled.astype(np.int64))):
         cells.setdefault(key, []).append(i)
+    keys = list(cells)
     offsets = list(itertools.product((-1, 0, 1), repeat=g))
-    out: list[np.ndarray | None] = [None] * n
-    for key, members in cells.items():
-        candidates: list[int] = []
-        for off in offsets:
-            hit = cells.get(tuple(k + o for k, o in zip(key, off)))
-            if hit is not None:
-                candidates.extend(hit)
-        cand = np.sort(np.asarray(candidates, dtype=np.int64))
-        block = x[cand]
-        for i in members:
-            out[i] = cand[dists_to(x[i], block) <= eps]
-    return out  # type: ignore[return-value]
+
+    def blocks(lo: int, hi: int):
+        for key in keys[lo:hi]:
+            candidates: list[int] = []
+            for off in offsets:
+                near = cells.get(tuple(k + o for k, o in zip(key, off)))
+                if near is not None:
+                    candidates.extend(near)
+            cols = np.sort(np.asarray(candidates, dtype=np.int64))
+            members = np.asarray(cells[key], dtype=np.int64)
+            for i0, hit in _tile_hits(x[members], x[cols], eps)(0, len(members)):
+                yield members[i0 : i0 + len(hit)], cols, hit
+
+    return len(keys), blocks
 
 
-def neighbor_lists(x: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Sorted index arrays of all points within eps of each row (self included);
-    above GRID_INDEX_MIN_ROWS rows through the grid index."""
+def _hit_blocks(x: np.ndarray, eps: float):
+    """(units, blocks): blocks(lo, hi) yields (rows, cols, hit) for the units
+    lo..hi of a partition of the rows of x, where hit[r, j] says
+    dists_to(x[rows[r]], x[cols[j]]) <= eps, cols ascend and hold every
+    neighbour of the block's rows. Units are row tiles, or grid cells above
+    GRID_INDEX_MIN_ROWS rows."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
     if len(x) > GRID_INDEX_MIN_ROWS:
-        return _grid_neighbor_lists(x, eps)
-    return _brute_neighbor_lists(x, eps)
+        grid = _grid_hit_blocks(x, eps)
+        if grid is not None:
+            return grid
+    hits = _tile_hits(x, x, eps)
+    ids = np.arange(len(x))
+
+    def blocks(lo: int, hi: int):
+        for i0, hit in hits(lo, hi):
+            yield ids[i0 : i0 + len(hit)], ids, hit
+
+    return len(x), blocks
+
+
+def neighbor_lists(x: np.ndarray, eps: float, limit: int) -> list[np.ndarray]:
+    """Sorted index arrays of the points within eps of each row (self
+    included), each cut to its limit lowest indices."""
+    out: list[np.ndarray | None] = [None] * len(x)
+    units, blocks = _hit_blocks(x, eps)
+
+    def fill(lo: int, hi: int) -> None:
+        for rows, cols, hit in blocks(lo, hi):
+            width = hit.shape[1]
+            flat = np.flatnonzero(hit)
+            starts = np.searchsorted(flat, np.arange(len(rows) + 1) * width).tolist()
+            for k, i in enumerate(rows.tolist()):
+                a = starts[k]
+                out[i] = cols[flat[a : min(starts[k + 1], a + limit)] - k * width]
+
+    _parallel_rows(units, fill)
+    return out  # type: ignore[return-value]
+
+
+def _roots(parent: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The root of each node in v, following parents until they stop moving."""
+    p = parent[v]
+    while True:
+        pp = parent[p]
+        if (pp == p).all():
+            return p
+        p = pp
+
+
+def eps_components(x: np.ndarray, eps: float) -> np.ndarray:
+    """For each row, the lowest row index in its connected component of the
+    graph that joins rows within eps.
+
+    A union-find over the hit blocks, vectorised per block: hits whose rows
+    already share a parent are dropped; then each remaining pair hooks the
+    larger of its two roots onto the smaller with np.minimum.at, and the roots
+    are found again until no pair spans two of them. Parents only decrease,
+    so a root is the lowest index of its set. The block's rows and columns
+    then point straight at their roots, so later blocks drop their hits.
+    """
+    parent = np.arange(len(x))
+    units, blocks = _hit_blocks(x, eps)
+    for rows, cols, hit in blocks(0, units):
+        hit &= parent[cols] != parent[rows][:, None]
+        r, c = _pairs(hit)
+        ends = rows[r], cols[c]
+        a, b = ends
+        while len(a):
+            a, b = _roots(parent, a), _roots(parent, b)
+            split = a != b
+            a, b = np.minimum(a[split], b[split]), np.maximum(a[split], b[split])
+            np.minimum.at(parent, b, a)
+        for v in ends:
+            parent[v] = _roots(parent, v)
+    return _roots(parent, np.arange(len(x)))
 
 
 def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
@@ -308,7 +395,7 @@ def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
                 below = _widen(upper[r, c]) < (t - spread)[r]
             rank = k - np.bincount(r[below], minlength=m)
             r, c = r[~below], c[~below]
-            d = dists_to(x[i0 + r], x[c])
+            d = _exact_dists(x, i0 + r, x, c)
             d = d[np.lexsort((d, r))]
             out[i0 : i0 + m] = d[np.searchsorted(r, np.arange(m)) + rank]
 
@@ -399,7 +486,7 @@ def cross_min_distances(
             np.fmin(bound, np.fmin.reduce(upper, axis=0), out=bound)
             far_row = upper > (_widen(np.fmin.reduce(upper, axis=1)) + spread)[:, None]
             r, c = _pairs(~(far_row & (upper > _widen(bound) + spread.max())))
-            d = dists_to(a[c], b[i0 + r])
+            d = _exact_dists(a, c, b, i0 + r)
             b_min[i0 : i0 + m] = np.minimum.reduceat(d, np.searchsorted(r, np.arange(m)))
             key = np.where(np.isnan(d), -np.inf, d)
             order = np.lexsort((r, key, c))

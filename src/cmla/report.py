@@ -130,6 +130,21 @@ def _section(obj) -> dict:
     return doc
 
 
+def _unsection(cls, doc, name: str):
+    """The dataclass cls from its JSON object, whose keys must be exactly
+    the fields of cls."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report {name} must be a JSON object")
+    keys = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"report {name} has an unknown key {key!r}")
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(f"report {name} is missing the key {key!r}")
+    return cls(**doc)
+
+
 def report_to_dict(report: LeakageReport) -> dict:
     doc: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -172,7 +187,7 @@ def report_from_dict(doc: dict) -> LeakageReport:
     grid = ThresholdGrid(np.asarray(doc["grid"]["taus"], dtype=np.float64), doc["grid"]["marks"])
     summary = None
     if doc.get("dmin_summary") is not None:
-        summary = DminSummary(**doc["dmin_summary"])
+        summary = _unsection(DminSummary, doc["dmin_summary"], "dmin_summary")
     curves = None
     if doc.get("curves") is not None:
         curves = MetricCurves(
@@ -182,12 +197,18 @@ def report_from_dict(doc: dict) -> LeakageReport:
         )
     readouts = None
     if doc.get("reference_readouts") is not None:
-        readouts = [ReferenceReadout(**r) for r in doc["reference_readouts"]]
+        readouts = [
+            _unsection(ReferenceReadout, r, f"reference_readouts[{i}]")
+            for i, r in enumerate(doc["reference_readouts"])
+        ]
     records = None
     if doc.get("records") is not None:
-        records = [DistanceRecord(**r) for r in doc["records"]]
+        records = [
+            _unsection(DistanceRecord, r, f"records[{i}]")
+            for i, r in enumerate(doc["records"])
+        ]
     return LeakageReport(
-        meta=RunMeta(**doc["meta"]),
+        meta=_unsection(RunMeta, doc["meta"], "meta"),
         n_clusters=doc["clustering"]["n_clusters"],
         cluster_sizes=list(doc["clustering"]["cluster_sizes"]),
         n_noise=doc["clustering"]["n_noise"],

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,26 @@ def clustered_cloud(rng: np.random.Generator, n: int, d: int, duplicates: float 
     if m and n >= 2:
         x[rng.integers(0, n, size=m)] = x[rng.integers(0, n, size=m)]
     return np.ascontiguousarray(x)
+
+
+def child_rss_growth_mib(setup: str, measured: str) -> float:
+    """Peak-RSS growth of a fresh interpreter over `measured`, after `setup`
+    has run; both are Python source with cmla importable."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import resource\n"
+        f"{setup}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{measured}\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])
 
 
 @pytest.fixture

@@ -110,6 +110,26 @@ def test_verify_subcommand_detects_tampering(csv_pair, tmp_path):
     assert "dmin_summary.mean" in proc.stderr
 
 
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_verify_exits_2_naming_a_bad_meta_key(csv_pair, tmp_path, change):
+    synth, real = csv_pair
+    out = tmp_path / "out"
+    run_cli("audit", "--synthetic", synth, "--real", real, "--out", out,
+            "--eps", "0.05", check=True)
+    report = out / "report.json"
+    doc = json.loads(report.read_text())
+    if change == "extra":
+        doc["meta"]["extra"] = 1
+    else:
+        del doc["meta"]["eps"]
+    report.write_text(json.dumps(doc, indent=2) + "\n")
+    proc = run_cli("verify", report)
+    assert proc.returncode == 2
+    want = {"extra": "has an unknown key 'extra'", "missing": "is missing the key 'eps'"}
+    assert f"cmla: report meta {want[change]}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_flag_requires_out(csv_pair):
     synth, real = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--real", real,

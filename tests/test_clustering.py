@@ -14,7 +14,8 @@ from cmla.clustering import (
 from cmla.errors import ConfigError, DegenerateGeometryError, LineageError
 
 import reference
-from conftest import clustered_cloud, matrix, mixed_table, numeric_table
+from cmla import kernels
+from conftest import child_rss_growth_mib, clustered_cloud, matrix, mixed_table, numeric_table
 
 
 def cluster(x, eps=None, min_samples=5):
@@ -35,16 +36,21 @@ def test_labels_match_the_graph_reference_on_random_clouds(rng):
         assert got.n_clusters == int(want_labels.max()) + 1
 
 
-def test_labels_match_the_graph_reference_on_long_duplicate_heavy_chains(rng):
-    # three chains with eps-hop depth in the hundreds, 30% duplicated rows,
-    # background scatter, rows shuffled so discovery order is not chain order
+def duplicate_heavy_chains(rng):
+    """Three chains with eps-hop depth in the hundreds at eps 1, 30% duplicated
+    rows, background scatter, rows shuffled so discovery order is not chain
+    order."""
     t = np.linspace(0.0, 320.0, 1000) + rng.uniform(-0.1, 0.1, 1000)
     t = t[(np.abs(t - 110.0) > 2.0) & (np.abs(t - 230.0) > 2.0)]
     chain = np.column_stack([t, 3.0 * np.sin(t / 10.0)]) + rng.normal(0.0, 0.05, (len(t), 2))
     scatter = rng.uniform([0.0, -8.0], [320.0, 8.0], size=(150, 2))
     x = np.vstack([chain, scatter])
     x = np.vstack([x, x[rng.integers(0, len(x), size=450)]])
-    x = np.ascontiguousarray(x[rng.permutation(len(x))])
+    return np.ascontiguousarray(x[rng.permutation(len(x))])
+
+
+def test_labels_match_the_graph_reference_on_long_duplicate_heavy_chains(rng):
+    x = duplicate_heavy_chains(rng)
     eps, min_samples = 1.0, 6
 
     got = cluster(x, eps=eps, min_samples=min_samples)
@@ -56,6 +62,55 @@ def test_labels_match_the_graph_reference_on_long_duplicate_heavy_chains(rng):
     assert max(extents) > 100 * eps  # a path of more than 100 eps-hops
     border = (~got.core_mask) & (got.labels != -1)
     assert border.any() and got.noise_count > 0
+
+
+def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, monkeypatch):
+    # neighbour lists are cut to min_samples and clusters are components of
+    # the core graph; neither may depend on threads, tile size or the grid
+    cloud = clustered_cloud(rng, 150, 2)
+    duplicates = np.vstack([cloud, cloud[rng.integers(0, 150, size=300)]])
+    cases = {
+        "duplicates": (duplicates[rng.permutation(450)], 0.4, 5),
+        "identical rows": (np.zeros((30, 3)), 0.5, 7),
+        "chains": (duplicate_heavy_chains(rng), 1.0, 6),
+        "min_samples 1": (clustered_cloud(rng, 200, 2, duplicates=0.1), 0.3, 1),
+        "min_samples above n": (clustered_cloud(rng, 50, 2), 5.0, 51),
+        "all noise": (rng.uniform(0.0, 100.0, size=(100, 2)), 0.5, 3),
+        "single blob": (rng.normal(0.0, 0.3, size=(400, 2)), 10.0, 5),
+    }
+    settings = {
+        "1 thread": ("1", kernels.TILE_BYTES, kernels.GRID_INDEX_MIN_ROWS),
+        "5 threads": ("5", kernels.TILE_BYTES, kernels.GRID_INDEX_MIN_ROWS),
+        "4 KiB tiles": ("5", 4096, kernels.GRID_INDEX_MIN_ROWS),
+        "grid index": ("5", kernels.TILE_BYTES, 1),
+    }
+    for case, (x, eps, min_samples) in cases.items():
+        want_labels, want_core = reference.eps_graph_clustering(x, eps, min_samples)
+        for setting, (threads, tile_bytes, grid_rows) in settings.items():
+            monkeypatch.setenv("CMLA_THREADS", threads)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", grid_rows)
+            got = cluster(np.ascontiguousarray(x), eps=eps, min_samples=min_samples)
+            where = f"{case}, {setting}"
+            np.testing.assert_array_equal(got.labels, want_labels, err_msg=where)
+            np.testing.assert_array_equal(got.core_mask, want_core, err_msg=where)
+            assert got.n_clusters == int(want_labels.max()) + 1, where
+    assert cluster(cases["single blob"][0], eps=10.0, min_samples=5).n_clusters == 1
+
+
+def test_dbscan_memory_does_not_grow_with_the_edge_count():
+    # 6000 rows within eps of each other are 36M eps-edges, 275 MiB as int64
+    growth = child_rss_growth_mib(
+        "import numpy as np\n"
+        "from cmla.clustering import DbscanParams, dbscan\n"
+        "from cmla.encoding import EncodedMatrix\n"
+        "x = np.random.default_rng(5).normal(0.0, 1.0, size=(6000, 2))\n"
+        "params = DbscanParams(eps=100.0, min_samples=5)\n"
+        "dbscan(EncodedMatrix(x[:300].copy(), 'm'), params)",
+        "labeling = dbscan(EncodedMatrix(x, 'm'), params)\n"
+        "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
+    )
+    assert growth < 48
 
 
 def test_two_separated_blobs_form_two_clusters():

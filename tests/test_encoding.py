@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from cmla.encoding import (
-    EncodingModel,
     encode,
     fit_encoding,
     fit_pca,
     gower_to_table,
-    model_from_json_dict,
     numeric_ranges,
     with_pca,
 )
@@ -104,36 +102,10 @@ def test_k_categorical_mismatches_give_sqrt_2k(k):
     assert abs(d - math.sqrt(2 * k)) <= 1e-12
 
 
-def test_model_json_round_trip_preserves_hash_and_output():
-    t = mixed_table(numeric={"x": [1.0, 4.0]}, categorical={"c": ["a", "b"]})
-    model = fit_encoding(t, mode="zscore")
-    clone = model_from_json_dict(model.to_json_dict())
-    assert clone.model_hash() == model.model_hash()
-    assert encode(clone, t).vectors.tolist() == encode(model, t).vectors.tolist()
-
-
-def test_model_json_round_trip_with_pca():
-    t = numeric_table([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    base = fit_encoding(t)
-    model = with_pca(base, fit_pca(encode(base, t), 2))
-    clone = model_from_json_dict(model.to_json_dict())
-    assert clone.model_hash() == model.model_hash()
-    np.testing.assert_array_equal(encode(clone, t).vectors, encode(model, t).vectors)
-
-
 def test_model_hash_tracks_fitted_statistics():
     a = fit_encoding(numeric_table([0.0, 1.0], names=["x"]))
     b = fit_encoding(numeric_table([0.0, 2.0], names=["x"]))
     assert a.model_hash() != b.model_hash()
-
-
-def test_model_json_validation():
-    with pytest.raises(ConfigError, match="not an encoding model"):
-        model_from_json_dict({"kind": "something"})
-    doc = fit_encoding(numeric_table([1.0])).to_json_dict()
-    doc["schema_version"] = 99
-    with pytest.raises(ConfigError, match="schema_version"):
-        model_from_json_dict(doc)
 
 
 def test_pca_components_are_orthonormal_and_ordered(rng):

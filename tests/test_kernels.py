@@ -12,6 +12,7 @@ from cmla.errors import ConfigError
 from cmla.kernels import (
     cross_min_distances,
     dists_to,
+    eps_components,
     kth_neighbor_distances,
     medoid_local_index,
     neighbor_lists,
@@ -19,7 +20,7 @@ from cmla.kernels import (
 )
 
 import reference
-from conftest import clustered_cloud, matrix
+from conftest import child_rss_growth_mib, clustered_cloud, matrix
 
 
 def test_row_reduction_matches_per_pair_reduction_bitwise(rng):
@@ -66,7 +67,7 @@ def count_exact_pairs(monkeypatch):
 
 def assert_engine_matches_reference(x, epss, ks, a_rows=()):
     for eps in epss:
-        for got, want in zip(neighbor_lists(x, eps), reference_neighbors(x, eps)):
+        for got, want in zip(neighbor_lists(x, eps, len(x)), reference_neighbors(x, eps)):
             np.testing.assert_array_equal(got, want)
     for k in ks:
         want = [reference.kth_nn_distance(x, i, k) for i in range(len(x))]
@@ -106,7 +107,7 @@ def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
     # NaN distances rank as np.partition, np.argmin and np.minimum rank them
     x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        nb = neighbor_lists(x, 2e140)
+        nb = neighbor_lists(x, 2e140, len(x))
         assert list(nb[10]) == [10, 20]
         assert_engine_matches_reference(
             x, [0.6, 2e140], [1, 4, 299], [np.array([0, 10, 30, 40, 50, 60, 70]), np.arange(60, 90)]
@@ -122,7 +123,7 @@ def test_caller_errstate_reaches_pool_workers(rng, monkeypatch):
     monkeypatch.setenv("CMLA_THREADS", "2")
     x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert list(neighbor_lists(x, 2e140)[10]) == [10, 20]
+        assert list(neighbor_lists(x, 2e140, len(x))[10]) == [10, 20]
         assert np.isnan(kth_neighbor_distances(x, 4)[40])
         assert cross_min_distances(x[[60, 61]], x)[1].tolist() == [40, 40]
 
@@ -131,7 +132,7 @@ def test_far_offset_cloud_sends_every_pair_to_the_exact_path(rng, monkeypatch):
     # at norms near 1e12 the rounding band is wider than any distance here
     x = rng.normal(0.0, 0.01, size=(200, 3)) + 1e6
     pairs = count_exact_pairs(monkeypatch)
-    nb = neighbor_lists(x, 0.015)
+    nb = neighbor_lists(x, 0.015, len(x))
     assert pairs[0] == 200 * 200
     kth = kth_neighbor_distances(x, 4)
     assert pairs[0] == 2 * 200 * 200
@@ -176,7 +177,7 @@ def test_cross_min_ties_across_tiles_and_identical_rows(rng):
     # four rows at distance 3 from the first medoid, repeated so that tied
     # minima fall in different tiles (and worker ranges); the lowest b row
     # must win
-    per_tile = kernels.TILE_BYTES // (8 * len(a))
+    per_tile = kernels.TILE_BYTES // (8 * max(len(a), a.shape[1] + 2))
     b = np.tile([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]], (3 * per_tile // 4 + 50, 1))
     b = b[rng.permutation(len(b))]
     assert len(b) > 2 * per_tile
@@ -215,7 +216,7 @@ def test_prefilter_leaves_few_pairs_to_the_exact_path(rng, monkeypatch):
     x = clustered_cloud(rng, 2000, 4)
     n, k = len(x), 10
     pairs = count_exact_pairs(monkeypatch)
-    neighbor_lists(x, 0.5)
+    neighbor_lists(x, 0.5, n)
     assert pairs[0] < n * n // 100
     pairs[0] = 0
     kth_neighbor_distances(x, k)
@@ -224,7 +225,7 @@ def test_prefilter_leaves_few_pairs_to_the_exact_path(rng, monkeypatch):
 
 def test_neighbor_lists_are_sorted_closed_ball_and_include_self(rng):
     x = clustered_cloud(rng, 80, 3)
-    lists = neighbor_lists(x, 0.9)
+    lists = neighbor_lists(x, 0.9, len(x))
     for i, nb in enumerate(lists):
         assert i in nb
         assert list(nb) == sorted(nb)
@@ -232,10 +233,11 @@ def test_neighbor_lists_are_sorted_closed_ball_and_include_self(rng):
         np.testing.assert_array_equal(nb, np.flatnonzero(d <= 0.9))
 
 
-def neighbor_lists_above(monkeypatch, min_rows, x, eps):
-    """neighbor_lists with the grid index taking over above min_rows rows."""
+def neighbor_lists_above(monkeypatch, min_rows, x, eps, limit=None):
+    """neighbor_lists, uncut unless limit is given, with the grid index taking
+    over above min_rows rows."""
     monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", min_rows)
-    return neighbor_lists(x, eps)
+    return neighbor_lists(x, eps, len(x) if limit is None else limit)
 
 
 def test_grid_index_equals_brute_force(rng, monkeypatch):
@@ -273,9 +275,59 @@ def test_grid_index_falls_back_to_brute_force_when_cell_keys_overflow(rng, monke
     assert [len(nb) for nb in grid] == [2] * 20 + [1] * 20 + [2] * 20
 
 
+def test_capped_neighbor_lists_are_the_full_lists_cut(rng, monkeypatch):
+    x = clustered_cloud(rng, 300, 3, duplicates=0.2)
+    want = reference_neighbors(x, 0.7)
+    assert max(map(len, want)) > 20 and min(map(len, want)) < 3
+    for min_rows in (10**9, 1):  # brute force, then the grid index
+        for limit in (1, 2, 7, 20, 301):
+            got = neighbor_lists_above(monkeypatch, min_rows, x, 0.7, limit)
+            for i, (g, w) in enumerate(zip(got, want)):
+                np.testing.assert_array_equal(g, w[:limit], err_msg=f"row {i}, limit {limit}")
+
+
+def test_eps_components_give_each_row_the_lowest_row_of_its_component(rng, monkeypatch):
+    # a shuffled line needs many hooking rounds per block; duplicates and
+    # scatter give ties and singletons
+    line = np.column_stack([np.arange(300.0), np.zeros(300)])[rng.permutation(300)]
+    for x, eps in ((line, 1.0), (clustered_cloud(rng, 400, 2, duplicates=0.2), 0.3)):
+        labels, _ = reference.eps_graph_clustering(x, eps, 1)
+        want = np.array([np.flatnonzero(labels == lab)[0] for lab in labels])
+        for min_rows, tile_bytes in ((10**9, kernels.TILE_BYTES), (10**9, 4096), (1, 4096)):
+            monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", min_rows)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            np.testing.assert_array_equal(eps_components(x, eps), want)
+    assert eps_components(line, 1.0).tolist() == [0] * 300
+    assert eps_components(np.empty((0, 2)), 1.0).tolist() == []
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        eps_components(line, 0.0)
+
+
+def test_tile_budget_counts_the_row_width_and_the_exact_batch():
+    # one medoid against 3000 rows at d = 1000: a block sized by the column
+    # count alone would hold 65536 rows, a 500 MiB left operand, and none of
+    # the pairs settle, so the exact batch is 3000 x 1000 as well
+    growth = child_rss_growth_mib(
+        "import numpy as np\n"
+        "from cmla.kernels import cross_min_distances, dists_to\n"
+        "rng = np.random.default_rng(3)\n"
+        "a = rng.normal(size=(1, 1000))\n"
+        "b = rng.normal(size=(3000, 1000))\n"
+        "cross_min_distances(a, b[:10].copy())",
+        "a_min, a_arg, b_min = cross_min_distances(a, b)",
+    )
+    assert growth < 16
+    a = np.random.default_rng(3).normal(size=(1, 1000))
+    b = np.random.default_rng(4).normal(size=(400, 1000))
+    a_min, a_arg, b_min = cross_min_distances(a, b)
+    want = dists_to(a[0], b)
+    assert b_min.tolist() == want.tolist()
+    assert (a_min[0], a_arg[0]) == (want.min(), int(np.argmin(want)))
+
+
 def test_neighbor_lists_reject_non_positive_eps(rng):
     with pytest.raises(ConfigError, match="eps must be positive"):
-        neighbor_lists(np.zeros((3, 1)), 0.0)
+        neighbor_lists(np.zeros((3, 1)), 0.0, 3)
 
 
 def test_kth_neighbor_distances_match_sorted_reference(rng):
@@ -434,7 +486,7 @@ def test_results_do_not_depend_on_worker_count(rng, monkeypatch):
         ]
         return (
             kth_neighbor_distances(x, 5),
-            neighbor_lists(x, 0.8),
+            neighbor_lists(x, 0.8, len(x)),
             labeling,
             medoids,
             cross_min_distances(x, real),

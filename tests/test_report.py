@@ -218,6 +218,24 @@ def test_report_from_dict_validates_kind_and_version():
         report_from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "section, key", [("meta", "eps"), ("records", "d_min"), ("dmin_summary", "p90")]
+)
+def test_report_from_dict_names_an_unknown_or_missing_section_key(section, key):
+    doc = report_to_dict(small_report())
+    name = "records[1]" if section == "records" else section
+
+    def tampered(change):
+        bad = json.loads(json.dumps(doc))
+        change(bad[section][1] if section == "records" else bad[section])
+        return bad
+
+    with pytest.raises(ConfigError, match=re.escape(f"report {name} has an unknown key 'extra'")):
+        report_from_dict(tampered(lambda part: part.update(extra=1)))
+    with pytest.raises(ConfigError, match=re.escape(f"report {name} is missing the key '{key}'")):
+        report_from_dict(tampered(lambda part: part.pop(key)))
+
+
 def test_write_report_json_round_trip(tmp_path):
     report = small_report()
     p = tmp_path / "report.json"
