@@ -27,7 +27,6 @@ from .tables import (
     DataTable,
     TableSchema,
     load_csv,
-    unify_schema,
     write_csv,
 )
 from .encoding import (
@@ -79,7 +78,7 @@ __all__ = [
     "CmlaError", "ConfigError", "CurveError", "DegenerateGeometryError",
     "LineageError", "LoadError", "OrderingError", "SchemaError", "StageError",
     "CATEGORICAL", "NUMERIC", "ColumnSpec", "DataTable", "TableSchema",
-    "load_csv", "unify_schema", "write_csv",
+    "load_csv", "write_csv",
     "EncodedMatrix", "EncodingModel", "PcaModel", "encode",
     "fit_encoding", "fit_pca", "with_pca",
     "ClusterLabeling", "DbscanParams", "Medoid", "MedoidSet",

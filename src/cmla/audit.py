@@ -190,7 +190,7 @@ def run_audit(
     grid = grid_override if grid_override is not None else _build_grid(config)
 
     with _stage(STAGE_LOAD_SYNTHETIC):
-        synthetic = tables.load_csv(config.synthetic, origin="synthetic")
+        synthetic = tables.load_csv(config.synthetic)
         log.info("synthetic table: %d rows, %d columns",
                  synthetic.n_rows, len(synthetic.schema.columns))
 
@@ -215,8 +215,7 @@ def run_audit(
     real = None
     if config.real is not None:
         with _stage(STAGE_LOAD_REAL):
-            real = tables.load_csv(config.real, origin="real")
-            tables.unify_schema(synthetic, real)
+            real = tables.load_csv(config.real, synthetic.schema)
             log.info("real table: %d rows", real.n_rows)
 
     profile = None

@@ -137,15 +137,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    synthetic = tables.load_csv(args.synthetic, origin="synthetic")
+    synthetic = tables.load_csv(args.synthetic)
     model = encoding.fit_encoding(synthetic, args.scale)
     matrix = encoding.encode(model, synthetic)
     if args.pca is not None:
         model = encoding.with_pca(model, encoding.fit_pca(matrix, args.pca))
     target = synthetic
     if args.table is not None:
-        target = tables.load_csv(args.table, origin="table")
-        tables.unify_schema(synthetic, target)
+        target = tables.load_csv(args.table, synthetic.schema)
     matrix = encoding.encode(model, target)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["row_id", *model.feature_names()]) + "\n")

@@ -56,16 +56,6 @@ class EncodingModel:
     stats: dict[str, NumericStats]
     pca: PcaModel | None = None
 
-    @property
-    def base_dim(self) -> int:
-        n_num = len(self.schema.numeric_columns())
-        n_onehot = sum(len(c.categories) for c in self.schema.categorical_columns())
-        return n_num + n_onehot
-
-    @property
-    def dim(self) -> int:
-        return len(self.pca.components) if self.pca is not None else self.base_dim
-
     def feature_names(self) -> tuple[str, ...]:
         """One name per encoded dimension, each traceable to a source column."""
         if self.pca is not None:

@@ -145,7 +145,7 @@ def make_real(recipe: RealRecipe, rng: np.random.Generator) -> DataTable:
         codes = np.minimum(codes, len(vocab) - 1).astype(np.int32)
         columns.append(codes)
 
-    return DataTable(_recipe_schema(recipe), tuple(columns), origin="reference")
+    return DataTable(_recipe_schema(recipe), tuple(columns))
 
 
 def _component_probs(comp: Component, column: str, vocab: tuple[str, ...]) -> np.ndarray:
@@ -209,7 +209,7 @@ def sample_synthetic(
             out.append(arr[rng.integers(0, n, size=m)].copy())
         columns = tuple(out)
 
-    return DataTable(schema, columns, origin=f"synthetic:{spec.label}")
+    return DataTable(schema, columns)
 
 
 def load_scenario(path: str | Path) -> HarnessScenario:
@@ -225,13 +225,19 @@ def load_scenario(path: str | Path) -> HarnessScenario:
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> HarnessScenario:
+    """Build a scenario from its JSON document. A missing or malformed field
+    anywhere in it is a ConfigError naming source."""
     try:
-        name = str(doc["name"])
-        seed = int(doc["seed"])
-        real_doc = doc["real"]
-        gen_docs = doc["generators"]
-    except (KeyError, TypeError) as e:
+        return _scenario(doc, source)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ConfigError(f"{source}: missing or malformed field: {e}") from None
+
+
+def _scenario(doc: dict, source: str) -> HarnessScenario:
+    name = str(doc["name"])
+    seed = int(doc["seed"])
+    real_doc = doc["real"]
+    gen_docs = doc["generators"]
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{source}: seed must be an unsigned 64-bit integer")
 

@@ -130,19 +130,23 @@ def _section(obj) -> dict:
     return doc
 
 
-def _unsection(cls, doc, name: str):
-    """The dataclass cls from its JSON object, whose keys must be exactly
-    the fields of cls."""
+def _checked(doc, name: str, keys: Sequence[str]) -> dict:
+    """doc, which must be a JSON object with exactly the given keys."""
     if not isinstance(doc, dict):
         raise ConfigError(f"report {name} must be a JSON object")
-    keys = [f.name for f in fields(cls)]
     for key in doc:
         if key not in keys:
             raise ConfigError(f"report {name} has an unknown key {key!r}")
     for key in keys:
         if key not in doc:
             raise ConfigError(f"report {name} is missing the key {key!r}")
-    return cls(**doc)
+    return doc
+
+
+def _unsection(cls, doc, name: str):
+    """The dataclass cls from its JSON object, whose keys must be exactly
+    the fields of cls."""
+    return cls(**_checked(doc, name, [f.name for f in fields(cls)]))
 
 
 def report_to_dict(report: LeakageReport) -> dict:
@@ -180,39 +184,45 @@ def report_to_dict(report: LeakageReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> LeakageReport:
-    if doc.get("kind") != "leakage_report":
+    if not isinstance(doc, dict) or doc.get("kind") != "leakage_report":
         raise ConfigError("not a leakage report document")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ConfigError(f"unsupported report schema_version {doc.get('schema_version')!r}")
-    grid = ThresholdGrid(np.asarray(doc["grid"]["taus"], dtype=np.float64), doc["grid"]["marks"])
+    _checked(doc, "document", ("schema_version", "kind", "meta", "clustering", "grid",
+                               "dmin_summary", "curves", "reference_readouts", "records"))
+    grid_doc = _checked(doc["grid"], "grid", ("taus", "marks"))
+    grid = ThresholdGrid(np.asarray(grid_doc["taus"], dtype=np.float64), grid_doc["marks"])
     summary = None
-    if doc.get("dmin_summary") is not None:
+    if doc["dmin_summary"] is not None:
         summary = _unsection(DminSummary, doc["dmin_summary"], "dmin_summary")
     curves = None
-    if doc.get("curves") is not None:
+    if doc["curves"] is not None:
+        curves_doc = _checked(doc["curves"], "curves", ("asr", "coverage"))
         curves = MetricCurves(
             taus=grid.taus.copy(),
-            asr=np.asarray(doc["curves"]["asr"], dtype=np.float64),
-            coverage=np.asarray(doc["curves"]["coverage"], dtype=np.float64),
+            asr=np.asarray(curves_doc["asr"], dtype=np.float64),
+            coverage=np.asarray(curves_doc["coverage"], dtype=np.float64),
         )
     readouts = None
-    if doc.get("reference_readouts") is not None:
+    if doc["reference_readouts"] is not None:
         readouts = [
             _unsection(ReferenceReadout, r, f"reference_readouts[{i}]")
             for i, r in enumerate(doc["reference_readouts"])
         ]
     records = None
-    if doc.get("records") is not None:
+    if doc["records"] is not None:
         records = [
             _unsection(DistanceRecord, r, f"records[{i}]")
             for i, r in enumerate(doc["records"])
         ]
+    clustering = _checked(doc["clustering"], "clustering",
+                          ("n_clusters", "cluster_sizes", "n_noise", "n_core"))
     return LeakageReport(
         meta=_unsection(RunMeta, doc["meta"], "meta"),
-        n_clusters=doc["clustering"]["n_clusters"],
-        cluster_sizes=list(doc["clustering"]["cluster_sizes"]),
-        n_noise=doc["clustering"]["n_noise"],
-        n_core=doc["clustering"]["n_core"],
+        n_clusters=clustering["n_clusters"],
+        cluster_sizes=list(clustering["cluster_sizes"]),
+        n_noise=clustering["n_noise"],
+        n_core=clustering["n_core"],
         grid=grid,
         dmin_summary=summary,
         curves=curves,

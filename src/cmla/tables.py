@@ -7,13 +7,21 @@ a finite decimal, otherwise it is categorical and its vocabulary is the
 distinct cell values in first-appearance order. A missing cell in a numeric
 column is a load error; the empty string is a legitimate category. The loader
 never imputes, drops, or deduplicates rows.
+
+Each column is read in one pass: its cells are parsed as decimals, none
+twice, up to the first non-empty cell that is not one. That pass settles an
+inferred kind, checks a hinted one, and holds a numeric column's values.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +84,6 @@ class DataTable:
 
     schema: TableSchema
     columns: tuple[np.ndarray, ...]
-    origin: str = ""
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.schema.columns):
@@ -115,18 +122,37 @@ def _parse_decimal(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def load_csv(
-    path: str | Path,
-    schema_hint: TableSchema | None = None,
-    origin: str | None = None,
-) -> DataTable:
+def _parse_column(cells: Iterable[str]) -> tuple[array, int | None, int | None]:
+    """Parse cells as decimals, each once, up to the first text cell: the
+    first non-empty cell that is not a finite decimal.
+
+    Returns the values parsed before it, the index of the first empty cell
+    before it and its own index; either index is None when there is none.
+    """
+    values = array("d")
+    empty = None
+    for i, cell in enumerate(cells):
+        value = _parse_decimal(cell)
+        if value is not None:
+            values.append(value)
+        elif cell:
+            return values, empty, i
+        elif empty is None:
+            empty = i
+    return values, empty, None
+
+
+def load_csv(path: str | Path, schema_hint: TableSchema | None = None) -> DataTable:
     """Load a CSV file into a DataTable.
 
     With a schema hint the header must match the hinted column names exactly
-    and the hinted kinds are enforced; categorical vocabularies start from the
-    hint and extend by first appearance, so a write/reload round trip under the
-    same schema is index-stable. Without a hint, kinds are inferred from the
-    cells. Error rows are reported 1-based over data rows (header excluded).
+    and the hinted kinds are enforced: a numeric column fails at its first cell
+    that is not a finite decimal, and a categorical column whose non-empty
+    cells are all decimals is a SchemaError, as inference would make it
+    numeric. Categorical vocabularies start from the hint and extend by first
+    appearance, so a write/reload round trip under the same schema is
+    index-stable. Without a hint, kinds are inferred from the cells. Error rows
+    are reported 1-based over data rows (header excluded).
     """
     p = Path(path)
     if not p.is_file():
@@ -147,52 +173,42 @@ def load_csv(
             raise LoadError(f"{p.name}: row {i} has {len(r)} fields, expected {n_cols}")
     if not rows:
         raise LoadError(f"{p.name}: no data rows")
-
-    if schema_hint is not None:
-        if tuple(header) != schema_hint.names:
-            raise LoadError(
-                f"{p.name}: header {header!r} does not match expected columns "
-                f"{list(schema_hint.names)!r}"
-            )
-        kinds = [c.kind for c in schema_hint.columns]
-    else:
-        kinds = []
-        for j in range(n_cols):
-            numeric = all(_parse_decimal(r[j]) is not None for r in rows if r[j] != "")
-            kinds.append(NUMERIC if numeric else CATEGORICAL)
+    if schema_hint is not None and tuple(header) != schema_hint.names:
+        raise LoadError(
+            f"{p.name}: header {header!r} does not match expected columns "
+            f"{list(schema_hint.names)!r}"
+        )
 
     arrays: list[np.ndarray] = []
     specs: list[ColumnSpec] = []
-    for j, kind in enumerate(kinds):
-        name = header[j]
-        if kind == NUMERIC:
-            values = np.empty(len(rows), dtype=np.float64)
-            for i, r in enumerate(rows):
-                v = _parse_decimal(r[j])
-                if v is None:
-                    raise LoadError(
-                        f"{p.name}: row {i + 1}, column {name!r}: "
-                        f"cell {r[j]!r} is not a finite decimal"
-                    )
-                values[i] = v
-            arrays.append(values)
-            specs.append(ColumnSpec(name, NUMERIC))
+    for j, name in enumerate(header):
+        cell = itemgetter(j)
+        values, empty, text = _parse_column(map(cell, rows))
+        if schema_hint is not None:
+            spec = schema_hint.columns[j]
         else:
-            vocab: dict[str, int] = {}
-            if schema_hint is not None:
-                for cat in schema_hint.columns[j].categories:
-                    vocab[cat] = len(vocab)
-            codes = np.empty(len(rows), dtype=np.int32)
-            for i, r in enumerate(rows):
-                cell = r[j]
-                if cell not in vocab:
-                    vocab[cell] = len(vocab)
-                codes[i] = vocab[cell]
-            arrays.append(codes)
+            spec = ColumnSpec(name, NUMERIC if text is None else CATEGORICAL)
+        if spec.kind == NUMERIC:
+            bad = text if empty is None else empty
+            if bad is not None:
+                raise LoadError(
+                    f"{p.name}: row {bad + 1}, column {name!r}: "
+                    f"cell {rows[bad][j]!r} is not a finite decimal"
+                )
+            arrays.append(np.frombuffer(values, dtype=np.float64))
+            specs.append(spec)
+        else:
+            if text is None:
+                raise SchemaError(
+                    f"{p.name}: column {name!r} is categorical in the expected schema "
+                    f"but holds only decimals"
+                )
+            seen = dict.fromkeys(chain(spec.categories, map(cell, rows)))
+            vocab = {v: k for k, v in enumerate(seen)}
+            arrays.append(np.fromiter(map(vocab.__getitem__, map(cell, rows)), np.int32, len(rows)))
             specs.append(ColumnSpec(name, CATEGORICAL, tuple(vocab)))
 
-    schema = TableSchema(tuple(specs))
-    return DataTable(schema, tuple(arrays), origin=origin if origin is not None else p.stem)
+    return DataTable(TableSchema(tuple(specs)), tuple(arrays))
 
 
 def write_csv(table: DataTable, path: str | Path) -> None:
@@ -205,30 +221,3 @@ def write_csv(table: DataTable, path: str | Path) -> None:
             writer.writerow(
                 repr(v) if isinstance(v, float) else v for v in table.row(i)
             )
-
-
-def unify_schema(synthetic: DataTable, real: DataTable | None = None) -> TableSchema:
-    """Return the shared schema for an audit: the synthetic table's schema.
-
-    The real table, when given, must match on column names and kinds.
-    Vocabularies come from the synthetic table only; real-only categories are
-    handled downstream by the encoder, never merged into the schema.
-    """
-    if real is None:
-        return synthetic.schema
-    problems = []
-    if synthetic.schema.names != real.schema.names:
-        problems.append(
-            f"column names differ: synthetic {list(synthetic.schema.names)!r} "
-            f"vs real {list(real.schema.names)!r}"
-        )
-    else:
-        for s_col, r_col in zip(synthetic.schema.columns, real.schema.columns):
-            if s_col.kind != r_col.kind:
-                problems.append(
-                    f"column {s_col.name!r} is {s_col.kind} in the synthetic table "
-                    f"but {r_col.kind} in the real table"
-                )
-    if problems:
-        raise SchemaError("; ".join(problems))
-    return synthetic.schema

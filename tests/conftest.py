@@ -17,7 +17,7 @@ from cmla.tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def numeric_table(values, names=None, origin="test") -> DataTable:
+def numeric_table(values, names=None) -> DataTable:
     """DataTable of float64 columns from a 1-d or 2-d array-like."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
@@ -25,10 +25,10 @@ def numeric_table(values, names=None, origin="test") -> DataTable:
     names = list(names) if names is not None else [f"x{j}" for j in range(arr.shape[1])]
     specs = tuple(ColumnSpec(n, NUMERIC) for n in names)
     cols = tuple(np.ascontiguousarray(arr[:, j]) for j in range(arr.shape[1]))
-    return DataTable(TableSchema(specs), cols, origin=origin)
+    return DataTable(TableSchema(specs), cols)
 
 
-def mixed_table(numeric=None, categorical=None, origin="test") -> DataTable:
+def mixed_table(numeric=None, categorical=None) -> DataTable:
     """numeric: {name: values}; categorical: {name: cell labels}. Vocabularies
     follow first appearance, like the CSV loader."""
     specs: list[ColumnSpec] = []
@@ -40,7 +40,7 @@ def mixed_table(numeric=None, categorical=None, origin="test") -> DataTable:
         vocab = list(dict.fromkeys(labels))
         specs.append(ColumnSpec(name, CATEGORICAL, tuple(vocab)))
         cols.append(np.array([vocab.index(v) for v in labels], dtype=np.int32))
-    return DataTable(TableSchema(tuple(specs)), tuple(cols), origin=origin)
+    return DataTable(TableSchema(tuple(specs)), tuple(cols))
 
 
 def matrix(vectors, model_hash="m0") -> EncodedMatrix:

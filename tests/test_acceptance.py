@@ -133,7 +133,7 @@ def test_criterion_03_medoids_exhaustively_optimal(rng, scenario_run):
     for label in ("noised", "independent"):
         path = outcome.out_dir / "data" / f"{label}.csv"
         result = run_audit(AuditConfig(synthetic=str(path), eps=0.35, min_samples=100))
-        vectors = encode(result.model, load_csv(path, origin="synthetic")).vectors
+        vectors = encode(result.model, load_csv(path)).vectors
         chosen = {m.cluster_id: m.row_id for m in result.medoids.medoids}
         bad = reference.medoid_violations(vectors, result.labeling.labels, chosen)
         checked += len(chosen)

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,9 +105,9 @@ def test_real_table_is_opened_only_after_clustering(tmp_path, monkeypatch):
     orig_load = tables.load_csv
     orig_dbscan = clustering.dbscan
 
-    def spy_load(path, schema_hint=None, origin="data"):
-        events.append(("load", origin))
-        return orig_load(path, schema_hint, origin)
+    def spy_load(path, schema_hint=None):
+        events.append(("load", Path(path).name))
+        return orig_load(path, schema_hint)
 
     def spy_dbscan(matrix, params):
         events.append(("cluster", None))
@@ -116,9 +117,9 @@ def test_real_table_is_opened_only_after_clustering(tmp_path, monkeypatch):
     monkeypatch.setattr(clustering, "dbscan", spy_dbscan)
     run_audit(AuditConfig(synthetic=str(synth), real=str(real), eps=0.05, min_samples=5))
 
-    kinds = [origin for kind, origin in events if kind == "load"]
-    assert kinds == ["synthetic", "real"]
-    assert events.index(("cluster", None)) < events.index(("load", "real"))
+    loaded = [name for kind, name in events if kind == "load"]
+    assert loaded == [synth.name, real.name]
+    assert events.index(("cluster", None)) < events.index(("load", real.name))
 
 
 def test_stage_errors_name_the_failing_stage(tmp_path):

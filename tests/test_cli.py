@@ -81,6 +81,28 @@ def test_malformed_synthetic_exits_2(tmp_path):
     assert "error in stage load-synthetic" in proc.stderr
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("header", "header ['x', 'z'] does not match expected columns ['x', 'c']"),
+    ("cell", "row 150, column 'x': cell 'n/a' is not a finite decimal"),
+    ("kind", "column 'c' is categorical in the expected schema but holds only decimals"),
+], ids=["header", "cell", "kind"])
+def test_real_table_off_the_synthetic_schema_exits_2_at_load_real(
+    tmp_path, capsys, fault, message
+):
+    rows = [f"{i % 5}.0,{'ab'[i % 2]}" for i in range(200)]
+    synth = tmp_path / "synthetic.csv"
+    synth.write_text("x,c\n" + "\n".join(rows[:40]) + "\n")
+    if fault == "cell":
+        rows[149] = "n/a,a"
+    if fault == "kind":
+        rows = [f"{i % 5}.0,{i % 3}" for i in range(200)]
+    real = tmp_path / "real.csv"
+    real.write_text(("x,z" if fault == "header" else "x,c") + "\n" + "\n".join(rows) + "\n")
+    code = main(["audit", "--synthetic", str(synth), "--real", str(real), "--eps", "0.5"])
+    assert code == 2
+    assert f"cmla: error in stage load-real: real.csv: {message}" in capsys.readouterr().err
+
+
 def test_eps_flag_accepts_auto_and_rejects_junk(csv_pair):
     synth, _ = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--eps", "auto")
@@ -130,6 +152,20 @@ def test_verify_exits_2_naming_a_bad_meta_key(csv_pair, tmp_path, change):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_exits_2_on_a_report_missing_clustering_n_core(csv_pair, tmp_path, capsys):
+    synth, real = csv_pair
+    out = tmp_path / "out"
+    assert main(["audit", "--synthetic", str(synth), "--real", str(real), "--out", str(out),
+                 "--eps", "0.05"]) == 0
+    report = out / "report.json"
+    doc = json.loads(report.read_text())
+    del doc["clustering"]["n_core"]
+    report.write_text(json.dumps(doc, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(report)]) == 2
+    assert "cmla: report clustering is missing the key 'n_core'" in capsys.readouterr().err
+
+
 def test_verify_flag_requires_out(csv_pair):
     synth, real = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--real", real,
@@ -171,6 +207,26 @@ def test_scenario_subcommand_prints_readouts(tmp_path):
     assert lines[0].startswith("memorizer: clusters=")
     assert "asr@0.1=" in lines[0] and "asr@0.5=" in lines[0]
     assert lines[1].startswith("independent: clusters=")
+
+
+def test_malformed_scenario_fields_exit_2(tmp_path, capsys):
+    def no_label(doc):
+        del doc["generators"][0]["label"]
+
+    def wordy_size(doc):
+        doc["generators"][0]["n_samples"] = "many"
+
+    def real_as_list(doc):
+        doc["real"] = []
+
+    for i, change in enumerate((no_label, wordy_size, real_as_list)):
+        doc = scenario_doc(["memorizer", "independent"])
+        change(doc)
+        sp = tmp_path / f"scenario{i}.json"
+        sp.write_text(json.dumps(doc))
+        assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"cmla: {sp.name}: missing or malformed field: " in err, change.__name__
 
 
 def test_scenario_ordering_violation_exits_1(tmp_path):

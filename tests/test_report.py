@@ -219,7 +219,9 @@ def test_report_from_dict_validates_kind_and_version():
 
 
 @pytest.mark.parametrize(
-    "section, key", [("meta", "eps"), ("records", "d_min"), ("dmin_summary", "p90")]
+    "section, key",
+    [("meta", "eps"), ("records", "d_min"), ("dmin_summary", "p90"), ("grid", "taus"),
+     ("curves", "asr"), ("clustering", "n_core"), ("document", "grid")],
 )
 def test_report_from_dict_names_an_unknown_or_missing_section_key(section, key):
     doc = report_to_dict(small_report())
@@ -227,7 +229,10 @@ def test_report_from_dict_names_an_unknown_or_missing_section_key(section, key):
 
     def tampered(change):
         bad = json.loads(json.dumps(doc))
-        change(bad[section][1] if section == "records" else bad[section])
+        if section == "document":
+            change(bad)
+        else:
+            change(bad[section][1] if section == "records" else bad[section])
         return bad
 
     with pytest.raises(ConfigError, match=re.escape(f"report {name} has an unknown key 'extra'")):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmla import tables
 from cmla.errors import LoadError, SchemaError
 from cmla.tables import (
     CATEGORICAL,
@@ -11,7 +12,6 @@ from cmla.tables import (
     DataTable,
     TableSchema,
     load_csv,
-    unify_schema,
     write_csv,
 )
 
@@ -125,19 +125,50 @@ def test_rows_are_never_dropped_or_deduplicated(tmp_path):
     assert t.n_rows == 3
 
 
-def test_unify_schema_returns_synthetic_schema():
-    synth = mixed_table(numeric={"x": [1.0]}, categorical={"c": ["a"]})
-    real = mixed_table(numeric={"x": [2.0, 3.0]}, categorical={"c": ["z", "q"]})
-    assert unify_schema(synth, real) is synth.schema
-    assert unify_schema(synth) is synth.schema
+def test_real_table_loads_under_the_synthetic_schema(tmp_path):
+    synth = load_csv(write(tmp_path, "x,c\n1.0,a\n2.0,b\n", "synthetic.csv"))
+    real = load_csv(write(tmp_path, "x,c\n3.0,z\n4.0,b\n", "real.csv"), synth.schema)
+    assert [(c.name, c.kind) for c in real.schema.columns] == [
+        (c.name, c.kind) for c in synth.schema.columns
+    ]
+    # the synthetic categories keep their indices; a real-only one is appended
+    assert real.schema.column("c").categories == ("a", "b", "z")
+    assert real.row(0) == (3.0, "z")
+    assert real.row(1) == (4.0, "b")
 
 
-def test_unify_schema_rejects_name_and_kind_mismatches():
-    synth = mixed_table(numeric={"x": [1.0]})
-    with pytest.raises(SchemaError, match="column names differ"):
-        unify_schema(synth, mixed_table(numeric={"y": [1.0]}))
-    with pytest.raises(SchemaError, match="'x' is numeric"):
-        unify_schema(synth, mixed_table(categorical={"x": ["a"]}))
+def test_hint_rejects_name_and_kind_mismatches(tmp_path):
+    hint = load_csv(write(tmp_path, "x,c\n1.0,a\n", "synthetic.csv")).schema
+    with pytest.raises(LoadError, match=r"header \['y', 'c'\] does not match"):
+        load_csv(write(tmp_path, "y,c\n1.0,a\n"), hint)
+    with pytest.raises(LoadError, match=r"row 2, column 'x': cell 'a'"):
+        load_csv(write(tmp_path, "x,c\n1.0,a\na,b\n"), hint)
+    with pytest.raises(SchemaError, match=r"column 'c' is categorical"):
+        load_csv(write(tmp_path, "x,c\n1.0,1\n2.0,\n3.0,2.5\n"), hint)
+
+
+_FIFTY = "x,c\n" + "".join(f"{i}.5,k{i % 3}\n" for i in range(50))
+_HINT = TableSchema((ColumnSpec("x", NUMERIC), ColumnSpec("c", CATEGORICAL)))
+
+
+@pytest.mark.parametrize("text, hint, parsed", [
+    (_FIFTY, None, [f"{i}.5" for i in range(50)] + ["k0"]),
+    (_FIFTY, _HINT, [f"{i}.5" for i in range(50)] + ["k0"]),
+    ("c,k\n1,0\n,0\nx,0\n2,0\n", None, ["1", "", "x"] + ["0"] * 4),
+], ids=["inferred", "hinted", "empty-then-text"])
+def test_each_cell_is_parsed_at_most_once(tmp_path, monkeypatch, text, hint, parsed):
+    # a numeric column parses every cell once; a categorical one stops at
+    # its first non-empty cell that is not a decimal
+    calls = []
+    parse = tables._parse_decimal
+
+    def counting(cell):
+        calls.append(cell)
+        return parse(cell)
+
+    monkeypatch.setattr(tables, "_parse_decimal", counting)
+    load_csv(write(tmp_path, text), hint)
+    assert calls == parsed
 
 
 def test_schema_validation():
