@@ -1,5 +1,8 @@
 """Audit orchestration: configuration, the staged pipeline, verify, scenarios.
 
+AuditConfig is the one place that defaults and checks each setting, so a bad
+setting fails before the first stage; the stages receive resolved values.
+
 Stage order is part of the black-box contract: the real table is not opened
 until clustering and medoid extraction have finished, so nothing about the
 real data can influence the representation or the clusters. Stage timings go
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -39,7 +43,8 @@ GOWER = "gower"
 class AuditConfig:
     """One audit's settings. The field names are the setting keys of a
     --config file, of a scenario's audit section and of the audit flags; eps
-    None selects automatic eps."""
+    None selects automatic eps. run_audit parses the grid spec before its
+    first stage, since verify replaces the grid with a report's stored one."""
 
     synthetic: str
     real: str | None = None
@@ -48,7 +53,7 @@ class AuditConfig:
     min_samples: int = 5
     scale: str = encoding.MINMAX
     pca: int | None = None
-    grid: str | None = None
+    grid: str = "0:2.5:0.01"
     marks: tuple[float, ...] = (0.1, 0.5)
     metric: str = EUCLIDEAN
     seed: int | None = None
@@ -57,6 +62,10 @@ class AuditConfig:
     generator_label: str | None = None
 
     def __post_init__(self) -> None:
+        if self.eps is not None and not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be a positive finite number or 'auto', got {self.eps}")
+        if self.min_samples < 1:
+            raise ConfigError(f"min_samples must be at least 1, got {self.min_samples}")
         if self.metric not in (EUCLIDEAN, GOWER):
             raise ConfigError(f"unknown metric {self.metric!r}")
         if self.scale not in (encoding.MINMAX, encoding.ZSCORE):
@@ -173,12 +182,6 @@ def _stage(name: str):
     log.info("stage %s done in %.3fs", name, time.perf_counter() - t0)
 
 
-def _build_grid(config: AuditConfig) -> metrics.ThresholdGrid:
-    if config.grid is None:
-        return metrics.default_grid(config.marks)
-    return metrics.grid_from_spec(config.grid, config.marks)
-
-
 def run_audit(
     config: AuditConfig, grid_override: metrics.ThresholdGrid | None = None
 ) -> AuditResult:
@@ -187,7 +190,11 @@ def run_audit(
     grid_override replaces the configured threshold grid; verify uses it to
     recompute curves on a stored report's exact grid values.
     """
-    grid = grid_override if grid_override is not None else _build_grid(config)
+    if grid_override is None:
+        grid = metrics.grid_from_spec(config.grid, config.marks)
+    else:
+        grid = grid_override
+    eps_mode = "auto" if config.eps is None else "fixed"
 
     with _stage(STAGE_LOAD_SYNTHETIC):
         synthetic = tables.load_csv(config.synthetic)
@@ -195,19 +202,14 @@ def run_audit(
                  synthetic.n_rows, len(synthetic.schema.columns))
 
     with _stage(STAGE_ENCODE):
-        model = encoding.fit_encoding(synthetic, config.scale)
+        model = encoding.fit_encoding(synthetic, config.scale, config.pca)
         enc_synth = encoding.encode(model, synthetic)
-        if config.pca is not None:
-            pca = encoding.fit_pca(enc_synth, config.pca)
-            model = encoding.with_pca(model, pca)
-            enc_synth = encoding.encode(model, synthetic)
         log.info("encoded dimension: %d", enc_synth.vectors.shape[1])
 
     with _stage(STAGE_CLUSTER):
-        params = clustering.DbscanParams(eps=config.eps, min_samples=config.min_samples)
-        labeling = clustering.dbscan(enc_synth, params)
+        labeling = clustering.dbscan(enc_synth, config.eps, config.min_samples)
         log.info("clusters: %d, noise points: %d, eps=%s (%s)",
-                 labeling.n_clusters, labeling.noise_count, labeling.eps, labeling.eps_mode)
+                 labeling.n_clusters, labeling.noise_count, labeling.eps, eps_mode)
 
     with _stage(STAGE_MEDOIDS):
         medoids = clustering.extract_medoids(enc_synth, labeling, synthetic)
@@ -247,7 +249,7 @@ def run_audit(
             pca_dim=config.pca,
             encoded_dim=int(enc_synth.vectors.shape[1]),
             eps=labeling.eps,
-            eps_mode=labeling.eps_mode,
+            eps_mode=eps_mode,
             min_samples=config.min_samples,
             seed=config.seed,
             model_hash=model.model_hash(),
@@ -388,15 +390,11 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         log.info("auditing generator %s", label)
         reports[label] = run_audit(config).report
 
-    grid_marks = next(iter(reports.values())).grid.marks if reports else ()
-    for mark in grid_marks:
-        cells = []
-        for gen in sc.generators:
-            rpt = reports[gen.label]
-            if rpt.curves is not None:
-                cells.append(report_mod.heatmap_cell(rpt, mark))
-        if cells:
-            report_mod.write_heatmap_csv(cells, out / f"heatmap_tau{mark:g}.csv")
+    generator_reports = list(reports.values())
+    if any(rpt.curves is not None for rpt in generator_reports):
+        for mark in generator_reports[0].grid.marks:
+            report_mod.write_heatmap_csv(generator_reports, mark,
+                                         out / f"heatmap_tau{mark:g}.csv")
 
     summary_doc = {
         "schema_version": 1,

@@ -138,10 +138,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     synthetic = tables.load_csv(args.synthetic)
-    model = encoding.fit_encoding(synthetic, args.scale)
-    matrix = encoding.encode(model, synthetic)
-    if args.pca is not None:
-        model = encoding.with_pca(model, encoding.fit_pca(matrix, args.pca))
+    model = encoding.fit_encoding(synthetic, args.scale, args.pca)
     target = synthetic
     if args.table is not None:
         target = tables.load_csv(args.table, synthetic.schema)

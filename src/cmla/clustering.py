@@ -7,7 +7,8 @@ reachable from several clusters joins the cluster of the lowest-index core
 point that reaches it; everything else is noise, labeled -1. Cluster ids
 count up in order of first discovery by a seed scan in ascending row order,
 which is the order of each cluster's lowest core row. All distances are
-euclidean on encoded vectors.
+euclidean on encoded vectors. eps and min_samples arrive resolved and checked
+by audit.AuditConfig; this module keeps no defaults of its own.
 
 Two streaming passes over kernels' hit blocks, and no neighbour list is
 stored whole. Pass 1 keeps each row's min_samples lowest-index neighbours: a
@@ -40,32 +41,12 @@ from .tables import DataTable
 NOISE = -1
 
 
-@dataclass(frozen=True)
-class DbscanParams:
-    """eps None means automatic selection via auto_eps."""
-
-    eps: float | None = None
-    min_samples: int = 5
-
-    def __post_init__(self) -> None:
-        if self.eps is not None and not self.eps > 0.0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.min_samples < 1:
-            raise ConfigError(f"min_samples must be at least 1, got {self.min_samples}")
-
-    @property
-    def eps_mode(self) -> str:
-        return "auto" if self.eps is None else "fixed"
-
-
 @dataclass(eq=False)
 class ClusterLabeling:
     labels: np.ndarray
     core_mask: np.ndarray
     n_clusters: int
     eps: float
-    eps_mode: str
-    min_samples: int
     model_hash: str
 
     @property
@@ -114,17 +95,19 @@ def auto_eps(matrix: EncodedMatrix, min_samples: int) -> float:
     return eps
 
 
-def dbscan(matrix: EncodedMatrix, params: DbscanParams) -> ClusterLabeling:
+def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> ClusterLabeling:
+    """Label the rows at radius eps, or at auto_eps when eps is None."""
     x = matrix.vectors
     n = len(x)
     if n == 0:
         raise ConfigError("cannot cluster an empty matrix")
-    eps = params.eps if params.eps is not None else auto_eps(matrix, params.min_samples)
+    if eps is None:
+        eps = auto_eps(matrix, min_samples)
 
     # a row is core iff it has at least min_samples neighbours; a non-core row's
     # list is complete, so lists cut to min_samples are all DBSCAN needs
-    neighbors = kernels.neighbor_lists(x, eps, params.min_samples)
-    core = np.fromiter(map(len, neighbors), dtype=np.int64, count=n) >= params.min_samples
+    neighbors = kernels.neighbor_lists(x, eps, min_samples)
+    core = np.fromiter(map(len, neighbors), dtype=np.int64, count=n) >= min_samples
     labels = np.full(n, NOISE, dtype=np.int32)
     core_rows = np.flatnonzero(core)
     # components of the core graph, numbered by their lowest row
@@ -144,8 +127,6 @@ def dbscan(matrix: EncodedMatrix, params: DbscanParams) -> ClusterLabeling:
         core_mask=core,
         n_clusters=len(roots),
         eps=eps,
-        eps_mode=params.eps_mode,
-        min_samples=params.min_samples,
         model_hash=matrix.model_hash,
     )
 

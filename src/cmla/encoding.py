@@ -112,8 +112,10 @@ class EncodedMatrix:
     model_hash: str
 
 
-def fit_encoding(table: DataTable, mode: str = MINMAX) -> EncodingModel:
-    """Fit the shared representation on one table (the synthetic one)."""
+def fit_encoding(table: DataTable, mode: str = MINMAX, pca: int | None = None) -> EncodingModel:
+    """Fit the shared representation on one table (the synthetic one): the
+    scaling, then, with pca, a projection to pca dimensions fitted on the
+    scaled encoding of the same table."""
     if mode not in (MINMAX, ZSCORE):
         raise ConfigError(f"unknown scaling mode {mode!r}")
     stats: dict[str, NumericStats] = {}
@@ -125,11 +127,10 @@ def fit_encoding(table: DataTable, mode: str = MINMAX) -> EncodingModel:
             mean=float(arr.mean()),
             std=float(arr.std()),
         )
-    return EncodingModel(table.schema, mode, stats)
-
-
-def with_pca(model: EncodingModel, pca: PcaModel) -> EncodingModel:
-    return EncodingModel(model.schema, model.mode, dict(model.stats), pca)
+    model = EncodingModel(table.schema, mode, stats)
+    if pca is not None:
+        model.pca = fit_pca(encode(model, table), pca)
+    return model
 
 
 def _check_compatible(model: EncodingModel, table: DataTable) -> None:

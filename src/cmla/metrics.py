@@ -74,14 +74,8 @@ def _locate(taus: np.ndarray, tau: float) -> int:
     raise ConfigError(f"threshold {tau!r} is not on the grid")
 
 
-def default_grid(marks: Sequence[float] = (0.1, 0.5)) -> ThresholdGrid:
-    """tau from 0.00 to 2.50 in steps of 0.01 (251 points)."""
-    taus = np.round(np.linspace(0.0, 2.5, 251), 10)
-    return ThresholdGrid(taus, marks)
-
-
-def grid_from_spec(spec: str, marks: Sequence[float] = (0.1, 0.5)) -> ThresholdGrid:
-    """Parse a start:stop:step grid description."""
+def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
+    """Parse a start:stop:step grid description of finite numbers."""
     pieces = spec.split(":")
     if len(pieces) != 3:
         raise ConfigError(f"grid spec must be start:stop:step, got {spec!r}")
@@ -89,6 +83,8 @@ def grid_from_spec(spec: str, marks: Sequence[float] = (0.1, 0.5)) -> ThresholdG
         start, stop, step = (float(p) for p in pieces)
     except ValueError:
         raise ConfigError(f"grid spec must be numeric, got {spec!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid spec must be finite, got {spec!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"grid spec must have step > 0 and stop >= start, got {spec!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -130,23 +130,39 @@ def _section(obj) -> dict:
     return doc
 
 
-def _checked(doc, name: str, keys: Sequence[str]) -> dict:
-    """doc, which must be a JSON object with exactly the given keys."""
+_KINDS = {"int": int, "float": (int, float), "str": str, "list": list, "object": dict}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits a type annotation: a name in _KINDS,
+    list[...] of one, or either with | None. A bool is never a number."""
+    if annotation.endswith(" | None"):
+        return value is None or _fits(value, annotation.removesuffix(" | None"))
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, annotation[5:-1]) for v in value)
+    return isinstance(value, _KINDS[annotation]) and not isinstance(value, bool)
+
+
+def _checked(doc, name: str, spec: dict[str, str]) -> dict:
+    """doc, which must be a JSON object with exactly the keys of spec, each
+    value fitting the annotation spec gives it."""
     if not isinstance(doc, dict):
         raise ConfigError(f"report {name} must be a JSON object")
     for key in doc:
-        if key not in keys:
+        if key not in spec:
             raise ConfigError(f"report {name} has an unknown key {key!r}")
-    for key in keys:
+    for key, annotation in spec.items():
         if key not in doc:
             raise ConfigError(f"report {name} is missing the key {key!r}")
+        if not _fits(doc[key], annotation):
+            raise ConfigError(f"report {name} has a malformed {key!r}: expected {annotation}")
     return doc
 
 
 def _unsection(cls, doc, name: str):
     """The dataclass cls from its JSON object, whose keys must be exactly
-    the fields of cls."""
-    return cls(**_checked(doc, name, [f.name for f in fields(cls)]))
+    the fields of cls and whose values must fit their annotations."""
+    return cls(**_checked(doc, name, {f.name: f.type for f in fields(cls)}))
 
 
 def report_to_dict(report: LeakageReport) -> dict:
@@ -188,16 +204,20 @@ def report_from_dict(doc: dict) -> LeakageReport:
         raise ConfigError("not a leakage report document")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ConfigError(f"unsupported report schema_version {doc.get('schema_version')!r}")
-    _checked(doc, "document", ("schema_version", "kind", "meta", "clustering", "grid",
-                               "dmin_summary", "curves", "reference_readouts", "records"))
-    grid_doc = _checked(doc["grid"], "grid", ("taus", "marks"))
+    _checked(doc, "document", {
+        "schema_version": "int", "kind": "str", "meta": "object", "clustering": "object",
+        "grid": "object", "dmin_summary": "object | None", "curves": "object | None",
+        "reference_readouts": "list | None", "records": "list | None",
+    })
+    grid_doc = _checked(doc["grid"], "grid", {"taus": "list[float]", "marks": "list[float]"})
     grid = ThresholdGrid(np.asarray(grid_doc["taus"], dtype=np.float64), grid_doc["marks"])
     summary = None
     if doc["dmin_summary"] is not None:
         summary = _unsection(DminSummary, doc["dmin_summary"], "dmin_summary")
     curves = None
     if doc["curves"] is not None:
-        curves_doc = _checked(doc["curves"], "curves", ("asr", "coverage"))
+        curves_doc = _checked(doc["curves"], "curves",
+                              {"asr": "list[float]", "coverage": "list[float]"})
         curves = MetricCurves(
             taus=grid.taus.copy(),
             asr=np.asarray(curves_doc["asr"], dtype=np.float64),
@@ -215,8 +235,9 @@ def report_from_dict(doc: dict) -> LeakageReport:
             _unsection(DistanceRecord, r, f"records[{i}]")
             for i, r in enumerate(doc["records"])
         ]
-    clustering = _checked(doc["clustering"], "clustering",
-                          ("n_clusters", "cluster_sizes", "n_noise", "n_core"))
+    clustering = _checked(doc["clustering"], "clustering", {
+        "n_clusters": "int", "cluster_sizes": "list[int]", "n_noise": "int", "n_core": "int",
+    })
     return LeakageReport(
         meta=_unsection(RunMeta, doc["meta"], "meta"),
         n_clusters=clustering["n_clusters"],
@@ -284,49 +305,16 @@ def write_dmin_records_csv(records: Sequence[DistanceRecord], path: str | Path) 
             )
 
 
-@dataclass(frozen=True)
-class HeatmapCell:
-    generator: str
-    dataset: str
-    coverage: float
-
-
-def heatmap_cell(report: LeakageReport, tau: float) -> HeatmapCell:
-    """Coverage readout of one report at a grid threshold."""
-    if report.curves is None:
-        raise ConfigError("report has no curves (no real table was audited)")
-    i = report.grid.index_of(tau)
-    return HeatmapCell(
-        generator=report.meta.generator_label,
-        dataset=report.meta.dataset_label,
-        coverage=float(report.curves.coverage[i]),
-    )
-
-
-def write_heatmap_csv(cells: Sequence[HeatmapCell], path: str | Path) -> None:
-    """Rows are generators, columns are datasets, both in first-appearance
-    order; combinations without a cell stay empty."""
-    generators: list[str] = []
-    datasets: list[str] = []
-    values: dict[tuple[str, str], float] = {}
-    for c in cells:
-        if c.generator not in generators:
-            generators.append(c.generator)
-        if c.dataset not in datasets:
-            datasets.append(c.dataset)
-        key = (c.generator, c.dataset)
-        if key in values:
-            raise ConfigError(f"duplicate heatmap cell for {key!r}")
-        values[key] = c.coverage
+def write_heatmap_csv(reports: Sequence[LeakageReport], tau: float, path: str | Path) -> None:
+    """Coverage at grid threshold tau of reports on one dataset: a
+    generator,<dataset> header, then one row per report that has curves."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["generator", *datasets])
-        for g in generators:
-            row: list[str] = [g]
-            for d in datasets:
-                v = values.get((g, d))
-                row.append("" if v is None else repr(float(v)))
-            writer.writerow(row)
+        writer.writerow(["generator", reports[0].meta.dataset_label])
+        for rpt in reports:
+            if rpt.curves is not None:
+                coverage = rpt.curves.coverage[rpt.grid.index_of(tau)]
+                writer.writerow([rpt.meta.generator_label, repr(float(coverage))])
 
 
 def compare_reports(original: dict, recomputed: dict, tol: float = 1e-9) -> list[str]:

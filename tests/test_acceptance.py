@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cmla.audit import AuditConfig, run_audit, run_scenario, verify_report_file
-from cmla.clustering import DbscanParams, dbscan, extract_medoids
+from cmla.clustering import dbscan, extract_medoids
 from cmla.encoding import encode, fit_encoding
 from cmla.kernels import dists_to
 from cmla.metrics import (
@@ -24,7 +24,7 @@ from cmla.metrics import (
     ThresholdGrid,
     asr_curve,
     coverage_from_minima,
-    default_grid,
+    grid_from_spec,
     proximity_profile,
     summarize_dmin,
 )
@@ -59,7 +59,7 @@ def test_criterion_01_clustering_matches_density_reference(rng):
         eps = float(rng.uniform(0.2, 1.5))
         min_samples = int(rng.integers(2, 9))
 
-        labeling = dbscan(matrix(x), DbscanParams(eps=eps, min_samples=min_samples))
+        labeling = dbscan(matrix(x), eps, min_samples)
         ref_labels, ref_core = reference.eps_graph_clustering(x, eps, min_samples)
 
         if not np.array_equal(labeling.core_mask, ref_core):
@@ -74,7 +74,7 @@ def test_criterion_01_clustering_matches_density_reference(rng):
 
 def test_criterion_02_metrics_bitwise_vs_double_loop(rng):
     problems = []
-    grid = default_grid()
+    grid = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
     taus = [float(t) for t in grid.taus]
     for case in range(100):
         k = int(rng.integers(1, 51))
@@ -116,11 +116,7 @@ def test_criterion_03_medoids_exhaustively_optimal(rng, scenario_run):
         d = int(rng.integers(1, 4))
         x = clustered_cloud(rng, n, d, duplicates=float(rng.uniform(0, 0.3)))
         mat = matrix(x)
-        labeling = dbscan(
-            mat,
-            DbscanParams(eps=float(rng.uniform(0.3, 1.2)),
-                         min_samples=int(rng.integers(2, 7))),
-        )
+        labeling = dbscan(mat, float(rng.uniform(0.3, 1.2)), int(rng.integers(2, 7)))
         table = numeric_table(x)
         medoids = extract_medoids(mat, labeling, table)
         chosen = {m.cluster_id: m.row_id for m in medoids.medoids}
@@ -155,7 +151,7 @@ def test_criterion_04_curve_laws_hold_on_randomized_runs(rng):
         records = [DistanceRecord(i, i, float(v), 0) for i, v in enumerate(values)]
 
         if case % 4 == 0:
-            grid = default_grid()
+            grid = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
         else:
             taus = np.unique(rng.uniform(0.0, 3.0, int(rng.integers(1, 30))))
             grid = ThresholdGrid(np.concatenate(([0.0], taus[taus > 0.0])))

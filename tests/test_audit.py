@@ -109,9 +109,9 @@ def test_real_table_is_opened_only_after_clustering(tmp_path, monkeypatch):
         events.append(("load", Path(path).name))
         return orig_load(path, schema_hint)
 
-    def spy_dbscan(matrix, params):
+    def spy_dbscan(matrix, eps, min_samples):
         events.append(("cluster", None))
-        return orig_dbscan(matrix, params)
+        return orig_dbscan(matrix, eps, min_samples)
 
     monkeypatch.setattr(tables, "load_csv", spy_load)
     monkeypatch.setattr(clustering, "dbscan", spy_dbscan)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, printed lines, config precedence."""
 
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -166,6 +167,27 @@ def test_verify_exits_2_on_a_report_missing_clustering_n_core(csv_pair, tmp_path
     assert "cmla: report clustering is missing the key 'n_core'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "taus", "abc"),
+    ("clustering", "cluster_sizes", 5),
+    ("meta", "min_samples", "x"),
+    ("curves", "asr", None),
+])
+def test_verify_exits_2_naming_a_malformed_report_value(csv_pair, tmp_path, capsys,
+                                                        section, key, value):
+    synth, real = csv_pair
+    out = tmp_path / "out"
+    assert main(["audit", "--synthetic", str(synth), "--real", str(real), "--out", str(out),
+                 "--eps", "0.05"]) == 0
+    report = out / "report.json"
+    doc = json.loads(report.read_text())
+    doc[section][key] = value
+    report.write_text(json.dumps(doc, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(report)]) == 2
+    assert f"cmla: report {section} has a malformed {key!r}" in capsys.readouterr().err
+
+
 def test_verify_flag_requires_out(csv_pair):
     synth, real = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--real", real,
@@ -302,6 +324,11 @@ BAD_SETTINGS = [
     ({"grid": 5}, "grid"),
     ({"pca": 1.5}, "pca"),
     ({"scale": 1}, "scale"),
+    ({"eps": "inf"}, "eps"),
+    ({"eps": 0}, "eps"),
+    ({"min_samples": 0}, "min_samples"),
+    ({"grid": "nan:1:0.1"}, "grid"),
+    ({"grid": "0:inf:0.1"}, "grid"),
 ]
 
 
@@ -322,6 +349,22 @@ def test_malformed_settings_exit_2_naming_the_key(csv_pair, tmp_path, capsys, so
     err = capsys.readouterr().err
     assert code == 2
     assert re.search(rf"^cmla: .*\b{key}\b", err, re.MULTILINE), err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"), ("--eps", "inf"), ("--min-samples", "0"), ("--grid", "nan:1:0.1"),
+])
+def test_malformed_setting_fails_before_any_stage(csv_pair, tmp_path, caplog, capsys,
+                                                  flag, value):
+    synth, real = csv_pair
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        code = main(["audit", "--synthetic", str(synth), "--real", str(real),
+                     "--out", str(tmp_path / "out"), flag, value])
+    assert code == 2
+    key = flag[2:].replace("-", "_")
+    assert re.search(rf"^cmla: .*\b{key}\b", capsys.readouterr().err, re.MULTILINE)
+    assert not [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage")]
+    assert not (tmp_path / "out").exists()
 
 
 class Recorded(Exception):

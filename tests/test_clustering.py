@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cmla.clustering import (
-    DbscanParams,
     auto_eps,
     dbscan,
     extract_medoids,
@@ -19,7 +18,7 @@ from conftest import child_rss_growth_mib, clustered_cloud, matrix, mixed_table,
 
 
 def cluster(x, eps=None, min_samples=5):
-    return dbscan(matrix(x), DbscanParams(eps=eps, min_samples=min_samples))
+    return dbscan(matrix(x), eps, min_samples)
 
 
 def test_labels_match_the_graph_reference_on_random_clouds(rng):
@@ -102,12 +101,11 @@ def test_dbscan_memory_does_not_grow_with_the_edge_count():
     # 6000 rows within eps of each other are 36M eps-edges, 275 MiB as int64
     growth = child_rss_growth_mib(
         "import numpy as np\n"
-        "from cmla.clustering import DbscanParams, dbscan\n"
+        "from cmla.clustering import dbscan\n"
         "from cmla.encoding import EncodedMatrix\n"
         "x = np.random.default_rng(5).normal(0.0, 1.0, size=(6000, 2))\n"
-        "params = DbscanParams(eps=100.0, min_samples=5)\n"
-        "dbscan(EncodedMatrix(x[:300].copy(), 'm'), params)",
-        "labeling = dbscan(EncodedMatrix(x, 'm'), params)\n"
+        "dbscan(EncodedMatrix(x[:300].copy(), 'm'), 100.0, 5)",
+        "labeling = dbscan(EncodedMatrix(x, 'm'), 100.0, 5)\n"
         "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
     )
     assert growth < 48
@@ -209,25 +207,16 @@ def test_degenerate_geometry_asks_for_an_explicit_eps():
     assert cluster(x, eps=0.1, min_samples=3).n_clusters == 1
 
 
-def test_dbscan_param_validation():
-    with pytest.raises(ConfigError, match="eps must be positive"):
-        DbscanParams(eps=0.0)
-    with pytest.raises(ConfigError, match="min_samples"):
-        DbscanParams(min_samples=0)
-    assert DbscanParams().eps_mode == "auto"
-    assert DbscanParams(eps=1.0).eps_mode == "fixed"
-
-
 def test_dbscan_rejects_empty_input():
     with pytest.raises(ConfigError, match="empty"):
-        dbscan(matrix(np.empty((0, 2))), DbscanParams(eps=1.0))
+        dbscan(matrix(np.empty((0, 2))), 1.0, 5)
 
 
 def test_medoid_is_the_member_with_the_smallest_distance_sum():
     x = np.array([[0.0], [1.0], [10.0], [50.0], [50.5], [51.0]])
     t = numeric_table(x)
     m = matrix(x, model_hash="h")
-    labeling = dbscan(m, DbscanParams(eps=9.0, min_samples=2))
+    labeling = dbscan(m, 9.0, 2)
     medoids = extract_medoids(m, labeling, t)
     assert [md.cluster_id for md in medoids.medoids] == [0, 1]
     assert medoids.medoids[0].row_id == 1
@@ -281,7 +270,7 @@ def test_label_and_medoid_csv_emission(tmp_path):
     from cmla.encoding import encode, fit_encoding
 
     enc = encode(fit_encoding(t), t)
-    labeling = dbscan(enc, DbscanParams(eps=0.5, min_samples=2))
+    labeling = dbscan(enc, 0.5, 2)
     medoids = extract_medoids(enc, labeling, t)
 
     labels_path = tmp_path / "labels.csv"

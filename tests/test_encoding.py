@@ -11,7 +11,6 @@ from cmla.encoding import (
     fit_pca,
     gower_to_table,
     numeric_ranges,
-    with_pca,
 )
 from cmla.errors import ConfigError, SchemaError
 from cmla.kernels import dists_to
@@ -135,7 +134,7 @@ def test_pca_on_collinear_points_explains_everything_on_one_axis():
 def test_pca_projection_reduces_dimension():
     t = numeric_table([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     base = fit_encoding(t)
-    model = with_pca(base, fit_pca(encode(base, t), 1))
+    model = fit_encoding(t, pca=1)
     assert model.feature_names() == ("pc0",)
     enc = encode(model, t)
     assert enc.vectors.shape == (3, 1)

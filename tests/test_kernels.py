@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmla import kernels
-from cmla.clustering import DbscanParams, dbscan
+from cmla.clustering import dbscan
 from cmla.errors import ConfigError
 from cmla.kernels import (
     cross_min_distances,
@@ -479,7 +479,7 @@ def test_results_do_not_depend_on_worker_count(rng, monkeypatch):
     assert len(real) // 5 > 3 * (kernels.TILE_BYTES // (8 * len(x)))
 
     def run():
-        labeling = dbscan(matrix(x), DbscanParams(eps=0.8, min_samples=5))
+        labeling = dbscan(matrix(x), 0.8, 5)
         medoids = [
             medoid_local_index(x[labeling.labels == cid])
             for cid in range(labeling.n_clusters)

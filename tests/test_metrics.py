@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from cmla.audit import AuditConfig
 from cmla.errors import ConfigError, LineageError
 from cmla.metrics import (
     ThresholdGrid,
     asr_curve,
     coverage_from_minima,
     curves_from_profile,
-    default_grid,
     grid_from_spec,
     proximity_profile,
     proximity_profile_gower,
@@ -27,7 +27,7 @@ def records_with(dmins):
 
 
 def test_default_grid_shape_and_marks():
-    g = default_grid()
+    g = grid_from_spec(AuditConfig.grid, AuditConfig.marks)
     assert len(g) == 251
     assert g.taus[0] == 0.0
     assert g.taus[-1] == 2.5
@@ -39,19 +39,20 @@ def test_default_grid_shape_and_marks():
 
 
 def test_grid_from_spec_matches_the_default():
-    a = grid_from_spec("0:2.5:0.01")
-    b = default_grid()
-    assert a.taus.tolist() == b.taus.tolist()
-    assert a.marks == b.marks
+    # the default spec gives the 251 rounded linspace points, bit for bit
+    a = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
+    assert a.taus.tobytes() == np.round(np.linspace(0.0, 2.5, 251), 10).tobytes()
+    assert a.marks == (0.1, 0.5)
     # a step that does not divide the span exactly still lands on count+1 points
     g = grid_from_spec("0:1:0.25", marks=(0.5,))
     assert g.taus.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_grid_spec_validation():
-    for bad in ("0:1", "0:1:0:2", "a:b:c", "0:1:0", "1:0:0.1"):
-        with pytest.raises(ConfigError):
-            grid_from_spec(bad)
+    for bad in ("0:1", "0:1:0:2", "a:b:c", "0:1:0", "1:0:0.1",
+                "nan:1:0.1", "0:inf:0.1", "0:1:nan", "-inf:0:0.1"):
+        with pytest.raises(ConfigError, match="grid spec"):
+            grid_from_spec(bad, ())
 
 
 def test_grid_rejects_bad_threshold_arrays():
@@ -87,7 +88,7 @@ def test_asr_is_zero_at_tau_zero_even_for_exact_copies():
 
 def test_asr_requires_records():
     with pytest.raises(ConfigError):
-        asr_curve([], default_grid())
+        asr_curve([], grid_from_spec("0:2.5:0.01", (0.1, 0.5)))
 
 
 def test_coverage_hand_case():
@@ -159,7 +160,7 @@ def test_curves_from_profile_carries_counts(rng):
     meds = rng.standard_normal((4, 2))
     real = rng.standard_normal((11, 2))
     profile = proximity_profile(medoid_set(meds), matrix(real))
-    curves = curves_from_profile(profile, default_grid())
+    curves = curves_from_profile(profile, grid_from_spec("0:2.5:0.01", (0.1, 0.5)))
     assert len(profile.records) == 4
     assert len(profile.per_real_min) == 11
     assert len(curves.asr) == 251
@@ -170,7 +171,7 @@ def test_coverage_from_the_profile_minima_matches_a_double_loop(rng):
     meds = rng.standard_normal((3, 2))
     real = rng.standard_normal((9, 2))
     profile = proximity_profile(medoid_set(meds), matrix(real))
-    g = default_grid()
+    g = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
     *_, cov = reference.double_loop_metrics(meds, real, g.taus)
     assert coverage_from_minima(profile.per_real_min, g).tolist() == cov
 

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmla.clustering import DbscanParams, dbscan, extract_medoids
+from cmla.clustering import dbscan, extract_medoids
 from cmla.encoding import encode, fit_encoding
 from cmla.errors import ConfigError, CurveError, LineageError
 from cmla.metrics import (
@@ -17,7 +18,7 @@ from cmla.metrics import (
     ProximityProfile,
     ThresholdGrid,
     curves_from_profile,
-    default_grid,
+    grid_from_spec,
     proximity_profile,
     summarize_dmin,
 )
@@ -29,7 +30,6 @@ from cmla.report import (
     compare_reports,
     emit_curves_csv,
     format_summary_row,
-    heatmap_cell,
     parse_json,
     render_json,
     report_from_dict,
@@ -49,9 +49,9 @@ def small_report(with_real=True, marks=(0.1, 0.5)):
     )
     model = fit_encoding(synth)
     mat = encode(model, synth)
-    labeling = dbscan(mat, DbscanParams(eps=0.2, min_samples=2))
+    labeling = dbscan(mat, 0.2, 2)
     medoids = extract_medoids(mat, labeling, synth)
-    grid = default_grid(marks)
+    grid = grid_from_spec("0:2.5:0.01", marks)
     summary = curves = records = None
     if with_real:
         real = numeric_table([[0.0, 0.0], [2.4, 0.0], [5.0, 0.0]], names=["x", "y"])
@@ -198,7 +198,7 @@ def test_readouts_equal_curve_values_exactly():
 def test_build_report_rejects_foreign_artifacts():
     synth = numeric_table([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0]], names=["x", "y"])
     mat = encode(fit_encoding(synth), synth)
-    labeling = dbscan(mat, DbscanParams(eps=0.2, min_samples=1))
+    labeling = dbscan(mat, 0.2, 1)
     medoids = extract_medoids(mat, labeling, synth)
     report = small_report()
     meta = report.meta.__class__(**{**report.meta.__dict__, "model_hash": "other"})
@@ -320,47 +320,25 @@ def test_dmin_records_csv(tmp_path):
 
 def test_heatmap_cell_and_csv(tmp_path):
     report = small_report()
-    cell = heatmap_cell(report, 0.5)
-    assert cell.generator == "toy"
-    assert cell.dataset == "demo"
-    assert cell.coverage == float(report.curves.coverage[report.grid.index_of(0.5)])
-
-    other = cell.__class__(generator="other", dataset="demo", coverage=0.25)
+    other = small_report()
+    other.meta = replace(other.meta, generator_label="other")
+    other.curves.coverage[other.grid.index_of(0.5)] = 0.25
     p = tmp_path / "heat.csv"
-    write_heatmap_csv([cell, other], p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "generator,demo"
-    assert lines[1].startswith("toy,")
-    assert lines[2] == "other,0.25"
+    write_heatmap_csv([report, other], 0.5, p)
+    coverage = float(report.curves.coverage[report.grid.index_of(0.5)])
+    assert p.read_bytes() == f"generator,demo\r\ntoy,{coverage!r}\r\nother,0.25\r\n".encode()
 
 
-def test_heatmap_empty_cells_and_duplicates(tmp_path):
-    from cmla.report import HeatmapCell
-
-    cells = [
-        HeatmapCell("g1", "d1", 0.5),
-        HeatmapCell("g2", "d2", 0.75),
-    ]
+def test_heatmap_requires_curves(tmp_path):
+    # a report without curves gets no row
     p = tmp_path / "heat.csv"
-    write_heatmap_csv(cells, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "generator,d1,d2"
-    assert lines[1] == "g1,0.5,"
-    assert lines[2] == "g2,,0.75"
-    with pytest.raises(ConfigError, match="duplicate heatmap cell"):
-        write_heatmap_csv(cells + [HeatmapCell("g1", "d1", 0.9)], p)
+    write_heatmap_csv([small_report(with_real=False), small_report()], 0.1, p)
+    assert [line.split(",")[0] for line in p.read_text().splitlines()] == ["generator", "toy"]
 
 
-def test_heatmap_requires_curves():
-    report = small_report(with_real=False)
-    with pytest.raises(ConfigError, match="no curves"):
-        heatmap_cell(report, 0.5)
-
-
-def test_off_grid_readout_is_rejected():
-    report = small_report()
+def test_off_grid_readout_is_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not on the grid"):
-        heatmap_cell(report, 0.123)
+        write_heatmap_csv([small_report()], 0.123, tmp_path / "heat.csv")
 
 
 def test_rendered_floats_survive_json_exactly():
