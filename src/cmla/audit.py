@@ -310,8 +310,11 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"no such report: {p}")
-    text = p.read_text(encoding="utf-8")
-    rpt = report_mod.parse_json(text)
+    try:
+        text = p.read_text(encoding="utf-8")
+        rpt = report_mod.parse_json(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{p.name}: unreadable report: {e}") from None
     problems = []
     if report_mod.render_json(rpt) != text:
         problems.append("serialization: document is not canonical")

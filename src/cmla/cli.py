@@ -15,6 +15,7 @@ audit settings' names (the flag names with underscores, and marks for --mark).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -144,9 +145,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         target = tables.load_csv(args.table, synthetic.schema)
     matrix = encoding.encode(model, target)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["row_id", *model.feature_names()]) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["row_id", *model.feature_names()])
         for i, row in enumerate(matrix.vectors):
-            fh.write(",".join([str(i), *(repr(float(v)) for v in row)]) + "\n")
+            writer.writerow([i, *(repr(float(v)) for v in row)])
     print(f"encoded {len(matrix.vectors)} rows x {matrix.vectors.shape[1]} dims -> {args.out}")
     return 0
 

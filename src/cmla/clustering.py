@@ -22,7 +22,8 @@ tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index computes the
-exact sum only for rows whose lower bound does not rule them out.
+exact sum only for rows whose lower bound, from the tile engine's band, does
+not rule them out.
 """
 
 from __future__ import annotations

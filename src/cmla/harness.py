@@ -225,18 +225,39 @@ def load_scenario(path: str | Path) -> HarnessScenario:
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> HarnessScenario:
-    """Build a scenario from its JSON document. A missing or malformed field
-    anywhere in it is a ConfigError naming source."""
+    """Build a scenario from its JSON document. A missing, unknown or
+    malformed field anywhere in it is a ConfigError naming source."""
     try:
         return _scenario(doc, source)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ConfigError(f"{source}: missing or malformed field: {e}") from None
 
 
+def _object(doc: object, where: str, known) -> dict:
+    """doc, checked to be a JSON object whose keys are all in known."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be an object")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    return doc
+
+
+def _whole(value: object, where: str) -> int:
+    """An int, an integral float or an integer string, as the audit settings
+    take them; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{where} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _scenario(doc: dict, source: str) -> HarnessScenario:
+    _object(doc, "the scenario",
+            ("name", "seed", "real", "generators", "audit", "expected_ordering"))
     name = str(doc["name"])
-    seed = int(doc["seed"])
-    real_doc = doc["real"]
+    seed = _whole(doc["seed"], "seed")
+    real_doc = _object(doc["real"], "real",
+                       ("n_rows", "numeric_columns", "categorical_columns", "components"))
     gen_docs = doc["generators"]
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{source}: seed must be an unsigned 64-bit integer")
@@ -247,7 +268,9 @@ def _scenario(doc: dict, source: str) -> HarnessScenario:
         (str(name), tuple(str(v) for v in vocab)) for name, vocab in cat_doc.items()
     )
     components = []
-    for c in real_doc.get("components", ()):
+    for i, c in enumerate(real_doc.get("components", ())):
+        where = f"real.components[{i}]"
+        _object(c, where, ("weight", "means", "sigma", "categorical"))
         components.append(
             Component(
                 weight=float(c.get("weight", 1.0)),
@@ -255,12 +278,14 @@ def _scenario(doc: dict, source: str) -> HarnessScenario:
                 sigma=float(c.get("sigma", 1.0)),
                 categorical={
                     str(col): {str(k): float(v) for k, v in probs.items()}
-                    for col, probs in c.get("categorical", {}).items()
+                    for col, probs in _object(
+                        c.get("categorical", {}), f"{where}.categorical", cat_doc
+                    ).items()
                 },
             )
         )
     recipe = RealRecipe(
-        n_rows=int(real_doc.get("n_rows", 0)),
+        n_rows=_whole(real_doc.get("n_rows", 0), "real.n_rows"),
         numeric_names=numeric_names,
         categorical_vocab=categorical_vocab,
         components=tuple(components),
@@ -268,11 +293,13 @@ def _scenario(doc: dict, source: str) -> HarnessScenario:
 
     generators = []
     seen = set()
-    for g in gen_docs:
+    for i, g in enumerate(gen_docs):
+        where = f"generators[{i}]"
+        _object(g, where, ("label", "kind", "n_samples", "sigma"))
         spec = GeneratorSpec(
             label=str(g["label"]),
             kind=str(g["kind"]),
-            n_samples=int(g["n_samples"]),
+            n_samples=_whole(g["n_samples"], f"{where}.n_samples"),
             sigma=float(g.get("sigma", 0.0)),
         )
         if spec.label in seen:
@@ -284,7 +311,7 @@ def _scenario(doc: dict, source: str) -> HarnessScenario:
 
     ordering = None
     if doc.get("expected_ordering") is not None:
-        o = doc["expected_ordering"]
+        o = _object(doc["expected_ordering"], "expected_ordering", ("tau", "order"))
         labels = tuple(str(v) for v in o.get("order", ()))
         missing = [lab for lab in labels if lab not in seen]
         if missing:

@@ -19,8 +19,10 @@ pairs, then that exact comparison for the rest.
   limit) keeps at most limit of each row's lowest neighbours, and
   eps_components unions the hits into connected components; each streams
   the blocks once.
-- The medoid kernel skips rows whose triangle-inequality lower bound, loosened
-  by a proven rounding slack, exceeds the best exact (fsum) sum.
+- The medoid kernel screens rows with the same tiles: the row sums of
+  fl(sqrt(U)) bound each row's exact (fsum) distance sum from above and, less
+  m*sqrt(spread), from below. Only rows whose lower bound reaches the least
+  upper bound get an exact sum.
 
 The band. Write u = 2^-53, d for the dimension and, for stored rows a and b,
 A = |a|^2, B = |b|^2, P = a.b and D^2 = |a - b|^2 = A + B - 2P in exact
@@ -78,10 +80,11 @@ is d = fl(sqrt(s)).
   propagate NaN as np.minimum does.
 
 The CMLA_THREADS environment variable caps the worker threads used for row
-partitioning. Workers write disjoint output slices, cross minima merge
-per-worker partials in range order, and the component union runs serially
-and ends at the lowest index of each set whatever the block order, so results
-depend neither on the worker count nor on the tile size.
+partitioning; the medoid screen runs in one thread. Workers write disjoint
+output slices, cross minima merge per-worker partials in range order, and the
+component union runs serially and ends at the lowest index of each set
+whatever the block order, so results depend neither on the worker count nor
+on the tile size.
 """
 
 from __future__ import annotations
@@ -411,49 +414,35 @@ def medoid_local_index(members: np.ndarray) -> int:
     duplicated rows produce the same distance multiset in different orders,
     and a naive float sum can rank such exact ties either way.
 
-    Not every sum is computed (trimed; Newling & Fleuret, AISTATS 2017). Rows
-    are visited in ascending order of a lower bound on their sum, ties to the
-    lowest index, from all-zero bounds. Visiting row j computes its distance
-    row d_j and S(j) = fsum(d_j) and raises every bound to
-    |S(j) - m*d_j[i]| - slack. The visits stop once every unvisited bound
-    exceeds the best sum so far strictly, so a row that could tie is always
-    computed and the answer is the exhaustive argmin whatever the visit order.
-
-    Why the bound holds. Write D for the exact euclidean distance between the
-    stored vectors, S* for exact sums of D, dim for the dimension, u = 2^-53.
-    The triangle inequality gives D(i, k) >= |D(j, k) - D(j, i)|, so
-    S*(i) >= |S*(j) - m*D(j, i)|. A computed distance rounds the difference
-    (relative error u), the square (u) and a sum of dim non-negative terms
-    (gamma_{dim-1}), then the square root halves the relative error and adds
-    u: |d - D| <= (dim/2 + 2)*u*D to first order, plus at most
-    sqrt(dim)*2^-537 where squares underflow. fsum rounds the exact sum once,
-    so S(i) and S(j) are within (dim/2 + 3)*u relative (plus m times that
-    absolute term) of S*(i) and S*(j); forming m*d_j[i], the difference and
-    the subtraction of the slack add three more roundings. Collecting terms,
-    S(i) >= |S(j) - m*d_j[i]| - e with
-    e <= (dim + 9)*u*(S(j) + m*d_j[i]) + 3*m*sqrt(dim)*2^-537 to first
-    order. The slack is at least eight times the relative term and over
-    forty times the absolute one, which covers the higher-order terms for
-    any dim*u < 2^-6. NaN bounds, from sums that overflow, are ignored, and an
-    infinite best sum prunes nothing.
+    Only rows that the tile engine's band cannot rule out get an exact sum.
+    Each pair of row i has U - spread/2 <= s <= U (module docstring), so with
+    r = fl(sqrt(U)) its distance fl(sqrt(s)) is at most r and at least
+    (1 - 2u)r - sqrt(spread/2). The float row sum T of the r is within
+    gamma_{m-1} of their exact sum, and fsum rounds once, so the row's sum
+    S(i) lies between T(1 - (m + 2)u) - m*sqrt(spread/2) and T(1 + (m + 2)u)
+    to first order. The screen widens these to T(1 + w) and
+    T(1 - w) - m*sqrt(spread) with w = 4(m + 2)u: the factor four and the
+    sqrt(2) on the spread term cover the higher-order terms and the rounding
+    of the bounds themselves for any m*u < 2^-10. A row whose lower bound
+    exceeds the least upper bound has a sum above the minimum; every other
+    row gets its exact sum, so each row attaining the minimum is computed. A
+    NaN bound rules nothing out.
     """
-    m, dim = members.shape
-    rel = 16 * (dim + 4) * 2.0**-53
-    floor = m * math.sqrt(dim) * 2.0**-530
+    m = len(members)
+    w = 4 * (m + 2) * _U
+    upper_sum = np.empty(m)
+    lower_sum = np.empty(m)
+    # one thread: measured on 2 vCPUs, the row pool slowed every benchmark
+    # cluster (5x on sparse-auto-eps's ~400-row clusters), since its workers
+    # trade the GIL between short tile steps
+    for i0, upper, spread in _bracket_tiles(members, members)(0, m):
+        t = np.sqrt(upper, out=upper).sum(axis=1)
+        upper_sum[i0 : i0 + len(t)] = t * (1 + w)
+        lower_sum[i0 : i0 + len(t)] = t * (1 - w) - m * np.sqrt(spread)
     sums = np.full(m, np.inf)
-    bound = np.zeros(m)  # visited rows hold inf
-    best = math.inf
-    for _ in range(m):
-        j = int(np.argmin(bound))
-        if bound[j] > best:
-            break
-        d = dists_to(members[j], members)
-        s = math.fsum(d)
-        sums[j] = s
-        best = min(best, s)
-        md = m * d
-        np.fmax(bound, np.abs(s - md) - (rel * (s + md) + floor), out=bound)
-        bound[j] = np.inf
+    ids = np.arange(m)
+    for i in np.flatnonzero(~(lower_sum > np.fmin.reduce(upper_sum))).tolist():
+        sums[i] = math.fsum(_exact_dists(members, np.full(m, i), members, ids))
     return int(np.argmin(sums))
 
 

@@ -75,7 +75,8 @@ def _locate(taus: np.ndarray, tau: float) -> int:
 
 
 def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
-    """Parse a start:stop:step grid description of finite numbers."""
+    """Parse a start:stop:step grid description of finite numbers, checking
+    its point count (at most 100 000) before allocating it."""
     pieces = spec.split(":")
     if len(pieces) != 3:
         raise ConfigError(f"grid spec must be start:stop:step, got {spec!r}")
@@ -87,7 +88,10 @@ def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
         raise ConfigError(f"grid spec must be finite, got {spec!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"grid spec must have step > 0 and stop >= start, got {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < 100_000:
+        raise ConfigError(f"grid spec must give at most 100000 points, got {spec!r}")
+    count = int(math.floor(span)) + 1
     taus = np.round(start + step * np.arange(count), 10)
     return ThresholdGrid(taus, marks)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, printed lines, config precedence."""
 
+import csv
 import json
 import logging
 import re
@@ -188,6 +189,14 @@ def test_verify_exits_2_naming_a_malformed_report_value(csv_pair, tmp_path, caps
     assert f"cmla: report {section} has a malformed {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe"])
+def test_verify_exits_2_naming_an_unreadable_report(tmp_path, capsys, content):
+    report = tmp_path / "report.json"
+    report.write_bytes(content)
+    assert main(["verify", str(report)]) == 2
+    assert "cmla: report.json: unreadable report: " in capsys.readouterr().err
+
+
 def test_verify_flag_requires_out(csv_pair):
     synth, real = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--real", real,
@@ -241,7 +250,23 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys):
     def real_as_list(doc):
         doc["real"] = []
 
-    for i, change in enumerate((no_label, wordy_size, real_as_list)):
+    def misspelled_ordering(doc):
+        doc["expected_orderng"] = doc.pop("expected_ordering")
+
+    def sd_for_sigma(doc):
+        doc["real"]["components"][1]["sd"] = doc["real"]["components"][1].pop("sigma")
+
+    def fractional_size(doc):
+        doc["generators"][1]["n_samples"] = 2000.7
+
+    changes = (no_label, wordy_size, real_as_list, misspelled_ordering, sd_for_sigma,
+               fractional_size)
+    named = {
+        misspelled_ordering: "unknown key 'expected_orderng' in the scenario",
+        sd_for_sigma: "unknown key 'sd' in real.components[1]",
+        fractional_size: "generators[1].n_samples must be a whole number, got 2000.7",
+    }
+    for i, change in enumerate(changes):
         doc = scenario_doc(["memorizer", "independent"])
         change(doc)
         sp = tmp_path / f"scenario{i}.json"
@@ -249,6 +274,7 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys):
         assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert f"cmla: {sp.name}: missing or malformed field: " in err, change.__name__
+        assert named.get(change, "") in err, change.__name__
 
 
 def test_scenario_ordering_violation_exits_1(tmp_path):
@@ -270,6 +296,21 @@ def test_encode_subcommand_dumps_features(csv_pair, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     float(first[1]), float(first[2])
+
+
+def test_encode_quotes_categories_holding_commas_and_quotes(tmp_path, capsys):
+    synth = tmp_path / "synthetic.csv"
+    with open(synth, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["x", "c"]] + [[f"{i}.0", ("a,b", 'q"z', "plain")[i % 3]] for i in range(9)]
+        )
+    out = tmp_path / "encoded.csv"
+    assert main(["encode", "--synthetic", str(synth), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["row_id", "x", "c=a,b", 'c=q"z', "c=plain"]
+    assert len(rows) == 10
+    assert {len(r) for r in rows} == {5}
 
 
 def test_config_file_provides_defaults_cli_overrides(csv_pair, tmp_path, capsys):
@@ -329,6 +370,8 @@ BAD_SETTINGS = [
     ({"min_samples": 0}, "min_samples"),
     ({"grid": "nan:1:0.1"}, "grid"),
     ({"grid": "0:inf:0.1"}, "grid"),
+    ({"grid": "0:1e30:1e-30"}, "grid"),
+    ({"grid": "0:1e6:1"}, "grid"),
 ]
 
 

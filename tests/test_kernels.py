@@ -401,22 +401,65 @@ def test_medoid_matches_exhaustive_fsum_across_scales(rng):
                 assert medoid_local_index(x) == exhaustive_medoid(x), (scale, d)
 
 
-def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
-    # triangle bounds prune well at low intrinsic dimension; an isotropic
-    # 9-d gaussian still needs most sums, since its distances concentrate
-    x = rng.normal(0.0, 1.0, size=(4000, 2))
-    rows = []
+def exact_sums(monkeypatch, x):
+    """(medoid_local_index(x), the exact sums it computed: pairs sent to
+    dists_to over the member count)."""
+    pairs = []
     real_dists_to = kernels.dists_to
 
     def counting(a, points):
-        rows.append(a)
+        pairs.append(len(points))
         return real_dists_to(a, points)
 
     monkeypatch.setattr(kernels, "dists_to", counting)
     got = medoid_local_index(x)
     monkeypatch.undo()
+    return got, sum(pairs) / len(x)
+
+
+def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
+    # the band's row sums bracket every sum within a relative 1e-12 or so, far
+    # tighter than the gaps between the sums of the rows nearest the centre,
+    # in 9-d as in 2-d, although 9-d distances concentrate
+    for d in (2, 9):
+        x = rng.normal(0.0, 1.0, size=(4000, d))
+        got, sums = exact_sums(monkeypatch, x)
+        assert got == exhaustive_medoid(x)
+        assert sums <= 10, d
+
+
+def one_hot_ids(rng, m):
+    """m members of a unique-ID column one-hot encoded, plus one numeric
+    column in [0, 1]: all pairs are about sqrt(2) apart, which defeats
+    triangle bounds."""
+    x = np.zeros((m, m + 1))
+    x[np.arange(m), np.arange(m)] = 1.0
+    x[:, m] = rng.random(m)
+    return x
+
+
+def test_medoid_of_equidistant_one_hot_rows_computes_few_exact_sums(rng, monkeypatch):
+    x = one_hot_ids(rng, 500)
+    got, sums = exact_sums(monkeypatch, x)
     assert got == exhaustive_medoid(x)
-    assert len(rows) < len(x) // 10
+    assert sums <= 10
+
+
+def test_medoid_of_a_wide_one_hot_cluster_stays_in_bounded_memory():
+    # 2000 members at d = 2001, a 30.5 MiB input: one full distance row
+    # allocates an m x d difference array, while the screen's tiles and exact
+    # batches hold at most TILE_BYTES each
+    growth = child_rss_growth_mib(
+        "import numpy as np\n"
+        "from cmla.kernels import medoid_local_index\n"
+        "m = 2000\n"
+        "x = np.zeros((m, m + 1))\n"
+        "x[np.arange(m), np.arange(m)] = 1.0\n"
+        "x[:, m] = np.random.default_rng(7).random(m)\n"
+        "medoid_local_index(x[:10].copy())",
+        "medoid_local_index(x)",
+    )
+    assert growth < 1.5 * 2000 * 2001 * 8 / 2**20
 
 
 def test_cross_min_distances_match_double_loop(rng):

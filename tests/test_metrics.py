@@ -55,6 +55,13 @@ def test_grid_spec_validation():
             grid_from_spec(bad, ())
 
 
+def test_grid_spec_point_count_is_bounded():
+    assert len(grid_from_spec("0:99999:1", ())) == 100_000
+    for bad in ("0:100000:1", "0:1e30:1e-30", "-1e308:1e308:1", "0:1:5e-324"):
+        with pytest.raises(ConfigError, match="at most 100000 points"):
+            grid_from_spec(bad, ())
+
+
 def test_grid_rejects_bad_threshold_arrays():
     with pytest.raises(ConfigError, match="non-empty"):
         ThresholdGrid(np.array([]))
