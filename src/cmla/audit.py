@@ -365,28 +365,32 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
     sc = harness.load_scenario(scenario_path)
     out = Path(out_dir)
     data_dir = out / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
-
-    rng = np.random.default_rng(sc.seed)
-    real = harness.make_real(sc.real, rng)
     real_path = data_dir / "real.csv"
-    tables.write_csv(real, real_path)
 
-    configs: dict[str, AuditConfig] = {}
-    for gen in sc.generators:
-        synth = harness.sample_synthetic(real, gen, rng)
-        sp = data_dir / f"{gen.label}.csv"
-        tables.write_csv(synth, sp)
-        configs[gen.label] = AuditConfig.from_settings(
+    # every audit setting, the grid spec included, fails before any table is written
+    configs = {
+        gen.label: AuditConfig.from_settings(
             sc.audit,
             "audit settings in scenario",
-            synthetic=str(sp),
+            synthetic=str(data_dir / f"{gen.label}.csv"),
             real=str(real_path),
             out=str(out / gen.label),
             seed=sc.seed,
             dataset_label=sc.name,
             generator_label=gen.label,
         )
+        for gen in sc.generators
+    }
+    first = next(iter(configs.values()))
+    metrics.grid_from_spec(first.grid, first.marks)
+
+    data_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(sc.seed)
+    real = harness.make_real(sc.real, rng)
+    tables.write_csv(real, real_path)
+    for gen in sc.generators:
+        synth = harness.sample_synthetic(real, gen, rng)
+        tables.write_csv(synth, configs[gen.label].synthetic)
 
     reports: dict[str, report_mod.LeakageReport] = {}
     for label, config in configs.items():
@@ -435,14 +439,14 @@ def _ordering_holds(
     reports: dict[str, report_mod.LeakageReport],
 ) -> bool:
     values = []
-    for label in ordering.labels:
+    for label in ordering.order:
         rpt = reports[label]
         if rpt.curves is None:
             raise OrderingError(f"generator {label!r} produced no curves to compare")
         i = rpt.grid.index_of(ordering.tau)
         values.append(float(rpt.curves.asr[i]))
     for (la, va), (lb, vb) in zip(
-        zip(ordering.labels, values), zip(ordering.labels[1:], values[1:])
+        zip(ordering.order, values), zip(ordering.order[1:], values[1:])
     ):
         if va < vb:
             log.info("ordering violated: asr(%s)=%.4f < asr(%s)=%.4f at tau=%g",
@@ -451,6 +455,6 @@ def _ordering_holds(
     log.info(
         "ordering holds at tau=%g: %s",
         ordering.tau,
-        " >= ".join(f"{lab}={val:.4f}" for lab, val in zip(ordering.labels, values)),
+        " >= ".join(f"{lab}={val:.4f}" for lab, val in zip(ordering.order, values)),
     )
     return True

@@ -18,16 +18,23 @@ scenario's 64-bit seed. Draw order is fixed: component assignments, then the
 numeric noise matrix, then one uniform array per categorical column in schema
 order; generators consume the stream in their listed order. Outputs are
 byte-identical for a given seed and numpy version.
+
+The dataclasses below are the scenario file's schema: documents.read maps
+its keys onto their fields, checks each value's JSON type against the type
+hints, and fills the field defaults. Every other check is in __post_init__,
+so a bad scenario fails when it is read, before any table is written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import documents
 from .errors import ConfigError, LoadError
 from .tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
 
@@ -39,36 +46,48 @@ class Component:
     """One mixture component: weight, per-numeric-column mean, isotropic
     sigma, and optional per-categorical-column value probabilities."""
 
-    weight: float
-    means: tuple[float, ...]
-    sigma: float
+    weight: float = 1.0
+    means: tuple[float, ...] = ()
+    sigma: float = 1.0
     categorical: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class RealRecipe:
     n_rows: int
-    numeric_names: tuple[str, ...]
-    categorical_vocab: tuple[tuple[str, tuple[str, ...]], ...]
-    components: tuple[Component, ...]
+    numeric_columns: tuple[str, ...] = ()
+    categorical_columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    components: tuple[Component, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_rows < 1:
             raise ConfigError("recipe needs n_rows >= 1")
         if not self.components:
             raise ConfigError("recipe needs at least one component")
+        for column, vocab in self.categorical_columns.items():
+            if not vocab:
+                raise ConfigError(f"categorical column {column!r} declares no categories")
         for comp in self.components:
-            if len(comp.means) != len(self.numeric_names):
-                raise ConfigError(
-                    f"component means {comp.means!r} do not cover the "
-                    f"{len(self.numeric_names)} numeric columns"
-                )
-            if comp.sigma < 0.0:
-                raise ConfigError("component sigma must be non-negative")
-            if comp.weight < 0.0:
-                raise ConfigError("component weights must be non-negative")
-        if sum(c.weight for c in self.components) <= 0.0:
-            raise ConfigError("component weights must not all be zero")
+            if len(comp.means) != len(self.numeric_columns):
+                raise ConfigError(f"component means {comp.means!r} do not cover the "
+                                  f"{len(self.numeric_columns)} numeric columns")
+            if not all(map(math.isfinite, comp.means)):
+                raise ConfigError(f"component means must be finite, got {comp.means!r}")
+            if not (0.0 <= comp.sigma < math.inf and 0.0 <= comp.weight < math.inf):
+                raise ConfigError("component sigma and weight must be finite and non-negative")
+            for column, probs in comp.categorical.items():
+                if column not in self.categorical_columns:
+                    raise ConfigError(f"component assigns probabilities to undeclared "
+                                      f"column {column!r}")
+                unknown = sorted(set(probs) - set(self.categorical_columns[column]))
+                if unknown:
+                    raise ConfigError(f"component assigns probabilities to unknown categories "
+                                      f"{unknown!r} of column {column!r}")
+                values = probs.values()
+                if not (all(0.0 <= p < math.inf for p in values) and 0.0 < sum(values) < math.inf):
+                    raise ConfigError(f"invalid probabilities for column {column!r}")
+        if not 0.0 < sum(c.weight for c in self.components) < math.inf:
+            raise ConfigError("component weights must not all be zero and must have a finite sum")
 
 
 @dataclass(frozen=True)
@@ -79,10 +98,15 @@ class GeneratorSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        # the label names the generator's table and report directory
+        if self.label in ("", ".", "..") or "/" in self.label or "\\" in self.label:
+            raise ConfigError(f"generator label {self.label!r} must be a plain file name")
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         if self.n_samples < 1:
             raise ConfigError("generator needs n_samples >= 1")
+        if not math.isfinite(self.sigma):
+            raise ConfigError(f"sigma must be finite, got {self.sigma!r}")
         if self.kind == "noised" and self.sigma <= 0.0:
             raise ConfigError("noised generator needs sigma > 0")
 
@@ -91,8 +115,14 @@ class GeneratorSpec:
 class ExpectedOrdering:
     """Declares that ASR at tau is non-increasing across the listed labels."""
 
-    tau: float
-    labels: tuple[str, ...]
+    order: tuple[str, ...]
+    tau: float = 0.1
+
+    def __post_init__(self) -> None:
+        if len(self.order) < 2:
+            raise ConfigError("the ordering needs at least two labels")
+        if not math.isfinite(self.tau):
+            raise ConfigError(f"tau must be finite, got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +131,28 @@ class HarnessScenario:
     seed: int
     real: RealRecipe
     generators: tuple[GeneratorSpec, ...]
-    audit: dict
+    audit: dict = field(default_factory=dict)
     expected_ordering: ExpectedOrdering | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be an unsigned 64-bit integer")
+        if not self.generators:
+            raise ConfigError("scenario declares no generators")
+        labels = [g.label for g in self.generators]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(f"duplicate generator label {label!r}")
+        if self.expected_ordering is not None:
+            missing = [lab for lab in self.expected_ordering.order if lab not in labels]
+            if missing:
+                raise ConfigError(f"expected_ordering names unknown generators {missing!r}")
 
 
 def _recipe_schema(recipe: RealRecipe) -> TableSchema:
-    specs = [ColumnSpec(name, NUMERIC) for name in recipe.numeric_names]
+    specs = [ColumnSpec(name, NUMERIC) for name in recipe.numeric_columns]
     specs.extend(
-        ColumnSpec(name, CATEGORICAL, vocab) for name, vocab in recipe.categorical_vocab
+        ColumnSpec(name, CATEGORICAL, vocab) for name, vocab in recipe.categorical_columns.items()
     )
     return TableSchema(tuple(specs))
 
@@ -126,7 +170,7 @@ def make_real(recipe: RealRecipe, rng: np.random.Generator) -> DataTable:
     comp = rng.choice(len(recipe.components), size=n, p=weights)
 
     columns: list[np.ndarray] = []
-    d = len(recipe.numeric_names)
+    d = len(recipe.numeric_columns)
     if d:
         z = rng.standard_normal((n, d))
         means = np.array([c.means for c in recipe.components], dtype=np.float64)
@@ -134,11 +178,12 @@ def make_real(recipe: RealRecipe, rng: np.random.Generator) -> DataTable:
         values = means[comp] + sigmas[comp][:, None] * z
         columns.extend(np.ascontiguousarray(values[:, j]) for j in range(d))
 
-    for name, vocab in recipe.categorical_vocab:
+    for name, vocab in recipe.categorical_columns.items():
         cum = np.empty((len(recipe.components), len(vocab)), dtype=np.float64)
         for k, c in enumerate(recipe.components):
-            probs = _component_probs(c, name, vocab)
-            cum[k] = np.cumsum(probs)
+            raw = c.categorical.get(name, dict.fromkeys(vocab, 1.0))
+            probs = np.array([raw.get(v, 0.0) for v in vocab], dtype=np.float64)
+            cum[k] = np.cumsum(probs / probs.sum())
             cum[k, -1] = 1.0
         u = rng.random(n)
         codes = (cum[comp] <= u[:, None]).sum(axis=1)
@@ -146,22 +191,6 @@ def make_real(recipe: RealRecipe, rng: np.random.Generator) -> DataTable:
         columns.append(codes)
 
     return DataTable(_recipe_schema(recipe), tuple(columns))
-
-
-def _component_probs(comp: Component, column: str, vocab: tuple[str, ...]) -> np.ndarray:
-    raw = comp.categorical.get(column)
-    if raw is None:
-        return np.full(len(vocab), 1.0 / len(vocab))
-    unknown = set(raw) - set(vocab)
-    if unknown:
-        raise ConfigError(
-            f"component assigns probabilities to unknown categories {sorted(unknown)!r} "
-            f"of column {column!r}"
-        )
-    probs = np.array([float(raw.get(v, 0.0)) for v in vocab], dtype=np.float64)
-    if np.any(probs < 0.0) or probs.sum() <= 0.0:
-        raise ConfigError(f"invalid probabilities for column {column!r}")
-    return probs / probs.sum()
 
 
 def sample_synthetic(
@@ -225,110 +254,5 @@ def load_scenario(path: str | Path) -> HarnessScenario:
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> HarnessScenario:
-    """Build a scenario from its JSON document. A missing, unknown or
-    malformed field anywhere in it is a ConfigError naming source."""
-    try:
-        return _scenario(doc, source)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
-        raise ConfigError(f"{source}: missing or malformed field: {e}") from None
-
-
-def _object(doc: object, where: str, known) -> dict:
-    """doc, checked to be a JSON object whose keys are all in known."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{where} must be an object")
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    return doc
-
-
-def _whole(value: object, where: str) -> int:
-    """An int, an integral float or an integer string, as the audit settings
-    take them; never a bool."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{where} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _scenario(doc: dict, source: str) -> HarnessScenario:
-    _object(doc, "the scenario",
-            ("name", "seed", "real", "generators", "audit", "expected_ordering"))
-    name = str(doc["name"])
-    seed = _whole(doc["seed"], "seed")
-    real_doc = _object(doc["real"], "real",
-                       ("n_rows", "numeric_columns", "categorical_columns", "components"))
-    gen_docs = doc["generators"]
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{source}: seed must be an unsigned 64-bit integer")
-
-    numeric_names = tuple(str(s) for s in real_doc.get("numeric_columns", ()))
-    cat_doc = real_doc.get("categorical_columns", {})
-    categorical_vocab = tuple(
-        (str(name), tuple(str(v) for v in vocab)) for name, vocab in cat_doc.items()
-    )
-    components = []
-    for i, c in enumerate(real_doc.get("components", ())):
-        where = f"real.components[{i}]"
-        _object(c, where, ("weight", "means", "sigma", "categorical"))
-        components.append(
-            Component(
-                weight=float(c.get("weight", 1.0)),
-                means=tuple(float(v) for v in c.get("means", ())),
-                sigma=float(c.get("sigma", 1.0)),
-                categorical={
-                    str(col): {str(k): float(v) for k, v in probs.items()}
-                    for col, probs in _object(
-                        c.get("categorical", {}), f"{where}.categorical", cat_doc
-                    ).items()
-                },
-            )
-        )
-    recipe = RealRecipe(
-        n_rows=_whole(real_doc.get("n_rows", 0), "real.n_rows"),
-        numeric_names=numeric_names,
-        categorical_vocab=categorical_vocab,
-        components=tuple(components),
-    )
-
-    generators = []
-    seen = set()
-    for i, g in enumerate(gen_docs):
-        where = f"generators[{i}]"
-        _object(g, where, ("label", "kind", "n_samples", "sigma"))
-        spec = GeneratorSpec(
-            label=str(g["label"]),
-            kind=str(g["kind"]),
-            n_samples=_whole(g["n_samples"], f"{where}.n_samples"),
-            sigma=float(g.get("sigma", 0.0)),
-        )
-        if spec.label in seen:
-            raise ConfigError(f"{source}: duplicate generator label {spec.label!r}")
-        seen.add(spec.label)
-        generators.append(spec)
-    if not generators:
-        raise ConfigError(f"{source}: scenario declares no generators")
-
-    ordering = None
-    if doc.get("expected_ordering") is not None:
-        o = _object(doc["expected_ordering"], "expected_ordering", ("tau", "order"))
-        labels = tuple(str(v) for v in o.get("order", ()))
-        missing = [lab for lab in labels if lab not in seen]
-        if missing:
-            raise ConfigError(f"{source}: expected_ordering names unknown generators {missing!r}")
-        if len(labels) < 2:
-            raise ConfigError(f"{source}: expected_ordering needs at least two labels")
-        ordering = ExpectedOrdering(tau=float(o.get("tau", 0.1)), labels=labels)
-
-    audit = doc.get("audit", {})
-    if not isinstance(audit, dict):
-        raise ConfigError(f"{source}: audit section must be an object")
-
-    return HarnessScenario(
-        name=name,
-        seed=seed,
-        real=recipe,
-        generators=tuple(generators),
-        audit=dict(audit),
-        expected_ordering=ordering,
-    )
+    """The scenario in doc, read by documents.read; every error starts with source."""
+    return documents.read(HarnessScenario, doc, "the scenario", f"{source}:")

@@ -5,6 +5,10 @@ precision (at least 6 significant digits, and lossless on reload), keys keep a
 fixed order, and no timestamp enters any emitted file, so rendering the same
 audit twice gives byte-identical output and render -> parse -> render is the
 identity on bytes.
+
+report_from_dict reads a document back with documents.read; the private
+dataclasses _Document and its sections, in report_to_dict's layout, are the
+schema.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, documents
 from .clustering import ClusterLabeling, MedoidSet
 from .errors import ConfigError, CurveError, LineageError
 from .metrics import (
@@ -130,41 +134,6 @@ def _section(obj) -> dict:
     return doc
 
 
-_KINDS = {"int": int, "float": (int, float), "str": str, "list": list, "object": dict}
-
-
-def _fits(value, annotation: str) -> bool:
-    """Whether a parsed JSON value fits a type annotation: a name in _KINDS,
-    list[...] of one, or either with | None. A bool is never a number."""
-    if annotation.endswith(" | None"):
-        return value is None or _fits(value, annotation.removesuffix(" | None"))
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(_fits(v, annotation[5:-1]) for v in value)
-    return isinstance(value, _KINDS[annotation]) and not isinstance(value, bool)
-
-
-def _checked(doc, name: str, spec: dict[str, str]) -> dict:
-    """doc, which must be a JSON object with exactly the keys of spec, each
-    value fitting the annotation spec gives it."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"report {name} must be a JSON object")
-    for key in doc:
-        if key not in spec:
-            raise ConfigError(f"report {name} has an unknown key {key!r}")
-    for key, annotation in spec.items():
-        if key not in doc:
-            raise ConfigError(f"report {name} is missing the key {key!r}")
-        if not _fits(doc[key], annotation):
-            raise ConfigError(f"report {name} has a malformed {key!r}: expected {annotation}")
-    return doc
-
-
-def _unsection(cls, doc, name: str):
-    """The dataclass cls from its JSON object, whose keys must be exactly
-    the fields of cls and whose values must fit their annotations."""
-    return cls(**_checked(doc, name, {f.name: f.type for f in fields(cls)}))
-
-
 def report_to_dict(report: LeakageReport) -> dict:
     doc: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -199,56 +168,64 @@ def report_to_dict(report: LeakageReport) -> dict:
     return doc
 
 
+@dataclass(frozen=True)
+class _Clustering:
+    n_clusters: int
+    cluster_sizes: list[int]
+    n_noise: int
+    n_core: int
+
+
+@dataclass(frozen=True)
+class _Grid:
+    taus: list[float]
+    marks: list[float]
+
+
+@dataclass(frozen=True)
+class _Curves:
+    asr: list[float]
+    coverage: list[float]
+
+
+@dataclass(frozen=True)
+class _Document:
+    schema_version: int
+    kind: str
+    meta: RunMeta
+    clustering: _Clustering
+    grid: _Grid
+    dmin_summary: DminSummary | None
+    curves: _Curves | None
+    reference_readouts: list[ReferenceReadout] | None
+    records: list[DistanceRecord] | None
+
+
 def report_from_dict(doc: dict) -> LeakageReport:
     if not isinstance(doc, dict) or doc.get("kind") != "leakage_report":
         raise ConfigError("not a leakage report document")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ConfigError(f"unsupported report schema_version {doc.get('schema_version')!r}")
-    _checked(doc, "document", {
-        "schema_version": "int", "kind": "str", "meta": "object", "clustering": "object",
-        "grid": "object", "dmin_summary": "object | None", "curves": "object | None",
-        "reference_readouts": "list | None", "records": "list | None",
-    })
-    grid_doc = _checked(doc["grid"], "grid", {"taus": "list[float]", "marks": "list[float]"})
-    grid = ThresholdGrid(np.asarray(grid_doc["taus"], dtype=np.float64), grid_doc["marks"])
-    summary = None
-    if doc["dmin_summary"] is not None:
-        summary = _unsection(DminSummary, doc["dmin_summary"], "dmin_summary")
+    d = documents.read(_Document, doc, "document", "report")
+    grid = ThresholdGrid(np.asarray(d.grid.taus, dtype=np.float64), d.grid.marks)
     curves = None
-    if doc["curves"] is not None:
-        curves_doc = _checked(doc["curves"], "curves",
-                              {"asr": "list[float]", "coverage": "list[float]"})
+    if d.curves is not None:
         curves = MetricCurves(
             taus=grid.taus.copy(),
-            asr=np.asarray(curves_doc["asr"], dtype=np.float64),
-            coverage=np.asarray(curves_doc["coverage"], dtype=np.float64),
+            asr=np.asarray(d.curves.asr, dtype=np.float64),
+            coverage=np.asarray(d.curves.coverage, dtype=np.float64),
         )
-    readouts = None
-    if doc["reference_readouts"] is not None:
-        readouts = [
-            _unsection(ReferenceReadout, r, f"reference_readouts[{i}]")
-            for i, r in enumerate(doc["reference_readouts"])
-        ]
-    records = None
-    if doc["records"] is not None:
-        records = [
-            _unsection(DistanceRecord, r, f"records[{i}]")
-            for i, r in enumerate(doc["records"])
-        ]
-    clustering = _checked(doc["clustering"], "clustering", {
-        "n_clusters": "int", "cluster_sizes": "list[int]", "n_noise": "int", "n_core": "int",
-    })
     return LeakageReport(
-        meta=_unsection(RunMeta, doc["meta"], "meta"),
-        n_clusters=clustering["n_clusters"],
-        cluster_sizes=list(clustering["cluster_sizes"]),
-        n_noise=clustering["n_noise"],
-        n_core=clustering["n_core"],
+        meta=d.meta,
+        n_clusters=d.clustering.n_clusters,
+        cluster_sizes=d.clustering.cluster_sizes,
+        n_noise=d.clustering.n_noise,
+        n_core=d.clustering.n_core,
         grid=grid,
-        dmin_summary=summary,
+        dmin_summary=d.dmin_summary,
         curves=curves,
-        readouts=readouts,
-        records=records,
+        readouts=d.reference_readouts,
+        records=d.records,
     )
 
 

@@ -259,22 +259,102 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys):
     def fractional_size(doc):
         doc["generators"][1]["n_samples"] = 2000.7
 
-    changes = (no_label, wordy_size, real_as_list, misspelled_ordering, sd_for_sigma,
-               fractional_size)
+    def text_columns(doc):
+        doc["real"]["numeric_columns"] = "xy"
+
+    def text_means(doc):
+        doc["real"]["components"][0]["means"] = "12"
+
+    def bool_sigma(doc):
+        doc["real"]["components"][0]["sigma"] = True
+
+    def text_weight(doc):
+        doc["real"]["components"][1]["weight"] = "2"
+
+    def number_name(doc):
+        doc["name"] = 5
+
+    def number_label(doc):
+        doc["generators"][0]["label"] = 7
+
+    def text_vocab(doc):
+        doc["real"]["categorical_columns"]["tag"] = "ab"
+
+    def text_order(doc):
+        doc["expected_ordering"]["order"] = "mn"
+
+    def bool_probability(doc):
+        doc["real"]["components"][0]["categorical"]["tag"]["a"] = True
+
+    def infinite_weight(doc):
+        doc["real"]["components"][0]["weight"] = float("inf")
+
+    def infinite_mean(doc):
+        doc["real"]["components"][1]["means"][0] = float("inf")
+
+    def nan_component_sigma(doc):
+        doc["real"]["components"][0]["sigma"] = float("nan")
+
+    def infinite_probability(doc):
+        doc["real"]["components"][1]["categorical"]["tag"]["b"] = float("inf")
+
+    def nan_noised_sigma(doc):
+        doc["generators"][1].update(kind="noised", sigma=float("nan"))
+
+    def nan_tau(doc):
+        doc["expected_ordering"]["tau"] = float("nan")
+
+    def empty_vocab(doc):
+        doc["real"]["categorical_columns"]["tag"] = []
+        for component in doc["real"]["components"]:
+            del component["categorical"]
+
     named = {
-        misspelled_ordering: "unknown key 'expected_orderng' in the scenario",
-        sd_for_sigma: "unknown key 'sd' in real.components[1]",
-        fractional_size: "generators[1].n_samples must be a whole number, got 2000.7",
+        no_label: "generators[0] is missing the key 'label'",
+        wordy_size: "generators[0] has a malformed 'n_samples': expected int",
+        real_as_list: "the scenario has a malformed 'real': expected object",
+        misspelled_ordering: "the scenario has an unknown key 'expected_orderng'",
+        sd_for_sigma: "real.components[1] has an unknown key 'sd'",
+        fractional_size: "generators[1] has a malformed 'n_samples': expected int",
+        text_columns: "real has a malformed 'numeric_columns'",
+        text_means: "real.components[0] has a malformed 'means'",
+        bool_sigma: "real.components[0] has a malformed 'sigma'",
+        text_weight: "real.components[1] has a malformed 'weight'",
+        number_name: "the scenario has a malformed 'name'",
+        number_label: "generators[0] has a malformed 'label'",
+        text_vocab: "real has a malformed 'categorical_columns'",
+        text_order: "expected_ordering has a malformed 'order'",
+        bool_probability: "real.components[0] has a malformed 'categorical'",
+        infinite_weight: "real: component sigma and weight must be finite and non-negative",
+        infinite_mean: "real: component means must be finite, got (inf, 0.0)",
+        nan_component_sigma: "real: component sigma and weight must be finite and non-negative",
+        infinite_probability: "real: invalid probabilities for column 'tag'",
+        nan_noised_sigma: "generators[1]: sigma must be finite, got nan",
+        nan_tau: "expected_ordering: tau must be finite, got nan",
+        empty_vocab: "real: categorical column 'tag' declares no categories",
     }
-    for i, change in enumerate(changes):
+    for i, change in enumerate(named):
         doc = scenario_doc(["memorizer", "independent"])
         change(doc)
         sp = tmp_path / f"scenario{i}.json"
         sp.write_text(json.dumps(doc))
         assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert f"cmla: {sp.name}: missing or malformed field: " in err, change.__name__
-        assert named.get(change, "") in err, change.__name__
+        assert f"cmla: {sp.name}: " in err, change.__name__
+        assert named[change] in err, change.__name__
+
+
+@pytest.mark.parametrize("label", ["..", ".", "a/b", "a\\b", ""])
+def test_generator_label_must_stay_inside_out(tmp_path, capsys, label):
+    doc = scenario_doc(["memorizer", "independent"])
+    doc["generators"][0]["label"] = label
+    doc["expected_ordering"] = None
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps(doc))
+    work = tmp_path / "work"
+    assert main(["scenario", str(sp), "--out", str(work / "run")]) == 2
+    assert f"generators[0]: generator label {label!r}" in capsys.readouterr().err
+    assert not work.exists()
 
 
 def test_scenario_ordering_violation_exits_1(tmp_path):
@@ -389,6 +469,7 @@ def test_malformed_settings_exit_2_naming_the_key(csv_pair, tmp_path, capsys, so
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         code = main(["scenario", str(path), "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run" / "data").exists()
     err = capsys.readouterr().err
     assert code == 2
     assert re.search(rf"^cmla: .*\b{key}\b", err, re.MULTILINE), err

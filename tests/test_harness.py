@@ -22,8 +22,8 @@ from conftest import DATA_DIR
 def two_blob_recipe(n_rows=200):
     return RealRecipe(
         n_rows=n_rows,
-        numeric_names=("x", "y"),
-        categorical_vocab=(("tag", ("a", "b")),),
+        numeric_columns=("x", "y"),
+        categorical_columns={"tag": ("a", "b")},
         components=(
             Component(weight=0.5, means=(-3.0, 0.0), sigma=0.2,
                       categorical={"tag": {"a": 1.0}}),
@@ -61,8 +61,8 @@ def test_make_real_respects_deterministic_categories():
 def test_make_real_component_weights_are_respected():
     recipe = RealRecipe(
         n_rows=4000,
-        numeric_names=("x",),
-        categorical_vocab=(),
+        numeric_columns=("x",),
+        categorical_columns={},
         components=(
             Component(weight=0.9, means=(0.0,), sigma=0.01),
             Component(weight=0.1, means=(10.0,), sigma=0.01),
@@ -76,8 +76,8 @@ def test_make_real_component_weights_are_respected():
 def test_uniform_marginal_when_component_omits_a_column():
     recipe = RealRecipe(
         n_rows=6000,
-        numeric_names=(),
-        categorical_vocab=(("c", ("u", "v", "w")),),
+        numeric_columns=(),
+        categorical_columns={"c": ("u", "v", "w")},
         components=(Component(weight=1.0, means=(), sigma=0.0),),
     )
     codes = make_real(recipe, np.random.default_rng(8)).column_array("c")
@@ -153,36 +153,45 @@ def test_generators_are_deterministic_per_seed():
 def test_recipe_validation():
     comp = Component(weight=1.0, means=(0.0,), sigma=1.0)
     with pytest.raises(ConfigError, match="n_rows"):
-        RealRecipe(0, ("x",), (), (comp,))
+        RealRecipe(0, ("x",), {}, (comp,))
     with pytest.raises(ConfigError, match="at least one component"):
-        RealRecipe(5, ("x",), (), ())
+        RealRecipe(5, ("x",), {}, ())
     with pytest.raises(ConfigError, match="do not cover"):
-        RealRecipe(5, ("x", "y"), (), (comp,))
+        RealRecipe(5, ("x", "y"), {}, (comp,))
     with pytest.raises(ConfigError, match="sigma"):
-        RealRecipe(5, ("x",), (), (Component(1.0, (0.0,), -1.0),))
+        RealRecipe(5, ("x",), {}, (Component(1.0, (0.0,), -1.0),))
     with pytest.raises(ConfigError, match="not all be zero"):
-        RealRecipe(5, ("x",), (), (Component(0.0, (0.0,), 1.0),))
+        RealRecipe(5, ("x",), {}, (Component(0.0, (0.0,), 1.0),))
+    with pytest.raises(ConfigError, match="means must be finite"):
+        RealRecipe(5, ("x",), {}, (Component(1.0, (float("nan"),), 1.0),))
+    with pytest.raises(ConfigError, match="weight must be finite"):
+        RealRecipe(5, ("x",), {}, (Component(float("inf"), (0.0,), 1.0),))
+    with pytest.raises(ConfigError, match="'c' declares no categories"):
+        RealRecipe(5, ("x",), {"c": ()}, (comp,))
 
 
 def test_component_probability_validation():
-    recipe = RealRecipe(
-        n_rows=5,
-        numeric_names=(),
-        categorical_vocab=(("c", ("u", "v")),),
-        components=(
-            Component(1.0, (), 0.0, categorical={"c": {"zzz": 1.0}}),
-        ),
-    )
     with pytest.raises(ConfigError, match="unknown categories"):
-        make_real(recipe, np.random.default_rng(0))
-    bad = RealRecipe(
-        n_rows=5,
-        numeric_names=(),
-        categorical_vocab=(("c", ("u", "v")),),
-        components=(Component(1.0, (), 0.0, categorical={"c": {"u": -1.0}}),),
-    )
+        RealRecipe(
+            n_rows=5,
+            numeric_columns=(),
+            categorical_columns={"c": ("u", "v")},
+            components=(
+                Component(1.0, (), 0.0, categorical={"c": {"zzz": 1.0}}),
+            ),
+        )
     with pytest.raises(ConfigError, match="invalid probabilities"):
-        make_real(bad, np.random.default_rng(0))
+        RealRecipe(
+            n_rows=5,
+            numeric_columns=(),
+            categorical_columns={"c": ("u", "v")},
+            components=(Component(1.0, (), 0.0, categorical={"c": {"u": -1.0}}),),
+        )
+    for probs in ({"u": float("inf")}, {"u": 0.0, "v": 0.0}, {}):
+        with pytest.raises(ConfigError, match="invalid probabilities"):
+            RealRecipe(5, (), {"c": ("u", "v")}, (Component(1.0, (), 0.0, {"c": probs}),))
+    with pytest.raises(ConfigError, match="undeclared column 'd'"):
+        RealRecipe(5, (), {"c": ("u", "v")}, (Component(1.0, (), 0.0, {"d": {"u": 1.0}}),))
 
 
 def test_generator_spec_validation():
@@ -192,6 +201,12 @@ def test_generator_spec_validation():
         GeneratorSpec(label="g", kind="memorizer", n_samples=0)
     with pytest.raises(ConfigError, match="sigma > 0"):
         GeneratorSpec(label="g", kind="noised", n_samples=10, sigma=0.0)
+    with pytest.raises(ConfigError, match="sigma must be finite"):
+        GeneratorSpec(label="g", kind="noised", n_samples=10, sigma=float("nan"))
+    for label in ("", ".", "..", "a/b", "a\\b", "/"):
+        with pytest.raises(ConfigError, match="must be a plain file name"):
+            GeneratorSpec(label=label, kind="memorizer", n_samples=10)
+    GeneratorSpec(label="..a", kind="memorizer", n_samples=10)
 
 
 def test_load_scenario_reads_the_bundled_file():
@@ -200,12 +215,12 @@ def test_load_scenario_reads_the_bundled_file():
     assert scn.name == "paired-modes"
     assert scn.seed == 20240817
     assert scn.real.n_rows == 2000
-    assert scn.real.numeric_names == ("x0",)
+    assert scn.real.numeric_columns == ("x0",)
     assert [g.label for g in scn.generators] == ["memorizer", "noised", "independent"]
     assert scn.generators[1].sigma == 0.5
     assert scn.audit["min_samples"] == 100
     assert scn.expected_ordering.tau == 0.1
-    assert scn.expected_ordering.labels == ("memorizer", "noised", "independent")
+    assert scn.expected_ordering.order == ("memorizer", "noised", "independent")
 
 
 def test_load_scenario_missing_file_and_bad_json(tmp_path):
@@ -235,7 +250,7 @@ def minimal_doc():
 def test_scenario_from_dict_validation():
     doc = minimal_doc()
     del doc["seed"]
-    with pytest.raises(ConfigError, match="missing or malformed"):
+    with pytest.raises(ConfigError, match="is missing the key 'seed'"):
         scenario_from_dict(doc)
 
     doc = minimal_doc()
@@ -265,5 +280,5 @@ def test_scenario_from_dict_validation():
 
     doc = minimal_doc()
     doc["audit"] = ["eps"]
-    with pytest.raises(ConfigError, match="audit section"):
+    with pytest.raises(ConfigError, match="has a malformed 'audit'"):
         scenario_from_dict(doc)
