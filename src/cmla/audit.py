@@ -15,14 +15,13 @@ import json
 import logging
 import math
 import time
-from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import clustering, encoding, harness, metrics, report as report_mod, tables
+from . import clustering, documents, encoding, harness, metrics, report as report_mod, tables
 from .errors import CmlaError, ConfigError, OrderingError, StageError
 
 log = logging.getLogger("cmla")
@@ -76,88 +75,18 @@ class AuditConfig:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
     @classmethod
-    def from_settings(
-        cls, settings: Mapping[str, object], source: str = "settings", **fixed: object
-    ) -> AuditConfig:
-        """Parse settings keyed by field name, as JSON or the command line
-        gives them, over the field defaults; a None value keeps the default.
-
-        fixed holds the settings the caller supplies itself: settings may not
-        name them, and any key that is not a field is reported as an unknown
-        key of source. A malformed value raises ConfigError naming its key.
+    def read(cls, settings: dict, prefix: str, where: str, **fixed: object) -> AuditConfig:
+        """The config from settings keyed by field name, read by documents.read
+        as a JSON object over the field defaults: a None value and eps "auto"
+        keep the default. fixed holds the settings the caller supplies itself,
+        which settings may not name. Errors start with prefix and name where.
         """
-        settable = {f.name for f in fields(cls)} - fixed.keys()
-        unknown = sorted(set(settings) - settable)
-        if unknown:
-            raise ConfigError(f"unknown {source}: {unknown!r}")
-        given = {**settings, **fixed}
-        values = {}
-        for f in fields(cls):
-            value = given.get(f.name)
-            if value is not None:
-                values[f.name] = _PARSERS[f.type.removesuffix(" | None")](f.name, value)
-            elif f.default is MISSING:
-                raise ConfigError(f"{f.name} is required")
-        return cls(**values)
-
-
-def _text(key: str, value: object) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _integer(key: str, value: object) -> int:
-    """An int, an integral float or an integer string; never a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
-
-
-def _flag(key: str, value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _as_float(value: object) -> float | None:
-    """A number or numeric string as a float, anything else (bools too) None."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    return None
-
-
-def _eps(key: str, value: object) -> float | None:
-    number = _as_float(value)
-    if number is None and value != "auto":
-        raise ConfigError(f"{key} must be a number or 'auto', got {value!r}")
-    return number
-
-
-def _marks(key: str, value: object) -> tuple[float, ...]:
-    """A list of numbers, or the comma-separated string --mark takes."""
-    items = value.split(",") if isinstance(value, str) else value
-    marks = [_as_float(v) for v in items] if isinstance(items, (list, tuple)) else [None]
-    if None in marks:
-        raise ConfigError(f"{key} must be numbers, as a list or comma-separated, got {value!r}")
-    return tuple(marks)
-
-
-# parser per field annotation; eps is the only float setting
-_PARSERS = {"str": _text, "int": _integer, "bool": _flag, "float": _eps,
-            "tuple[float, ...]": _marks}
+        taken = sorted(settings.keys() & fixed.keys())
+        if taken:
+            raise ConfigError(f"{prefix} {where} may not set {taken[0]!r}")
+        given = {k: v for k, v in settings.items()
+                 if v is not None and not (k == "eps" and v == "auto")}
+        return documents.read(cls, {**given, **fixed}, where, prefix)
 
 
 @dataclass(eq=False)
@@ -320,20 +249,20 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
         problems.append("serialization: document is not canonical")
 
     m = rpt.meta
-    config = AuditConfig.from_settings({
-        "synthetic": m.synthetic_path,
-        "real": m.real_path,
-        "eps": "auto" if m.eps_mode == "auto" else m.eps,
-        "min_samples": m.min_samples,
-        "scale": m.scale,
-        "pca": m.pca_dim,
-        "marks": rpt.grid.marks,
-        "metric": m.metric,
-        "seed": m.seed,
-        "records": rpt.records is not None,
-        "dataset_label": m.dataset_label,
-        "generator_label": m.generator_label,
-    })
+    config = AuditConfig(
+        synthetic=m.synthetic_path,
+        real=m.real_path,
+        eps=None if m.eps_mode == "auto" else m.eps,
+        min_samples=m.min_samples,
+        scale=m.scale,
+        pca=m.pca_dim,
+        marks=rpt.grid.marks,
+        metric=m.metric,
+        seed=m.seed,
+        records=rpt.records is not None,
+        dataset_label=m.dataset_label,
+        generator_label=m.generator_label,
+    )
     grid = metrics.ThresholdGrid(
         np.asarray(rpt.grid.taus, dtype=np.float64).copy(), rpt.grid.marks
     )
@@ -367,11 +296,13 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
     data_dir = out / "data"
     real_path = data_dir / "real.csv"
 
-    # every audit setting, the grid spec included, fails before any table is written
+    # every audit setting, the grid spec and the ordering's tau fail before any table
+    source = Path(scenario_path).name
     configs = {
-        gen.label: AuditConfig.from_settings(
+        gen.label: AuditConfig.read(
             sc.audit,
-            "audit settings in scenario",
+            f"{source}:",
+            "the audit section",
             synthetic=str(data_dir / f"{gen.label}.csv"),
             real=str(real_path),
             out=str(out / gen.label),
@@ -382,7 +313,12 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         for gen in sc.generators
     }
     first = next(iter(configs.values()))
-    metrics.grid_from_spec(first.grid, first.marks)
+    grid = metrics.grid_from_spec(first.grid, first.marks)
+    if sc.expected_ordering is not None:
+        try:
+            grid.index_of(sc.expected_ordering.tau)
+        except ConfigError as e:
+            raise ConfigError(f"{source}: expected_ordering.tau: {e}") from None
 
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(sc.seed)

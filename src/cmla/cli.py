@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 failed verification or violated scenario ordering,
 2 bad input or configuration (a malformed CSV reports the loading stage that
 rejected it). Config precedence: flags override --config file values, which
 override the built-in defaults. A --config file is a JSON object keyed by the
-audit settings' names (the flag names with underscores, and marks for --mark).
+audit settings' names (the flag names with underscores, and marks for --mark),
+read with exact JSON types like a scenario's audit section; null keeps the
+default. argparse converts the flags, and --mark takes a comma list.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--synthetic", help="synthetic table CSV")
     p_audit.add_argument("--real", help="real table CSV (optional)")
     p_audit.add_argument("--out", help="output directory")
-    p_audit.add_argument("--eps", help="DBSCAN radius, a number or 'auto'")
+    p_audit.add_argument("--eps", type=_eps_arg, help="DBSCAN radius, a number or 'auto'")
     p_audit.add_argument("--min-samples", type=int, dest="min_samples")
     p_audit.add_argument("--scale", choices=["minmax", "zscore"])
     p_audit.add_argument("--pca", type=int, help="project to this many dimensions")
     p_audit.add_argument("--grid", help="threshold grid as start:stop:step")
-    p_audit.add_argument("--mark", dest="marks", help="reference thresholds, comma separated")
+    p_audit.add_argument("--mark", dest="marks", type=_marks_arg,
+                         help="reference thresholds, comma separated")
     p_audit.add_argument("--metric", choices=["euclidean", "gower"])
     p_audit.add_argument("--seed", type=int, help="seed recorded in the report")
     p_audit.add_argument("--records", action="store_true", default=None,
@@ -72,6 +75,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+def _eps_arg(text: str) -> float | str:
+    return text if text == "auto" else _number(text)
+
+
+def _marks_arg(text: str) -> list[float]:
+    """--mark's comma list as the JSON list a marks setting is."""
+    return [_number(v) for v in text.split(",")]
+
+
 def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
     """The --config file's settings with the given flags over them."""
     settings: dict = {}
@@ -81,14 +100,14 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
             raise ConfigError(f"no such config file: {p}")
         try:
             settings = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"{p.name}: invalid JSON: {e}") from None
         if not isinstance(settings, dict):
             raise ConfigError(f"{p.name}: config must be a JSON object")
     for f in fields(audit.AuditConfig):
         if getattr(args, f.name) is not None:
             settings[f.name] = getattr(args, f.name)
-    return audit.AuditConfig.from_settings(settings, "config keys")
+    return audit.AuditConfig.read(settings, "audit:", "the configuration")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -64,6 +64,10 @@ class RealRecipe:
             raise ConfigError("recipe needs n_rows >= 1")
         if not self.components:
             raise ConfigError("recipe needs at least one component")
+        names = [*self.numeric_columns, *self.categorical_columns]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"column {name!r} is declared twice")
         for column, vocab in self.categorical_columns.items():
             if not vocab:
                 raise ConfigError(f"categorical column {column!r} declares no categories")
@@ -248,7 +252,7 @@ def load_scenario(path: str | Path) -> HarnessScenario:
         raise LoadError(f"no such file: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise LoadError(f"{p.name}: invalid JSON: {e}") from None
     return scenario_from_dict(doc, source=p.name)
 

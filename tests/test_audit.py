@@ -277,7 +277,7 @@ def test_run_scenario_rejects_unknown_audit_settings(tmp_path):
     doc["audit"]["verbosity"] = 3
     sp = tmp_path / "scenario.json"
     sp.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unknown audit settings"):
+    with pytest.raises(ConfigError, match="the audit section has an unknown key 'verbosity'"):
         run_scenario(sp, tmp_path / "run")
 
 

@@ -111,7 +111,7 @@ def test_eps_flag_accepts_auto_and_rejects_junk(csv_pair):
     assert proc.returncode == 0
     proc = run_cli("audit", "--synthetic", synth, "--eps", "wide")
     assert proc.returncode == 2
-    assert "cmla: eps must be a number or 'auto', got 'wide'" in proc.stderr
+    assert "argument --eps: 'wide' is not a number" in proc.stderr
 
 
 def test_verify_subcommand_detects_tampering(csv_pair, tmp_path):
@@ -357,6 +357,24 @@ def test_generator_label_must_stay_inside_out(tmp_path, capsys, label):
     assert not work.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["expected_ordering"].update(tau=0.123),
+     "expected_ordering.tau: threshold 0.123 is not on the grid"),
+    (lambda doc: doc["audit"].update(seed=7), "the audit section may not set 'seed'"),
+    (lambda doc: doc["audit"].update(out="elsewhere"), "the audit section may not set 'out'"),
+    (lambda doc: doc["real"]["numeric_columns"].append("tag"),
+     "real: column 'tag' is declared twice"),
+])
+def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, message):
+    doc = scenario_doc(["memorizer", "independent"])
+    change(doc)
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps(doc))
+    assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 2
+    assert f"cmla: scenario.json: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "data").exists()
+
+
 def test_scenario_ordering_violation_exits_1(tmp_path):
     sp = tmp_path / "scenario.json"
     sp.write_text(json.dumps(scenario_doc(["independent", "memorizer"])))
@@ -420,13 +438,21 @@ def test_unknown_config_key_exits_2(csv_pair, tmp_path, capsys):
     cfg.write_text(json.dumps({"verbose": True}))
     code = main(["audit", "--synthetic", str(synth), "--config", str(cfg)])
     assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "has an unknown key 'verbose'" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_2(csv_pair, tmp_path, capsys):
+    synth, _ = csv_pair
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"scale": "\xff"}')
+    assert main(["audit", "--synthetic", str(synth), "--config", str(cfg)]) == 2
+    assert "cmla: config.json: invalid JSON" in capsys.readouterr().err
 
 
 def test_missing_synthetic_everywhere_exits_2(capsys):
     code = main(["audit", "--eps", "0.1"])
     assert code == 2
-    assert "cmla: synthetic is required" in capsys.readouterr().err
+    assert "is missing the key 'synthetic'" in capsys.readouterr().err
 
 
 # Each malformed setting with the key its message must name. "mark" is the
@@ -452,6 +478,11 @@ BAD_SETTINGS = [
     ({"grid": "0:inf:0.1"}, "grid"),
     ({"grid": "0:1e30:1e-30"}, "grid"),
     ({"grid": "0:1e6:1"}, "grid"),
+    ({"min_samples": "5"}, "min_samples"),
+    ({"min_samples": 5.0}, "min_samples"),
+    ({"eps": "0.05"}, "eps"),
+    ({"seed": "7"}, "seed"),
+    ({"marks": "0.1,0.5"}, "marks"),
 ]
 
 
@@ -528,7 +559,7 @@ def test_flags_config_file_and_scenario_section_agree(csv_pair, tmp_path, monkey
         "audit", "--synthetic", str(synth), "--config", str(cfg),
     ])
     doc = scenario_doc(["memorizer", "independent"])
-    doc["audit"] = {**settings, "marks": "0.1,0.5"}
+    doc["audit"] = settings
     sp = tmp_path / "scenario.json"
     sp.write_text(json.dumps(doc))
     from_scenario = recorded_config(monkeypatch, [

@@ -230,6 +230,10 @@ def test_load_scenario_missing_file_and_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(LoadError, match="invalid JSON"):
         load_scenario(p)
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(LoadError, match="latin1.json: invalid JSON"):
+        load_scenario(p)
 
 
 def minimal_doc():
@@ -276,6 +280,17 @@ def test_scenario_from_dict_validation():
     doc = minimal_doc()
     doc["expected_ordering"] = {"tau": 0.1, "order": ["m"]}
     with pytest.raises(ConfigError, match="at least two labels"):
+        scenario_from_dict(doc)
+
+    doc = minimal_doc()
+    doc["real"]["categorical_columns"] = {"x": ["a", "b"]}
+    with pytest.raises(ConfigError, match="real: column 'x' is declared twice"):
+        scenario_from_dict(doc)
+
+    doc = minimal_doc()
+    doc["real"]["numeric_columns"] = ["x", "x"]
+    doc["real"]["components"][0]["means"] = [0.0, 0.0]
+    with pytest.raises(ConfigError, match="real: column 'x' is declared twice"):
         scenario_from_dict(doc)
 
     doc = minimal_doc()
