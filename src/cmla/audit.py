@@ -86,6 +86,9 @@ class AuditConfig:
             raise ConfigError(f"{prefix} {where} may not set {taken[0]!r}")
         given = {k: v for k, v in settings.items()
                  if v is not None and not (k == "eps" and v == "auto")}
+        if type(given.get("eps", 0.0)) not in (int, float):
+            raise ConfigError(f"{prefix} {where} has a malformed 'eps': "
+                              'expected float | "auto" | None')
         return documents.read(cls, {**given, **fixed}, where, prefix)
 
 
@@ -313,7 +316,10 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         for gen in sc.generators
     }
     first = next(iter(configs.values()))
-    grid = metrics.grid_from_spec(first.grid, first.marks)
+    try:
+        grid = metrics.grid_from_spec(first.grid, first.marks)
+    except ConfigError as e:
+        raise ConfigError(f"{source}: the audit section: {e}") from None
     if sc.expected_ordering is not None:
         try:
             grid.index_of(sc.expected_ordering.tau)

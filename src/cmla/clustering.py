@@ -10,20 +10,26 @@ which is the order of each cluster's lowest core row. All distances are
 euclidean on encoded vectors. eps and min_samples arrive resolved and checked
 by audit.AuditConfig; this module keeps no defaults of its own.
 
+Rows with equal bytes are clustered once (kernels.distinct_rows), in order
+of first occurrence and weighted by their count: a distinct row is core iff
+its neighbours' weights sum to at least min_samples, as in scikit-learn's
+DBSCAN(sample_weight=) (Pedregosa et al., JMLR 2011). Labels and the core
+mask go back to every copy.
+
 Two streaming passes over kernels' hit blocks, and no neighbour list is
-stored whole. Pass 1 keeps each row's min_samples lowest-index neighbours: a
-row is core iff its list is full, and a non-core row's list is complete.
-Pass 2 takes the connected components of the eps-graph on the core rows
-(kernels.eps_components, a union-find whose roots are the lowest rows), which
-are the clusters' cores (Patwary et al., SC 2012; Schubert et al., TODS
-2017). A border point takes the label of the first core entry of its
-ascending list. Memory is O(n * min_samples) neighbour entries plus one
-tile.
+stored whole. Pass 1 keeps each distinct row's min_samples lowest-index
+neighbours: every weight is at least one, so a full list is core, and a
+shorter list is complete, so its weight sum is exact. Pass 2 takes the
+components of the eps-graph on the core rows (kernels.eps_components, a
+union-find whose roots are the lowest rows), which are the clusters' cores
+(Patwary et al., SC 2012; Schubert et al., TODS 2017). A border point takes
+the label of the first core entry of its ascending list. Memory is
+O(n_distinct * min_samples) neighbour entries plus one tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
-cluster, ties to the lowest row id; kernels.medoid_local_index computes the
-exact sum only for rows whose lower bound, from the tile engine's band, does
-not rule them out.
+cluster, ties to the lowest row id; kernels.medoid_local_index weighs each
+distinct member by its count and computes the exact sum only for rows whose
+lower bound, from the tile engine's band, does not rule them out.
 """
 
 from __future__ import annotations
@@ -99,20 +105,21 @@ def auto_eps(matrix: EncodedMatrix, min_samples: int) -> float:
 def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> ClusterLabeling:
     """Label the rows at radius eps, or at auto_eps when eps is None."""
     x = matrix.vectors
-    n = len(x)
-    if n == 0:
+    if len(x) == 0:
         raise ConfigError("cannot cluster an empty matrix")
     if eps is None:
         eps = auto_eps(matrix, min_samples)
 
-    # a row is core iff it has at least min_samples neighbours; a non-core row's
-    # list is complete, so lists cut to min_samples are all DBSCAN needs
-    neighbors = kernels.neighbor_lists(x, eps, min_samples)
-    core = np.fromiter(map(len, neighbors), dtype=np.int64, count=n) >= min_samples
-    labels = np.full(n, NOISE, dtype=np.int32)
+    first, inverse, weight = kernels.distinct_rows(x)
+    xd = x[first]
+    neighbors = kernels.neighbor_lists(xd, eps, min_samples)
+    core = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(xd)) >= min_samples
+    for i in np.flatnonzero(~core).tolist():
+        core[i] = weight[neighbors[i]].sum() >= min_samples
+    labels = np.full(len(xd), NOISE, dtype=np.int32)
     core_rows = np.flatnonzero(core)
     # components of the core graph, numbered by their lowest row
-    roots, ids = np.unique(kernels.eps_components(x[core_rows], eps), return_inverse=True)
+    roots, ids = np.unique(kernels.eps_components(xd[core_rows], eps), return_inverse=True)
     labels[core_rows] = ids
 
     # Border points: non-core within eps of a core point. Neighbor lists are
@@ -124,8 +131,8 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
             labels[i] = labels[hit[0]]
 
     return ClusterLabeling(
-        labels=labels,
-        core_mask=core,
+        labels=labels[inverse],
+        core_mask=core[inverse],
         n_clusters=len(roots),
         eps=eps,
         model_hash=matrix.model_hash,

@@ -19,10 +19,13 @@ pairs, then that exact comparison for the rest.
   limit) keeps at most limit of each row's lowest neighbours, and
   eps_components unions the hits into connected components; each streams
   the blocks once.
-- The medoid kernel screens rows with the same tiles: the row sums of
-  fl(sqrt(U)) bound each row's exact (fsum) distance sum from above and, less
-  m*sqrt(spread), from below. Only rows whose lower bound reaches the least
-  upper bound get an exact sum.
+- Rows with equal bytes give equal distances, so distinct_rows merges them
+  where the work scales with their count: clustering.dbscan and
+  medoid_local_index run on distinct rows weighted by their counts. The
+  medoid kernel screens them with the same tiles: the weighted row sums
+  fl(sqrt(U)) . weight bound each row's exact (fsum) distance sum over the
+  m = sum(weight) members from above and, less m*sqrt(spread), from below.
+  Only rows whose lower bound reaches the least upper bound get an exact sum.
 
 The band. Write u = 2^-53, d for the dimension and, for stored rows a and b,
 A = |a|^2, B = |b|^2, P = a.b and D^2 = |a - b|^2 = A + B - 2P in exact
@@ -131,6 +134,25 @@ def dists_to(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     between the paired rows of two matrices of the same shape."""
     diff = points - a
     return np.sqrt((diff * diff).sum(axis=1))
+
+
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, inverse, weight): each distinct row's first index, ascending;
+    each row's distinct index; each distinct row's count. Rows are compared
+    by their bytes, so 0.0 and -0.0 differ and equal NaNs match."""
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    # np.unique would copy the keys twice: compare sorted neighbours in batches
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(keys), dtype=bool)
+    step = max(1, TILE_BYTES // keys.itemsize)
+    for lo in range(1, len(keys), step):
+        hi = min(lo + step, len(keys))
+        new[lo:hi] = keys[order[lo:hi]] != keys[order[lo - 1 : hi - 1]]
+    starts = np.flatnonzero(new)
+    by_first = np.argsort(order[starts])
+    inverse = np.argsort(by_first)[np.cumsum(new) - 1][np.argsort(order)]
+    return order[starts[by_first]], inverse, np.diff(starts, append=len(keys))[by_first]
 
 
 def _row_ranges(n: int, workers: int) -> list[tuple[int, int]]:
@@ -410,17 +432,20 @@ def medoid_local_index(members: np.ndarray) -> int:
     """Index of the member minimizing the sum of distances to all members.
 
     Ties resolve to the lowest index, which is the lowest row id when callers
-    pass members in ascending row order. The per-row sums are exact (fsum):
-    duplicated rows produce the same distance multiset in different orders,
-    and a naive float sum can rank such exact ties either way.
+    pass members in ascending row order. Duplicate members are merged
+    (distinct_rows), each weighted by its count; m = sum(weight). A row's sum
+    is exact: the fsum of its distances each repeated weight times, the
+    multiset of its sum over all members, so rows whose sums tie exactly
+    rank as equal, which a naive float sum could order either way.
 
     Only rows that the tile engine's band cannot rule out get an exact sum.
-    Each pair of row i has U - spread/2 <= s <= U (module docstring), so with
-    r = fl(sqrt(U)) its distance fl(sqrt(s)) is at most r and at least
-    (1 - 2u)r - sqrt(spread/2). The float row sum T of the r is within
-    gamma_{m-1} of their exact sum, and fsum rounds once, so the row's sum
-    S(i) lies between T(1 - (m + 2)u) - m*sqrt(spread/2) and T(1 + (m + 2)u)
-    to first order. The screen widens these to T(1 + w) and
+    Each pair of distinct row i has U - spread/2 <= s <= U (module docstring),
+    so with r = fl(sqrt(U)) its distance fl(sqrt(s)) is at most r and at least
+    (1 - 2u)r - sqrt(spread/2). T = fl(r . weight), an inner product of at
+    most m nonnegative terms whose integer weights are exact floats summing
+    to m, is within gamma_m of its exact value, and fsum rounds once, so the
+    row's sum S(i) lies between T(1 - (m + 3)u) - m*sqrt(spread/2) and
+    T(1 + (m + 3)u) to first order. The screen widens these to T(1 + w) and
     T(1 - w) - m*sqrt(spread) with w = 4(m + 2)u: the factor four and the
     sqrt(2) on the spread term cover the higher-order terms and the rounding
     of the bounds themselves for any m*u < 2^-10. A row whose lower bound
@@ -428,22 +453,24 @@ def medoid_local_index(members: np.ndarray) -> int:
     row gets its exact sum, so each row attaining the minimum is computed. A
     NaN bound rules nothing out.
     """
-    m = len(members)
+    first, _, weight = distinct_rows(members)
+    xd = members if len(first) == len(members) else members[first]
+    md, m = len(xd), int(weight.sum())
     w = 4 * (m + 2) * _U
-    upper_sum = np.empty(m)
-    lower_sum = np.empty(m)
+    upper_sum = np.empty(md)
+    lower_sum = np.empty(md)
     # one thread: measured on 2 vCPUs, the row pool slowed every benchmark
     # cluster (5x on sparse-auto-eps's ~400-row clusters), since its workers
     # trade the GIL between short tile steps
-    for i0, upper, spread in _bracket_tiles(members, members)(0, m):
-        t = np.sqrt(upper, out=upper).sum(axis=1)
+    for i0, upper, spread in _bracket_tiles(xd, xd)(0, md):
+        t = np.sqrt(upper, out=upper) @ weight
         upper_sum[i0 : i0 + len(t)] = t * (1 + w)
         lower_sum[i0 : i0 + len(t)] = t * (1 - w) - m * np.sqrt(spread)
-    sums = np.full(m, np.inf)
-    ids = np.arange(m)
+    sums = np.full(md, np.inf)
+    ids = np.arange(md)
     for i in np.flatnonzero(~(lower_sum > np.fmin.reduce(upper_sum))).tolist():
-        sums[i] = math.fsum(_exact_dists(members, np.full(m, i), members, ids))
-    return int(np.argmin(sums))
+        sums[i] = math.fsum(np.repeat(_exact_dists(xd, np.full(md, i), xd, ids), weight))
+    return int(first[np.argmin(sums)])
 
 
 def cross_min_distances(

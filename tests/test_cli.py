@@ -506,6 +506,40 @@ def test_malformed_settings_exit_2_naming_the_key(csv_pair, tmp_path, capsys, so
     assert re.search(rf"^cmla: .*\b{key}\b", err, re.MULTILINE), err
 
 
+@pytest.mark.parametrize("source", ["config", "scenario"])
+@pytest.mark.parametrize("bad", ["0.05", True, [0.05]])
+def test_malformed_eps_message_names_auto(csv_pair, tmp_path, capsys, source, bad):
+    synth, _ = csv_pair
+    if source == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"eps": bad}))
+        code = main(["audit", "--synthetic", str(synth), "--config", str(path)])
+        where = "audit: the configuration"
+    else:
+        doc = scenario_doc(["memorizer", "independent"])
+        doc["audit"]["eps"] = bad
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["scenario", str(path), "--out", str(tmp_path / "run")])
+        where = "scenario.json: the audit section"
+    assert code == 2
+    want = f"""cmla: {where} has a malformed 'eps': expected float | "auto" | None\n"""
+    assert capsys.readouterr().err == want
+
+
+def test_scenario_grid_fault_names_the_file_and_the_audit_section(tmp_path, capsys):
+    doc = scenario_doc(["memorizer", "independent"])
+    doc["audit"]["grid"] = "0:inf:0.1"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code = main(["scenario", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "cmla: scenario.json: the audit section: grid spec must be finite, got '0:inf:0.1'\n"
+    )
+    assert not (tmp_path / "run" / "data").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "0"), ("--eps", "inf"), ("--min-samples", "0"), ("--grid", "nan:1:0.1"),
 ])

@@ -63,14 +63,45 @@ def test_labels_match_the_graph_reference_on_long_duplicate_heavy_chains(rng):
     assert border.any() and got.noise_count > 0
 
 
+def every_row_repeated(rng, x):
+    """x with each row repeated 2 to 5 times, in shuffled order."""
+    x = np.repeat(x, rng.integers(2, 6, size=len(x)), axis=0)
+    return np.ascontiguousarray(x[rng.permutation(len(x))])
+
+
+def weight_alone_case(rng, min_samples):
+    """A scattered cloud, one far row repeated min_samples times (core by its
+    copies alone) and another repeated min_samples - 1 times (noise)."""
+    cloud = rng.uniform(0.0, 100.0, size=(40, 2))
+    x = np.vstack([cloud, [[500.0, 500.0]] * min_samples, [[-500.0, 0.0]] * (min_samples - 1)])
+    return np.ascontiguousarray(x[rng.permutation(len(x))])
+
+
+def signed_zeros(rng):
+    """Rows whose coordinates are 0.0, -0.0 or 1.0: rows that differ only in
+    the sign of a zero are different bytes at distance 0."""
+    return rng.choice([0.0, -0.0, 1.0], size=(60, 3))
+
+
+def duplicate_cases(rng):
+    """(x, eps, min_samples) inputs where rows repeat, clustered on their
+    distinct rows."""
+    cloud = clustered_cloud(rng, 150, 2)
+    duplicates = np.vstack([cloud, cloud[rng.integers(0, 150, size=300)]])
+    return {
+        "duplicates": (duplicates[rng.permutation(450)], 0.4, 5),
+        "every row 2-5x": (every_row_repeated(rng, clustered_cloud(rng, 80, 2)), 0.4, 6),
+        "core by weight alone": (weight_alone_case(rng, 7), 1.0, 7),
+        "signed zeros": (signed_zeros(rng), 0.5, 4),
+        "identical rows": (np.zeros((30, 3)), 0.5, 7),
+    }
+
+
 def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, monkeypatch):
     # neighbour lists are cut to min_samples and clusters are components of
     # the core graph; neither may depend on threads, tile size or the grid
-    cloud = clustered_cloud(rng, 150, 2)
-    duplicates = np.vstack([cloud, cloud[rng.integers(0, 150, size=300)]])
     cases = {
-        "duplicates": (duplicates[rng.permutation(450)], 0.4, 5),
-        "identical rows": (np.zeros((30, 3)), 0.5, 7),
+        **duplicate_cases(rng),
         "chains": (duplicate_heavy_chains(rng), 1.0, 6),
         "min_samples 1": (clustered_cloud(rng, 200, 2, duplicates=0.1), 0.3, 1),
         "min_samples above n": (clustered_cloud(rng, 50, 2), 5.0, 51),
@@ -95,6 +126,30 @@ def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, mo
             np.testing.assert_array_equal(got.core_mask, want_core, err_msg=where)
             assert got.n_clusters == int(want_labels.max()) + 1, where
     assert cluster(cases["single blob"][0], eps=10.0, min_samples=5).n_clusters == 1
+
+
+def test_medoids_of_duplicated_rows_match_the_exhaustive_reference(rng, monkeypatch):
+    # the medoid kernel sums each distinct row once, weighted by its copies
+    settings = (("1", kernels.TILE_BYTES), ("5", kernels.TILE_BYTES), ("5", 4096))
+    for case, (x, eps, min_samples) in duplicate_cases(rng).items():
+        labeling = cluster(x, eps=eps, min_samples=min_samples)
+        assert labeling.n_clusters > 0, case
+        for threads, tile_bytes in settings:
+            monkeypatch.setenv("CMLA_THREADS", threads)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            medoids = extract_medoids(matrix(x), labeling, numeric_table(x))
+            chosen = {md.cluster_id: md.row_id for md in medoids.medoids}
+            assert reference.medoid_violations(x, labeling.labels, chosen) == [], case
+
+
+def test_a_row_repeated_min_samples_times_is_core_by_weight_alone():
+    x = np.array([[5.0], [0.0], [5.0], [9.0], [0.0], [5.0], [0.0], [0.0], [9.0]])
+    got = cluster(x, eps=1.0, min_samples=4)
+    assert got.core_mask.tolist() == (x[:, 0] == 0.0).tolist()
+    assert got.labels.tolist() == [-1, 0, -1, -1, 0, -1, 0, 0, -1]
+    want_labels, want_core = reference.eps_graph_clustering(x, 1.0, 4)
+    np.testing.assert_array_equal(got.labels, want_labels)
+    np.testing.assert_array_equal(got.core_mask, want_core)
 
 
 def test_dbscan_memory_does_not_grow_with_the_edge_count():

@@ -386,6 +386,49 @@ def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule():
         assert medoid_local_index(line) == exhaustive_medoid(line) == n // 2 - 1
 
 
+def test_distinct_rows_compare_bytes_in_order_of_first_occurrence(monkeypatch):
+    nan = np.float64("nan")
+    x = np.array([[1.0, 2.0], [0.0, nan], [1.0, 2.0], [-0.0, nan], [0.0, nan], [1.0, 2.0]])
+    for tile_bytes in (kernels.TILE_BYTES, 16):
+        monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+        first, inverse, weight = kernels.distinct_rows(x)
+        assert first.tolist() == [0, 1, 3]
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+        assert weight.tolist() == [3, 2, 1]
+        assert x[first][inverse].tobytes() == x.tobytes()
+
+
+def test_medoid_of_rows_repeated_2_to_5_times_matches_exhaustive_fsum(rng, monkeypatch):
+    for d in (1, 3):
+        core = clustered_cloud(rng, 60, d)
+        x = np.repeat(core, rng.integers(2, 6, size=len(core)), axis=0)
+        x = np.ascontiguousarray(x[rng.permutation(len(x))])
+        want = exhaustive_medoid(x)
+        for threads, tile_bytes in (("1", kernels.TILE_BYTES), ("5", 4096)):
+            monkeypatch.setenv("CMLA_THREADS", threads)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            assert medoid_local_index(x) == want, (d, threads, tile_bytes)
+
+
+def test_medoid_ties_between_distinct_rows_take_the_lowest_row_id(rng):
+    # 1 and 2 both sum to 5 and occur twice each: the first 2 is row 1
+    line = np.array([[3.0], [2.0], [1.0], [0.0], [2.0], [1.0]])
+    assert medoid_local_index(line) == exhaustive_medoid(line) == 1
+    # each vertex of a polygon repeated equally: the sums tie mathematically
+    for n in (12, 64):
+        angle = 2.0 * np.pi * np.arange(n) / n
+        polygon = np.column_stack([np.cos(angle), np.sin(angle)])
+        x = np.ascontiguousarray(np.tile(polygon, (3, 1))[rng.permutation(3 * n)])
+        assert medoid_local_index(x) == exhaustive_medoid(x)
+
+
+def test_medoid_of_an_identical_wide_cluster_makes_one_exact_sum(monkeypatch):
+    x = np.ones((2000, 2001))
+    got, sums = exact_sums(monkeypatch, x)
+    assert got == 0
+    assert sums == 1
+
+
 def test_medoid_with_a_far_outlier_and_a_dense_core(rng):
     x = rng.normal(0.0, 0.01, size=(400, 3))
     x[0] = [1e6, -1e6, 1e6]
@@ -403,7 +446,7 @@ def test_medoid_matches_exhaustive_fsum_across_scales(rng):
 
 def exact_sums(monkeypatch, x):
     """(medoid_local_index(x), the exact sums it computed: pairs sent to
-    dists_to over the member count)."""
+    dists_to over the distinct member count)."""
     pairs = []
     real_dists_to = kernels.dists_to
 
@@ -414,7 +457,7 @@ def exact_sums(monkeypatch, x):
     monkeypatch.setattr(kernels, "dists_to", counting)
     got = medoid_local_index(x)
     monkeypatch.undo()
-    return got, sum(pairs) / len(x)
+    return got, sum(pairs) / len(kernels.distinct_rows(x)[0])
 
 
 def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
