@@ -43,7 +43,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, DegenerateGeometryError, LineageError
 from .encoding import EncodedMatrix
-from .tables import DataTable
+from .tables import WRITE_ROWS, DataTable
 
 NOISE = -1
 
@@ -113,9 +113,17 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
     first, inverse, weight = kernels.distinct_rows(x)
     xd = x[first]
     neighbors = kernels.neighbor_lists(xd, eps, min_samples)
-    core = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(xd)) >= min_samples
-    for i in np.flatnonzero(~core).tolist():
-        core[i] = weight[neighbors[i]].sum() >= min_samples
+    lengths = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(xd))
+    core = lengths >= min_samples
+    # A short list is complete: sum its weights, a tile's worth of lists at a
+    # time. Every list holds its own row, so none is empty for reduceat.
+    short = np.flatnonzero(~core)
+    step = max(1, kernels.TILE_BYTES // (8 * min_samples))
+    for lo in range(0, len(short), step):
+        rows = short[lo : lo + step]
+        starts = np.cumsum(lengths[rows]) - lengths[rows]
+        hits = np.concatenate(list(map(neighbors.__getitem__, rows.tolist())))
+        core[rows] = np.add.reduceat(weight[hits], starts) >= min_samples
     labels = np.full(len(xd), NOISE, dtype=np.int32)
     core_rows = np.flatnonzero(core)
     # components of the core graph, numbered by their lowest row
@@ -170,8 +178,9 @@ def write_labels_csv(labeling: ClusterLabeling, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", "label"])
-        for row_id, label in enumerate(labeling.labels):
-            writer.writerow([row_id, int(label)])
+        for start in range(0, len(labeling.labels), WRITE_ROWS):
+            labels = labeling.labels[start : start + WRITE_ROWS].tolist()
+            writer.writerows(zip(range(start, start + len(labels)), labels))
 
 
 def write_medoids_csv(medoids: MedoidSet, table: DataTable, path: str | Path) -> None:

@@ -155,35 +155,31 @@ def encode(model: EncodingModel, table: DataTable) -> EncodedMatrix:
     produce an all-zero one-hot block.
     """
     _check_compatible(model, table)
-    n = table.n_rows
-    parts: list[np.ndarray] = []
-
     numeric = model.schema.numeric_columns()
-    if numeric:
-        block = np.empty((n, len(numeric)), dtype=np.float64)
-        for j, col in enumerate(numeric):
-            arr = table.column_array(col.name)
-            s = model.stats[col.name]
-            if model.mode == MINMAX:
-                denom = s.hi - s.lo
-                block[:, j] = (arr - s.lo) / (denom if denom != 0.0 else 1.0)
-            else:
-                denom = s.std
-                block[:, j] = (arr - s.mean) / (denom if denom != 0.0 else 1.0)
-        parts.append(block)
+    categorical = model.schema.categorical_columns()
+    width = len(numeric) + sum(len(col.categories) for col in categorical)
+    base = np.zeros((table.n_rows, width), dtype=np.float64)
 
-    for col in model.schema.categorical_columns():
+    for j, col in enumerate(numeric):
+        arr = table.column_array(col.name)
+        s = model.stats[col.name]
+        if model.mode == MINMAX:
+            denom = s.hi - s.lo
+            base[:, j] = (arr - s.lo) / (denom if denom != 0.0 else 1.0)
+        else:
+            denom = s.std
+            base[:, j] = (arr - s.mean) / (denom if denom != 0.0 else 1.0)
+
+    offset = len(numeric)
+    for col in categorical:
         table_vocab = table.schema.column(col.name).categories
         model_pos = {cat: k for k, cat in enumerate(col.categories)}
         posmap = np.array([model_pos.get(cat, -1) for cat in table_vocab], dtype=np.int64)
-        codes = table.column_array(col.name)
-        pos = posmap[codes]
-        block = np.zeros((n, len(col.categories)), dtype=np.float64)
+        pos = posmap[table.column_array(col.name)]
         hit = np.flatnonzero(pos >= 0)
-        block[hit, pos[hit]] = 1.0
-        parts.append(block)
+        base[hit, offset + pos[hit]] = 1.0
+        offset += len(col.categories)
 
-    base = np.ascontiguousarray(np.concatenate(parts, axis=1))
     if model.pca is not None:
         base = np.ascontiguousarray((base - model.pca.mean) @ model.pca.components.T)
     return EncodedMatrix(base, model.model_hash())
@@ -204,22 +200,26 @@ def gower_to_table(
     """
     if len(row) != len(table.schema.columns):
         raise SchemaError("row length does not match the table schema")
-    n = table.n_rows
-    total = np.zeros(n, dtype=np.float64)
+    total = np.zeros(table.n_rows, dtype=np.float64)
+    term = np.empty_like(total)
     for col, cell in zip(table.schema.columns, row):
         arr = table.column_array(col.name)
         if col.kind == NUMERIC:
             lo, hi = ranges[col.name]
             if hi != lo:
-                total += np.minimum(np.abs(arr - float(cell)) / (hi - lo), 1.0)
+                np.subtract(arr, float(cell), out=term)
+                np.abs(term, out=term)
+                np.divide(term, hi - lo, out=term)
+                total += np.minimum(term, 1.0, out=term)
         else:
             vocab = table.schema.column(col.name).categories
             try:
                 pos = vocab.index(cell)
             except ValueError:
                 pos = -1
-            total += (arr != pos).astype(np.float64)
-    return total / len(table.schema.columns)
+            total += arr != pos
+    total /= len(table.schema.columns)
+    return total
 
 
 def numeric_ranges(model: EncodingModel) -> dict[str, tuple[float, float]]:

@@ -8,21 +8,30 @@ distinct cell values in first-appearance order. A missing cell in a numeric
 column is a load error; the empty string is a legitimate category. The loader
 never imputes, drops, or deduplicates rows.
 
-Each column is read in one pass: its cells are parsed as decimals, none
-twice, up to the first non-empty cell that is not one. That pass settles an
-inferred kind, checks a hinted one, and holds a numeric column's values.
+The file is read in blocks of lines, about BLOCK_BYTES characters each
+(readlines' size hint). A block in the plain form, with no quote, NUL or bare
+CR, one line ending throughout (LF or CRLF), n_cols - 1 commas on every line,
+no line longer than csv's field limit and, in a one-column table, no blank
+line, is cut into cells with one str.split. The first block that is not
+plain, and every line after it, goes through csv.reader, so quoting, ragged
+rows and their errors are csv.reader's. Error rows count over the whole file
+either way.
+
+Each column keeps its state from block to block: its cells are parsed as
+decimals, none twice, up to the first non-empty cell that is not one. That
+pass settles an inferred kind, checks a hinted one, and holds a numeric
+column's values. A categorical column codes its cells block by block.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, filterfalse, repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -30,6 +39,11 @@ from .errors import LoadError, SchemaError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+
+# load_csv reads lines in blocks of about this many characters.
+BLOCK_BYTES = 1 << 20
+# Rows that write_csv and clustering.write_labels_csv format at a time.
+WRITE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,33 +127,219 @@ class DataTable:
         return tuple(cells)
 
 
-def _parse_decimal(cell: str) -> float | None:
-    """Return the finite float value of a cell, or None when it has none."""
-    try:
-        value = float(cell)
-    except ValueError:
+# float() of one cell, which raises ValueError on a cell that is no number.
+# A module attribute, so that tests can count the cells parsed.
+_parse_decimal = float
+
+
+def _first_non_finite(values: array, start: int) -> int | None:
+    """Offset from start of the first value in values[start:] that is not
+    finite, or None when there is none."""
+    if len(values) == start:
         return None
-    return value if math.isfinite(value) else None
+    finite = np.isfinite(np.frombuffer(values[start:], dtype=np.float64))
+    return None if finite.all() else int(finite.argmin())
 
 
-def _parse_column(cells: Iterable[str]) -> tuple[array, int | None, int | None]:
-    """Parse cells as decimals, each once, up to the first text cell: the
-    first non-empty cell that is not a finite decimal.
+class _Column:
+    """One column's parse state, carried from block to block.
 
-    Returns the values parsed before it, the index of the first empty cell
-    before it and its own index; either index is None when there is none.
+    Until its first text cell, the first non-empty cell that is not a finite
+    decimal, the cells are parsed as decimals, each once, and the first empty
+    cell is noted. An inferred column keeps its cells meanwhile, in case a
+    text cell makes it categorical. A categorical column codes each cell by a
+    vocabulary that starts from the hint and grows by first appearance.
     """
-    values = array("d")
-    empty = None
-    for i, cell in enumerate(cells):
-        value = _parse_decimal(cell)
-        if value is not None:
-            values.append(value)
-        elif cell:
-            return values, empty, i
-        elif empty is None:
-            empty = i
-    return values, empty, None
+
+    def __init__(self, hint: ColumnSpec | None) -> None:
+        self.hint = hint
+        self.rows = 0
+        self.values = array("d")
+        self.empty: int | None = None
+        self.text: int | None = None
+        self.text_cell = ""
+        self.kept: list[str] | None = [] if hint is None else None
+        self.vocab: dict[str, int] | None = None
+        self.codes: list[np.ndarray] = []
+        if hint is not None and hint.kind == CATEGORICAL:
+            self.vocab = {c: k for k, c in enumerate(hint.categories)}
+
+    def feed(self, cells: Sequence[str]) -> None:
+        if self.text is None:
+            self._parse(cells)
+            if self.kept is not None:
+                if self.text is None:
+                    self.kept.extend(cells)
+                else:
+                    self.vocab = {}
+                    self._code(self.kept)
+                    self.kept = None
+        if self.vocab is not None:
+            self._code(cells)
+        self.rows += len(cells)
+
+    def _parse(self, cells: Sequence[str]) -> None:
+        # array.extend keeps what it appended before a ValueError, and map has
+        # taken the failing cell from the iterator, so parsing resumes after it.
+        values = self.values
+        rest = iter(cells)
+        pos = 0
+        while pos < len(cells):
+            start = len(values)
+            try:
+                values.extend(map(_parse_decimal, rest))
+            except ValueError:
+                pass
+            bad = _first_non_finite(values, start)
+            if bad is not None:
+                del values[start + bad:]
+                pos += bad
+            else:
+                pos += len(values) - start
+                if pos == len(cells):
+                    return
+                if not cells[pos]:
+                    if self.empty is None:
+                        self.empty = self.rows + pos
+                    pos += 1
+                    continue
+            self.text = self.rows + pos
+            self.text_cell = cells[pos]
+            return
+
+    def _code(self, cells: Sequence[str]) -> None:
+        vocab = self.vocab
+        # Most blocks bring no new category: grow the vocabulary on a miss.
+        try:
+            codes = np.fromiter(map(vocab.__getitem__, cells), np.int32, len(cells))
+        except KeyError:
+            fresh = list(filterfalse(vocab.__contains__, dict.fromkeys(cells)))
+            vocab.update(zip(fresh, range(len(vocab), len(vocab) + len(fresh))))
+            codes = np.fromiter(map(vocab.__getitem__, cells), np.int32, len(cells))
+        self.codes.append(codes)
+
+    def finish(self, file: str, name: str) -> tuple[ColumnSpec, np.ndarray]:
+        """The column's spec and array, or the error its cells make."""
+        if self.hint is not None:
+            kind = self.hint.kind
+        else:
+            kind = NUMERIC if self.text is None else CATEGORICAL
+        if kind == NUMERIC:
+            bad = self.text if self.empty is None else self.empty
+            if bad is not None:
+                cell = "" if bad == self.empty else self.text_cell
+                raise LoadError(
+                    f"{file}: row {bad + 1}, column {name!r}: "
+                    f"cell {cell!r} is not a finite decimal"
+                )
+            return ColumnSpec(name, NUMERIC), np.frombuffer(self.values, dtype=np.float64)
+        if self.text is None:
+            raise SchemaError(
+                f"{file}: column {name!r} is categorical in the expected schema "
+                f"but holds only decimals"
+            )
+        return (
+            ColumnSpec(name, CATEGORICAL, tuple(self.vocab)),
+            np.concatenate(self.codes),
+        )
+
+
+def _split(lines: list[str], n_cols: int) -> list[str] | None:
+    """A block's cells in row order, or None when csv.reader must read it:
+    when the block has a quote, a NUL or a bare CR, mixes LF and CRLF, has a
+    line without exactly n_cols - 1 commas or one longer than csv's field
+    limit, or is a one-column block with a blank line (csv.reader's 0-field
+    row)."""
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    end = "\r\n" if "\r" in text else "\n"
+    flat = text.replace(end, ",")
+    if "\r" in flat or "\n" in flat:
+        return None
+    if set(map(str.count, lines, repeat(","))) != {n_cols - 1}:
+        return None
+    if n_cols == 1 and end in lines:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    cells = flat.split(",")
+    if lines[-1].endswith(end):
+        cells.pop()
+    return cells
+
+
+def _read_rows(
+    file: str, lines: Iterable[str], columns: list[_Column], row: int, size: int
+) -> int:
+    """Read the rest of the file with csv.reader, feeding the columns size
+    rows at a time; returns the row count, which starts at row."""
+    n_cols = len(columns)
+    block: list[list[str]] = []
+    try:
+        for r in csv.reader(lines):
+            row += 1
+            if len(r) != n_cols:
+                raise LoadError(f"{file}: row {row} has {len(r)} fields, expected {n_cols}")
+            block.append(r)
+            if len(block) == size:
+                for column, cells in zip(columns, zip(*block)):
+                    column.feed(cells)
+                block = []
+    except csv.Error as e:
+        raise LoadError(f"{file}: row {row + 1}: {e}") from None
+    for column, cells in zip(columns, zip(*block)):
+        column.feed(cells)
+    return row
+
+
+def _read(file: str, fh: TextIO, schema_hint: TableSchema | None) -> DataTable:
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise LoadError(f"{file}: missing header row") from None
+    except csv.Error as e:
+        raise LoadError(f"{file}: header row: {e}") from None
+    n_cols = len(header)
+    if n_cols == 0:
+        raise LoadError(f"{file}: header row has no columns")
+    # Under a header that fails the hint, the cells are only read, for the
+    # field-count errors that take precedence over the header's.
+    hinted = schema_hint is not None and tuple(header) == schema_hint.names
+    columns = [_Column(schema_hint.columns[j] if hinted else None) for j in range(n_cols)]
+
+    rows = 0
+    while lines := fh.readlines(BLOCK_BYTES):
+        cells = _split(lines, n_cols)
+        if cells is None:
+            # From here on csv.reader reads everything: a quoted field may
+            # hold a line break that readlines split across blocks.
+            rows = _read_rows(file, chain(lines, fh), columns, rows, len(lines))
+            break
+        for j, column in enumerate(columns):
+            column.feed(cells[j::n_cols])
+        rows += len(lines)
+
+    if rows == 0:
+        raise LoadError(f"{file}: no data rows")
+    if schema_hint is not None and not hinted:
+        raise LoadError(
+            f"{file}: header {header!r} does not match expected columns "
+            f"{list(schema_hint.names)!r}"
+        )
+    specs, arrays = zip(*(column.finish(file, name) for column, name in zip(columns, header)))
+    return DataTable(TableSchema(specs), arrays)
+
+
+def _undecodable_line(path: Path) -> int:
+    """The 1-based number of the first line of a file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for k, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return k
 
 
 def load_csv(path: str | Path, schema_hint: TableSchema | None = None) -> DataTable:
@@ -157,67 +357,25 @@ def load_csv(path: str | Path, schema_hint: TableSchema | None = None) -> DataTa
     p = Path(path)
     if not p.is_file():
         raise LoadError(f"no such file: {p}")
-    with open(p, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{p.name}: missing header row") from None
-        rows = list(reader)
-
-    n_cols = len(header)
-    if n_cols == 0:
-        raise LoadError(f"{p.name}: header row has no columns")
-    for i, r in enumerate(rows, start=1):
-        if len(r) != n_cols:
-            raise LoadError(f"{p.name}: row {i} has {len(r)} fields, expected {n_cols}")
-    if not rows:
-        raise LoadError(f"{p.name}: no data rows")
-    if schema_hint is not None and tuple(header) != schema_hint.names:
-        raise LoadError(
-            f"{p.name}: header {header!r} does not match expected columns "
-            f"{list(schema_hint.names)!r}"
-        )
-
-    arrays: list[np.ndarray] = []
-    specs: list[ColumnSpec] = []
-    for j, name in enumerate(header):
-        cell = itemgetter(j)
-        values, empty, text = _parse_column(map(cell, rows))
-        if schema_hint is not None:
-            spec = schema_hint.columns[j]
-        else:
-            spec = ColumnSpec(name, NUMERIC if text is None else CATEGORICAL)
-        if spec.kind == NUMERIC:
-            bad = text if empty is None else empty
-            if bad is not None:
-                raise LoadError(
-                    f"{p.name}: row {bad + 1}, column {name!r}: "
-                    f"cell {rows[bad][j]!r} is not a finite decimal"
-                )
-            arrays.append(np.frombuffer(values, dtype=np.float64))
-            specs.append(spec)
-        else:
-            if text is None:
-                raise SchemaError(
-                    f"{p.name}: column {name!r} is categorical in the expected schema "
-                    f"but holds only decimals"
-                )
-            seen = dict.fromkeys(chain(spec.categories, map(cell, rows)))
-            vocab = {v: k for k, v in enumerate(seen)}
-            arrays.append(np.fromiter(map(vocab.__getitem__, map(cell, rows)), np.int32, len(rows)))
-            specs.append(ColumnSpec(name, CATEGORICAL, tuple(vocab)))
-
-    return DataTable(TableSchema(tuple(specs)), tuple(arrays))
+    try:
+        with open(p, encoding="utf-8", newline="") as fh:
+            return _read(p.name, fh, schema_hint)
+    except UnicodeDecodeError:
+        raise LoadError(f"{p.name}: line {_undecodable_line(p)} is not UTF-8 text") from None
 
 
 def write_csv(table: DataTable, path: str | Path) -> None:
-    """Write a table back to CSV. Numeric cells use repr(float), the shortest
-    form that reloads to the identical value."""
+    """Write a table back to CSV, WRITE_ROWS rows at a time. Numeric cells use
+    repr(float), the shortest form that reloads to the identical value."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
-        for i in range(table.n_rows):
-            writer.writerow(
-                repr(v) if isinstance(v, float) else v for v in table.row(i)
-            )
+        for start in range(0, table.n_rows, WRITE_ROWS):
+            columns = []
+            for spec, arr in zip(table.schema.columns, table.columns):
+                cells = arr[start : start + WRITE_ROWS].tolist()
+                if spec.kind == NUMERIC:
+                    columns.append(map(repr, cells))
+                else:
+                    columns.append(map(spec.categories.__getitem__, cells))
+            writer.writerows(zip(*columns))

@@ -105,6 +105,35 @@ def test_real_table_off_the_synthetic_schema_exits_2_at_load_real(
     assert f"cmla: error in stage load-real: real.csv: {message}" in capsys.readouterr().err
 
 
+def write_tables_with_fault(tmp_path, table, fault: bytes) -> list[str]:
+    # row 50 of one table is replaced by the fault; returns the audit's argv
+    paths = {}
+    for name in ("synthetic", "real"):
+        rows = [f"{i % 5}.0,{'ab'[i % 2]}".encode() for i in range(200)]
+        if name == table:
+            rows[49] = fault
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_bytes(b"x,c\n" + b"\n".join(rows) + b"\n")
+    return ["audit", "--synthetic", str(paths["synthetic"]), "--real", str(paths["real"]),
+            "--eps", "0.5"]
+
+
+@pytest.mark.parametrize("table", ["synthetic", "real"])
+def test_table_that_is_not_utf8_exits_2(tmp_path, capsys, table):
+    code = main(write_tables_with_fault(tmp_path, table, "1.0,\u00e9t\u00e9".encode("latin-1")))
+    assert code == 2
+    assert (f"cmla: error in stage load-{table}: {table}.csv: line 51 is not UTF-8 text"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("table", ["synthetic", "real"])
+def test_field_over_csvs_limit_exits_2(tmp_path, capsys, table):
+    code = main(write_tables_with_fault(tmp_path, table, b"1.0," + b"a" * 131_073))
+    assert code == 2
+    assert (f"cmla: error in stage load-{table}: {table}.csv: row 50: "
+            f"field larger than field limit (131072)" in capsys.readouterr().err)
+
+
 def test_eps_flag_accepts_auto_and_rejects_junk(csv_pair):
     synth, _ = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--eps", "auto")

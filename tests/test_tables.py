@@ -1,5 +1,7 @@
 """CSV loading, schema inference, and round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,131 @@ def test_each_cell_is_parsed_at_most_once(tmp_path, monkeypatch, text, hint, par
     monkeypatch.setattr(tables, "_parse_decimal", counting)
     load_csv(write(tmp_path, text), hint)
     assert calls == parsed
+
+
+BLOCK_SIZES = pytest.mark.parametrize("block_bytes", [1, 64, tables.BLOCK_BYTES])
+
+_LONG = "".join(f"{i}.25,k{i % 4}\n" for i in range(40))
+_SYNTH = "x,c\n0.5,k3\n1.5,k9\n"
+
+
+def csv_reader_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@pytest.mark.parametrize("text, categories", [
+    (_LONG, {"c": ("k0", "k1", "k2", "k3")}),
+    (_LONG.replace("\n", "\r\n"), {"c": ("k0", "k1", "k2", "k3")}),
+    (_LONG.rstrip("\n"), {"c": ("k0", "k1", "k2", "k3")}),
+    (_LONG.replace("\n", "\r"), {"c": ("k0", "k1", "k2", "k3")}),
+    (_LONG[:200] + _LONG[200:].replace("\n", "\r\n"), {"c": ("k0", "k1", "k2", "k3")}),
+    ('1,"k,0"\n2,"say ""hi"""\n' + _LONG, {"c": ("k,0", 'say "hi"', "k0", "k1", "k2", "k3")}),
+    (_LONG + '7,"two\nlines"\n8,k1\n', {"c": ("k0", "k1", "k2", "k3", "two\nlines")}),
+    (_LONG.replace(",k3", ",") + "9,k2\n", {"c": ("k0", "k1", "k2", "")}),
+    (_LONG + "nan,k1\n", {"x": tuple(f"{i}.25" for i in range(40)) + ("nan",)}),
+    (_LONG + "1e999,k1\n", {"x": tuple(f"{i}.25" for i in range(40)) + ("1e999",)}),
+    (_LONG + "z,k1\n", {"x": tuple(f"{i}.25" for i in range(40)) + ("z",)}),
+], ids=["lf", "crlf", "no-final-newline", "bare-cr", "lf-then-crlf", "quoted",
+        "quoted-newline-across-blocks", "empty-category", "nan-in-last-block",
+        "inf-in-last-block", "turns-categorical-in-last-block"])
+@BLOCK_SIZES
+def test_block_reader_gives_csv_readers_table(tmp_path, monkeypatch, block_bytes, text,
+                                              categories):
+    # the 41-line texts span many 64-character blocks and one default block
+    monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
+    p = write(tmp_path, "x,c\n" + text)
+    t = load_csv(p)
+    for name, vocab in categories.items():
+        assert t.schema.column(name).categories == vocab
+    rows = csv_reader_rows(p)
+    assert t.n_rows == len(rows)
+    for i, cells in enumerate(rows):
+        assert t.row(i) == tuple(
+            float(cell) if spec.kind == NUMERIC else cell
+            for spec, cell in zip(t.schema.columns, cells)
+        )
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["inferred", "hinted"])
+def test_results_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rng, hinted):
+    values = rng.standard_normal(300).tolist()
+    jobs = rng.choice(["a", "b", "", "c d", "k3"], 300)
+    p = tmp_path / "t.csv"
+    p.write_text("x,c,y\n" + "".join(
+        f"{v!r},{j},{i % 7}\n" for i, (v, j) in enumerate(zip(values, jobs))
+    ) + "1.5,\"q,\"\"r\",2\n" + "".join(f"{v},{j},0\n" for v, j in zip(values, jobs)))
+    hint = None
+    if hinted:
+        hint = load_csv(write(tmp_path, "x,c,y\n1,k3,2\n2,zz,3\n", "synthetic.csv")).schema
+    seen = set()
+    for block_bytes in (1, 64, 4096, tables.BLOCK_BYTES):
+        monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
+        t = load_csv(p, hint)
+        seen.add((
+            tuple((c.name, c.kind, c.categories) for c in t.schema.columns),
+            tuple((a.dtype.str, a.tobytes()) for a in t.columns),
+        ))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("text, hint, error, match", [
+    ("x,c\n" + _LONG + "\n1,k1\n", None, LoadError, r"row 41 has 0 fields, expected 2"),
+    ("x\n" + "".join(f"{i}\n" for i in range(40)) + "\n1\n", None, LoadError,
+     r"row 41 has 0 fields, expected 1"),
+    ("x,c\n" + _LONG + "nan,k1\n", _SYNTH, LoadError, r"row 41, column 'x': cell 'nan' is not"),
+    ("x,c\n" + _LONG + "-inf,k1\n", _SYNTH, LoadError, r"row 41, column 'x': cell '-inf' is not"),
+    ("x,c\n" + _LONG + ",k1\n3,k1\n", None, LoadError, r"row 41, column 'x': cell '' is not"),
+    ('x,c\n1,"k0"\n' + _LONG + "z,k1\n", _SYNTH, LoadError,
+     r"row 42, column 'x': cell 'z' is not"),
+    ('x,c\n1,"k0"\n' + _LONG + "1,k1,extra\n", None, LoadError,
+     r"row 42 has 3 fields, expected 2"),
+    ("x,c\n" + _LONG.replace(",k", ",1") + "1,\n", _SYNTH, SchemaError,
+     r"column 'c' is categorical in the expected schema but holds only decimals"),
+], ids=["blank-line", "blank-line-one-column", "nan-hinted", "inf-hinted",
+        "empty-cell-inferred", "text-after-fallback", "ragged-after-fallback",
+        "hinted-categorical-only-decimals"])
+@BLOCK_SIZES
+def test_block_reader_gives_csv_readers_error(tmp_path, monkeypatch, block_bytes, text, hint,
+                                              error, match):
+    monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
+    if hint is not None:
+        hint = load_csv(write(tmp_path, hint, "synthetic.csv")).schema
+    with pytest.raises(error, match=match):
+        load_csv(write(tmp_path, text), hint)
+
+
+def test_bad_cell_deep_in_a_large_hinted_file_is_reported_at_its_row(tmp_path):
+    rows = [f"{i % 97}.5,{'ab'[i % 2]}\n" for i in range(200_000)]
+    rows[149_999] = "n/a,a\n"
+    p = tmp_path / "real.csv"
+    p.write_text("x,c\n" + "".join(rows))
+    hint = load_csv(write(tmp_path, "x,c\n1.0,a\n2.0,b\n", "synthetic.csv")).schema
+    with pytest.raises(LoadError, match=r"real.csv: row 150000, column 'x': cell 'n/a'"):
+        load_csv(p, hint)
+
+
+@pytest.mark.parametrize("text, match", [
+    (b"x,c\n1,a\n2,\xe9t\xe9\n", r"t.csv: line 3 is not UTF-8 text"),
+    (b'x,c\n1,"a"\n' + b"2,b\n" * 3000 + b"3,\xff\n", r"t.csv: line 3003 is not UTF-8 text"),
+], ids=["block", "csv-reader"])
+def test_file_that_is_not_utf8_is_a_load_error(tmp_path, monkeypatch, text, match):
+    # at 64 characters a block, the quoted file reaches its bad bytes inside
+    # csv.reader, well after the decoder's first chunk
+    monkeypatch.setattr(tables, "BLOCK_BYTES", 64)
+    p = tmp_path / "t.csv"
+    p.write_bytes(text)
+    with pytest.raises(LoadError, match=match):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["x" * 131_073, '"' + "x" * 131_073 + '"'],
+                         ids=["plain", "quoted"])
+def test_field_over_csvs_limit_is_a_load_error(tmp_path, cell):
+    with pytest.raises(LoadError, match=r"row 2: field larger than field limit \(131072\)"):
+        load_csv(write(tmp_path, f"x,c\n1,a\n2,{cell}\n3,b\n"))
+    with pytest.raises(LoadError, match=r"header row: field larger than field limit"):
+        load_csv(write(tmp_path, f"x,{cell}\n1,a\n"))
 
 
 def test_schema_validation():
