@@ -259,22 +259,18 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
         min_samples=m.min_samples,
         scale=m.scale,
         pca=m.pca_dim,
-        marks=rpt.grid.marks,
+        marks=tuple(rpt.grid.marks),
         metric=m.metric,
         seed=m.seed,
         records=rpt.records is not None,
         dataset_label=m.dataset_label,
         generator_label=m.generator_label,
     )
-    grid = metrics.ThresholdGrid(
-        np.asarray(rpt.grid.taus, dtype=np.float64).copy(), rpt.grid.marks
-    )
+    grid = metrics.ThresholdGrid(rpt.grid.taus, rpt.grid.marks)
     recomputed = run_audit(config, grid_override=grid)
     problems.extend(
         report_mod.compare_reports(
-            report_mod.report_to_dict(rpt),
-            report_mod.report_to_dict(recomputed.report),
-            tol,
+            documents.write(rpt), documents.write(recomputed.report), tol
         )
     )
     return problems
@@ -353,10 +349,9 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         "generators": [
             {
                 "label": gen.label,
-                "n_clusters": reports[gen.label].n_clusters,
+                "n_clusters": reports[gen.label].clustering.n_clusters,
                 "readouts": [
-                    {"tau": r.tau, "asr": r.asr, "coverage": r.coverage}
-                    for r in (reports[gen.label].readouts or [])
+                    documents.write(r) for r in reports[gen.label].reference_readouts or []
                 ],
                 "report": f"{gen.label}/report.json",
             }

@@ -115,11 +115,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     result = audit.run_audit(config)
     if result.report.dmin_summary is not None:
         print(report_mod.format_summary_row(result.report.dmin_summary))
-    if result.report.readouts:
-        for r in result.report.readouts:
+    if result.report.reference_readouts:
+        for r in result.report.reference_readouts:
             print(f"tau={r.tau:g}: asr={r.asr:.4f}, coverage={r.coverage:.4f}")
     else:
-        print(f"clusters={result.report.n_clusters} (no real table evaluated)")
+        print(f"clusters={result.report.clustering.n_clusters} (no real table evaluated)")
     if args.verify:
         if config.out is None:
             raise ConfigError("--verify needs --out to locate the emitted report")
@@ -137,9 +137,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     for gen in outcome.scenario.generators:
         rpt = outcome.reports[gen.label]
         readouts = ", ".join(
-            f"asr@{r.tau:g}={r.asr:.4f}" for r in (rpt.readouts or [])
+            f"asr@{r.tau:g}={r.asr:.4f}" for r in (rpt.reference_readouts or [])
         )
-        print(f"{gen.label}: clusters={rpt.n_clusters} {readouts}")
+        print(f"{gen.label}: clusters={rpt.clustering.n_clusters} {readouts}")
     if outcome.ordering_checked and not outcome.ordering_ok:
         print("declared ordering violated", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
-"""One reader for the JSON documents cmla takes in, scenario files and
-report.json: a dataclass is its document's schema, its field names the keys
-and its type hints the JSON types. Checks that are not about type stay in the
-dataclass's own __post_init__.
+"""One reader and one writer for cmla's JSON documents: scenario files,
+settings and report.json. A dataclass is its document's schema, its field
+names the keys, in declaration order, and its type hints the JSON types.
+Checks that are not about type stay in the dataclass's own __post_init__.
 """
 
 from __future__ import annotations
@@ -75,6 +75,32 @@ def _value(hint, value, path: str, prefix: str):
         elif isinstance(value, hint):
             return value
     raise _Mismatch
+
+
+def write(obj) -> dict:
+    """The JSON object of a dataclass, the inverse of read: its fields in
+    declaration order, nested dataclasses as objects, lists and tuples as
+    arrays, None as null. A value hinted int or float goes through int() or
+    float(), so a numpy scalar, or an int where float is declared, is written
+    as a Python number of the declared type."""
+    hints = typing.get_type_hints(type(obj))
+    return {f.name: _json(hints[f.name], getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _json(hint, value):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if value is None:
+        return None
+    if origin is types.UnionType:
+        (inner,) = (a for a in args if a is not type(None))
+        return _json(inner, value)
+    if is_dataclass(hint):
+        return write(value)
+    if origin in (list, tuple):
+        return [_json(args[0], v) for v in value]
+    if origin is dict:
+        return {k: _json(args[1], v) for k, v in value.items()}
+    return hint(value) if hint in (int, float) else value
 
 
 def _shown(hint) -> str:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import documents
 from .errors import ConfigError, SchemaError
 from .tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
 
@@ -69,17 +70,8 @@ class EncodingModel:
         columns = []
         for col in self.schema.columns:
             if col.kind == NUMERIC:
-                s = self.stats[col.name]
-                columns.append(
-                    {
-                        "name": col.name,
-                        "kind": NUMERIC,
-                        "lo": s.lo,
-                        "hi": s.hi,
-                        "mean": s.mean,
-                        "std": s.std,
-                    }
-                )
+                stats = documents.write(self.stats[col.name])
+                columns.append({"name": col.name, "kind": NUMERIC, **stats})
             else:
                 columns.append(
                     {"name": col.name, "kind": CATEGORICAL, "categories": list(col.categories)}
@@ -189,6 +181,7 @@ def gower_to_table(
     row: tuple,
     table: DataTable,
     ranges: dict[str, tuple[float, float]],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gower distance from one raw row to every row of a table: the mean
     per-column dissimilarity.
@@ -196,12 +189,16 @@ def gower_to_table(
     Numeric columns contribute |a - b| / (hi - lo) clamped to [0, 1], or 0 when
     the fitted range is empty; categorical columns contribute 0 on a match and
     1 otherwise. Ranges come from the fitted model so the comparison stays
-    independent of the real table.
+    independent of the real table. out, a (2, n_rows) float64 array, takes
+    the distances in out[0] and a scratch term in out[1], so a caller that
+    compares many rows allocates them once.
     """
     if len(row) != len(table.schema.columns):
         raise SchemaError("row length does not match the table schema")
-    total = np.zeros(table.n_rows, dtype=np.float64)
-    term = np.empty_like(total)
+    if out is None:
+        out = np.empty((2, table.n_rows), dtype=np.float64)
+    total, term = out
+    total.fill(0.0)
     for col, cell in zip(table.schema.columns, row):
         arr = table.column_array(col.name)
         if col.kind == NUMERIC:

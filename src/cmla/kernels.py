@@ -82,12 +82,12 @@ is d = fl(sqrt(s)).
   (lowest-index) minimum, with NaN first as in np.argmin; column minima
   propagate NaN as np.minimum does.
 
-The CMLA_THREADS environment variable caps the worker threads used for row
-partitioning; the medoid screen runs in one thread. Workers write disjoint
-output slices, cross minima merge per-worker partials in range order, and the
-component union runs serially and ends at the lowest index of each set
-whatever the block order, so results depend neither on the worker count nor
-on the tile size.
+The CMLA_THREADS environment variable (1 to MAX_THREADS) caps the worker
+threads used for row partitioning; the medoid screen runs in one thread.
+Workers write disjoint output slices, cross minima merge per-worker partials
+in range order, and the component union runs serially and ends at the lowest
+index of each set whatever the block order, so results depend neither on the
+worker count nor on the tile size.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ GRID_INDEX_MIN_ROWS = 50_000
 # right operand stay in L2, while 256 KiB tiles pay twice the per-tile
 # overhead and 1 MiB tiles spill.
 TILE_BYTES = 512 * 1024
+# The most worker threads CMLA_THREADS may ask for.
+MAX_THREADS = 64
 _U = 2.0**-53
 
 
@@ -126,6 +128,8 @@ def thread_count() -> int:
         raise ConfigError(f"CMLA_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise ConfigError("CMLA_THREADS must be at least 1")
+    if n > MAX_THREADS:
+        raise ConfigError(f"CMLA_THREADS must be at most {MAX_THREADS}, got {raw!r}")
     return n
 
 

@@ -49,7 +49,7 @@ class ThresholdGrid:
     the exact grid values so reference readouts equal curve values exactly.
     """
 
-    def __init__(self, taus: np.ndarray, marks: Sequence[float] = ()) -> None:
+    def __init__(self, taus: Sequence[float], marks: Sequence[float] = ()) -> None:
         taus = np.asarray(taus, dtype=np.float64)
         if taus.ndim != 1 or len(taus) == 0:
             raise ConfigError("threshold grid must be a non-empty 1-d array")
@@ -58,17 +58,18 @@ class ThresholdGrid:
         if len(taus) > 1 and not np.all(np.diff(taus) > 0.0):
             raise ConfigError("thresholds must be strictly increasing")
         self.taus = taus
-        self.marks = tuple(float(taus[_locate(taus, m)]) for m in marks)
+        self.marks = tuple(float(taus[locate(taus, m)]) for m in marks)
 
     def index_of(self, tau: float) -> int:
-        return _locate(self.taus, tau)
+        return locate(self.taus, tau)
 
     def __len__(self) -> int:
         return len(self.taus)
 
 
-def _locate(taus: np.ndarray, tau: float) -> int:
-    i = int(np.argmin(np.abs(taus - tau)))
+def locate(taus: Sequence[float], tau: float) -> int:
+    """The index of the grid threshold within MARK_RESOLUTION of tau."""
+    i = int(np.argmin(np.abs(np.asarray(taus) - tau)))
     if abs(float(taus[i]) - tau) <= MARK_RESOLUTION:
         return i
     raise ConfigError(f"threshold {tau!r} is not on the grid")
@@ -135,8 +136,9 @@ def proximity_profile_gower(
         d_min = np.empty(len(medoids), dtype=np.float64)
         nearest = np.empty(len(medoids), dtype=np.int64)
         per_real = np.full(real_table.n_rows, np.inf, dtype=np.float64)
+        scratch = np.empty((2, real_table.n_rows), dtype=np.float64)
         for i, m in enumerate(medoids.medoids):
-            d = gower_to_table(m.raw, real_table, ranges)
+            d = gower_to_table(m.raw, real_table, ranges, scratch)
             d_min[i] = d.min()
             nearest[i] = np.argmin(d)
             np.minimum(per_real, d, out=per_real)

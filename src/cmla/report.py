@@ -1,14 +1,13 @@
 """Leakage report assembly, serialization, and file emission.
 
-The report is a versioned JSON document. Floats are serialized at full repr
-precision (at least 6 significant digits, and lossless on reload), keys keep a
-fixed order, and no timestamp enters any emitted file, so rendering the same
-audit twice gives byte-identical output and render -> parse -> render is the
-identity on bytes.
-
-report_from_dict reads a document back with documents.read; the private
-dataclasses _Document and its sections, in report_to_dict's layout, are the
-schema.
+The report is a versioned JSON document, report.json, and the dataclasses
+below are its schema: LeakageReport's fields are the document's sections in
+order, and each section's fields its keys. documents.write renders them and
+documents.read reads them back, so the layout lives in one place. Floats are
+serialized at full repr precision (at least 6 significant digits, and lossless
+on reload), keys keep the fields' order, and no timestamp enters any emitted
+file, so rendering the same audit twice gives byte-identical output and
+render -> parse -> render is the identity on bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -30,9 +29,11 @@ from .metrics import (
     DminSummary,
     MetricCurves,
     ThresholdGrid,
+    locate,
 )
 
 REPORT_SCHEMA_VERSION = 1
+REPORT_KIND = "leakage_report"
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,50 @@ class RunMeta:
 
 
 @dataclass(frozen=True)
+class Clustering:
+    n_clusters: int
+    cluster_sizes: list[int]
+    n_noise: int
+    n_core: int
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The thresholds and marks of a ThresholdGrid, as the report holds them."""
+
+    taus: list[float]
+    marks: list[float]
+
+    def index_of(self, tau: float) -> int:
+        return locate(self.taus, tau)
+
+
+@dataclass(frozen=True)
+class Curves:
+    """ASR and coverage per grid threshold."""
+
+    asr: list[float]
+    coverage: list[float]
+
+
+@dataclass(frozen=True)
 class ReferenceReadout:
     tau: float
     asr: float
     coverage: float
 
 
-@dataclass(eq=False)
+@dataclass
 class LeakageReport:
+    # keyword-only, so they can lead the document and keep their defaults
+    schema_version: int = field(default=REPORT_SCHEMA_VERSION, kw_only=True)
+    kind: str = field(default=REPORT_KIND, kw_only=True)
     meta: RunMeta
-    n_clusters: int
-    cluster_sizes: list[int]
-    n_noise: int
-    n_core: int
-    grid: ThresholdGrid
+    clustering: Clustering
+    grid: Grid
     dmin_summary: DminSummary | None
-    curves: MetricCurves | None
-    readouts: list[ReferenceReadout] | None
+    curves: Curves | None
+    reference_readouts: list[ReferenceReadout] | None
     records: list[DistanceRecord] | None
 
 
@@ -92,145 +120,40 @@ def build_report(
         raise LineageError("report inputs come from different encoding models")
     if len(medoids) != labeling.n_clusters:
         raise LineageError("medoid count does not match the cluster count")
-    readouts = None
+    report_curves = readouts = None
     if curves is not None:
-        readouts = []
-        for mark in grid.marks:
-            i = grid.index_of(mark)
-            readouts.append(
-                ReferenceReadout(
-                    tau=float(grid.taus[i]),
-                    asr=float(curves.asr[i]),
-                    coverage=float(curves.coverage[i]),
-                )
-            )
+        report_curves = Curves(asr=curves.asr.tolist(), coverage=curves.coverage.tolist())
+        readouts = [
+            ReferenceReadout(tau=float(grid.taus[i]), asr=report_curves.asr[i],
+                             coverage=report_curves.coverage[i])
+            for i in map(grid.index_of, grid.marks)
+        ]
     return LeakageReport(
         meta=meta,
-        n_clusters=labeling.n_clusters,
-        cluster_sizes=[int(s) for s in medoids.cluster_sizes],
-        n_noise=labeling.noise_count,
-        n_core=int(labeling.core_mask.sum()),
-        grid=grid,
+        clustering=Clustering(
+            n_clusters=labeling.n_clusters,
+            cluster_sizes=list(medoids.cluster_sizes),
+            n_noise=labeling.noise_count,
+            n_core=int(labeling.core_mask.sum()),
+        ),
+        grid=Grid(taus=grid.taus.tolist(), marks=list(grid.marks)),
         dmin_summary=dmin_summary,
-        curves=curves,
-        readouts=readouts,
+        curves=report_curves,
+        reference_readouts=readouts,
         records=records,
     )
 
 
-_CASTS = {"int": int, "float": float}
-
-
-def _section(obj) -> dict:
-    """A flat dataclass as a JSON object in field order. Fields annotated int
-    or float (optionally | None) pass through int() or float(), so numpy
-    scalars and an int where a float is declared serialize as Python numbers
-    of the declared type."""
-    doc = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        cast = _CASTS.get(f.type.removesuffix(" | None"))
-        doc[f.name] = value if value is None or cast is None else cast(value)
-    return doc
-
-
-def report_to_dict(report: LeakageReport) -> dict:
-    doc: dict = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "leakage_report",
-        "meta": _section(report.meta),
-        "clustering": {
-            "n_clusters": int(report.n_clusters),
-            "cluster_sizes": [int(s) for s in report.cluster_sizes],
-            "n_noise": int(report.n_noise),
-            "n_core": int(report.n_core),
-        },
-        "grid": {
-            "taus": [float(t) for t in report.grid.taus],
-            "marks": [float(t) for t in report.grid.marks],
-        },
-        "dmin_summary": None,
-        "curves": None,
-        "reference_readouts": None,
-        "records": None,
-    }
-    if report.dmin_summary is not None:
-        doc["dmin_summary"] = _section(report.dmin_summary)
-    if report.curves is not None:
-        doc["curves"] = {
-            "asr": [float(v) for v in report.curves.asr],
-            "coverage": [float(v) for v in report.curves.coverage],
-        }
-    if report.readouts is not None:
-        doc["reference_readouts"] = [_section(r) for r in report.readouts]
-    if report.records is not None:
-        doc["records"] = [_section(r) for r in report.records]
-    return doc
-
-
-@dataclass(frozen=True)
-class _Clustering:
-    n_clusters: int
-    cluster_sizes: list[int]
-    n_noise: int
-    n_core: int
-
-
-@dataclass(frozen=True)
-class _Grid:
-    taus: list[float]
-    marks: list[float]
-
-
-@dataclass(frozen=True)
-class _Curves:
-    asr: list[float]
-    coverage: list[float]
-
-
-@dataclass(frozen=True)
-class _Document:
-    schema_version: int
-    kind: str
-    meta: RunMeta
-    clustering: _Clustering
-    grid: _Grid
-    dmin_summary: DminSummary | None
-    curves: _Curves | None
-    reference_readouts: list[ReferenceReadout] | None
-    records: list[DistanceRecord] | None
-
-
 def report_from_dict(doc: dict) -> LeakageReport:
-    if not isinstance(doc, dict) or doc.get("kind") != "leakage_report":
+    if not isinstance(doc, dict) or doc.get("kind") != REPORT_KIND:
         raise ConfigError("not a leakage report document")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ConfigError(f"unsupported report schema_version {doc.get('schema_version')!r}")
-    d = documents.read(_Document, doc, "document", "report")
-    grid = ThresholdGrid(np.asarray(d.grid.taus, dtype=np.float64), d.grid.marks)
-    curves = None
-    if d.curves is not None:
-        curves = MetricCurves(
-            taus=grid.taus.copy(),
-            asr=np.asarray(d.curves.asr, dtype=np.float64),
-            coverage=np.asarray(d.curves.coverage, dtype=np.float64),
-        )
-    return LeakageReport(
-        meta=d.meta,
-        n_clusters=d.clustering.n_clusters,
-        cluster_sizes=d.clustering.cluster_sizes,
-        n_noise=d.clustering.n_noise,
-        n_core=d.clustering.n_core,
-        grid=grid,
-        dmin_summary=d.dmin_summary,
-        curves=curves,
-        readouts=d.reference_readouts,
-        records=d.records,
-    )
+    return documents.read(LeakageReport, doc, "document", "report")
 
 
 def render_json(report: LeakageReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(documents.write(report), indent=2) + "\n"
 
 
 def parse_json(text: str) -> LeakageReport:

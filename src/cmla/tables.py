@@ -303,6 +303,9 @@ def _read(file: str, fh: TextIO, schema_hint: TableSchema | None) -> DataTable:
     n_cols = len(header)
     if n_cols == 0:
         raise LoadError(f"{file}: header row has no columns")
+    if len(set(header)) < n_cols:
+        twice = next(name for j, name in enumerate(header) if name in header[:j])
+        raise LoadError(f"{file}: header names column {twice!r} twice")
     # Under a header that fails the hint, the cells are only read, for the
     # field-count errors that take precedence over the header's.
     hinted = schema_hint is not None and tuple(header) == schema_hint.names
@@ -345,7 +348,8 @@ def _undecodable_line(path: Path) -> int:
 def load_csv(path: str | Path, schema_hint: TableSchema | None = None) -> DataTable:
     """Load a CSV file into a DataTable.
 
-    With a schema hint the header must match the hinted column names exactly
+    The header may not name a column twice. With a schema hint it must match
+    the hinted column names exactly
     and the hinted kinds are enforced: a numeric column fails at its first cell
     that is not a finite decimal, and a categorical column whose non-empty
     cells are all decimals is a SchemaError, as inference would make it

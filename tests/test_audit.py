@@ -56,11 +56,11 @@ def test_run_audit_emits_the_full_file_set(tmp_path):
     assert rpt.meta.eps_mode == "fixed"
     assert rpt.meta.eps == 0.05
     assert rpt.meta.seed == 11
-    assert rpt.n_clusters == len(result.medoids)
+    assert rpt.clustering.n_clusters == len(result.medoids)
     assert rpt.curves is not None
-    assert rpt.readouts is not None
+    assert rpt.reference_readouts is not None
     doc = json.loads((out / "report.json").read_text())
-    assert doc["clustering"]["n_clusters"] == rpt.n_clusters
+    assert doc["clustering"]["n_clusters"] == rpt.clustering.n_clusters
 
 
 def test_records_flag_adds_the_records_file(tmp_path):
@@ -74,7 +74,7 @@ def test_records_flag_adds_the_records_file(tmp_path):
     assert (out / "dmin_records.csv").is_file()
     assert result.report.records is not None
     doc = json.loads((out / "report.json").read_text())
-    assert len(doc["records"]) == result.report.n_clusters
+    assert len(doc["records"]) == result.report.clustering.n_clusters
 
 
 def test_audit_without_real_table_skips_evaluation(tmp_path):
@@ -85,7 +85,7 @@ def test_audit_without_real_table_skips_evaluation(tmp_path):
     rpt = result.report
     assert rpt.curves is None
     assert rpt.dmin_summary is None
-    assert rpt.readouts is None
+    assert rpt.reference_readouts is None
     assert rpt.meta.real_path is None
     assert not (out / "curves.csv").exists()
 

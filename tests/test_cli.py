@@ -83,6 +83,14 @@ def test_malformed_synthetic_exits_2(tmp_path):
     assert "error in stage load-synthetic" in proc.stderr
 
 
+def test_header_that_repeats_a_name_exits_2_naming_file_and_column(tmp_path, capsys):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("a,a\n1.0,2.0\n")
+    assert main(["audit", "--synthetic", str(dup)]) == 2
+    assert ("cmla: error in stage load-synthetic: dup.csv: header names column 'a' twice"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("fault, message", [
     ("header", "header ['x', 'z'] does not match expected columns ['x', 'c']"),
     ("cell", "row 150, column 'x': cell 'n/a' is not a finite decimal"),

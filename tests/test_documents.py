@@ -1,12 +1,15 @@
-"""documents.read: a dataclass's type hints as the schema of a JSON object."""
+"""documents.read and documents.write: a dataclass's type hints as the
+schema of a JSON object."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 
+import numpy as np
 import pytest
 
-from cmla.documents import read
+from cmla.documents import read, write
 from cmla.errors import ConfigError
 
 
@@ -60,3 +63,73 @@ def test_names_the_key_at_fault(doc, message):
     with pytest.raises(ConfigError) as e:
         read_root(doc)
     assert message in str(e.value)
+
+
+@dataclass(frozen=True)
+class Shapes:
+    # keyword-only, so it leads the object and keeps its default
+    version: int = field(default=1, kw_only=True)
+    count: int
+    ratio: float
+    flag: bool
+    label: str
+    maybe: int | None
+    values: list[float]
+    leaves: tuple[Leaf, ...]
+    by_name: dict[str, Leaf]
+    raw: dict
+    root: Root
+
+
+def shapes(maybe=None, extra=None):
+    root = Root("r", (Leaf(0.5),), True, {"a": [1, 2], "b": []}, extra)
+    return Shapes(count=3, ratio=0.25, flag=False, label="s", maybe=maybe,
+                  values=[1.0, -2.5], leaves=(Leaf(1.0, 2), Leaf(3.5)),
+                  by_name={"k": Leaf(4.0, 1)}, raw={"any": [1, "two", None, {"x": True}]},
+                  root=root)
+
+
+@pytest.mark.parametrize("maybe, extra", [(None, None), (7, Leaf(9.0, 4))])
+def test_write_is_the_inverse_of_read(maybe, extra):
+    x = shapes(maybe, extra)
+    doc = write(x)
+    assert read(Shapes, doc, "shapes", "doc:") == x
+    parsed = json.loads(json.dumps(doc))
+    assert parsed == doc
+    assert write(read(Shapes, parsed, "shapes", "doc:")) == parsed
+
+
+def test_write_gives_arrays_for_tuples_and_null_for_none():
+    doc = write(shapes())
+    assert doc["leaves"] == [{"x": 1.0, "n": 2}, {"x": 3.5, "n": 0}]
+    assert doc["maybe"] is None and doc["root"]["extra"] is None
+    assert doc["raw"] == {"any": [1, "two", None, {"x": True}]}
+
+
+def test_write_casts_numbers_to_their_declared_type():
+    x = Shapes(count=np.int64(3), ratio=2, flag=True, label="s", maybe=np.uint64(2**63 + 5),
+               values=[np.float32(0.5), 1], leaves=(Leaf(np.float64(0.1), np.int32(4)),),
+               by_name={"k": Leaf(np.int64(2))}, raw={}, root=Root("r", ()))
+    doc = write(x)
+    assert (doc["count"], doc["ratio"], doc["maybe"]) == (3, 2.0, 2**63 + 5)
+    assert doc["values"] == [0.5, 1.0] and doc["leaves"] == [{"x": 0.1, "n": 4}]
+    assert doc["by_name"] == {"k": {"x": 2.0, "n": 0}}
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [n for v in value.values() for n in numbers(v)]
+        if isinstance(value, list):
+            return [n for v in value for n in numbers(v)]
+        return [value] if isinstance(value, (int, float)) else []
+
+    assert {type(n) for n in numbers(doc)} <= {int, float, bool}
+    assert type(doc["ratio"]) is float and type(doc["count"]) is int
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_write_keeps_the_field_order():
+    doc = write(shapes(extra=Leaf(1.0)))
+    assert list(doc) == [f.name for f in fields(Shapes)]
+    assert list(doc)[0] == "version"
+    assert list(doc["root"]) == ["name", "leaves", "flag", "tags", "extra"]
+    assert list(doc["root"]["extra"]) == ["x", "n"]

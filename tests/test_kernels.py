@@ -557,6 +557,16 @@ def test_thread_count_env(monkeypatch):
         thread_count()
 
 
+def test_thread_count_env_has_an_upper_bound(monkeypatch):
+    # only thread_count() runs here: no pool of that size is ever started
+    monkeypatch.setenv("CMLA_THREADS", str(kernels.MAX_THREADS))
+    assert thread_count() == kernels.MAX_THREADS
+    for raw in (str(kernels.MAX_THREADS + 1), "99999999999999999999"):
+        monkeypatch.setenv("CMLA_THREADS", raw)
+        with pytest.raises(ConfigError, match=f"at most {kernels.MAX_THREADS}, got '{raw}'"):
+            thread_count()
+
+
 def test_results_do_not_depend_on_worker_count(rng, monkeypatch):
     # n is large enough that each of 5 workers runs several row blocks
     x = clustered_cloud(rng, 1200, 3, duplicates=0.1)

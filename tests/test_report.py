@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cmla.clustering import dbscan, extract_medoids
+from cmla.documents import write
 from cmla.encoding import encode, fit_encoding
 from cmla.errors import ConfigError, CurveError, LineageError
 from cmla.metrics import (
@@ -23,6 +24,9 @@ from cmla.metrics import (
     summarize_dmin,
 )
 from cmla.report import (
+    Clustering,
+    Curves,
+    Grid,
     LeakageReport,
     ReferenceReadout,
     RunMeta,
@@ -33,7 +37,6 @@ from cmla.report import (
     parse_json,
     render_json,
     report_from_dict,
-    report_to_dict,
     write_dmin_records_csv,
     write_heatmap_csv,
     write_report_json,
@@ -42,7 +45,8 @@ from cmla.report import (
 from conftest import numeric_table
 
 
-def small_report(with_real=True, marks=(0.1, 0.5)):
+def small_pipeline(with_real=True, marks=(0.1, 0.5)):
+    """The inputs of build_report for a 7-row toy audit, and its curves."""
     synth = numeric_table(
         [[v, 0.0] for v in (0.0, 0.1, 0.05, 2.0, 2.1, 2.05, 9.0)],
         names=["x", "y"],
@@ -76,7 +80,11 @@ def small_report(with_real=True, marks=(0.1, 0.5)):
         seed=7,
         model_hash=mat.model_hash,
     )
-    return build_report(meta, labeling, medoids, grid, summary, curves, records)
+    return (meta, labeling, medoids, grid, summary, curves, records)
+
+
+def small_report(with_real=True, marks=(0.1, 0.5)):
+    return build_report(*small_pipeline(with_real, marks))
 
 
 def test_render_parse_render_is_byte_stable():
@@ -86,7 +94,7 @@ def test_render_parse_render_is_byte_stable():
     again = render_json(parse_json(text))
     assert again == text
     # and the dict layer agrees too
-    assert json.loads(text) == report_to_dict(parse_json(text))
+    assert json.loads(text) == write(parse_json(text))
 
 
 def numpy_typed_report(with_real, with_records):
@@ -130,16 +138,15 @@ def numpy_typed_report(with_real, with_records):
                              coverage=curves.coverage[i])
             for i in (1, 3)
         ]
+        curves = Curves(asr=list(curves.asr), coverage=list(curves.coverage))
     return LeakageReport(
         meta=meta,
-        n_clusters=np.int64(2),
-        cluster_sizes=[np.int64(3), np.int64(2)],
-        n_noise=np.int64(1),
-        n_core=np.int64(4),
-        grid=grid,
+        clustering=Clustering(n_clusters=np.int64(2), cluster_sizes=[np.int64(3), np.int64(2)],
+                              n_noise=np.int64(1), n_core=np.int64(4)),
+        grid=Grid(taus=list(grid.taus), marks=list(grid.marks)),
         dmin_summary=summary,
         curves=curves,
-        readouts=readouts,
+        reference_readouts=readouts,
         records=profile.records if with_records else None,
     )
 
@@ -161,7 +168,7 @@ def test_rendered_bytes_are_pinned_and_round_trip(with_real, with_records, diges
 
 
 def test_report_without_real_table_has_no_curve_sections():
-    doc = report_to_dict(small_report(with_real=False))
+    doc = write(small_report(with_real=False))
     assert doc["dmin_summary"] is None
     assert doc["curves"] is None
     assert doc["reference_readouts"] is None
@@ -170,7 +177,7 @@ def test_report_without_real_table_has_no_curve_sections():
 
 
 def test_document_key_order_is_fixed():
-    doc = report_to_dict(small_report())
+    doc = write(small_report())
     assert list(doc) == [
         "schema_version",
         "kind",
@@ -188,7 +195,7 @@ def test_document_key_order_is_fixed():
 
 def test_readouts_equal_curve_values_exactly():
     report = small_report()
-    doc = report_to_dict(report)
+    doc = write(report)
     for readout in doc["reference_readouts"]:
         i = report.grid.index_of(readout["tau"])
         assert readout["asr"] == doc["curves"]["asr"][i]
@@ -207,7 +214,7 @@ def test_build_report_rejects_foreign_artifacts():
 
 
 def test_report_from_dict_validates_kind_and_version():
-    doc = report_to_dict(small_report())
+    doc = write(small_report())
     bad = dict(doc)
     bad["kind"] = "something"
     with pytest.raises(ConfigError, match="not a leakage report"):
@@ -224,7 +231,7 @@ def test_report_from_dict_validates_kind_and_version():
      ("curves", "asr"), ("clustering", "n_core"), ("document", "grid")],
 )
 def test_report_from_dict_names_an_unknown_or_missing_section_key(section, key):
-    doc = report_to_dict(small_report())
+    doc = write(small_report())
     name = "records[1]" if section == "records" else section
 
     def tampered(change):
@@ -249,7 +256,7 @@ def test_write_report_json_round_trip(tmp_path):
 
 
 def test_compare_reports_tolerance_boundary():
-    a = report_to_dict(small_report())
+    a = write(small_report())
     b = json.loads(json.dumps(a))
     assert compare_reports(a, b) == []
     b["curves"]["asr"][5] = a["curves"]["asr"][5] + 5e-10
@@ -261,7 +268,7 @@ def test_compare_reports_tolerance_boundary():
 
 
 def test_compare_reports_catches_shape_and_text_changes():
-    a = report_to_dict(small_report())
+    a = write(small_report())
     b = json.loads(json.dumps(a))
     b["meta"]["scale"] = "zscore"
     del b["clustering"]["n_noise"]
@@ -281,9 +288,9 @@ def test_format_summary_row_frozen_string():
 
 
 def test_emit_curves_csv_layout(tmp_path):
-    report = small_report()
+    curves = small_pipeline()[5]
     p = tmp_path / "curves.csv"
-    emit_curves_csv(report.curves, p)
+    emit_curves_csv(curves, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "tau,asr,coverage"
     assert len(lines) == 252

@@ -84,6 +84,15 @@ def test_empty_file_and_header_only_are_rejected(tmp_path):
         load_csv(write(tmp_path, "a,b\n"))
 
 
+def test_header_that_repeats_a_name_is_rejected_before_any_cell(tmp_path):
+    # the ragged row and the text cell below are never reached
+    with pytest.raises(LoadError, match=r"^dup\.csv: header names column 'a' twice$"):
+        load_csv(write(tmp_path, "a,b,a\n1,2,3\n4\n", name="dup.csv"))
+    hint = TableSchema((ColumnSpec("x", NUMERIC), ColumnSpec("y", NUMERIC)))
+    with pytest.raises(LoadError, match=r"^t\.csv: header names column 'y' twice$"):
+        load_csv(write(tmp_path, "y,x,y\nz,1,2\n"), schema_hint=hint)
+
+
 def test_missing_file_is_a_load_error(tmp_path):
     with pytest.raises(LoadError, match="no such file"):
         load_csv(tmp_path / "absent.csv")
