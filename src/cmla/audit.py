@@ -95,7 +95,6 @@ class AuditConfig:
 @dataclass(eq=False)
 class AuditResult:
     report: report_mod.LeakageReport
-    out_dir: Path | None
     labeling: clustering.ClusterLabeling
     medoids: clustering.MedoidSet
     model: encoding.EncodingModel
@@ -195,15 +194,12 @@ def run_audit(
             curves=curves,
             records=profile.records if (profile is not None and config.records) else None,
         )
-        out_dir = None
         if config.out is not None:
             out_dir = Path(config.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            _emit_files(rpt, out_dir, model, labeling, medoids, synthetic, curves, profile,
-                        config.records)
+            _emit_files(rpt, out_dir, model, labeling, medoids, synthetic)
 
-    return AuditResult(report=rpt, out_dir=out_dir, labeling=labeling,
-                       medoids=medoids, model=model)
+    return AuditResult(report=rpt, labeling=labeling, medoids=medoids, model=model)
 
 
 def _stem(path: str | None) -> str | None:
@@ -217,9 +213,6 @@ def _emit_files(
     labeling: clustering.ClusterLabeling,
     medoids: clustering.MedoidSet,
     synthetic: tables.DataTable,
-    curves: metrics.MetricCurves | None,
-    profile: metrics.ProximityProfile | None,
-    emit_records: bool,
 ) -> None:
     report_mod.write_report_json(rpt, out_dir / "report.json")
     (out_dir / "model.json").write_text(
@@ -227,10 +220,10 @@ def _emit_files(
     )
     clustering.write_labels_csv(labeling, out_dir / "labels.csv")
     clustering.write_medoids_csv(medoids, synthetic, out_dir / "medoids.csv")
-    if curves is not None:
-        report_mod.emit_curves_csv(curves, out_dir / "curves.csv")
-    if profile is not None and emit_records:
-        report_mod.write_dmin_records_csv(profile.records, out_dir / "dmin_records.csv")
+    if rpt.curves is not None:
+        report_mod.emit_curves_csv(rpt.grid, rpt.curves, out_dir / "curves.csv")
+    if rpt.records is not None:
+        report_mod.write_dmin_records_csv(rpt.records, out_dir / "dmin_records.csv")
 
 
 def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
@@ -259,15 +252,13 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
         min_samples=m.min_samples,
         scale=m.scale,
         pca=m.pca_dim,
-        marks=tuple(rpt.grid.marks),
         metric=m.metric,
         seed=m.seed,
         records=rpt.records is not None,
         dataset_label=m.dataset_label,
         generator_label=m.generator_label,
     )
-    grid = metrics.ThresholdGrid(rpt.grid.taus, rpt.grid.marks)
-    recomputed = run_audit(config, grid_override=grid)
+    recomputed = run_audit(config, grid_override=rpt.grid)
     problems.extend(
         report_mod.compare_reports(
             documents.write(rpt), documents.write(recomputed.report), tol

@@ -112,17 +112,16 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _audit_config(args)
-    result = audit.run_audit(config)
-    if result.report.dmin_summary is not None:
-        print(report_mod.format_summary_row(result.report.dmin_summary))
-    if result.report.reference_readouts:
-        for r in result.report.reference_readouts:
-            print(f"tau={r.tau:g}: asr={r.asr:.4f}, coverage={r.coverage:.4f}")
-    else:
-        print(f"clusters={result.report.clustering.n_clusters} (no real table evaluated)")
+    if args.verify and config.out is None:
+        raise ConfigError("--verify needs --out to locate the emitted report")
+    rpt = audit.run_audit(config).report
+    if rpt.dmin_summary is not None:
+        print(report_mod.format_summary_row(rpt.dmin_summary))
+    if rpt.curves is None:
+        print(f"clusters={rpt.clustering.n_clusters} (no real table evaluated)")
+    for r in rpt.reference_readouts or []:
+        print(f"tau={r.tau:g}: asr={r.asr:.4f}, coverage={r.coverage:.4f}")
     if args.verify:
-        if config.out is None:
-            raise ConfigError("--verify needs --out to locate the emitted report")
         problems = audit.verify_report_file(Path(config.out) / "report.json")
         if problems:
             for line in problems:

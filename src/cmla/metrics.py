@@ -42,37 +42,37 @@ class ProximityProfile:
     per_real_min: np.ndarray
 
 
+@dataclass
 class ThresholdGrid:
-    """Strictly increasing, non-negative thresholds plus marked references.
+    """Strictly increasing, non-negative thresholds plus marked references:
+    the grid section of report.json.
 
-    Marks must land on grid points (within 1e-12); they are stored resolved to
-    the exact grid values so reference readouts equal curve values exactly.
+    taus are stored as a tuple of floats. Marks must land on grid points
+    (within 1e-12); they are stored resolved to the exact grid values so
+    reference readouts equal curve values exactly.
     """
 
-    def __init__(self, taus: Sequence[float], marks: Sequence[float] = ()) -> None:
-        taus = np.asarray(taus, dtype=np.float64)
+    taus: tuple[float, ...]
+    marks: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        taus = np.asarray(self.taus, dtype=np.float64)
         if taus.ndim != 1 or len(taus) == 0:
             raise ConfigError("threshold grid must be a non-empty 1-d array")
         if taus[0] < 0.0:
             raise ConfigError("thresholds must be non-negative")
         if len(taus) > 1 and not np.all(np.diff(taus) > 0.0):
             raise ConfigError("thresholds must be strictly increasing")
-        self.taus = taus
-        self.marks = tuple(float(taus[locate(taus, m)]) for m in marks)
+        self.taus = tuple(taus.tolist())
+        self.marks = tuple(self.taus[self.index_of(m)] for m in self.marks)
 
     def index_of(self, tau: float) -> int:
-        return locate(self.taus, tau)
-
-    def __len__(self) -> int:
-        return len(self.taus)
-
-
-def locate(taus: Sequence[float], tau: float) -> int:
-    """The index of the grid threshold within MARK_RESOLUTION of tau."""
-    i = int(np.argmin(np.abs(np.asarray(taus) - tau)))
-    if abs(float(taus[i]) - tau) <= MARK_RESOLUTION:
-        return i
-    raise ConfigError(f"threshold {tau!r} is not on the grid")
+        """The index of the grid threshold within MARK_RESOLUTION of tau."""
+        taus = np.asarray(self.taus)
+        i = int(np.argmin(np.abs(taus - tau)))
+        if abs(taus[i] - tau) <= MARK_RESOLUTION:
+            return i
+        raise ConfigError(f"threshold {tau!r} is not on the grid")
 
 
 def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
@@ -209,18 +209,18 @@ def summarize_dmin(values: Sequence[float] | np.ndarray) -> DminSummary:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class MetricCurves:
-    taus: np.ndarray
-    asr: np.ndarray
-    coverage: np.ndarray
+    """ASR and coverage per grid threshold: the curves section of report.json."""
+
+    asr: list[float]
+    coverage: list[float]
 
 
 def curves_from_profile(
     profile: ProximityProfile, grid: ThresholdGrid
 ) -> MetricCurves:
     return MetricCurves(
-        taus=grid.taus.copy(),
-        asr=asr_curve(profile.records, grid),
-        coverage=coverage_from_minima(profile.per_real_min, grid),
+        asr=asr_curve(profile.records, grid).tolist(),
+        coverage=coverage_from_minima(profile.per_real_min, grid).tolist(),
     )

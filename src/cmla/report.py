@@ -1,8 +1,9 @@
 """Leakage report assembly, serialization, and file emission.
 
-The report is a versioned JSON document, report.json, and the dataclasses
-below are its schema: LeakageReport's fields are the document's sections in
-order, and each section's fields its keys. documents.write renders them and
+The report is a versioned JSON document, report.json, and LeakageReport is
+its schema: its fields are the document's sections in order, and each
+section's fields its keys; grid and curves are the pipeline's own
+ThresholdGrid and MetricCurves. documents.write renders them and
 documents.read reads them back, so the layout lives in one place. Floats are
 serialized at full repr precision (at least 6 significant digits, and lossless
 on reload), keys keep the fields' order, and no timestamp enters any emitted
@@ -24,13 +25,7 @@ import numpy as np
 from . import __version__, documents
 from .clustering import ClusterLabeling, MedoidSet
 from .errors import ConfigError, CurveError, LineageError
-from .metrics import (
-    DistanceRecord,
-    DminSummary,
-    MetricCurves,
-    ThresholdGrid,
-    locate,
-)
+from .metrics import DistanceRecord, DminSummary, MetricCurves, ThresholdGrid
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_KIND = "leakage_report"
@@ -66,25 +61,6 @@ class Clustering:
 
 
 @dataclass(frozen=True)
-class Grid:
-    """The thresholds and marks of a ThresholdGrid, as the report holds them."""
-
-    taus: list[float]
-    marks: list[float]
-
-    def index_of(self, tau: float) -> int:
-        return locate(self.taus, tau)
-
-
-@dataclass(frozen=True)
-class Curves:
-    """ASR and coverage per grid threshold."""
-
-    asr: list[float]
-    coverage: list[float]
-
-
-@dataclass(frozen=True)
 class ReferenceReadout:
     tau: float
     asr: float
@@ -98,9 +74,9 @@ class LeakageReport:
     kind: str = field(default=REPORT_KIND, kw_only=True)
     meta: RunMeta
     clustering: Clustering
-    grid: Grid
+    grid: ThresholdGrid
     dmin_summary: DminSummary | None
-    curves: Curves | None
+    curves: MetricCurves | None
     reference_readouts: list[ReferenceReadout] | None
     records: list[DistanceRecord] | None
 
@@ -120,12 +96,10 @@ def build_report(
         raise LineageError("report inputs come from different encoding models")
     if len(medoids) != labeling.n_clusters:
         raise LineageError("medoid count does not match the cluster count")
-    report_curves = readouts = None
+    readouts = None
     if curves is not None:
-        report_curves = Curves(asr=curves.asr.tolist(), coverage=curves.coverage.tolist())
         readouts = [
-            ReferenceReadout(tau=float(grid.taus[i]), asr=report_curves.asr[i],
-                             coverage=report_curves.coverage[i])
+            ReferenceReadout(tau=grid.taus[i], asr=curves.asr[i], coverage=curves.coverage[i])
             for i in map(grid.index_of, grid.marks)
         ]
     return LeakageReport(
@@ -136,9 +110,9 @@ def build_report(
             n_noise=labeling.noise_count,
             n_core=int(labeling.core_mask.sum()),
         ),
-        grid=Grid(taus=grid.taus.tolist(), marks=list(grid.marks)),
+        grid=grid,
         dmin_summary=dmin_summary,
-        curves=report_curves,
+        curves=curves,
         reference_readouts=readouts,
         records=records,
     )
@@ -173,16 +147,13 @@ def format_summary_row(summary: DminSummary) -> str:
     )
 
 
-def emit_curves_csv(curves: MetricCurves, path: str | Path) -> None:
+def emit_curves_csv(grid: ThresholdGrid, curves: MetricCurves, path: str | Path) -> None:
     """Write tau,asr,coverage rows, validating the curve laws on the way out:
-    thresholds strictly increasing, both curves within [0, 1] and
+    one value per grid threshold, both curves within [0, 1] and
     non-decreasing."""
-    taus = np.asarray(curves.taus, dtype=np.float64)
-    if len(taus) > 1 and not np.all(np.diff(taus) > 0.0):
-        raise CurveError("thresholds must be strictly increasing")
     for name, values in (("asr", curves.asr), ("coverage", curves.coverage)):
         v = np.asarray(values, dtype=np.float64)
-        if len(v) != len(taus):
+        if len(v) != len(grid.taus):
             raise CurveError(f"{name} curve length does not match the grid")
         if np.any(v < 0.0) or np.any(v > 1.0):
             raise CurveError(f"{name} curve leaves [0, 1]")
@@ -191,7 +162,7 @@ def emit_curves_csv(curves: MetricCurves, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "asr", "coverage"])
-        for t, a, c in zip(taus, curves.asr, curves.coverage):
+        for t, a, c in zip(grid.taus, curves.asr, curves.coverage):
             writer.writerow([repr(float(t)), repr(float(a)), repr(float(c))])
 
 

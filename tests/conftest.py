@@ -72,10 +72,16 @@ def clustered_cloud(rng: np.random.Generator, n: int, d: int, duplicates: float 
     return np.ascontiguousarray(x)
 
 
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports cmla from this
+    checkout's src, as the tests themselves do."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def child_rss_growth_mib(setup: str, measured: str) -> float:
     """Peak-RSS growth of a fresh interpreter over `measured`, after `setup`
     has run; both are Python source with cmla importable."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import resource\n"
         f"{setup}\n"
@@ -84,9 +90,9 @@ def child_rss_growth_mib(setup: str, measured: str) -> float:
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print((after - before) / 1024)\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+        timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return float(done.stdout.split()[-1])

@@ -15,10 +15,13 @@ from cmla import audit
 from cmla.audit import AuditConfig
 from cmla.cli import main
 
+from conftest import child_env
+
 
 def run_cli(*argv, check=False):
     proc = subprocess.run(
         [sys.executable, "-m", "cmla.cli", *map(str, argv)],
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -234,12 +237,60 @@ def test_verify_exits_2_naming_an_unreadable_report(tmp_path, capsys, content):
     assert "cmla: report.json: unreadable report: " in capsys.readouterr().err
 
 
+def bad_order(grid):
+    grid["taus"][3] = grid["taus"][2]
+
+
+def negative_start(grid):
+    grid["taus"][0] = -0.01
+
+
+def off_grid_mark(grid):
+    grid["marks"][0] = 0.123
+
+
+@pytest.mark.parametrize("change, message", [
+    (bad_order, "thresholds must be strictly increasing"),
+    (negative_start, "thresholds must be non-negative"),
+    (off_grid_mark, "threshold 0.123 is not on the grid"),
+])
+def test_verify_exits_2_naming_the_grid_that_breaks_its_laws(csv_pair, tmp_path, caplog,
+                                                            capsys, change, message):
+    synth, real = csv_pair
+    out = tmp_path / "out"
+    assert main(["audit", "--synthetic", str(synth), "--real", str(real), "--out", str(out),
+                 "--eps", "0.05"]) == 0
+    report = out / "report.json"
+    doc = json.loads(report.read_text())
+    change(doc["grid"])
+    report.write_text(json.dumps(doc, indent=2) + "\n")
+    capsys.readouterr()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        assert main(["verify", str(report)]) == 2
+    assert capsys.readouterr().err == f"cmla: report grid: {message}\n"
+    assert not [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage")]
+
+
 def test_verify_flag_requires_out(csv_pair):
     synth, real = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--real", real,
                    "--eps", "0.05", "--verify")
     assert proc.returncode == 2
     assert "--verify needs --out" in proc.stderr
+    assert "stage" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_audit_with_no_marks_prints_only_the_summary(csv_pair, tmp_path, capsys):
+    synth, real = csv_pair
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"marks": []}))
+    capsys.readouterr()
+    assert main(["audit", "--synthetic", str(synth), "--real", str(real),
+                 "--eps", "0.05", "--config", str(cfg)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("M=")
 
 
 def scenario_doc(order):

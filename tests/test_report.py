@@ -25,8 +25,6 @@ from cmla.metrics import (
 )
 from cmla.report import (
     Clustering,
-    Curves,
-    Grid,
     LeakageReport,
     ReferenceReadout,
     RunMeta,
@@ -138,12 +136,11 @@ def numpy_typed_report(with_real, with_records):
                              coverage=curves.coverage[i])
             for i in (1, 3)
         ]
-        curves = Curves(asr=list(curves.asr), coverage=list(curves.coverage))
     return LeakageReport(
         meta=meta,
         clustering=Clustering(n_clusters=np.int64(2), cluster_sizes=[np.int64(3), np.int64(2)],
                               n_noise=np.int64(1), n_core=np.int64(4)),
-        grid=Grid(taus=list(grid.taus), marks=list(grid.marks)),
+        grid=grid,
         dmin_summary=summary,
         curves=curves,
         reference_readouts=readouts,
@@ -288,9 +285,9 @@ def test_format_summary_row_frozen_string():
 
 
 def test_emit_curves_csv_layout(tmp_path):
-    curves = small_pipeline()[5]
+    _, _, _, grid, _, curves, _ = small_pipeline()
     p = tmp_path / "curves.csv"
-    emit_curves_csv(curves, p)
+    emit_curves_csv(grid, curves, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "tau,asr,coverage"
     assert len(lines) == 252
@@ -300,17 +297,15 @@ def test_emit_curves_csv_layout(tmp_path):
 
 
 def test_emit_curves_csv_enforces_curve_laws(tmp_path):
-    taus = np.array([0.0, 0.1, 0.2])
-    ok = np.array([0.0, 0.5, 1.0])
+    grid = ThresholdGrid([0.0, 0.1, 0.2])
+    ok = [0.0, 0.5, 1.0]
     p = tmp_path / "c.csv"
-    with pytest.raises(CurveError, match="strictly increasing"):
-        emit_curves_csv(MetricCurves(np.array([0.0, 0.0, 0.2]), ok, ok), p)
     with pytest.raises(CurveError, match="leaves \\[0, 1\\]"):
-        emit_curves_csv(MetricCurves(taus, np.array([0.0, 0.5, 1.2]), ok), p)
+        emit_curves_csv(grid, MetricCurves([0.0, 0.5, 1.2], ok), p)
     with pytest.raises(CurveError, match="not non-decreasing"):
-        emit_curves_csv(MetricCurves(taus, np.array([0.5, 0.1, 1.0]), ok), p)
+        emit_curves_csv(grid, MetricCurves([0.5, 0.1, 1.0], ok), p)
     with pytest.raises(CurveError, match="length"):
-        emit_curves_csv(MetricCurves(taus, np.array([0.0, 1.0]), ok), p)
+        emit_curves_csv(grid, MetricCurves([0.0, 1.0], ok), p)
 
 
 def test_dmin_records_csv(tmp_path):
