@@ -88,15 +88,18 @@ class MedoidSet:
 
 def auto_eps(matrix: EncodedMatrix, min_samples: int) -> float:
     """Median over rows of the distance to the min_samples-th nearest neighbor
-    (self excluded). Errors when the result is zero, since a zero radius
-    cannot define a neighborhood."""
+    (self excluded), every row counted. kernels.kth_neighbor_median computes
+    it exactly, bit for bit the median of kernels.kth_neighbor_distances,
+    from the rows whose distance a grid certifies to be at most a radius a
+    little above a sampled median: those hold the middle order statistics.
+    Errors when the result is zero, since a zero radius cannot define a
+    neighborhood."""
     n = len(matrix.vectors)
     if n <= min_samples:
         raise ConfigError(
             f"auto eps needs more than min_samples={min_samples} rows, got {n}"
         )
-    kdist = kernels.kth_neighbor_distances(matrix.vectors, min_samples)
-    eps = float(np.median(kdist))
+    eps = kernels.kth_neighbor_median(matrix.vectors, min_samples)
     if eps == 0.0:
         raise DegenerateGeometryError("degenerate geometry, supply eps")
     return eps

@@ -13,12 +13,22 @@ pairs, then that exact comparison for the rest.
   dists_to. A tile's left operand, its bounds and each batch of exact pairs
   hold at most TILE_BYTES, whatever the widths.
 - The eps-graph is never stored whole. _hit_blocks yields it one block of
-  rows at a time as a boolean hit matrix against ascending columns: brute
-  tiles up to GRID_INDEX_MIN_ROWS rows, and above that one grid cell against
-  its adjacent cells, decided by the same tile test. neighbor_lists(x, eps,
-  limit) keeps at most limit of each row's lowest neighbours, and
-  eps_components unions the hits into connected components; each streams
-  the blocks once.
+  rows at a time as a boolean hit matrix against ascending columns, decided
+  by the tile test: row tiles against every row, or one grid cell against
+  its adjacent cells. neighbor_lists(x, eps, limit) keeps at most limit of
+  each row's lowest neighbours, and eps_components unions the hits into
+  connected components; each streams the blocks once.
+- The grid (_cell_map) gives each row one int64 code for its cell over the
+  leading g <= 3 dimensions and sorts the rows by it, so a cell's 3^g
+  adjacent cells are 3^(g-1) runs of the sorted codes. From the cell sizes
+  it estimates its work as the sum over cells of |cell| * |adjacent rows|
+  plus CELL_COST per cell, and the cost rule (_grid_pays) takes it only when
+  that is below the n^2 pairs of brute force: many tiny cells, or one cell
+  holding most rows, stay on brute force. Both neighbour search and the
+  median below use it.
+- clustering.auto_eps needs only the median of the k-th-neighbour
+  distances. kth_neighbor_median computes the k-th distance exactly for the
+  rows that a grid of side r certifies, and the median from them alone.
 - Rows with equal bytes give equal distances, so distinct_rows merges them
   where the work scales with their count: clustering.dbscan and
   medoid_local_index run on distinct rows weighted by their counts. The
@@ -82,8 +92,34 @@ is d = fl(sqrt(s)).
   (lowest-index) minimum, with NaN first as in np.argmin; column minima
   propagate NaN as np.minimum does.
 
+The grid. A cell has side h = fl(r(1 + 2^-10)) for a radius
+2^-500 < r < 2^500, and a row's key in leading dimension j is
+floor(fl(x_j / h)); a grid is built only when every |fl(x_j / h)| < 2^40.
+Let rows a and b have distance fl(sqrt(s)) <= r and t = fl(b_j - a_j). Each
+rounded partial sum of non-negative terms is at least each of its terms, so
+s >= fl(t^2). If t^2 >= 2^-1022, fl(t^2) >= t^2(1 - u) and
+fl(sqrt(s)) >= sqrt(s)(1 - u), so |t| <= r(1 + 2u) and
+|b_j - a_j| <= |t|/(1 - u) <= r(1 + 4u); otherwise |b_j - a_j| < 2^-510 < r.
+Each quotient is within u*2^40 = 2^-13 of x_j / h, so the two quotients
+differ by at most (1 + 4u)r/h + 2^-12 < 1 - 2^-11, and their floors by at
+most one: every pair within r lies in adjacent cells, and the tile test
+decides the pairs of adjacent cells exactly as brute force does.
+
+The median. In a grid for radius r, a row's candidates are the rows of its
+adjacent cells, itself included, and its candidate value c is their k-th
+smallest distance (from 0, as in kth_neighbor_distances), or +inf when there
+are at most k; c >= v, the row's true value. If v <= r, the k + 1 rows at
+distance at most v from it are all candidates, so c = v. Hence c <= r
+certifies c = v, and every uncertified row has v > r, above every certified
+value. When more than n/2 rows certify, the order statistics (n - 1)//2 and
+n//2 of all the values are certified ones, so np.median over the certified
+values with +inf for the rest reads the same one or two numbers as
+np.median over every v, bit for bit. Otherwise r doubles and the grid is
+rebuilt.
+
 The CMLA_THREADS environment variable (1 to MAX_THREADS) caps the worker
-threads used for row partitioning; the medoid screen runs in one thread.
+threads used for row partitioning; the medoid screen and neighbour search
+on the grid run in one thread.
 Workers write disjoint output slices, cross minima merge per-worker partials
 in range order, and the component union runs serially and ends at the lowest
 index of each set whatever the block order, so results depend neither on the
@@ -93,7 +129,6 @@ worker count nor on the tile size.
 from __future__ import annotations
 
 import contextvars
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -102,7 +137,12 @@ import numpy as np
 
 from .errors import ConfigError
 
-GRID_INDEX_MIN_ROWS = 50_000
+# The time one grid cell's NumPy calls take, in pairs of brute force: 25k-75k,
+# about 50k typical, across neighbour search, components and the k-th pass
+# on inputs of 8000 rows in 170-5500 cells (2 vCPUs; CHANGES.md).
+CELL_COST = 50_000
+# Rows whose exact k-th distances set kth_neighbor_median's first radius.
+MEDIAN_SAMPLE = 256
 # Bytes of upper bounds per tile. 512 KiB measured fastest at n = 8000,
 # d = 9 on a 2 MiB-L2 core: the tile, its partition copy and the (d+2) x n
 # right operand stay in L2, while 256 KiB tiles pay twice the per-tile
@@ -286,52 +326,92 @@ def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float):
     return hits
 
 
-def _grid_hit_blocks(x: np.ndarray, eps: float):
-    """Hit blocks through a uniform grid over the leading dimensions, one cell
-    of rows against its adjacent cells at a time, or None when the cell keys
-    would not fit in int64 (tiny eps, huge or non-finite coordinates).
+def _grid_pays(cost: int, n: int) -> bool:
+    """The cost rule: take the grid when its estimated work is below the n^2
+    pairs of brute force."""
+    return cost < n * n
 
-    A point within eps in the full space is within one cell step along any
-    subset of dimensions, so the 3^g adjacent cells hold every neighbour of
-    the cell's rows, and the tile test decides them as brute force does.
+
+def _cell_side(radius: float) -> float:
+    """The grid's cell side for a radius: a little more, so that rounding
+    keeps every pair within radius in adjacent cells (module docstring)."""
+    return radius * (1 + 2.0**-10)
+
+
+def _cell_map(x: np.ndarray, radius: float):
+    """cells(lo, hi) for a uniform grid over the leading g <= 3 dimensions of
+    x whose adjacent cells hold every pair within radius (module docstring),
+    or None when the cost rule prefers brute force or the grid cannot be built
+    (radius out of range, cell keys at or above 2^40, non-finite
+    coordinates). Rows are ordered by cell, and cells(lo, hi) yields
+    (rows, cols) for each cell that starts at one of the positions lo..hi of
+    that order: the cell's rows and the rows of its 3^g adjacent cells, each
+    ascending.
     """
-    g = min(3, x.shape[1])
-    scaled = np.floor(x[:, :g] / eps)
-    if not (np.abs(scaled) < 2.0**62).all():
+    n, g = len(x), min(3, x.shape[1])
+    if n == 0 or not 2.0**-500 < radius < 2.0**500:
         return None
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, scaled.astype(np.int64))):
-        cells.setdefault(key, []).append(i)
-    keys = list(cells)
-    offsets = list(itertools.product((-1, 0, 1), repeat=g))
+    with np.errstate(all="ignore"):
+        scaled = np.floor(x[:, :g] / _cell_side(radius))
+    if not (np.abs(scaled) < 2.0**40).all():
+        return None
+    keys = scaled.astype(np.int64)
+    keys -= keys.min(axis=0) - 1
+    # mixed-radix cell codes over the leading dimensions whose product fits:
+    # keys run from 1 to radix - 2, so a step of one never leaves its digit
+    radix = (keys.max(axis=0) + 2).tolist()
+    while math.prod(radix) >= 2**62:
+        radix.pop()
+    code = keys[:, 0]
+    for j in range(1, len(radix)):
+        code = code * radix[j] + keys[:, j]
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    cell = code[starts]
+    bounds = np.append(starts, n)
+    # a cell's neighbours with the same leading digits as code + step are the
+    # codes within one of code + step: one run of the sorted codes per step
+    steps = [0]
+    for j in range(len(radix) - 1):
+        steps = [s + o * math.prod(radix[j + 1 :]) for s in steps for o in (-1, 0, 1)]
+    edges = np.array([(s - 1, s + 2) for s in steps], dtype=np.int64).ravel()
+    adjacent = np.zeros(len(cell), dtype=np.int64)
+    for a, b in edges.reshape(-1, 2).tolist():
+        adjacent += np.searchsorted(code, cell + b) - np.searchsorted(code, cell + a)
+    cost = int(np.diff(bounds) @ adjacent) + CELL_COST * len(cell)
+    if not _grid_pays(cost, n):
+        return None
 
-    def blocks(lo: int, hi: int):
-        for key in keys[lo:hi]:
-            candidates: list[int] = []
-            for off in offsets:
-                near = cells.get(tuple(k + o for k, o in zip(key, off)))
-                if near is not None:
-                    candidates.extend(near)
-            cols = np.sort(np.asarray(candidates, dtype=np.int64))
-            members = np.asarray(cells[key], dtype=np.int64)
-            for i0, hit in _tile_hits(x[members], x[cols], eps)(0, len(members)):
-                yield members[i0 : i0 + len(hit)], cols, hit
+    def cells(lo: int, hi: int):
+        for c in range(*np.searchsorted(starts, [lo, hi]).tolist()):
+            at = np.searchsorted(code, cell[c] + edges).tolist()
+            parts = [order[a:b] for a, b in zip(at[::2], at[1::2])]
+            yield order[bounds[c] : bounds[c + 1]], np.sort(np.concatenate(parts))
 
-    return len(keys), blocks
+    return cells
 
 
 def _hit_blocks(x: np.ndarray, eps: float):
-    """(units, blocks): blocks(lo, hi) yields (rows, cols, hit) for the units
-    lo..hi of a partition of the rows of x, where hit[r, j] says
-    dists_to(x[rows[r]], x[cols[j]]) <= eps, cols ascend and hold every
-    neighbour of the block's rows. Units are row tiles, or grid cells above
-    GRID_INDEX_MIN_ROWS rows."""
+    """(blocks, threaded): blocks(lo, hi) yields (rows, cols, hit) for the
+    share lo..hi of a partition of range(len(x)) into blocks of rows, where
+    hit[r, j] says dists_to(x[rows[r]], x[cols[j]]) <= eps, cols ascend and
+    hold every neighbour of the block's rows. The blocks are grid cells where
+    the cost rule takes the grid (_cell_map), else row tiles; threaded is
+    False for grid cells, which gain nothing from the row pool: their short
+    NumPy calls trade the GIL, and their temporaries of many sizes raised
+    peak RSS by 4-8 MiB on wide-real when spread over two workers."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
-    if len(x) > GRID_INDEX_MIN_ROWS:
-        grid = _grid_hit_blocks(x, eps)
-        if grid is not None:
-            return grid
+    cells = _cell_map(x, eps)
+    if cells is not None:
+
+        def blocks(lo: int, hi: int):
+            for rows, cols in cells(lo, hi):
+                for i0, hit in _tile_hits(x[rows], x[cols], eps)(0, len(rows)):
+                    yield rows[i0 : i0 + len(hit)], cols, hit
+
+        return blocks, False
     hits = _tile_hits(x, x, eps)
     ids = np.arange(len(x))
 
@@ -339,25 +419,35 @@ def _hit_blocks(x: np.ndarray, eps: float):
         for i0, hit in hits(lo, hi):
             yield ids[i0 : i0 + len(hit)], ids, hit
 
-    return len(x), blocks
+    return blocks, True
 
 
 def neighbor_lists(x: np.ndarray, eps: float, limit: int) -> list[np.ndarray]:
     """Sorted index arrays of the points within eps of each row (self
-    included), each cut to its limit lowest indices."""
+    included), each cut to its limit lowest indices. A block's lists are
+    views of one array, which keeps the allocations few."""
     out: list[np.ndarray | None] = [None] * len(x)
-    units, blocks = _hit_blocks(x, eps)
+    blocks, threaded = _hit_blocks(x, eps)
 
     def fill(lo: int, hi: int) -> None:
         for rows, cols, hit in blocks(lo, hi):
-            width = hit.shape[1]
+            m, width = hit.shape
             flat = np.flatnonzero(hit)
-            starts = np.searchsorted(flat, np.arange(len(rows) + 1) * width).tolist()
+            starts = np.searchsorted(flat, np.arange(m + 1) * width)
+            # row k keeps flat[starts[k] : starts[k] + counts[k]], which go to
+            # kept[bounds[k] : bounds[k + 1]]
+            counts = np.minimum(np.diff(starts), limit)
+            bounds = np.r_[0, np.cumsum(counts)]
+            at = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
+            kept = cols[flat[at] - np.repeat(np.arange(m) * width, counts)]
+            bounds = bounds.tolist()
             for k, i in enumerate(rows.tolist()):
-                a = starts[k]
-                out[i] = cols[flat[a : min(starts[k + 1], a + limit)] - k * width]
+                out[i] = kept[bounds[k] : bounds[k + 1]]
 
-    _parallel_rows(units, fill)
+    if threaded:
+        _parallel_rows(len(x), fill)
+    else:
+        fill(0, len(x))
     return out  # type: ignore[return-value]
 
 
@@ -376,43 +466,52 @@ def eps_components(x: np.ndarray, eps: float) -> np.ndarray:
     graph that joins rows within eps.
 
     A union-find over the hit blocks, vectorised per block: hits whose rows
-    already share a parent are dropped; then each remaining pair hooks the
-    larger of its two roots onto the smaller with np.minimum.at, and the roots
-    are found again until no pair spans two of them. Parents only decrease,
-    so a root is the lowest index of its set. The block's rows and columns
-    then point straight at their roots, so later blocks drop their hits.
+    already share a parent are dropped, and the remaining pairs are joined.
+    A block with more such hits than rows and columns first joins each row
+    to its first hit column and each column to its first hit row; on a
+    dense block that leaves few hits spanning two sets to list pair by pair.
+    Joining hooks the larger of two roots onto the smaller with
+    np.minimum.at and finds the roots again until no pair spans two of them.
+    Parents only decrease, so a root is the lowest index of its set. The
+    joined rows and columns then point straight at their roots, so later
+    hits within a set are dropped.
     """
     parent = np.arange(len(x))
-    units, blocks = _hit_blocks(x, eps)
-    for rows, cols, hit in blocks(0, units):
+    for rows, cols, hit in _hit_blocks(x, eps)[0](0, len(x)):
         hit &= parent[cols] != parent[rows][:, None]
+        if np.count_nonzero(hit) > len(rows) + len(cols):
+            live_rows, live_cols = hit.any(axis=1), hit.any(axis=0)
+            ends = rows[live_rows], cols[live_cols]
+            _join(parent, ends[0], cols[hit.argmax(axis=1)[live_rows]])
+            _join(parent, rows[hit.argmax(axis=0)[live_cols]], ends[1])
+            for v in ends:
+                parent[v] = _roots(parent, v)
+            hit &= parent[cols] != parent[rows][:, None]
         r, c = _pairs(hit)
         ends = rows[r], cols[c]
-        a, b = ends
-        while len(a):
-            a, b = _roots(parent, a), _roots(parent, b)
-            split = a != b
-            a, b = np.minimum(a[split], b[split]), np.maximum(a[split], b[split])
-            np.minimum.at(parent, b, a)
+        _join(parent, *ends)
         for v in ends:
             parent[v] = _roots(parent, v)
     return _roots(parent, np.arange(len(x)))
 
 
-def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each row to its k-th nearest neighbor, self excluded.
+def _join(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the sets of a[i] and b[i] for every i, each root hooked onto the
+    lowest root it meets."""
+    while len(a):
+        a, b = _roots(parent, a), _roots(parent, b)
+        split = a != b
+        a, b = np.minimum(a[split], b[split]), np.maximum(a[split], b[split])
+        np.minimum.at(parent, b, a)
 
-    The self distance occupies one slot among the k + 1 smallest entries of
-    the row's full distance vector, so the k-th self-excluded neighbor sits at
-    partition index k of the vector that includes self.
-    """
-    n = len(x)
-    if not 1 <= k < n:
-        raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
-    out = np.empty(n, dtype=np.float64)
-    tiles = _bracket_tiles(x, x)
 
-    def fill(lo: int, hi: int) -> None:
+def _kth_tiles(x: np.ndarray, y: np.ndarray, k: int):
+    """kth(lo, hi) yields (i0, v) for the tiles of rows x[lo:hi], where v[r]
+    is the k-th smallest (from 0) of the distances from x[i0 + r] to the rows
+    of y, exactly as np.partition would place it (module docstring)."""
+    tiles = _bracket_tiles(x, y)
+
+    def kth(lo: int, hi: int):
         for i0, upper, spread in tiles(lo, hi):
             m = len(upper)
             t = np.partition(upper, k, axis=1)[:, k]
@@ -424,12 +523,73 @@ def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
                 below = _widen(upper[r, c]) < (t - spread)[r]
             rank = k - np.bincount(r[below], minlength=m)
             r, c = r[~below], c[~below]
-            d = _exact_dists(x, i0 + r, x, c)
+            d = _exact_dists(x, i0 + r, y, c)
             d = d[np.lexsort((d, r))]
-            out[i0 : i0 + m] = d[np.searchsorted(r, np.arange(m)) + rank]
+            yield i0, d[np.searchsorted(r, np.arange(m)) + rank]
 
-    _parallel_rows(n, fill)
+    return kth
+
+
+def _kth_distances(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """The k-th smallest (from 0) distance from each row of x to the rows of
+    y, one worker range of rows at a time."""
+    out = np.empty(len(x), dtype=np.float64)
+    kth = _kth_tiles(x, y, k)
+
+    def fill(lo: int, hi: int) -> None:
+        for i0, v in kth(lo, hi):
+            out[i0 : i0 + len(v)] = v
+
+    _parallel_rows(len(x), fill)
     return out
+
+
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k < n:
+        raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
+
+
+def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row to its k-th nearest neighbor, self excluded.
+
+    The self distance occupies one slot among the k + 1 smallest entries of
+    the row's full distance vector, so the k-th self-excluded neighbor sits at
+    partition index k of the vector that includes self.
+    """
+    _check_k(len(x), k)
+    return _kth_distances(x, x, k)
+
+
+def kth_neighbor_median(x: np.ndarray, k: int) -> float:
+    """float(np.median(kth_neighbor_distances(x, k))), bit for bit, from the
+    rows whose k-th distance a grid certifies to be at most a radius r
+    (module docstring). r starts a little above the median of an evenly
+    spaced sample of MEDIAN_SAMPLE rows and doubles until more than half the
+    rows are certified; brute force serves rows that are not finite and
+    grids the cost rule rejects."""
+    n = len(x)
+    _check_k(n, k)
+    if np.isfinite(x).all():
+        picks = np.unique(np.linspace(0, n - 1, MEDIAN_SAMPLE).astype(np.int64))
+        sample = np.sort(_kth_distances(x[picks], x, k))
+        # the sample's 5/8 quantile: a margin of about four standard errors
+        # of the sampled median, so one grid usually certifies enough rows
+        r = float(sample[len(sample) * 5 // 8])
+        while (cells := _cell_map(x, r)) is not None:
+            kth = np.full(n, np.inf)
+
+            def fill(lo: int, hi: int) -> None:
+                for rows, cols in cells(lo, hi):
+                    if len(cols) > k:
+                        for i0, v in _kth_tiles(x[rows], x[cols], k)(0, len(rows)):
+                            kth[rows[i0 : i0 + len(v)]] = v
+
+            _parallel_rows(n, fill)
+            certified = kth <= r
+            if certified.sum() > n // 2:
+                return float(np.median(np.where(certified, kth, np.inf)))
+            r *= 2.0
+    return float(np.median(kth_neighbor_distances(x, k)))
 
 
 def medoid_local_index(members: np.ndarray) -> int:

@@ -109,17 +109,18 @@ def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, mo
         "single blob": (rng.normal(0.0, 0.3, size=(400, 2)), 10.0, 5),
     }
     settings = {
-        "1 thread": ("1", kernels.TILE_BYTES, kernels.GRID_INDEX_MIN_ROWS),
-        "5 threads": ("5", kernels.TILE_BYTES, kernels.GRID_INDEX_MIN_ROWS),
-        "4 KiB tiles": ("5", 4096, kernels.GRID_INDEX_MIN_ROWS),
-        "grid index": ("5", kernels.TILE_BYTES, 1),
+        "1 thread": ("1", kernels.TILE_BYTES, False),
+        "5 threads": ("5", kernels.TILE_BYTES, False),
+        "4 KiB tiles": ("5", 4096, False),
+        "grid index": ("5", kernels.TILE_BYTES, True),
+        "grid index, 1 thread, 4 KiB tiles": ("1", 4096, True),
     }
     for case, (x, eps, min_samples) in cases.items():
         want_labels, want_core = reference.eps_graph_clustering(x, eps, min_samples)
-        for setting, (threads, tile_bytes, grid_rows) in settings.items():
+        for setting, (threads, tile_bytes, grid) in settings.items():
             monkeypatch.setenv("CMLA_THREADS", threads)
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-            monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", grid_rows)
+            monkeypatch.setattr(kernels, "_grid_pays", lambda cost, n, grid=grid: grid)
             got = cluster(np.ascontiguousarray(x), eps=eps, min_samples=min_samples)
             where = f"{case}, {setting}"
             np.testing.assert_array_equal(got.labels, want_labels, err_msg=where)

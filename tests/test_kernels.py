@@ -233,11 +233,29 @@ def test_neighbor_lists_are_sorted_closed_ball_and_include_self(rng):
         np.testing.assert_array_equal(nb, np.flatnonzero(d <= 0.9))
 
 
-def neighbor_lists_above(monkeypatch, min_rows, x, eps, limit=None):
-    """neighbor_lists, uncut unless limit is given, with the grid index taking
-    over above min_rows rows."""
-    monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", min_rows)
+def force_grid(monkeypatch, grid):
+    """Make the cost rule always take the grid (True) or brute force (False)."""
+    monkeypatch.setattr(kernels, "_grid_pays", lambda cost, n: grid)
+
+
+def neighbor_lists_by(monkeypatch, grid, x, eps, limit=None):
+    """neighbor_lists through the grid or through brute force, uncut unless
+    limit is given."""
+    force_grid(monkeypatch, grid)
     return neighbor_lists(x, eps, len(x) if limit is None else limit)
+
+
+def assert_grid_equals_brute_force(monkeypatch, x, eps):
+    brute = neighbor_lists_by(monkeypatch, False, x, eps)
+    grid = neighbor_lists_by(monkeypatch, True, x, eps)
+    assert len(brute) == len(grid)
+    for a, b in zip(brute, grid):
+        np.testing.assert_array_equal(a, b)
+    force_grid(monkeypatch, False)
+    components = eps_components(x, eps)
+    force_grid(monkeypatch, True)
+    np.testing.assert_array_equal(eps_components(x, eps), components)
+    return brute
 
 
 def test_grid_index_equals_brute_force(rng, monkeypatch):
@@ -245,31 +263,59 @@ def test_grid_index_equals_brute_force(rng, monkeypatch):
     for d in (1, 2, 3, 6):
         x = clustered_cloud(rng, 300, d, duplicates=0.05)
         for eps in (0.3, 0.9, 2.5):
-            brute = neighbor_lists_above(monkeypatch, 10**9, x, eps)
-            grid = neighbor_lists_above(monkeypatch, 1, x, eps)
-            assert len(brute) == len(grid)
-            for a, b in zip(brute, grid):
-                np.testing.assert_array_equal(a, b)
+            assert_grid_equals_brute_force(monkeypatch, x, eps)
+
+
+def adverse_grid_inputs(rng, n):
+    """(name, x, eps) where a grid loses to brute force: about one row per
+    cell, one cell holding every row, and leading columns that are constant."""
+    constant = rng.uniform(0.0, 1.0, size=(n, 9))
+    constant[:, :3] = 0.25
+    return [
+        ("1-d, one row per cell", rng.uniform(0.0, n * 1e-4, size=(n, 1)), 1e-4),
+        ("eps 5 on [0, 1]^9", rng.uniform(0.0, 1.0, size=(n, 9)), 5.0),
+        ("three constant columns", constant, 0.3),
+    ]
+
+
+def test_grid_index_equals_brute_force_on_inputs_adverse_to_the_grid(rng, monkeypatch):
+    for name, x, eps in adverse_grid_inputs(rng, 1500):
+        lists = assert_grid_equals_brute_force(monkeypatch, x, eps)
+        assert max(map(len, lists)) > 1, name
+
+
+def test_cost_rule_leaves_adverse_inputs_to_brute_force(rng):
+    # the rule itself, at the sizes where the grid was measured to lose
+    for name, x, eps in adverse_grid_inputs(rng, 8000):
+        assert kernels._cell_map(x, eps) is None, name
+    sparse = rng.uniform(0.0, 1.0, size=(8000, 9))
+    assert kernels._cell_map(sparse, 0.2) is not None
 
 
 def test_grid_index_handles_boundary_coordinates(monkeypatch):
     # points exactly on cell boundaries and exactly eps apart
     x = np.array([[0.0], [1.0], [2.0], [2.0], [4.0]])
-    brute = neighbor_lists_above(monkeypatch, 10**9, x, 1.0)
-    grid = neighbor_lists_above(monkeypatch, 1, x, 1.0)
-    for a, b in zip(brute, grid):
-        np.testing.assert_array_equal(a, b)
+    brute = assert_grid_equals_brute_force(monkeypatch, x, 1.0)
     assert list(brute[1]) == [0, 1, 2, 3]
+    # rows on the boundaries of the cells the grid uses, with pairs exactly
+    # eps apart across them
+    side = kernels._cell_side(1.0)
+    x = np.array([[0.0], [side], [side - 1.0], [2 * side], [2 * side + 1.0], [3 * side + 1.0]])
+    assert np.floor(x[[1, 3], 0] / side).tolist() == [1.0, 2.0]
+    brute = assert_grid_equals_brute_force(monkeypatch, x, 1.0)
+    assert [len(nb) for nb in brute] == [2, 2, 3, 2, 2, 1]
 
 
 def test_grid_index_falls_back_to_brute_force_when_cell_keys_overflow(rng, monkeypatch):
-    # x / eps reaches 1e19 > 2^63 on [0, 1] data: int64 cell keys would wrap
+    # x / eps reaches 1e19 > 2^40 on [0, 1] data: the cell keys are refused
     x = rng.uniform(0.0, 1.0, size=(60, 2))
     x[40:] = x[:20]
+    force_grid(monkeypatch, True)
+    assert kernels._cell_map(x, 1e-19) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = neighbor_lists_above(monkeypatch, 1, x, 1e-19)
-    brute = neighbor_lists_above(monkeypatch, 10**9, x, 1e-19)
+        grid = neighbor_lists_by(monkeypatch, True, x, 1e-19)
+    brute = neighbor_lists_by(monkeypatch, False, x, 1e-19)
     for a, b in zip(brute, grid):
         np.testing.assert_array_equal(a, b)
     assert [len(nb) for nb in grid] == [2] * 20 + [1] * 20 + [2] * 20
@@ -279,9 +325,9 @@ def test_capped_neighbor_lists_are_the_full_lists_cut(rng, monkeypatch):
     x = clustered_cloud(rng, 300, 3, duplicates=0.2)
     want = reference_neighbors(x, 0.7)
     assert max(map(len, want)) > 20 and min(map(len, want)) < 3
-    for min_rows in (10**9, 1):  # brute force, then the grid index
+    for grid in (False, True):
         for limit in (1, 2, 7, 20, 301):
-            got = neighbor_lists_above(monkeypatch, min_rows, x, 0.7, limit)
+            got = neighbor_lists_by(monkeypatch, grid, x, 0.7, limit)
             for i, (g, w) in enumerate(zip(got, want)):
                 np.testing.assert_array_equal(g, w[:limit], err_msg=f"row {i}, limit {limit}")
 
@@ -293,14 +339,139 @@ def test_eps_components_give_each_row_the_lowest_row_of_its_component(rng, monke
     for x, eps in ((line, 1.0), (clustered_cloud(rng, 400, 2, duplicates=0.2), 0.3)):
         labels, _ = reference.eps_graph_clustering(x, eps, 1)
         want = np.array([np.flatnonzero(labels == lab)[0] for lab in labels])
-        for min_rows, tile_bytes in ((10**9, kernels.TILE_BYTES), (10**9, 4096), (1, 4096)):
-            monkeypatch.setattr(kernels, "GRID_INDEX_MIN_ROWS", min_rows)
+        for grid, tile_bytes in ((False, kernels.TILE_BYTES), (False, 4096), (True, 4096)):
+            force_grid(monkeypatch, grid)
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
             np.testing.assert_array_equal(eps_components(x, eps), want)
     assert eps_components(line, 1.0).tolist() == [0] * 300
     assert eps_components(np.empty((0, 2)), 1.0).tolist() == []
     with pytest.raises(ConfigError, match="eps must be positive"):
         eps_components(line, 0.0)
+
+
+def median_radii(monkeypatch, x, k, grid=True):
+    """kth_neighbor_median(x, k) at CMLA_THREADS 1 and 5, which must agree
+    bit for bit, with the cost rule forced to `grid`; and the radii of the
+    cell maps it asked for."""
+    radii = []
+    real = kernels._cell_map
+
+    def spy(x, radius):
+        radii.append(radius)
+        return real(x, radius)
+
+    monkeypatch.setattr(kernels, "_cell_map", spy)
+    force_grid(monkeypatch, grid)
+    got = []
+    for threads in ("1", "5"):
+        monkeypatch.setenv("CMLA_THREADS", threads)
+        got.append(kernels.kth_neighbor_median(x, k))
+    assert np.array(got[0]).tobytes() == np.array(got[1]).tobytes()
+    return got[0], radii[: len(radii) // 2]
+
+
+def assert_median_is_brute_forces(monkeypatch, x, k, grid=True):
+    got, radii = median_radii(monkeypatch, x, k, grid)
+    want = float(np.median(kth_neighbor_distances(x, k)))
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+    return radii
+
+
+def test_certified_median_on_duplicate_heavy_clouds(rng, monkeypatch):
+    x = np.repeat(clustered_cloud(rng, 200, 3), 3, axis=0)[rng.permutation(600)]
+    x[:50] = rng.normal(size=(50, 3))
+    for k in (1, 2, 3, 5, 40):
+        radii = assert_median_is_brute_forces(monkeypatch, x, k)
+        # two copies besides itself put most rows' 2nd distance at 0: the
+        # radius is 0, which no grid takes, so brute force answers
+        assert (radii == [0.0]) == (k <= 2), k
+
+
+def test_certified_median_with_rows_on_cell_boundaries(monkeypatch):
+    # 600 rows 1 apart (k-th distance 1, so the first radius is exactly 1)
+    # and 399 rows on and 1/2 to either side of the boundaries of the cells
+    # of side r = 1, most with k-th distance 1/2; rows at exactly r certify
+    side = kernels._cell_side(1.0)
+    lattice = np.column_stack([1000.0 + np.arange(600), np.zeros(600)])
+    bounds = side * np.arange(1, 134)
+    edges = np.concatenate([bounds - 0.5, bounds, bounds + 0.5])
+    x = np.vstack([lattice, np.column_stack([edges, np.ones(399)])])
+    assert np.floor(bounds / side).tolist() == list(range(1, 134))
+    assert assert_median_is_brute_forces(monkeypatch, x, 2) == [1.0]
+
+
+def test_certified_median_doubles_the_radius_until_half_the_rows_certify(rng, monkeypatch):
+    # the evenly spaced sample takes every 4th row, all of them in a tight
+    # blob; the other three quarters are scattered, so the first radius
+    # certifies too few rows
+    n = (kernels.MEDIAN_SAMPLE - 1) * 4 + 1
+    x = rng.uniform(0.0, 100.0, size=(n, 2))
+    x[::4] = rng.uniform(0.0, 0.1, size=(len(x[::4]), 2))
+    radii = assert_median_is_brute_forces(monkeypatch, x, 5)
+    assert len(radii) > 2
+    assert radii[1:] == [2.0 * r for r in radii[:-1]]
+    # exactly n // 2 rows certify at r = 1 and 2, which leaves the middle row
+    # uncertified: the sampled rows and 254 more sit three to a point, points
+    # 1 apart (k-th distance 1); the others sit alone at 1000 + 1.5 * index,
+    # so their k-th distance is at least 3
+    tight = np.r_[np.arange(0, n, 4), np.arange(1, 4 * 254, 4)]
+    x = 1000.0 + 1.5 * np.arange(n, dtype=np.float64)[:, None]
+    x[np.sort(tight), 0] = np.arange(len(tight)) // 3
+    assert len(tight) == n // 2
+    assert assert_median_is_brute_forces(monkeypatch, x, 3) == [1.0, 2.0, 4.0]
+
+
+def test_certified_median_at_k_equal_to_n_minus_1(rng, monkeypatch):
+    x = clustered_cloud(rng, 120, 3, duplicates=0.1)
+    for k in (119, 118):
+        assert len(assert_median_is_brute_forces(monkeypatch, x, k)) >= 1
+
+
+def test_certified_median_falls_back_to_brute_force(rng, monkeypatch):
+    # a row that is not finite, and cell keys of 1e14 / r >= 2^40
+    for bad in (np.nan, np.inf, 1e14):
+        x = clustered_cloud(rng, 300, 2)
+        x[17, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                radii = assert_median_is_brute_forces(monkeypatch, x, 4)
+        assert len(radii) == (bad == 1e14)
+    x = clustered_cloud(rng, 300, 2)
+    assert len(assert_median_is_brute_forces(monkeypatch, x, 4, grid=False)) == 1
+
+
+def test_certified_median_on_a_60k_row_table(rng, monkeypatch):
+    # a numeric column in [0, 1] and four one-hot pairs, like an encoded audit
+    # table. Rows in different categories are at least sqrt(2) apart and rows
+    # in the same ones at most 1, so with more than k rows per category each
+    # row's k nearest rows share its categories: brute force over each of the
+    # 16 groups gives every row's k-th distance at 1/16 of the full cost
+    n, k = 60_000, 100
+    cats = rng.integers(0, 2, size=(n, 4))
+    x = np.column_stack([rng.uniform(0.0, 1.0, n), np.eye(2)[cats].reshape(n, 8)])
+    kth = np.empty(n)
+    for group in range(16):
+        rows = np.flatnonzero(cats @ [8, 4, 2, 1] == group)
+        kth[rows] = kth_neighbor_distances(x[rows], k)
+    for i in rng.choice(n, 20, replace=False):
+        assert np.partition(dists_to(x[i], x), k)[k] == kth[i]
+    calls = count_calls(monkeypatch, "kth_neighbor_distances")
+    assert kernels.kth_neighbor_median(x, k) == float(np.median(kth))
+    assert calls == []
+
+
+def count_calls(monkeypatch, name):
+    """Route kernels.<name> through a recorder of its calls' arguments."""
+    calls = []
+    real = getattr(kernels, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, name, recording)
+    return calls
 
 
 def test_tile_budget_counts_the_row_width_and_the_exact_batch():
