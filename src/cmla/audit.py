@@ -312,6 +312,12 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
             grid.index_of(sc.expected_ordering.tau)
         except ConfigError as e:
             raise ConfigError(f"{source}: expected_ordering.tau: {e}") from None
+    heatmaps: dict[str, float] = {}
+    for mark in grid.marks:
+        name = f"heatmap_tau{mark:g}.csv"
+        if heatmaps.setdefault(name, mark) != mark:
+            raise ConfigError(f"{source}: the audit section: marks {heatmaps[name]!r} and "
+                              f"{mark!r} would both write {name}")
 
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(sc.seed)
@@ -328,9 +334,8 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
 
     generator_reports = list(reports.values())
     if any(rpt.curves is not None for rpt in generator_reports):
-        for mark in generator_reports[0].grid.marks:
-            report_mod.write_heatmap_csv(generator_reports, mark,
-                                         out / f"heatmap_tau{mark:g}.csv")
+        for name, mark in heatmaps.items():
+            report_mod.write_heatmap_csv(generator_reports, mark, out / name)
 
     summary_doc = {
         "schema_version": 1,

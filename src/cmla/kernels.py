@@ -117,21 +117,16 @@ values with +inf for the rest reads the same one or two numbers as
 np.median over every v, bit for bit. Otherwise r doubles and the grid is
 rebuilt.
 
-The CMLA_THREADS environment variable (1 to MAX_THREADS) caps the worker
-threads used for row partitioning; the medoid screen and neighbour search
-on the grid run in one thread.
-Workers write disjoint output slices, cross minima merge per-worker partials
-in range order, and the component union runs serially and ends at the lowest
-index of each set whatever the block order, so results depend neither on the
-worker count nor on the tile size.
+The kernels run in one thread: on 2 vCPUs, a pool of row workers saved at
+most 30 ms of an 8000-row k-th pass and cost CPU time and peak RSS on every
+benchmark workload (CHANGES.md). Each kernel takes its blocks in one fixed
+order, and the component union ends at the lowest index of each set whatever
+that order, so results do not depend on the tile size.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -148,29 +143,13 @@ MEDIAN_SAMPLE = 256
 # right operand stay in L2, while 256 KiB tiles pay twice the per-tile
 # overhead and 1 MiB tiles spill.
 TILE_BYTES = 512 * 1024
-# The most worker threads CMLA_THREADS may ask for.
-MAX_THREADS = 64
 _U = 2.0**-53
 
 
 def thread_count() -> int:
-    """CMLA_THREADS if set, else the CPUs this process may run on, at most 8."""
-    raw = os.environ.get("CMLA_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        return min(8, cpus)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CMLA_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("CMLA_THREADS must be at least 1")
-    if n > MAX_THREADS:
-        raise ConfigError(f"CMLA_THREADS must be at most {MAX_THREADS}, got {raw!r}")
-    return n
+    """1, as the kernels run in one thread. The benchmark records this with
+    every audit and its tests assert on it."""
+    return 1
 
 
 def dists_to(a: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -199,31 +178,8 @@ def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order[starts[by_first]], inverse, np.diff(starts, append=len(keys))[by_first]
 
 
-def _row_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    step = max(1, -(-n // workers))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _parallel_rows(n: int, fill) -> None:
-    """Run fill(lo, hi) over a partition of range(n), threaded when allowed.
-
-    Each range runs in a copy of the caller's context, which carries NumPy's
-    error state (np.errstate) into the workers."""
-    workers = min(thread_count(), n)
-    if workers <= 1 or n < 256:
-        fill(0, n)
-        return
-    ranges = _row_ranges(n, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, fill, lo, hi) for lo, hi in ranges
-        ]
-        for f in futures:
-            f.result()
-
-
 def _bracket_tiles(x: np.ndarray, y: np.ndarray):
-    """tiles(lo, hi) yields (i0, upper, spread) for blocks of rows x[lo:hi].
+    """Yields (i0, upper, spread) for blocks of the rows of x, in order.
 
     For every pair, upper[r, j] - spread[r]/2 <= s <= upper[r, j] (module
     docstring), where s is the float sum of squares that
@@ -246,26 +202,22 @@ def _bracket_tiles(x: np.ndarray, y: np.ndarray):
     right[d] = 1.0
     right[d + 1] = y_up
     rows = max(1, TILE_BYTES // (8 * max(len(y), d + 2)))
-
-    def tiles(lo: int, hi: int):
-        size = min(rows, hi - lo)
-        left = np.ones((size, d + 2))
-        out = np.empty((size, len(y)))
-        for i0 in range(lo, hi, rows):
-            m = min(rows, hi - i0)
-            np.multiply(x[i0 : i0 + m], -2.0, out=left[:m, :d])
-            left[:m, d] = x_up[i0 : i0 + m]
-            upper = out[:m]
-            with np.errstate(all="ignore"):
-                np.matmul(left[:m], right, out=upper)
-            bad = x_bad[i0 : i0 + m]
-            if bad.any():
-                upper[bad] = np.nan
-            if len(y_bad):
-                upper[:, y_bad] = np.nan
-            yield i0, upper, 3.0 * (x_slack[i0 : i0 + m] + y_slack_max)
-
-    return tiles
+    size = min(rows, len(x))
+    left = np.ones((size, d + 2))
+    out = np.empty((size, len(y)))
+    for i0 in range(0, len(x), rows):
+        m = min(rows, len(x) - i0)
+        np.multiply(x[i0 : i0 + m], -2.0, out=left[:m, :d])
+        left[:m, d] = x_up[i0 : i0 + m]
+        upper = out[:m]
+        with np.errstate(all="ignore"):
+            np.matmul(left[:m], right, out=upper)
+        bad = x_bad[i0 : i0 + m]
+        if bad.any():
+            upper[bad] = np.nan
+        if len(y_bad):
+            upper[:, y_bad] = np.nan
+        yield i0, upper, 3.0 * (x_slack[i0 : i0 + m] + y_slack_max)
 
 
 def _norm_addends(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +254,8 @@ def _exact_dists(a: np.ndarray, ai: np.ndarray, b: np.ndarray, bi: np.ndarray) -
 
 
 def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float):
-    """hits(lo, hi) yields (i0, hit) for the tiles of rows x[lo:hi], where
-    hit[r, j] says dists_to(x[i0 + r], y[j]) <= eps."""
-    tiles = _bracket_tiles(x, y)
+    """Yields (i0, hit) for the tiles of the rows of x, where hit[r, j] says
+    dists_to(x[i0 + r], y[j]) <= eps."""
     # U <= inside proves d <= eps, and U >= outside + spread proves d > eps
     # for any spread at least the row's, so the tile's largest one serves all
     # its rows; the thresholds are only used where eps^2 is far from under-
@@ -313,17 +264,13 @@ def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float):
         inside, outside = eps * eps * (1 - 4 * _U), eps * eps * (1 + 8 * _U)
     else:
         inside = outside = math.nan
-
-    def hits(lo: int, hi: int):
-        for i0, upper, spread in tiles(lo, hi):
-            hit = upper <= inside
-            settled = hit | (upper >= outside + spread.max())
-            if not settled.all():
-                r, c = _pairs(~settled)
-                hit[r, c] = _exact_dists(x, i0 + r, y, c) <= eps
-            yield i0, hit
-
-    return hits
+    for i0, upper, spread in _bracket_tiles(x, y):
+        hit = upper <= inside
+        settled = hit | (upper >= outside + spread.max())
+        if not settled.all():
+            r, c = _pairs(~settled)
+            hit[r, c] = _exact_dists(x, i0 + r, y, c) <= eps
+        yield i0, hit
 
 
 def _grid_pays(cost: int, n: int) -> bool:
@@ -339,14 +286,13 @@ def _cell_side(radius: float) -> float:
 
 
 def _cell_map(x: np.ndarray, radius: float):
-    """cells(lo, hi) for a uniform grid over the leading g <= 3 dimensions of
-    x whose adjacent cells hold every pair within radius (module docstring),
-    or None when the cost rule prefers brute force or the grid cannot be built
-    (radius out of range, cell keys at or above 2^40, non-finite
-    coordinates). Rows are ordered by cell, and cells(lo, hi) yields
-    (rows, cols) for each cell that starts at one of the positions lo..hi of
-    that order: the cell's rows and the rows of its 3^g adjacent cells, each
-    ascending.
+    """An iterator over the cells of a uniform grid over the leading g <= 3
+    dimensions of x whose adjacent cells hold every pair within radius
+    (module docstring), or None when the cost rule prefers brute force or the
+    grid cannot be built (radius out of range, cell keys at or above 2^40,
+    non-finite coordinates). It yields (rows, cols) for each cell in the
+    order of its code: the cell's rows and the rows of its 3^g adjacent
+    cells, each ascending.
     """
     n, g = len(x), min(3, x.shape[1])
     if n == 0 or not 2.0**-500 < radius < 2.0**500:
@@ -383,43 +329,32 @@ def _cell_map(x: np.ndarray, radius: float):
     if not _grid_pays(cost, n):
         return None
 
-    def cells(lo: int, hi: int):
-        for c in range(*np.searchsorted(starts, [lo, hi]).tolist()):
+    def cells():
+        for c in range(len(cell)):
             at = np.searchsorted(code, cell[c] + edges).tolist()
             parts = [order[a:b] for a, b in zip(at[::2], at[1::2])]
             yield order[bounds[c] : bounds[c + 1]], np.sort(np.concatenate(parts))
 
-    return cells
+    return cells()
 
 
 def _hit_blocks(x: np.ndarray, eps: float):
-    """(blocks, threaded): blocks(lo, hi) yields (rows, cols, hit) for the
-    share lo..hi of a partition of range(len(x)) into blocks of rows, where
-    hit[r, j] says dists_to(x[rows[r]], x[cols[j]]) <= eps, cols ascend and
-    hold every neighbour of the block's rows. The blocks are grid cells where
-    the cost rule takes the grid (_cell_map), else row tiles; threaded is
-    False for grid cells, which gain nothing from the row pool: their short
-    NumPy calls trade the GIL, and their temporaries of many sizes raised
-    peak RSS by 4-8 MiB on wide-real when spread over two workers."""
+    """Yields (rows, cols, hit) for blocks of rows that partition
+    range(len(x)), where hit[r, j] says dists_to(x[rows[r]], x[cols[j]]) <= eps,
+    cols ascend and hold every neighbour of the block's rows. The blocks are
+    grid cells where the cost rule takes the grid (_cell_map), else row
+    tiles."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
     cells = _cell_map(x, eps)
-    if cells is not None:
-
-        def blocks(lo: int, hi: int):
-            for rows, cols in cells(lo, hi):
-                for i0, hit in _tile_hits(x[rows], x[cols], eps)(0, len(rows)):
-                    yield rows[i0 : i0 + len(hit)], cols, hit
-
-        return blocks, False
-    hits = _tile_hits(x, x, eps)
-    ids = np.arange(len(x))
-
-    def blocks(lo: int, hi: int):
-        for i0, hit in hits(lo, hi):
+    if cells is None:
+        ids = np.arange(len(x))
+        for i0, hit in _tile_hits(x, x, eps):
             yield ids[i0 : i0 + len(hit)], ids, hit
-
-    return blocks, True
+        return
+    for rows, cols in cells:
+        for i0, hit in _tile_hits(x[rows], x[cols], eps):
+            yield rows[i0 : i0 + len(hit)], cols, hit
 
 
 def neighbor_lists(x: np.ndarray, eps: float, limit: int) -> list[np.ndarray]:
@@ -427,27 +362,19 @@ def neighbor_lists(x: np.ndarray, eps: float, limit: int) -> list[np.ndarray]:
     included), each cut to its limit lowest indices. A block's lists are
     views of one array, which keeps the allocations few."""
     out: list[np.ndarray | None] = [None] * len(x)
-    blocks, threaded = _hit_blocks(x, eps)
-
-    def fill(lo: int, hi: int) -> None:
-        for rows, cols, hit in blocks(lo, hi):
-            m, width = hit.shape
-            flat = np.flatnonzero(hit)
-            starts = np.searchsorted(flat, np.arange(m + 1) * width)
-            # row k keeps flat[starts[k] : starts[k] + counts[k]], which go to
-            # kept[bounds[k] : bounds[k + 1]]
-            counts = np.minimum(np.diff(starts), limit)
-            bounds = np.r_[0, np.cumsum(counts)]
-            at = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
-            kept = cols[flat[at] - np.repeat(np.arange(m) * width, counts)]
-            bounds = bounds.tolist()
-            for k, i in enumerate(rows.tolist()):
-                out[i] = kept[bounds[k] : bounds[k + 1]]
-
-    if threaded:
-        _parallel_rows(len(x), fill)
-    else:
-        fill(0, len(x))
+    for rows, cols, hit in _hit_blocks(x, eps):
+        m, width = hit.shape
+        flat = np.flatnonzero(hit)
+        starts = np.searchsorted(flat, np.arange(m + 1) * width)
+        # row k keeps flat[starts[k] : starts[k] + counts[k]], which go to
+        # kept[bounds[k] : bounds[k + 1]]
+        counts = np.minimum(np.diff(starts), limit)
+        bounds = np.r_[0, np.cumsum(counts)]
+        at = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
+        kept = cols[flat[at] - np.repeat(np.arange(m) * width, counts)]
+        bounds = bounds.tolist()
+        for k, i in enumerate(rows.tolist()):
+            out[i] = kept[bounds[k] : bounds[k + 1]]
     return out  # type: ignore[return-value]
 
 
@@ -477,7 +404,7 @@ def eps_components(x: np.ndarray, eps: float) -> np.ndarray:
     hits within a set are dropped.
     """
     parent = np.arange(len(x))
-    for rows, cols, hit in _hit_blocks(x, eps)[0](0, len(x)):
+    for rows, cols, hit in _hit_blocks(x, eps):
         hit &= parent[cols] != parent[rows][:, None]
         if np.count_nonzero(hit) > len(rows) + len(cols):
             live_rows, live_cols = hit.any(axis=1), hit.any(axis=0)
@@ -506,41 +433,30 @@ def _join(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _kth_tiles(x: np.ndarray, y: np.ndarray, k: int):
-    """kth(lo, hi) yields (i0, v) for the tiles of rows x[lo:hi], where v[r]
-    is the k-th smallest (from 0) of the distances from x[i0 + r] to the rows
-    of y, exactly as np.partition would place it (module docstring)."""
-    tiles = _bracket_tiles(x, y)
-
-    def kth(lo: int, hi: int):
-        for i0, upper, spread in tiles(lo, hi):
-            m = len(upper)
-            t = np.partition(upper, k, axis=1)[:, k]
-            r, c = _pairs(~(upper > (_widen(t) + spread)[:, None]))
-            # the (k+1)-th smallest sum of squares is at least t - spread, so
-            # a candidate whose widened upper bound is below that is strictly
-            # smaller than the answer and needs no exact distance
-            with np.errstate(invalid="ignore"):
-                below = _widen(upper[r, c]) < (t - spread)[r]
-            rank = k - np.bincount(r[below], minlength=m)
-            r, c = r[~below], c[~below]
-            d = _exact_dists(x, i0 + r, y, c)
-            d = d[np.lexsort((d, r))]
-            yield i0, d[np.searchsorted(r, np.arange(m)) + rank]
-
-    return kth
+    """Yields (i0, v) for the tiles of the rows of x, where v[r] is the k-th
+    smallest (from 0) of the distances from x[i0 + r] to the rows of y,
+    exactly as np.partition would place it (module docstring)."""
+    for i0, upper, spread in _bracket_tiles(x, y):
+        m = len(upper)
+        t = np.partition(upper, k, axis=1)[:, k]
+        r, c = _pairs(~(upper > (_widen(t) + spread)[:, None]))
+        # the (k+1)-th smallest sum of squares is at least t - spread, so a
+        # candidate whose widened upper bound is below that is strictly
+        # smaller than the answer and needs no exact distance
+        with np.errstate(invalid="ignore"):
+            below = _widen(upper[r, c]) < (t - spread)[r]
+        rank = k - np.bincount(r[below], minlength=m)
+        r, c = r[~below], c[~below]
+        d = _exact_dists(x, i0 + r, y, c)
+        d = d[np.lexsort((d, r))]
+        yield i0, d[np.searchsorted(r, np.arange(m)) + rank]
 
 
 def _kth_distances(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """The k-th smallest (from 0) distance from each row of x to the rows of
-    y, one worker range of rows at a time."""
+    """The k-th smallest (from 0) distance from each row of x to the rows of y."""
     out = np.empty(len(x), dtype=np.float64)
-    kth = _kth_tiles(x, y, k)
-
-    def fill(lo: int, hi: int) -> None:
-        for i0, v in kth(lo, hi):
-            out[i0 : i0 + len(v)] = v
-
-    _parallel_rows(len(x), fill)
+    for i0, v in _kth_tiles(x, y, k):
+        out[i0 : i0 + len(v)] = v
     return out
 
 
@@ -577,14 +493,10 @@ def kth_neighbor_median(x: np.ndarray, k: int) -> float:
         r = float(sample[len(sample) * 5 // 8])
         while (cells := _cell_map(x, r)) is not None:
             kth = np.full(n, np.inf)
-
-            def fill(lo: int, hi: int) -> None:
-                for rows, cols in cells(lo, hi):
-                    if len(cols) > k:
-                        for i0, v in _kth_tiles(x[rows], x[cols], k)(0, len(rows)):
-                            kth[rows[i0 : i0 + len(v)]] = v
-
-            _parallel_rows(n, fill)
+            for rows, cols in cells:
+                if len(cols) > k:
+                    for i0, v in _kth_tiles(x[rows], x[cols], k):
+                        kth[rows[i0 : i0 + len(v)]] = v
             certified = kth <= r
             if certified.sum() > n // 2:
                 return float(np.median(np.where(certified, kth, np.inf)))
@@ -623,10 +535,7 @@ def medoid_local_index(members: np.ndarray) -> int:
     w = 4 * (m + 2) * _U
     upper_sum = np.empty(md)
     lower_sum = np.empty(md)
-    # one thread: measured on 2 vCPUs, the row pool slowed every benchmark
-    # cluster (5x on sparse-auto-eps's ~400-row clusters), since its workers
-    # trade the GIL between short tile steps
-    for i0, upper, spread in _bracket_tiles(xd, xd)(0, md):
+    for i0, upper, spread in _bracket_tiles(xd, xd):
         t = np.sqrt(upper, out=upper) @ weight
         upper_sum[i0 : i0 + len(t)] = t * (1 + w)
         lower_sum[i0 : i0 + len(t)] = t * (1 - w) - m * np.sqrt(spread)
@@ -651,37 +560,22 @@ def cross_min_distances(
     a_min = np.full(len(a), np.inf)
     a_arg = np.zeros(len(a), dtype=np.int64)
     b_min = np.empty(len(b), dtype=np.float64)
-    tiles = _bracket_tiles(b, a)
-    parts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def fill(lo: int, hi: int) -> None:
-        # per row of a: an upper bound over the b rows seen so far, and the
-        # best exact distance, ranked like argmin (NaN first, then the value)
-        bound = np.full(len(a), np.inf)
-        rank = np.full(len(a), np.inf)
-        best = np.full(len(a), np.inf)
-        arg = np.zeros(len(a), dtype=np.int64)
-        for i0, upper, spread in tiles(lo, hi):
-            m = len(upper)
-            np.fmin(bound, np.fmin.reduce(upper, axis=0), out=bound)
-            far_row = upper > (_widen(np.fmin.reduce(upper, axis=1)) + spread)[:, None]
-            r, c = _pairs(~(far_row & (upper > _widen(bound) + spread.max())))
-            d = _exact_dists(a, c, b, i0 + r)
-            b_min[i0 : i0 + m] = np.minimum.reduceat(d, np.searchsorted(r, np.arange(m)))
-            key = np.where(np.isnan(d), -np.inf, d)
-            order = np.lexsort((r, key, c))
-            first = order[np.r_[True, c[order][1:] != c[order][:-1]]]
-            first = first[key[first] < rank[c[first]]]
-            cols = c[first]
-            rank[cols], best[cols], arg[cols] = key[first], d[first], i0 + r[first]
-        parts[lo] = (rank, best, arg)
-
-    _parallel_rows(len(b), fill)
+    # per row of a: an upper bound over the b rows seen so far, and the rank
+    # of its best exact distance a_min, ranked like argmin (NaN first, then
+    # the value)
+    bound = np.full(len(a), np.inf)
     rank = np.full(len(a), np.inf)
-    for lo in sorted(parts):
-        part_rank, part_best, part_arg = parts[lo]
-        better = part_rank < rank
-        rank[better] = part_rank[better]
-        a_min[better] = part_best[better]
-        a_arg[better] = part_arg[better]
+    for i0, upper, spread in _bracket_tiles(b, a):
+        m = len(upper)
+        np.fmin(bound, np.fmin.reduce(upper, axis=0), out=bound)
+        far_row = upper > (_widen(np.fmin.reduce(upper, axis=1)) + spread)[:, None]
+        r, c = _pairs(~(far_row & (upper > _widen(bound) + spread.max())))
+        d = _exact_dists(a, c, b, i0 + r)
+        b_min[i0 : i0 + m] = np.minimum.reduceat(d, np.searchsorted(r, np.arange(m)))
+        key = np.where(np.isnan(d), -np.inf, d)
+        order = np.lexsort((r, key, c))
+        first = order[np.r_[True, c[order][1:] != c[order][:-1]]]
+        first = first[key[first] < rank[c[first]]]
+        cols = c[first]
+        rank[cols], a_min[cols], a_arg[cols] = key[first], d[first], i0 + r[first]
     return a_min, a_arg, b_min

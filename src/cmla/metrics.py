@@ -44,7 +44,7 @@ class ProximityProfile:
 
 @dataclass
 class ThresholdGrid:
-    """Strictly increasing, non-negative thresholds plus marked references:
+    """Finite, strictly increasing, non-negative thresholds plus marked references:
     the grid section of report.json.
 
     taus are stored as a tuple of floats. Marks must land on grid points
@@ -59,6 +59,8 @@ class ThresholdGrid:
         taus = np.asarray(self.taus, dtype=np.float64)
         if taus.ndim != 1 or len(taus) == 0:
             raise ConfigError("threshold grid must be a non-empty 1-d array")
+        if not np.isfinite(taus).all():
+            raise ConfigError("thresholds must be finite")
         if taus[0] < 0.0:
             raise ConfigError("thresholds must be non-negative")
         if len(taus) > 1 and not np.all(np.diff(taus) > 0.0):

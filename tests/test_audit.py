@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,14 +22,15 @@ from cmla.errors import ConfigError, StageError
 from conftest import DATA_DIR
 
 
-def write_tables(tmp_path, with_noise_tail=True):
-    """Synthetic: two tight blobs plus scatter; real: one blob shared."""
+def write_tables(tmp_path, with_noise_tail=True, blob=40):
+    """Synthetic: two tight blobs of `blob` rows plus scatter; real: one blob
+    shared."""
     rng = np.random.default_rng(42)
-    a = rng.normal(0.0, 0.05, (40, 2))
-    b = rng.normal(5.0, 0.05, (40, 2)) if with_noise_tail else np.empty((0, 2))
+    a = rng.normal(0.0, 0.05, (blob, 2))
+    b = rng.normal(5.0, 0.05, (blob, 2)) if with_noise_tail else np.empty((0, 2))
     tail = rng.uniform(-10, 10, (8, 2))
     synth = np.vstack([a, b, tail]) if with_noise_tail else np.vstack([a, tail])
-    real = np.vstack([rng.normal(0.0, 0.05, (30, 2)), rng.uniform(8, 9, (5, 2))])
+    real = np.vstack([rng.normal(0.0, 0.05, (blob * 3 // 4, 2)), rng.uniform(8, 9, (5, 2))])
 
     def dump(arr, name):
         path = tmp_path / name
@@ -61,6 +63,24 @@ def test_run_audit_emits_the_full_file_set(tmp_path):
     assert rpt.reference_readouts is not None
     doc = json.loads((out / "report.json").read_text())
     assert doc["clustering"]["n_clusters"] == rpt.clustering.n_clusters
+
+
+def test_an_audit_starts_no_thread(tmp_path, monkeypatch):
+    # the distance kernels run in one thread, also on tables of hundreds of
+    # rows at auto eps, where the k-th pass and the cross minima run
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    synth, real = write_tables(tmp_path, blob=400)
+    config = AuditConfig(synthetic=str(synth), real=str(real), out=str(tmp_path / "out"))
+    result = run_audit(config)
+    assert result.report.meta.n_real_rows == 305 and result.report.curves is not None
+    assert started == []
 
 
 def test_records_flag_adds_the_records_file(tmp_path):

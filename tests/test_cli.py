@@ -70,6 +70,19 @@ def test_audit_happy_path_with_verify(csv_pair, tmp_path):
     assert (out / "report.json").is_file()
 
 
+def test_cmla_threads_changes_no_byte(csv_pair, tmp_path, monkeypatch):
+    # the kernels run in one thread: the variable that once set their worker
+    # count is not read, so even its former error value 0 is no error
+    synth, real = csv_pair
+    argv = ["audit", "--synthetic", str(synth), "--real", str(real), "--out"]
+    monkeypatch.delenv("CMLA_THREADS", raising=False)
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("CMLA_THREADS", "0")
+    assert main([*argv, str(tmp_path / "zero")]) == 0
+    plain, zero = (tmp_path / run / "report.json" for run in ("plain", "zero"))
+    assert zero.read_bytes() == plain.read_bytes()
+
+
 def test_audit_without_real_prints_cluster_count(csv_pair, tmp_path):
     synth, _ = csv_pair
     proc = run_cli("audit", "--synthetic", synth, "--eps", "0.05")
@@ -249,10 +262,15 @@ def off_grid_mark(grid):
     grid["marks"][0] = 0.123
 
 
+def infinite_last(grid):
+    grid["taus"][-1] = float("inf")
+
+
 @pytest.mark.parametrize("change, message", [
     (bad_order, "thresholds must be strictly increasing"),
     (negative_start, "thresholds must be non-negative"),
     (off_grid_mark, "threshold 0.123 is not on the grid"),
+    (infinite_last, "thresholds must be finite"),
 ])
 def test_verify_exits_2_naming_the_grid_that_breaks_its_laws(csv_pair, tmp_path, caplog,
                                                             capsys, change, message):
@@ -452,6 +470,8 @@ def test_generator_label_must_stay_inside_out(tmp_path, capsys, label):
     (lambda doc: doc["audit"].update(out="elsewhere"), "the audit section may not set 'out'"),
     (lambda doc: doc["real"]["numeric_columns"].append("tag"),
      "real: column 'tag' is declared twice"),
+    (lambda doc: doc["audit"].update(grid="0.1:0.101:0.0000002", marks=[0.1000002, 0.1000004]),
+     "the audit section: marks 0.1000002 and 0.1000004 would both write heatmap_tau0.1.csv"),
 ])
 def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, message):
     doc = scenario_doc(["memorizer", "independent"])

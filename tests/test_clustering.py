@@ -99,7 +99,7 @@ def duplicate_cases(rng):
 
 def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, monkeypatch):
     # neighbour lists are cut to min_samples and clusters are components of
-    # the core graph; neither may depend on threads, tile size or the grid
+    # the core graph; neither may depend on the tile size or the grid
     cases = {
         **duplicate_cases(rng),
         "chains": (duplicate_heavy_chains(rng), 1.0, 6),
@@ -109,16 +109,14 @@ def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, mo
         "single blob": (rng.normal(0.0, 0.3, size=(400, 2)), 10.0, 5),
     }
     settings = {
-        "1 thread": ("1", kernels.TILE_BYTES, False),
-        "5 threads": ("5", kernels.TILE_BYTES, False),
-        "4 KiB tiles": ("5", 4096, False),
-        "grid index": ("5", kernels.TILE_BYTES, True),
-        "grid index, 1 thread, 4 KiB tiles": ("1", 4096, True),
+        "default tiles": (kernels.TILE_BYTES, False),
+        "4 KiB tiles": (4096, False),
+        "grid index": (kernels.TILE_BYTES, True),
+        "grid index, 4 KiB tiles": (4096, True),
     }
     for case, (x, eps, min_samples) in cases.items():
         want_labels, want_core = reference.eps_graph_clustering(x, eps, min_samples)
-        for setting, (threads, tile_bytes, grid) in settings.items():
-            monkeypatch.setenv("CMLA_THREADS", threads)
+        for setting, (tile_bytes, grid) in settings.items():
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
             monkeypatch.setattr(kernels, "_grid_pays", lambda cost, n, grid=grid: grid)
             got = cluster(np.ascontiguousarray(x), eps=eps, min_samples=min_samples)
@@ -131,12 +129,10 @@ def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, mo
 
 def test_medoids_of_duplicated_rows_match_the_exhaustive_reference(rng, monkeypatch):
     # the medoid kernel sums each distinct row once, weighted by its copies
-    settings = (("1", kernels.TILE_BYTES), ("5", kernels.TILE_BYTES), ("5", 4096))
     for case, (x, eps, min_samples) in duplicate_cases(rng).items():
         labeling = cluster(x, eps=eps, min_samples=min_samples)
         assert labeling.n_clusters > 0, case
-        for threads, tile_bytes in settings:
-            monkeypatch.setenv("CMLA_THREADS", threads)
+        for tile_bytes in (kernels.TILE_BYTES, 4096):
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
             medoids = extract_medoids(matrix(x), labeling, numeric_table(x))
             chosen = {md.cluster_id: md.row_id for md in medoids.medoids}

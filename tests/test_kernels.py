@@ -1,4 +1,4 @@
-"""Distance kernels: exactness, the grid index, and threading knobs."""
+"""Distance kernels: exactness, the grid index, and the tile size."""
 
 import math
 import warnings
@@ -16,7 +16,6 @@ from cmla.kernels import (
     kth_neighbor_distances,
     medoid_local_index,
     neighbor_lists,
-    thread_count,
 )
 
 import reference
@@ -117,10 +116,9 @@ def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_caller_errstate_reaches_pool_workers(rng, monkeypatch):
-    # NumPy keeps the error state in a context variable, so each worker range
-    # has to run in a copy of the caller's context to honour np.errstate
-    monkeypatch.setenv("CMLA_THREADS", "2")
+def test_caller_errstate_reaches_pool_workers(rng):
+    # the kernels silence only their own bound arithmetic, so a caller's
+    # np.errstate decides what the exact distances of non-finite rows raise
     x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
         assert list(neighbor_lists(x, 2e140, len(x))[10]) == [10, 20]
@@ -349,10 +347,10 @@ def test_eps_components_give_each_row_the_lowest_row_of_its_component(rng, monke
         eps_components(line, 0.0)
 
 
-def median_radii(monkeypatch, x, k, grid=True):
-    """kth_neighbor_median(x, k) at CMLA_THREADS 1 and 5, which must agree
-    bit for bit, with the cost rule forced to `grid`; and the radii of the
-    cell maps it asked for."""
+def assert_median_is_brute_forces(monkeypatch, x, k, grid=True):
+    """Checks kth_neighbor_median(x, k), with the cost rule forced to `grid`,
+    against the brute-force median bit for bit; returns the radii of the cell
+    maps it asked for."""
     radii = []
     real = kernels._cell_map
 
@@ -362,16 +360,7 @@ def median_radii(monkeypatch, x, k, grid=True):
 
     monkeypatch.setattr(kernels, "_cell_map", spy)
     force_grid(monkeypatch, grid)
-    got = []
-    for threads in ("1", "5"):
-        monkeypatch.setenv("CMLA_THREADS", threads)
-        got.append(kernels.kth_neighbor_median(x, k))
-    assert np.array(got[0]).tobytes() == np.array(got[1]).tobytes()
-    return got[0], radii[: len(radii) // 2]
-
-
-def assert_median_is_brute_forces(monkeypatch, x, k, grid=True):
-    got, radii = median_radii(monkeypatch, x, k, grid)
+    got = kernels.kth_neighbor_median(x, k)
     want = float(np.median(kth_neighbor_distances(x, k)))
     assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
     return radii
@@ -575,10 +564,9 @@ def test_medoid_of_rows_repeated_2_to_5_times_matches_exhaustive_fsum(rng, monke
         x = np.repeat(core, rng.integers(2, 6, size=len(core)), axis=0)
         x = np.ascontiguousarray(x[rng.permutation(len(x))])
         want = exhaustive_medoid(x)
-        for threads, tile_bytes in (("1", kernels.TILE_BYTES), ("5", 4096)):
-            monkeypatch.setenv("CMLA_THREADS", threads)
+        for tile_bytes in (kernels.TILE_BYTES, 4096):
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-            assert medoid_local_index(x) == want, (d, threads, tile_bytes)
+            assert medoid_local_index(x) == want, (d, tile_bytes)
 
 
 def test_medoid_ties_between_distinct_rows_take_the_lowest_row_id(rng):
@@ -698,52 +686,12 @@ def test_cross_min_distances_reject_empty():
         cross_min_distances(np.empty((0, 2)), np.zeros((1, 2)))
 
 
-def test_thread_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("CMLA_THREADS", raising=False)
-    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert thread_count() == 3
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(32)))
-    assert thread_count() == 8
-    monkeypatch.setenv("CMLA_THREADS", "12")
-    assert thread_count() == 12
-    monkeypatch.delenv("CMLA_THREADS")
-    monkeypatch.delattr(kernels.os, "sched_getaffinity")
-    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
-    assert thread_count() == 2
-    monkeypatch.setattr(kernels.os, "cpu_count", lambda: None)
-    assert thread_count() == 1
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("CMLA_THREADS", raising=False)
-    assert thread_count() >= 1
-    monkeypatch.setenv("CMLA_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("CMLA_THREADS", "0")
-    with pytest.raises(ConfigError, match="at least 1"):
-        thread_count()
-    monkeypatch.setenv("CMLA_THREADS", "many")
-    with pytest.raises(ConfigError, match="must be an integer"):
-        thread_count()
-
-
-def test_thread_count_env_has_an_upper_bound(monkeypatch):
-    # only thread_count() runs here: no pool of that size is ever started
-    monkeypatch.setenv("CMLA_THREADS", str(kernels.MAX_THREADS))
-    assert thread_count() == kernels.MAX_THREADS
-    for raw in (str(kernels.MAX_THREADS + 1), "99999999999999999999"):
-        monkeypatch.setenv("CMLA_THREADS", raw)
-        with pytest.raises(ConfigError, match=f"at most {kernels.MAX_THREADS}, got '{raw}'"):
-            thread_count()
-
-
-def test_results_do_not_depend_on_worker_count(rng, monkeypatch):
-    # n is large enough that each of 5 workers runs several row blocks
+def test_results_do_not_depend_on_tile_size(rng, monkeypatch):
+    # n is large enough that the default tile size runs several row blocks
     x = clustered_cloud(rng, 1200, 3, duplicates=0.1)
     real = clustered_cloud(rng, 3000, 3)
     real[::7] = x[rng.integers(0, len(x), size=len(real[::7]))]
-    assert len(real) // 5 > 3 * (kernels.TILE_BYTES // (8 * len(x)))
+    assert len(real) > 3 * (kernels.TILE_BYTES // (8 * len(x)))
 
     def run():
         labeling = dbscan(matrix(x), 0.8, 5)
@@ -759,18 +707,16 @@ def test_results_do_not_depend_on_worker_count(rng, monkeypatch):
             cross_min_distances(x, real),
         )
 
-    monkeypatch.setenv("CMLA_THREADS", "1")
-    serial, serial_nb, serial_lab, serial_med, serial_cross = run()
-    assert serial_lab.n_clusters >= 2
-    for threads, tile_bytes in (("5", kernels.TILE_BYTES), ("5", 4096), ("2", 50_000)):
-        monkeypatch.setenv("CMLA_THREADS", threads)
+    kth, nb, lab, med, cross = run()
+    assert lab.n_clusters >= 2
+    for tile_bytes in (4096, 50_000):
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        threaded, threaded_nb, threaded_lab, threaded_med, threaded_cross = run()
-        np.testing.assert_array_equal(serial, threaded)
-        for a, b in zip(serial_nb, threaded_nb):
+        tiled, tiled_nb, tiled_lab, tiled_med, tiled_cross = run()
+        np.testing.assert_array_equal(kth, tiled)
+        for a, b in zip(nb, tiled_nb):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(serial_lab.labels, threaded_lab.labels)
-        np.testing.assert_array_equal(serial_lab.core_mask, threaded_lab.core_mask)
-        assert serial_med == threaded_med
-        for a, b in zip(serial_cross, threaded_cross):
+        np.testing.assert_array_equal(lab.labels, tiled_lab.labels)
+        np.testing.assert_array_equal(lab.core_mask, tiled_lab.core_mask)
+        assert med == tiled_med
+        for a, b in zip(cross, tiled_cross):
             np.testing.assert_array_equal(a, b)

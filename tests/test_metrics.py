@@ -69,6 +69,9 @@ def test_grid_rejects_bad_threshold_arrays():
         ThresholdGrid(np.array([-0.1, 0.5]))
     with pytest.raises(ConfigError, match="strictly increasing"):
         ThresholdGrid(np.array([0.0, 0.0, 0.1]))
+    for taus in ([np.nan], [np.inf], [0.0, 0.1, np.inf], [0.0, np.nan, 0.1], [-np.inf, 0.0]):
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            ThresholdGrid(np.array(taus))
 
 
 def test_marks_must_land_on_grid_points():
