@@ -5,8 +5,11 @@ setting fails before the first stage; the stages receive resolved values.
 
 Stage order is part of the black-box contract: the real table is not opened
 until clustering and medoid extraction have finished, so nothing about the
-real data can influence the representation or the clusters. Stage timings go
-to the logger (stderr in the CLI); no timing ever enters an emitted file.
+real data can influence the representation or the clusters. The real table
+is then streamed block by block through the evaluate stage, never held
+whole, so its memory is bounded per block; its load errors still name the
+load-real stage. Stage timings go to the logger (stderr in the CLI); no
+timing ever enters an emitted file.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import json
 import logging
 import math
 import time
-from contextlib import contextmanager
+from collections.abc import Iterator
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,24 +149,26 @@ def run_audit(
     with _stage(STAGE_MEDOIDS):
         medoids = clustering.extract_medoids(enc_synth, labeling, synthetic)
 
-    real = None
-    if config.real is not None:
-        with _stage(STAGE_LOAD_REAL):
-            real = tables.load_csv(config.real, synthetic.schema)
-            log.info("real table: %d rows", real.n_rows)
-
+    n_real_rows = None
     profile = None
     summary = None
     curves = None
-    if real is not None and len(medoids) > 0:
-        with _stage(STAGE_EVALUATE):
+    if config.real is not None and len(medoids) == 0:
+        with _stage(STAGE_LOAD_REAL):
+            n_real_rows = sum(b.n_rows for b in tables.read_blocks(config.real, synthetic.schema))
+            log.info("real table: %d rows", n_real_rows)
+    elif config.real is not None:
+        with _stage(STAGE_EVALUATE), closing(_real_blocks(config.real, synthetic.schema)) as blocks:
             if config.metric == GOWER:
                 profile = metrics.proximity_profile_gower(
-                    medoids, real, encoding.numeric_ranges(model)
+                    medoids, blocks, encoding.numeric_ranges(model)
                 )
             else:
-                enc_real = encoding.encode(model, real)
-                profile = metrics.proximity_profile(medoids, enc_real)
+                profile = metrics.proximity_profile(
+                    medoids, encoding.encode_chunks(model, blocks)
+                )
+            n_real_rows = len(profile.per_real_min)
+            log.info("real table: %d rows", n_real_rows)
             summary = metrics.summarize_dmin([r.d_min for r in profile.records])
             curves = metrics.curves_from_profile(profile, grid)
             log.info("nearest-real summary: %s", report_mod.format_summary_row(summary))
@@ -174,7 +180,7 @@ def run_audit(
             synthetic_path=str(Path(config.synthetic).resolve()),
             real_path=None if config.real is None else str(Path(config.real).resolve()),
             n_synthetic_rows=synthetic.n_rows,
-            n_real_rows=None if real is None else real.n_rows,
+            n_real_rows=n_real_rows,
             scale=config.scale,
             metric=config.metric,
             pca_dim=config.pca,
@@ -200,6 +206,15 @@ def run_audit(
             _emit_files(rpt, out_dir, model, labeling, medoids, synthetic)
 
     return AuditResult(report=rpt, labeling=labeling, medoids=medoids, model=model)
+
+
+def _real_blocks(path: str, schema: tables.TableSchema) -> Iterator[tables.DataTable]:
+    """tables.read_blocks, whose errors belong to the load-real stage though
+    they surface while the evaluate stage consumes the blocks."""
+    try:
+        yield from tables.read_blocks(path, schema)
+    except CmlaError as e:
+        raise StageError(STAGE_LOAD_REAL, e) from e
 
 
 def _stem(path: str | None) -> str | None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,16 @@ MINMAX = "minmax"
 ZSCORE = "zscore"
 
 MODEL_SCHEMA_VERSION = 1
+
+# encode refuses a table whose encoded matrix, before any projection, would
+# take more bytes than this (a 1 GiB bound, not a setting): a one-hot block
+# of a column with many categories grows with rows x categories.
+MAX_ENCODED_BYTES = 1 << 30
+# encode_chunks encodes at most this many bytes at a time. Each chunk starts
+# the pruning bound of kernels.cross_min_distances afresh: on a 200k x 9 real
+# table, 8 MiB chunks took as much CPU as one whole matrix, 512 KiB chunks
+# 12 % more.
+CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -113,12 +125,19 @@ def fit_encoding(table: DataTable, mode: str = MINMAX, pca: int | None = None) -
     stats: dict[str, NumericStats] = {}
     for col in table.schema.numeric_columns():
         arr = table.column_array(col.name)
-        stats[col.name] = NumericStats(
-            lo=float(arr.min()),
-            hi=float(arr.max()),
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = NumericStats(
+                lo=float(arr.min()),
+                hi=float(arr.max()),
+                mean=float(arr.mean()),
+                std=float(arr.std()),
+            )
+        if not all(map(math.isfinite, (s.lo, s.hi, s.hi - s.lo, s.mean, s.std))):
+            raise ConfigError(
+                f"numeric column {col.name!r} spans [{s.lo!r}, {s.hi!r}]: its range, "
+                f"mean or spread overflows float64, so it cannot be scaled"
+            )
+        stats[col.name] = s
     model = EncodingModel(table.schema, mode, stats)
     if pca is not None:
         model.pca = fit_pca(encode(model, table), pca)
@@ -139,17 +158,38 @@ def _check_compatible(model: EncodingModel, table: DataTable) -> None:
             )
 
 
+def _width(schema: TableSchema) -> int:
+    """Encoded dimensions before any projection: one per numeric column, one
+    per category."""
+    return len(schema.numeric_columns()) + sum(
+        len(col.categories) for col in schema.categorical_columns()
+    )
+
+
 def encode(model: EncodingModel, table: DataTable) -> EncodedMatrix:
     """Apply the fitted representation to a table.
 
     The table must match the model schema by name and kind; its categorical
     vocabularies may differ. Cells whose category is unknown to the model
-    produce an all-zero one-hot block.
+    produce an all-zero one-hot block. Each row's encoding depends on that
+    row alone, bit for bit, so rows encode alike in any batch. A table whose
+    matrix would exceed MAX_ENCODED_BYTES is a ConfigError, before any of it
+    is allocated.
     """
     _check_compatible(model, table)
     numeric = model.schema.numeric_columns()
     categorical = model.schema.categorical_columns()
-    width = len(numeric) + sum(len(col.categories) for col in categorical)
+    width = _width(model.schema)
+    need = 8 * table.n_rows * width
+    if need > MAX_ENCODED_BYTES:
+        widest = max(categorical, key=lambda col: len(col.categories), default=None)
+        blame = "" if widest is None else (
+            f"; column {widest.name!r} has {len(widest.categories)} categories"
+        )
+        raise ConfigError(
+            f"encoding {table.n_rows} rows x {width} dimensions needs {need} bytes, "
+            f"over the bound of {MAX_ENCODED_BYTES}{blame}"
+        )
     base = np.zeros((table.n_rows, width), dtype=np.float64)
 
     for j, col in enumerate(numeric):
@@ -173,8 +213,21 @@ def encode(model: EncodingModel, table: DataTable) -> EncodedMatrix:
         offset += len(col.categories)
 
     if model.pca is not None:
-        base = np.ascontiguousarray((base - model.pca.mean) @ model.pca.components.T)
+        # einsum sums each row's products in one order whatever the row
+        # count, where a BLAS matmul's order may depend on the batch shape
+        base = np.einsum("ij,kj->ik", base - model.pca.mean, model.pca.components)
     return EncodedMatrix(base, model.model_hash())
+
+
+def encode_chunks(model: EncodingModel, tables: Iterable[DataTable]) -> Iterator[EncodedMatrix]:
+    """The tables' encodings in row order, each table in chunks of rows whose
+    encoded matrix takes at most CHUNK_BYTES (or one row), so a wide one-hot
+    never allocates rows x width at once."""
+    step = max(1, CHUNK_BYTES // (8 * _width(model.schema)))
+    for table in tables:
+        for start in range(0, table.n_rows, step):
+            rows = slice(start, start + step)
+            yield encode(model, DataTable(table.schema, tuple(c[rows] for c in table.columns)))
 
 
 def gower_to_table(

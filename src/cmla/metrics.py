@@ -6,13 +6,19 @@ real row id. The attack success rate at threshold tau is the fraction of
 medoids with d_min strictly below tau; coverage at tau is the fraction of real
 rows strictly within tau of at least one medoid. Both inequalities are strict,
 so both curves are exactly zero at tau = 0.
+
+The real rows may come as a stream of blocks. Each block is reduced as it
+arrives, by kernels.cross_min_distances on its encoding or by gower_to_table
+on its raw rows, and one loop merges the blocks' minima in row order. So the
+real side's memory is bounded per block, and the profile is the one a whole
+table gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,12 +105,33 @@ def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
     return ThresholdGrid(taus, marks)
 
 
-def _profile(medoids: MedoidSet, minima) -> ProximityProfile:
-    """Profile from minima() -> (d_min per medoid, its nearest real row, the
-    per-real-row minimum over medoids), called only when there are medoids."""
+# Per piece of consecutive real rows: each medoid's minimum distance into the
+# piece, the piece-local row attaining it first, and each row's minimum over
+# the medoids.
+Minima = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _profile(medoids: MedoidSet, pieces: Iterable[Minima]) -> ProximityProfile:
+    """The profile over pieces that cover the real rows in order.
+
+    A medoid takes a later piece's row only when it is strictly nearer, with
+    NaN nearest of all as in np.argmin, so ties keep the lowest row id; row
+    ids count over all pieces. pieces is consumed only when there are medoids.
+    """
     if len(medoids) == 0:
         raise ConfigError("no medoids to evaluate")
-    d_min, nearest, per_real_min = minima()
+    d_min = np.full(len(medoids), np.inf)
+    nearest = np.zeros(len(medoids), dtype=np.int64)
+    rank = np.full(len(medoids), np.inf)
+    per_real = []
+    offset = 0
+    for a_min, a_arg, b_min in pieces:
+        key = np.where(np.isnan(a_min), -np.inf, a_min)
+        better = key < rank
+        rank[better], d_min[better] = key[better], a_min[better]
+        nearest[better] = offset + a_arg[better]
+        per_real.append(b_min)
+        offset += len(b_min)
     records = [
         DistanceRecord(
             cluster_id=m.cluster_id,
@@ -114,39 +141,51 @@ def _profile(medoids: MedoidSet, minima) -> ProximityProfile:
         )
         for i, m in enumerate(medoids.medoids)
     ]
-    return ProximityProfile(records=records, per_real_min=per_real_min)
+    return ProximityProfile(records=records, per_real_min=np.concatenate(per_real))
 
 
-def proximity_profile(medoids: MedoidSet, real: EncodedMatrix) -> ProximityProfile:
+def proximity_profile(
+    medoids: MedoidSet, real: EncodedMatrix | Iterable[EncodedMatrix]
+) -> ProximityProfile:
     """Brute-force nearest-real distances for every medoid, with the per-real
-    minimum cached for the coverage sweep."""
-    if medoids.model_hash != real.model_hash:
-        raise LineageError("medoids and real matrix come from different encoding models")
-    return _profile(
-        medoids, lambda: kernels.cross_min_distances(medoids.vectors(), real.vectors)
-    )
+    minimum cached for the coverage sweep. real is one matrix or consecutive
+    row chunks of one, each reduced by kernels.cross_min_distances."""
+    chunks = (real,) if isinstance(real, EncodedMatrix) else real
+
+    def pieces():
+        vectors = medoids.vectors()
+        for chunk in chunks:
+            if medoids.model_hash != chunk.model_hash:
+                raise LineageError("medoids and real matrix come from different encoding models")
+            yield kernels.cross_min_distances(vectors, chunk.vectors)
+
+    return _profile(medoids, pieces())
 
 
 def proximity_profile_gower(
     medoids: MedoidSet,
-    real_table: DataTable,
+    real: DataTable | Iterable[DataTable],
     ranges: dict[str, tuple[float, float]],
 ) -> ProximityProfile:
-    """Gower variant: distances on raw rows with model-fitted numeric ranges."""
+    """Gower variant: distances on raw rows with model-fitted numeric ranges.
+    real is one table or consecutive blocks of one, each reduced by
+    gower_to_table per medoid."""
+    blocks = (real,) if isinstance(real, DataTable) else real
 
-    def minima():
-        d_min = np.empty(len(medoids), dtype=np.float64)
-        nearest = np.empty(len(medoids), dtype=np.int64)
-        per_real = np.full(real_table.n_rows, np.inf, dtype=np.float64)
-        scratch = np.empty((2, real_table.n_rows), dtype=np.float64)
-        for i, m in enumerate(medoids.medoids):
-            d = gower_to_table(m.raw, real_table, ranges, scratch)
-            d_min[i] = d.min()
-            nearest[i] = np.argmin(d)
-            np.minimum(per_real, d, out=per_real)
-        return d_min, nearest, per_real
+    def pieces():
+        for block in blocks:
+            d_min = np.empty(len(medoids), dtype=np.float64)
+            nearest = np.empty(len(medoids), dtype=np.int64)
+            per_real = np.full(block.n_rows, np.inf, dtype=np.float64)
+            scratch = np.empty((2, block.n_rows), dtype=np.float64)
+            for i, m in enumerate(medoids.medoids):
+                d = gower_to_table(m.raw, block, ranges, scratch)
+                d_min[i] = d.min()
+                nearest[i] = np.argmin(d)
+                np.minimum(per_real, d, out=per_real)
+            yield d_min, nearest, per_real
 
-    return _profile(medoids, minima)
+    return _profile(medoids, pieces())
 
 
 def asr_curve(records: Sequence[DistanceRecord], grid: ThresholdGrid) -> np.ndarray:
@@ -184,13 +223,15 @@ class DminSummary:
 
 
 def _percentile(sorted_values: np.ndarray, p: float) -> float:
-    """Linear interpolation at rank h = (n - 1) * p / 100 on sorted values."""
+    """Linear interpolation at rank h = (n - 1) * p / 100 on sorted values.
+    Between two equal neighbours it is their value, also when both are
+    infinite, where the interpolation would give inf - inf = NaN."""
     n = len(sorted_values)
     h = (n - 1) * (p / 100.0)
     f = math.floor(h)
     frac = h - f
     lo = float(sorted_values[f])
-    if frac == 0.0 or f + 1 >= n:
+    if frac == 0.0 or f + 1 >= n or sorted_values[f + 1] == lo:
         return lo
     return lo + frac * (float(sorted_values[f + 1]) - lo)
 

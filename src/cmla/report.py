@@ -190,7 +190,8 @@ def write_heatmap_csv(reports: Sequence[LeakageReport], tau: float, path: str | 
 
 def compare_reports(original: dict, recomputed: dict, tol: float = 1e-9) -> list[str]:
     """Structural diff of two report documents. Numbers must agree within tol,
-    everything else exactly. Returns human-readable difference lines."""
+    where two equal infinities and two NaNs agree, and everything else
+    exactly. Returns human-readable difference lines."""
     diffs: list[str] = []
     _compare("", original, recomputed, tol, diffs)
     return diffs
@@ -217,7 +218,7 @@ def _compare(path: str, a, b, tol: float, diffs: list[str]) -> None:
             diffs.append(f"{path}: {a!r} vs {b!r}")
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
         fa, fb = float(a), float(b)
-        equal = (fa == fb) or (
+        equal = (fa == fb) or (math.isnan(fa) and math.isnan(fb)) or (
             math.isfinite(fa) and math.isfinite(fb) and abs(fa - fb) <= tol
         )
         if not equal:

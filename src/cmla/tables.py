@@ -19,15 +19,20 @@ either way.
 
 Each column keeps its state from block to block: its cells are parsed as
 decimals, none twice, up to the first non-empty cell that is not one. That
-pass settles an inferred kind, checks a hinted one, and holds a numeric
-column's values. A categorical column codes its cells block by block.
+pass settles an inferred kind and checks a hinted one. A categorical column
+codes its cells block by block. After each block the reader hands over the
+block's new values and codes and drops them: load_csv joins them into one
+table, and read_blocks yields them as one table per block, so that a real
+table is streamed in memory bounded per block, with the errors and row
+numbers load_csv gives.
 """
 
 from __future__ import annotations
 
 import csv
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from pathlib import Path
@@ -40,7 +45,7 @@ from .errors import LoadError, SchemaError
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# load_csv reads lines in blocks of about this many characters.
+# The reader reads lines in blocks of about this many characters.
 BLOCK_BYTES = 1 << 20
 # Rows that write_csv and clustering.write_labels_csv format at a time.
 WRITE_ROWS = 1 << 14
@@ -148,7 +153,8 @@ class _Column:
     decimal, the cells are parsed as decimals, each once, and the first empty
     cell is noted. An inferred column keeps its cells meanwhile, in case a
     text cell makes it categorical. A categorical column codes each cell by a
-    vocabulary that starts from the hint and grows by first appearance.
+    vocabulary that starts from the hint and grows by first appearance. take
+    hands over and drops what the cells fed since the last take have added.
     """
 
     def __init__(self, hint: ColumnSpec | None) -> None:
@@ -218,8 +224,26 @@ class _Column:
             codes = np.fromiter(map(vocab.__getitem__, cells), np.int32, len(cells))
         self.codes.append(codes)
 
-    def finish(self, file: str, name: str) -> tuple[ColumnSpec, np.ndarray]:
-        """The column's spec and array, or the error its cells make."""
+    def take(self) -> np.ndarray:
+        """The float64 values parsed since the last take while the column may
+        be numeric, else the int32 codes coded since then. When an inferred
+        column turns categorical, its codes start again from row 0."""
+        values, self.values = self.values, array("d")
+        if self.vocab is None:
+            return np.frombuffer(values, dtype=np.float64)
+        codes, self.codes = self.codes, []
+        return np.concatenate(codes)
+
+    @property
+    def failed(self) -> bool:
+        """Whether a hinted numeric column has met a cell that is not a finite
+        decimal."""
+        return self.hint is not None and self.hint.kind == NUMERIC and (
+            self.text is not None or self.empty is not None
+        )
+
+    def spec(self, file: str, name: str) -> ColumnSpec:
+        """The column's spec once every row is fed, or the error its cells make."""
         if self.hint is not None:
             kind = self.hint.kind
         else:
@@ -232,16 +256,13 @@ class _Column:
                     f"{file}: row {bad + 1}, column {name!r}: "
                     f"cell {cell!r} is not a finite decimal"
                 )
-            return ColumnSpec(name, NUMERIC), np.frombuffer(self.values, dtype=np.float64)
+            return ColumnSpec(name, NUMERIC)
         if self.text is None:
             raise SchemaError(
                 f"{file}: column {name!r} is categorical in the expected schema "
                 f"but holds only decimals"
             )
-        return (
-            ColumnSpec(name, CATEGORICAL, tuple(self.vocab)),
-            np.concatenate(self.codes),
-        )
+        return ColumnSpec(name, CATEGORICAL, tuple(self.vocab))
 
 
 def _split(lines: list[str], n_cols: int) -> list[str] | None:
@@ -269,69 +290,97 @@ def _split(lines: list[str], n_cols: int) -> list[str] | None:
     return cells
 
 
-def _read_rows(
-    file: str, lines: Iterable[str], columns: list[_Column], row: int, size: int
-) -> int:
-    """Read the rest of the file with csv.reader, feeding the columns size
-    rows at a time; returns the row count, which starts at row."""
-    n_cols = len(columns)
-    block: list[list[str]] = []
-    try:
-        for r in csv.reader(lines):
-            row += 1
-            if len(r) != n_cols:
-                raise LoadError(f"{file}: row {row} has {len(r)} fields, expected {n_cols}")
-            block.append(r)
-            if len(block) == size:
-                for column, cells in zip(columns, zip(*block)):
-                    column.feed(cells)
-                block = []
-    except csv.Error as e:
-        raise LoadError(f"{file}: row {row + 1}: {e}") from None
-    for column, cells in zip(columns, zip(*block)):
-        column.feed(cells)
-    return row
+class _Reader:
+    """One open CSV file, read block by block.
 
+    The header is read and checked on construction. blocks then yields, per
+    block of rows, what take hands over from each column, and specs, called
+    after the last block, gives the column specs or raises the error the file
+    makes. A field-count or csv error raises at once, in blocks; the errors of
+    the header and of the cells wait for specs, so that one of the former
+    anywhere in the file takes precedence.
+    """
 
-def _read(file: str, fh: TextIO, schema_hint: TableSchema | None) -> DataTable:
-    try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        raise LoadError(f"{file}: missing header row") from None
-    except csv.Error as e:
-        raise LoadError(f"{file}: header row: {e}") from None
-    n_cols = len(header)
-    if n_cols == 0:
-        raise LoadError(f"{file}: header row has no columns")
-    if len(set(header)) < n_cols:
-        twice = next(name for j, name in enumerate(header) if name in header[:j])
-        raise LoadError(f"{file}: header names column {twice!r} twice")
-    # Under a header that fails the hint, the cells are only read, for the
-    # field-count errors that take precedence over the header's.
-    hinted = schema_hint is not None and tuple(header) == schema_hint.names
-    columns = [_Column(schema_hint.columns[j] if hinted else None) for j in range(n_cols)]
+    def __init__(self, file: str, fh: TextIO, schema_hint: TableSchema | None) -> None:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise LoadError(f"{file}: missing header row") from None
+        except csv.Error as e:
+            raise LoadError(f"{file}: header row: {e}") from None
+        if not header:
+            raise LoadError(f"{file}: header row has no columns")
+        if len(set(header)) < len(header):
+            twice = next(name for j, name in enumerate(header) if name in header[:j])
+            raise LoadError(f"{file}: header names column {twice!r} twice")
+        self.file = file
+        self.fh = fh
+        self.header = header
+        self.hint = schema_hint
+        self.mismatch = schema_hint is not None and tuple(header) != schema_hint.names
+        # Under a header that fails the hint, the rows are only counted, for
+        # the field-count errors that take precedence over the header's.
+        hints = [None] * len(header) if schema_hint is None else schema_hint.columns
+        self.columns = [] if self.mismatch else [_Column(hint) for hint in hints]
+        self.rows = 0
 
-    rows = 0
-    while lines := fh.readlines(BLOCK_BYTES):
-        cells = _split(lines, n_cols)
-        if cells is None:
-            # From here on csv.reader reads everything: a quoted field may
-            # hold a line break that readlines split across blocks.
-            rows = _read_rows(file, chain(lines, fh), columns, rows, len(lines))
-            break
-        for j, column in enumerate(columns):
-            column.feed(cells[j::n_cols])
-        rows += len(lines)
+    @property
+    def failed(self) -> bool:
+        """Whether specs is bound to raise, whatever the rows still to come."""
+        return self.mismatch or any(column.failed for column in self.columns)
 
-    if rows == 0:
-        raise LoadError(f"{file}: no data rows")
-    if schema_hint is not None and not hinted:
-        raise LoadError(
-            f"{file}: header {header!r} does not match expected columns "
-            f"{list(schema_hint.names)!r}"
-        )
-    specs, arrays = zip(*(column.finish(file, name) for column, name in zip(columns, header)))
-    return DataTable(TableSchema(specs), arrays)
+    def blocks(self) -> Iterator[list[np.ndarray]]:
+        n_cols = len(self.header)
+        while lines := self.fh.readlines(BLOCK_BYTES):
+            cells = _split(lines, n_cols)
+            if cells is None:
+                # From here on csv.reader reads everything: a quoted field may
+                # hold a line break that readlines split across blocks.
+                yield from self._csv_blocks(chain(lines, self.fh), len(lines))
+                return
+            for j, column in enumerate(self.columns):
+                column.feed(cells[j::n_cols])
+            self.rows += len(lines)
+            # the block's cells go before the next block is read
+            del lines, cells
+            yield [column.take() for column in self.columns]
+
+    def _csv_blocks(self, lines: Iterable[str], size: int) -> Iterator[list[np.ndarray]]:
+        """The rest of the file read by csv.reader, size rows a block."""
+        n_cols = len(self.header)
+        block: list[list[str]] = []
+        try:
+            for r in csv.reader(lines):
+                if len(r) != n_cols:
+                    raise LoadError(f"{self.file}: row {self.rows + len(block) + 1} has "
+                                    f"{len(r)} fields, expected {n_cols}")
+                block.append(r)
+                if len(block) == size:
+                    taken = self._feed(block)
+                    block = []
+                    yield taken
+        except csv.Error as e:
+            raise LoadError(f"{self.file}: row {self.rows + len(block) + 1}: {e}") from None
+        if block:
+            yield self._feed(block)
+
+    def _feed(self, block: list[list[str]]) -> list[np.ndarray]:
+        for column, cells in zip(self.columns, zip(*block)):
+            column.feed(cells)
+        self.rows += len(block)
+        return [column.take() for column in self.columns]
+
+    def specs(self) -> tuple[ColumnSpec, ...]:
+        """The column specs once every block is read, or the file's error."""
+        if self.rows == 0:
+            raise LoadError(f"{self.file}: no data rows")
+        if self.mismatch:
+            raise LoadError(
+                f"{self.file}: header {self.header!r} does not match expected columns "
+                f"{list(self.hint.names)!r}"
+            )
+        return tuple(column.spec(self.file, name)
+                     for column, name in zip(self.columns, self.header))
 
 
 def _undecodable_line(path: Path) -> int:
@@ -345,8 +394,22 @@ def _undecodable_line(path: Path) -> int:
     return k
 
 
+@contextmanager
+def _opened(path: str | Path) -> Iterator[tuple[str, TextIO]]:
+    """The file's name and text, with a missing file and bytes that are not
+    UTF-8 as LoadErrors."""
+    p = Path(path)
+    if not p.is_file():
+        raise LoadError(f"no such file: {p}")
+    try:
+        with open(p, encoding="utf-8", newline="") as fh:
+            yield p.name, fh
+    except UnicodeDecodeError:
+        raise LoadError(f"{p.name}: line {_undecodable_line(p)} is not UTF-8 text") from None
+
+
 def load_csv(path: str | Path, schema_hint: TableSchema | None = None) -> DataTable:
-    """Load a CSV file into a DataTable.
+    """Load a CSV file into a DataTable: the blocks of the reader, joined.
 
     The header may not name a column twice. With a schema hint it must match
     the hinted column names exactly
@@ -358,14 +421,42 @@ def load_csv(path: str | Path, schema_hint: TableSchema | None = None) -> DataTa
     index-stable. Without a hint, kinds are inferred from the cells. Error rows
     are reported 1-based over data rows (header excluded).
     """
-    p = Path(path)
-    if not p.is_file():
-        raise LoadError(f"no such file: {p}")
-    try:
-        with open(p, encoding="utf-8", newline="") as fh:
-            return _read(p.name, fh, schema_hint)
-    except UnicodeDecodeError:
-        raise LoadError(f"{p.name}: line {_undecodable_line(p)} is not UTF-8 text") from None
+    with _opened(path) as (file, fh):
+        reader = _Reader(file, fh, schema_hint)
+        blocks = list(reader.blocks())
+        specs = reader.specs()
+    dtypes = [np.float64 if spec.kind == NUMERIC else np.int32 for spec in specs]
+    # an inferred column that turned categorical handed over values first
+    return DataTable(TableSchema(specs), tuple(
+        np.concatenate([block[j] for block in blocks if block[j].dtype == dtype])
+        for j, dtype in enumerate(dtypes)
+    ))
+
+
+def read_blocks(path: str | Path, schema: TableSchema) -> Iterator[DataTable]:
+    """The rows of a CSV file under a schema hint, as consecutive DataTables
+    of about BLOCK_BYTES characters each, read one at a time.
+
+    Each block's categorical columns carry the vocabulary so far: the hint's,
+    then the new categories in first appearance, as load_csv would give. From
+    the first block in which a cell fails the hint, or at once under a header
+    that does, no block is yielded, but the file is read to its end. Every
+    error is then the one load_csv(path, schema) raises, with its row number;
+    an error known only at the end, such as a categorical column that holds
+    only decimals, comes after the last block.
+    """
+    with _opened(path) as (file, fh):
+        reader = _Reader(file, fh, schema)
+        for arrays in reader.blocks():
+            if reader.failed:
+                continue
+            specs = (
+                spec if column.vocab is None
+                else ColumnSpec(spec.name, CATEGORICAL, tuple(column.vocab))
+                for spec, column in zip(schema.columns, reader.columns)
+            )
+            yield DataTable(TableSchema(tuple(specs)), tuple(arrays))
+        reader.specs()
 
 
 def write_csv(table: DataTable, path: str | Path) -> None:

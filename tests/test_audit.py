@@ -122,24 +122,32 @@ def test_real_table_is_opened_only_after_clustering(tmp_path, monkeypatch):
     synth, real = write_tables(tmp_path)
     events = []
 
-    orig_load = tables.load_csv
+    orig_medoids = clustering.extract_medoids
     orig_dbscan = clustering.dbscan
 
-    def spy_load(path, schema_hint=None):
-        events.append(("load", Path(path).name))
-        return orig_load(path, schema_hint)
+    def spy_open(path, *args, **kwargs):
+        events.append(("open", Path(path).name))
+        return open(path, *args, **kwargs)
 
     def spy_dbscan(matrix, eps, min_samples):
         events.append(("cluster", None))
         return orig_dbscan(matrix, eps, min_samples)
 
-    monkeypatch.setattr(tables, "load_csv", spy_load)
+    def spy_medoids(*args):
+        result = orig_medoids(*args)
+        events.append(("medoids", None))
+        return result
+
+    # the tables module's own open, through which both tables are read
+    monkeypatch.setattr(tables, "open", spy_open, raising=False)
     monkeypatch.setattr(clustering, "dbscan", spy_dbscan)
+    monkeypatch.setattr(clustering, "extract_medoids", spy_medoids)
     run_audit(AuditConfig(synthetic=str(synth), real=str(real), eps=0.05, min_samples=5))
 
-    loaded = [name for kind, name in events if kind == "load"]
-    assert loaded == [synth.name, real.name]
-    assert events.index(("cluster", None)) < events.index(("load", real.name))
+    opened = [name for kind, name in events if kind == "open"]
+    assert opened == [synth.name, real.name]
+    assert events.index(("cluster", None)) < events.index(("open", real.name))
+    assert events.index(("medoids", None)) < events.index(("open", real.name))
 
 
 def test_stage_errors_name_the_failing_stage(tmp_path):

@@ -1,5 +1,7 @@
 """Threshold grids, nearest-real profiles, ASR and coverage, summaries."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,14 @@ def test_summarize_dmin_is_order_free():
 def test_summarize_single_value():
     s = summarize_dmin([0.7])
     assert (s.min, s.median, s.max, s.p10, s.p90) == (0.7, 0.7, 0.7, 0.7, 0.7)
+
+
+def test_a_percentile_between_equal_neighbours_is_their_value():
+    s = summarize_dmin([math.inf] * 4)
+    assert (s.min, s.mean, s.median, s.max, s.p10, s.p90) == (math.inf,) * 6
+    s = summarize_dmin([0.5, math.inf, math.inf])
+    assert (s.median, s.p90) == (math.inf, math.inf)
+    assert s.p10 == 0.5 + 0.2 * (math.inf - 0.5)
 
 
 def test_summarize_rejects_empty_input():

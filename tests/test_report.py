@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -262,6 +263,16 @@ def test_compare_reports_tolerance_boundary():
     diffs = compare_reports(a, b, tol=1e-9)
     assert len(diffs) == 1
     assert diffs[0].startswith("curves.asr[5]:")
+
+
+def test_compare_reports_takes_two_nans_or_two_equal_infinities_as_equal():
+    a = write(small_report())
+    b = json.loads(json.dumps(a))
+    for x, y, equal in [(math.nan, math.nan, True), (math.inf, math.inf, True),
+                        (math.nan, 1.0, False), (math.inf, -math.inf, False),
+                        (math.nan, math.inf, False)]:
+        a["curves"]["asr"][5], b["curves"]["asr"][5] = x, y
+        assert (compare_reports(a, b) == []) is equal
 
 
 def test_compare_reports_catches_shape_and_text_changes():
