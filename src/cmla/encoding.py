@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,47 +176,64 @@ def encode(model: EncodingModel, table: DataTable) -> EncodedMatrix:
     matrix would exceed MAX_ENCODED_BYTES is a ConfigError, before any of it
     is allocated.
     """
-    _check_compatible(model, table)
+    return _encoder(model)(table)
+
+
+def _encoder(model: EncodingModel) -> Callable[[DataTable], EncodedMatrix]:
+    """encode(model, .) for a run of tables. The model's hash and each
+    categorical column's positions in the model vocabulary are worked out
+    once; a table vocabulary's position map is kept while the next table
+    carries the same tuple, as the chunks of a table and the blocks of
+    tables.read_blocks that add no category do."""
     numeric = model.schema.numeric_columns()
     categorical = model.schema.categorical_columns()
     width = _width(model.schema)
-    need = 8 * table.n_rows * width
-    if need > MAX_ENCODED_BYTES:
-        widest = max(categorical, key=lambda col: len(col.categories), default=None)
-        blame = "" if widest is None else (
-            f"; column {widest.name!r} has {len(widest.categories)} categories"
-        )
-        raise ConfigError(
-            f"encoding {table.n_rows} rows x {width} dimensions needs {need} bytes, "
-            f"over the bound of {MAX_ENCODED_BYTES}{blame}"
-        )
-    base = np.zeros((table.n_rows, width), dtype=np.float64)
+    model_hash = model.model_hash()
+    model_pos = [{cat: k for k, cat in enumerate(col.categories)} for col in categorical]
+    posmaps: list[tuple[tuple[str, ...], np.ndarray] | None] = [None] * len(categorical)
 
-    for j, col in enumerate(numeric):
-        arr = table.column_array(col.name)
-        s = model.stats[col.name]
-        if model.mode == MINMAX:
-            denom = s.hi - s.lo
-            base[:, j] = (arr - s.lo) / (denom if denom != 0.0 else 1.0)
-        else:
-            denom = s.std
-            base[:, j] = (arr - s.mean) / (denom if denom != 0.0 else 1.0)
+    def encode_table(table: DataTable) -> EncodedMatrix:
+        _check_compatible(model, table)
+        need = 8 * table.n_rows * width
+        if need > MAX_ENCODED_BYTES:
+            widest = max(categorical, key=lambda col: len(col.categories), default=None)
+            blame = "" if widest is None else (
+                f"; column {widest.name!r} has {len(widest.categories)} categories"
+            )
+            raise ConfigError(
+                f"encoding {table.n_rows} rows x {width} dimensions needs {need} bytes, "
+                f"over the bound of {MAX_ENCODED_BYTES}{blame}"
+            )
+        base = np.zeros((table.n_rows, width), dtype=np.float64)
 
-    offset = len(numeric)
-    for col in categorical:
-        table_vocab = table.schema.column(col.name).categories
-        model_pos = {cat: k for k, cat in enumerate(col.categories)}
-        posmap = np.array([model_pos.get(cat, -1) for cat in table_vocab], dtype=np.int64)
-        pos = posmap[table.column_array(col.name)]
-        hit = np.flatnonzero(pos >= 0)
-        base[hit, offset + pos[hit]] = 1.0
-        offset += len(col.categories)
+        for j, col in enumerate(numeric):
+            arr = table.column_array(col.name)
+            s = model.stats[col.name]
+            if model.mode == MINMAX:
+                denom = s.hi - s.lo
+                base[:, j] = (arr - s.lo) / (denom if denom != 0.0 else 1.0)
+            else:
+                denom = s.std
+                base[:, j] = (arr - s.mean) / (denom if denom != 0.0 else 1.0)
 
-    if model.pca is not None:
-        # einsum sums each row's products in one order whatever the row
-        # count, where a BLAS matmul's order may depend on the batch shape
-        base = np.einsum("ij,kj->ik", base - model.pca.mean, model.pca.components)
-    return EncodedMatrix(base, model.model_hash())
+        offset = len(numeric)
+        for c, col in enumerate(categorical):
+            table_vocab = table.schema.column(col.name).categories
+            if posmaps[c] is None or posmaps[c][0] is not table_vocab:
+                positions = [model_pos[c].get(cat, -1) for cat in table_vocab]
+                posmaps[c] = table_vocab, np.array(positions, dtype=np.int64)
+            pos = posmaps[c][1][table.column_array(col.name)]
+            hit = np.flatnonzero(pos >= 0)
+            base[hit, offset + pos[hit]] = 1.0
+            offset += len(col.categories)
+
+        if model.pca is not None:
+            # einsum sums each row's products in one order whatever the row
+            # count, where a BLAS matmul's order may depend on the batch shape
+            base = np.einsum("ij,kj->ik", base - model.pca.mean, model.pca.components)
+        return EncodedMatrix(base, model_hash)
+
+    return encode_table
 
 
 def encode_chunks(model: EncodingModel, tables: Iterable[DataTable]) -> Iterator[EncodedMatrix]:
@@ -224,10 +241,11 @@ def encode_chunks(model: EncodingModel, tables: Iterable[DataTable]) -> Iterator
     encoded matrix takes at most CHUNK_BYTES (or one row), so a wide one-hot
     never allocates rows x width at once."""
     step = max(1, CHUNK_BYTES // (8 * _width(model.schema)))
+    encode_table = _encoder(model)
     for table in tables:
         for start in range(0, table.n_rows, step):
             rows = slice(start, start + step)
-            yield encode(model, DataTable(table.schema, tuple(c[rows] for c in table.columns)))
+            yield encode_table(DataTable(table.schema, tuple(c[rows] for c in table.columns)))
 
 
 def gower_to_table(

@@ -14,18 +14,21 @@ pairs, then that exact comparison for the rest.
   hold at most TILE_BYTES, whatever the widths.
 - The eps-graph is never stored whole. _hit_blocks yields it one block of
   rows at a time as a boolean hit matrix against ascending columns, decided
-  by the tile test: row tiles against every row, or one grid cell against
-  its adjacent cells. neighbor_lists(x, eps, limit) keeps at most limit of
-  each row's lowest neighbours, and eps_components unions the hits into
-  connected components; each streams the blocks once.
-- The grid (_cell_map) gives each row one int64 code for its cell over the
-  leading g <= 3 dimensions and sorts the rows by it, so a cell's 3^g
-  adjacent cells are 3^(g-1) runs of the sorted codes. From the cell sizes
-  it estimates its work as the sum over cells of |cell| * |adjacent rows|
-  plus CELL_COST per cell, and the cost rule (_grid_pays) takes it only when
-  that is below the n^2 pairs of brute force: many tiny cells, or one cell
-  holding most rows, stay on brute force. Both neighbour search and the
-  median below use it.
+  by the tile test: row tiles against every row, or a block of grid cells
+  against their adjacent cells. neighbor_lists(x, eps, limit) keeps at most
+  limit of each row's lowest neighbours, and eps_components unions the hits
+  into connected components; each streams the blocks once.
+- The grid (_cell_map) gives each row one int64 code for its cell and sorts
+  the rows by it. Every dimension whose occupied keys never differ by
+  exactly one (a one-hot column at a radius below about 1/2) is a digit
+  that adjacent cells share; up to three others step by one, as the least
+  significant digits, so a cell's adjacent cells are 3^(g-1) runs of the
+  sorted codes for g of them. Consecutive cells are batched into blocks of
+  about one tile, each against the union of its cells' adjacent rows. The
+  work is estimated as the sum over blocks of rows * columns plus CELL_COST
+  per block, and the cost rule (_grid_pays) takes the grid only when that is
+  below the n^2 pairs of brute force: one cell holding most rows stays on
+  brute force. Both neighbour search and the median below use it.
 - clustering.auto_eps needs only the median of the k-th-neighbour
   distances. kth_neighbor_median computes the k-th distance exactly for the
   rows that a grid of side r certifies, and the median from them alone.
@@ -93,8 +96,8 @@ is d = fl(sqrt(s)).
   propagate NaN as np.minimum does.
 
 The grid. A cell has side h = fl(r(1 + 2^-10)) for a radius
-2^-500 < r < 2^500, and a row's key in leading dimension j is
-floor(fl(x_j / h)); a grid is built only when every |fl(x_j / h)| < 2^40.
+2^-500 < r < 2^500, and a row's key in dimension j is floor(fl(x_j / h)); a
+dimension keys the grid only when every |fl(x_j / h)| < 2^40 in it.
 Let rows a and b have distance fl(sqrt(s)) <= r and t = fl(b_j - a_j). Each
 rounded partial sum of non-negative terms is at least each of its terms, so
 s >= fl(t^2). If t^2 >= 2^-1022, fl(t^2) >= t^2(1 - u) and
@@ -102,20 +105,22 @@ fl(sqrt(s)) >= sqrt(s)(1 - u), so |t| <= r(1 + 2u) and
 |b_j - a_j| <= |t|/(1 - u) <= r(1 + 4u); otherwise |b_j - a_j| < 2^-510 < r.
 Each quotient is within u*2^40 = 2^-13 of x_j / h, so the two quotients
 differ by at most (1 + 4u)r/h + 2^-12 < 1 - 2^-11, and their floors by at
-most one: every pair within r lies in adjacent cells, and the tile test
-decides the pairs of adjacent cells exactly as brute force does.
+most one. In a dimension where no two occupied keys differ by exactly one,
+both keys are occupied, so they are equal. So every pair within r lies in
+adjacent cells, and the tile test decides a block's rows against any
+superset of their adjacent cells' rows exactly as brute force does.
 
-The median. In a grid for radius r, a row's candidates are the rows of its
-adjacent cells, itself included, and its candidate value c is their k-th
-smallest distance (from 0, as in kth_neighbor_distances), or +inf when there
-are at most k; c >= v, the row's true value. If v <= r, the k + 1 rows at
-distance at most v from it are all candidates, so c = v. Hence c <= r
-certifies c = v, and every uncertified row has v > r, above every certified
-value. When more than n/2 rows certify, the order statistics (n - 1)//2 and
-n//2 of all the values are certified ones, so np.median over the certified
-values with +inf for the rest reads the same one or two numbers as
-np.median over every v, bit for bit. Otherwise r doubles and the grid is
-rebuilt.
+The median. In a grid for radius r, a row's candidates are the columns of
+its block, which hold the rows of its adjacent cells and itself, and its
+candidate value c is their k-th smallest distance (from 0, as in
+kth_neighbor_distances), or +inf when there are at most k; c >= v, the
+row's true value. If v <= r, the k + 1 rows at distance at most v from it
+are all candidates, so c = v. Hence c <= r certifies c = v, and every
+uncertified row has v > r, above every certified value. When more than n/2
+rows certify, the order statistics (n - 1)//2 and n//2 of all the values
+are certified ones, so np.median over the certified values with +inf for
+the rest reads the same one or two numbers as np.median over every v, bit
+for bit. Otherwise r doubles and the grid is rebuilt.
 
 The kernels run in one thread: on 2 vCPUs, a pool of row workers saved at
 most 30 ms of an 8000-row k-th pass and cost CPU time and peak RSS on every
@@ -132,9 +137,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-# The time one grid cell's NumPy calls take, in pairs of brute force: 25k-75k,
-# about 50k typical, across neighbour search, components and the k-th pass
-# on inputs of 8000 rows in 170-5500 cells (2 vCPUs; CHANGES.md).
+# The set-up of one grid block, in pairs of brute force. Fitted at 25k-75k
+# per cell when each cell was its own tile; fits per batched block read
+# 93k-254k on 8000-row inputs, but every grid decision on them is the same
+# at 50k and 200k, and the grid won each one it took (2 vCPUs; CHANGES.md).
 CELL_COST = 50_000
 # Rows whose exact k-th distances set kth_neighbor_median's first radius.
 MEDIAN_SAMPLE = 256
@@ -285,65 +291,139 @@ def _cell_side(radius: float) -> float:
     return radius * (1 + 2.0**-10)
 
 
-def _cell_map(x: np.ndarray, radius: float):
-    """An iterator over the cells of a uniform grid over the leading g <= 3
-    dimensions of x whose adjacent cells hold every pair within radius
-    (module docstring), or None when the cost rule prefers brute force or the
-    grid cannot be built (radius out of range, cell keys at or above 2^40,
-    non-finite coordinates). It yields (rows, cols) for each cell in the
-    order of its code: the cell's rows and the rows of its 3^g adjacent
-    cells, each ascending.
+def _cell_codes(x: np.ndarray, h: float) -> tuple[np.ndarray, list[int]] | None:
+    """Each row's int64 cell code for cells of side h, and the radices of its
+    step digits, least significant last; None when no dimension can serve.
+
+    A dimension serves when its keys floor(fl(x_j / h)) all stay below 2^40
+    and take more than one value. It is separating when no two of its
+    occupied keys differ by exactly one, and its digit is then the rank of
+    its key. The first three others are step digits: the key shifted to start
+    at 1, so that a step of one never leaves the digit. Separating digits are
+    the most significant. Dimensions are taken in order while the radix
+    product stays below 2^62; each is scanned in O(n) memory, by a bincount
+    of its keys, or by a sort when they span more than n values.
     """
-    n, g = len(x), min(3, x.shape[1])
+    n = len(x)
+    with np.errstate(all="ignore"):
+        lo, hi = np.floor(x.min(axis=0) / h), np.floor(x.max(axis=0) / h)
+    serves = (np.abs(lo) < 2.0**40) & (np.abs(hi) < 2.0**40) & (lo < hi)
+    separating, steps = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    step_radix: list[int] = []
+    product = 1
+    for j in np.flatnonzero(serves).tolist():
+        if 2 * product >= 2**62:
+            break
+        span = int(hi[j] - lo[j]) + 1
+        keys = (np.floor(x[:, j] / h) - lo[j]).astype(np.int64)
+        if span <= n:
+            occupied = np.flatnonzero(np.bincount(keys, minlength=span))
+        else:
+            occupied = np.unique(keys)
+        if not (np.diff(occupied) == 1).any():
+            code, radix, digit = separating, len(occupied), np.searchsorted(occupied, keys)
+        elif len(step_radix) < 3:
+            code, radix, digit = steps, span + 2, keys + 1
+        else:
+            continue
+        if product * radix >= 2**62:
+            continue
+        product *= radix
+        code *= radix
+        code += digit
+        if code is steps:
+            step_radix.append(radix)
+    if product == 1:
+        return None
+    separating *= math.prod(step_radix)
+    separating += steps
+    return separating, step_radix
+
+
+def _cell_map(x: np.ndarray, radius: float):
+    """An iterator over blocks of the cells of a grid for radius whose
+    adjacent cells hold every pair within radius (module docstring), or None
+    when the cost rule prefers brute force or no dimension can key the grid
+    (radius out of range, keys at or above 2^40, constant or non-finite
+    columns). It yields (rows, cols) for runs of consecutive cells in the
+    order of their codes: the block's rows, and the sorted union of the rows
+    of its cells' adjacent cells. A block is the longest run from its first
+    cell whose rows times adjacent rows stay within TILE_BYTES // 8 pairs, or
+    that one cell.
+    """
+    n = len(x)
     if n == 0 or not 2.0**-500 < radius < 2.0**500:
         return None
-    with np.errstate(all="ignore"):
-        scaled = np.floor(x[:, :g] / _cell_side(radius))
-    if not (np.abs(scaled) < 2.0**40).all():
+    codes = _cell_codes(x, _cell_side(radius))
+    if codes is None:
         return None
-    keys = scaled.astype(np.int64)
-    keys -= keys.min(axis=0) - 1
-    # mixed-radix cell codes over the leading dimensions whose product fits:
-    # keys run from 1 to radix - 2, so a step of one never leaves its digit
-    radix = (keys.max(axis=0) + 2).tolist()
-    while math.prod(radix) >= 2**62:
-        radix.pop()
-    code = keys[:, 0]
-    for j in range(1, len(radix)):
-        code = code * radix[j] + keys[:, j]
+    code, step_radix = codes
     order = np.argsort(code, kind="stable")
     code = code[order]
     starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
     cell = code[starts]
     bounds = np.append(starts, n)
-    # a cell's neighbours with the same leading digits as code + step are the
-    # codes within one of code + step: one run of the sorted codes per step
-    steps = [0]
-    for j in range(len(radix) - 1):
-        steps = [s + o * math.prod(radix[j + 1 :]) for s in steps for o in (-1, 0, 1)]
-    edges = np.array([(s - 1, s + 2) for s in steps], dtype=np.int64).ravel()
-    adjacent = np.zeros(len(cell), dtype=np.int64)
-    for a, b in edges.reshape(-1, 2).tolist():
-        adjacent += np.searchsorted(code, cell + b) - np.searchsorted(code, cell + a)
-    cost = int(np.diff(bounds) @ adjacent) + CELL_COST * len(cell)
+    # a cell's neighbours whose upper step digits are those of code + step are
+    # the codes within one of code + step: one run of the sorted codes per
+    # step, [lo, hi) in sorted positions, or the cell itself without steps
+    steps, reach = [0], 1 if step_radix else 0
+    for j in range(len(step_radix) - 1):
+        steps = [s + o * math.prod(step_radix[j + 1 :]) for s in steps for o in (-1, 0, 1)]
+
+    def runs(cells: np.ndarray, offsets: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi): the sorted positions of the run of each step in offsets,
+        a row each, for each of these cells."""
+        lo = np.array([np.searchsorted(code, cells + s - reach) for s in offsets])
+        hi = np.array([np.searchsorted(code, cells + s + reach + 1) for s in offsets])
+        return lo, hi
+
+    # a step's runs move forward with the cell, so within a block each later
+    # cell adds the part of its run past the previous cell's: a block's
+    # columns are at most its first cell's runs plus those parts, summed over
+    # steps (one step at a time, in O(cells) memory)
+    own = np.zeros(len(cell), dtype=np.int64)
+    grown = np.zeros(len(cell), dtype=np.int64)
+    for s in steps:
+        (lo,), (hi,) = runs(cell, [s])
+        own += hi - lo
+        lo[1:] = np.maximum(lo[1:], hi[:-1])
+        grown += np.maximum(hi - lo, 0)
+    grown = np.cumsum(grown)
+    budget = TILE_BYTES // 8
+    # cols hold the block's rows, so rows^2 <= budget bounds its cells
+    window = math.isqrt(budget) + 1
+    spans, cost, a = [], 0, 0
+    while a < len(cell):
+        end = min(a + window, len(cell))
+        pairs = (bounds[a + 1 : end + 1] - bounds[a]) * (own[a] + grown[a:end] - grown[a])
+        m = max(1, int(np.searchsorted(pairs, budget, side="right")))
+        cost += int(pairs[m - 1]) + CELL_COST
+        spans.append((a, a + m))
+        a += m
     if not _grid_pays(cost, n):
         return None
 
-    def cells():
-        for c in range(len(cell)):
-            at = np.searchsorted(code, cell[c] + edges).tolist()
-            parts = [order[a:b] for a, b in zip(at[::2], at[1::2])]
-            yield order[bounds[c] : bounds[c + 1]], np.sort(np.concatenate(parts))
+    def blocks():
+        for a, b in spans:
+            lo, hi = runs(cell[a:b], steps)
+            lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
+            lengths = np.maximum(hi - lo, 0).ravel()
+            lo = lo.ravel()
+            at = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+            cols = np.sort(order[at])
+            if len(steps) > 1:  # runs of different steps may overlap
+                cols = cols[np.r_[True, cols[1:] != cols[:-1]]]
+            yield order[bounds[a] : bounds[b]], cols
 
-    return cells()
+    return blocks()
 
 
 def _hit_blocks(x: np.ndarray, eps: float):
     """Yields (rows, cols, hit) for blocks of rows that partition
     range(len(x)), where hit[r, j] says dists_to(x[rows[r]], x[cols[j]]) <= eps,
     cols ascend and hold every neighbour of the block's rows. The blocks are
-    grid cells where the cost rule takes the grid (_cell_map), else row
-    tiles."""
+    runs of grid cells where the cost rule takes the grid (_cell_map), else
+    row tiles."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
     cells = _cell_map(x, eps)

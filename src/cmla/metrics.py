@@ -157,7 +157,11 @@ def proximity_profile(
         for chunk in chunks:
             if medoids.model_hash != chunk.model_hash:
                 raise LineageError("medoids and real matrix come from different encoding models")
-            yield kernels.cross_min_distances(vectors, chunk.vectors)
+            # a square that overflows makes d_min infinite, as intended; the
+            # state is left before yielding, so the caller's stays its own
+            with np.errstate(over="ignore"):
+                minima = kernels.cross_min_distances(vectors, chunk.vectors)
+            yield minima
 
     return _profile(medoids, pieces())
 

@@ -445,17 +445,20 @@ def read_blocks(path: str | Path, schema: TableSchema) -> Iterator[DataTable]:
     an error known only at the end, such as a categorical column that holds
     only decimals, comes after the last block.
     """
+    specs = schema.columns
     with _opened(path) as (file, fh):
         reader = _Reader(file, fh, schema)
         for arrays in reader.blocks():
             if reader.failed:
                 continue
-            specs = (
-                spec if column.vocab is None
+            # a vocabulary only grows, so its tuple is rebuilt only in a
+            # block that added a category
+            specs = tuple(
+                spec if column.vocab is None or len(column.vocab) == len(spec.categories)
                 else ColumnSpec(spec.name, CATEGORICAL, tuple(column.vocab))
-                for spec, column in zip(schema.columns, reader.columns)
+                for spec, column in zip(specs, reader.columns)
             )
-            yield DataTable(TableSchema(tuple(specs)), tuple(arrays))
+            yield DataTable(TableSchema(specs), tuple(arrays))
         reader.specs()
 
 

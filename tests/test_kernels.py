@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cmla import kernels
+from cmla import encoding, kernels
 from cmla.clustering import dbscan
 from cmla.errors import ConfigError
 from cmla.kernels import (
@@ -19,7 +19,7 @@ from cmla.kernels import (
 )
 
 import reference
-from conftest import child_rss_growth_mib, clustered_cloud, matrix
+from conftest import child_rss_growth_mib, clustered_cloud, matrix, mixed_table
 
 
 def test_row_reduction_matches_per_pair_reduction_bitwise(rng):
@@ -265,8 +265,9 @@ def test_grid_index_equals_brute_force(rng, monkeypatch):
 
 
 def adverse_grid_inputs(rng, n):
-    """(name, x, eps) where a grid loses to brute force: about one row per
-    cell, one cell holding every row, and leading columns that are constant."""
+    """(name, x, eps) where a grid of one cell per tile lost to brute force:
+    about one row per cell, one cell holding every row, and leading columns
+    that are constant."""
     constant = rng.uniform(0.0, 1.0, size=(n, 9))
     constant[:, :3] = 0.25
     return [
@@ -282,12 +283,88 @@ def test_grid_index_equals_brute_force_on_inputs_adverse_to_the_grid(rng, monkey
         assert max(map(len, lists)) > 1, name
 
 
-def test_cost_rule_leaves_adverse_inputs_to_brute_force(rng):
-    # the rule itself, at the sizes where the grid was measured to lose
-    for name, x, eps in adverse_grid_inputs(rng, 8000):
-        assert kernels._cell_map(x, eps) is None, name
+def test_cost_rule_takes_the_grid_where_batched_cells_pay(rng, monkeypatch):
+    # at the size where one cell per tile lost: tiny cells batched into tiles,
+    # and keys over the columns past the constant ones, now pay; one cell
+    # holding every row has no dimension to key and stays on brute force,
+    # whatever the rule says
+    taken = {name: kernels._cell_map(x, eps) is not None
+             for name, x, eps in adverse_grid_inputs(rng, 8000)}
+    assert taken == {
+        "1-d, one row per cell": True,
+        "eps 5 on [0, 1]^9": False,
+        "three constant columns": True,
+    }
     sparse = rng.uniform(0.0, 1.0, size=(8000, 9))
     assert kernels._cell_map(sparse, 0.2) is not None
+    force_grid(monkeypatch, True)
+    name, x, eps = adverse_grid_inputs(rng, 100)[1]
+    assert kernels._cell_map(x, eps) is None, name
+
+
+def encoded_mixed_table(rng, n, n_numeric, cardinalities, prototypes=None):
+    """The encoding of n rows of uniform numeric columns and one categorical
+    column per cardinality, numerics first as encode lays them out. With
+    prototypes, each row copies the categories of one of that many random
+    rows, so that rows share their one-hot blocks."""
+    cats = np.column_stack([rng.integers(0, c, size=n) for c in cardinalities])
+    if prototypes is not None:
+        cats = cats[rng.integers(0, prototypes, size=n)]
+    table = mixed_table(
+        {f"x{j}": rng.uniform(0.0, 1.0, size=n) for j in range(n_numeric)},
+        {f"c{j}": [f"v{v}" for v in cats[:, j]] for j in range(len(cardinalities))},
+    )
+    return encoding.encode(encoding.fit_encoding(table), table).vectors
+
+
+def test_grid_equals_brute_force_on_encoded_mixed_tables(rng, monkeypatch):
+    # a one-hot column's keys are 0 and floor(1/h): two keys apart while the
+    # cell side h <= 1/2 (separating), adjacent keys for 1/2 < h <= 1, one
+    # key above; the median's radii land in the same three ranges
+    dense = encoded_mixed_table(rng, 600, 2, (2, 3), prototypes=6)
+    spread = encoded_mixed_table(rng, 600, 6, (2, 2), prototypes=4)
+    lonely = encoded_mixed_table(rng, 400, 1, (3,) * 6)
+    for eps in (0.3, 0.7, 1.5):
+        for x in (dense, spread, lonely):
+            assert_grid_equals_brute_force(monkeypatch, x, eps)
+    for x, k, lo, hi in ((dense, 5, 0.0, 0.5), (spread, 5, 0.5, 1.0), (lonely, 3, 1.0, 2.0)):
+        radii = assert_median_is_brute_forces(monkeypatch, x, k)
+        assert lo < kernels._cell_side(radii[-1]) <= hi, radii
+
+
+def test_grid_keys_more_one_hot_dimensions_than_its_digits_hold(rng, monkeypatch):
+    # about 90 one-hot dimensions of radix 2 each, past the 2^62 budget of
+    # the codes: the trailing dimensions are left out of the key, so rows
+    # that differ only there share a cell, and every answer is still exact
+    x = encoded_mixed_table(rng, 500, 1, (8,) * 12, prototypes=30)
+    assert x.shape[1] > 1 + 62
+    x[1] = x[0]
+    x[1, -2:] = 1.0 - x[0, -2:]
+    code, steps = kernels._cell_codes(x, kernels._cell_side(0.3))
+    assert code[0] == code[1] and len(steps) == 1
+    assert_grid_equals_brute_force(monkeypatch, x, 0.3)
+    radii = assert_median_is_brute_forces(monkeypatch, x, 4)
+    assert kernels._cell_side(radii[-1]) <= 0.5, radii
+
+
+def test_cell_map_blocks_partition_the_rows_within_the_tile_budget(rng, monkeypatch):
+    # blocks are runs of whole cells; a block over the budget is one cell
+    force_grid(monkeypatch, True)
+    budget = kernels.TILE_BYTES // 8
+    inputs = [(x, eps) for _, x, eps in adverse_grid_inputs(rng, 3000) if eps != 5.0]
+    inputs += [(clustered_cloud(rng, 2000, 3, duplicates=0.1), 0.4),
+               (encoded_mixed_table(rng, 2000, 2, (2, 3), prototypes=6), 0.05)]
+    for x, eps in inputs:
+        code = kernels._cell_codes(x, kernels._cell_side(eps))[0]
+        blocks = list(kernels._cell_map(x, eps))
+        rows = np.concatenate([r for r, _ in blocks])
+        assert sorted(rows.tolist()) == list(range(len(x)))
+        assert len(blocks) < len(np.unique(code))
+        for r, c in blocks:
+            assert (np.diff(c) > 0).all() and np.isin(r, c).all()
+            assert len(r) * len(c) <= budget or len(np.unique(code[r])) == 1
+        cells = [code[r] for r, _ in blocks]
+        assert all(a.max() < b.min() for a, b in zip(cells, cells[1:]))
 
 
 def test_grid_index_handles_boundary_coordinates(monkeypatch):

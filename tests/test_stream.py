@@ -70,6 +70,43 @@ def test_streamed_profiles_equal_the_whole_table_bit_for_bit(tmp_path, monkeypat
     assert len(streamed.medoids) >= 3
 
 
+def test_a_block_without_a_new_category_reuses_the_vocabulary_tuple(tmp_path, monkeypatch):
+    # the real table brings its category "zz" at row 0, then only categories
+    # it has seen: every later block carries the very same tuple
+    synth, real = write_mixed(tmp_path)
+    set_small_blocks(monkeypatch)
+    schema = tables.load_csv(synth).schema
+    vocabs = [block.schema.column("c").categories
+              for block in tables.read_blocks(real, schema)]
+    assert len(vocabs) > 20
+    assert vocabs[0] == (*schema.column("c").categories, "zz")
+    assert all(v is vocabs[0] for v in vocabs)
+    # a block that adds a category gets a new tuple, extended in order
+    text = real.read_text().splitlines(keepends=True)
+    real.write_text("".join(text[:200] + ["0.0,0.0,yy\n"] + text[200:]))
+    vocabs = [block.schema.column("c").categories
+              for block in tables.read_blocks(real, schema)]
+    changed = [i for i in range(1, len(vocabs)) if vocabs[i] is not vocabs[i - 1]]
+    assert len(changed) == 1 and vocabs[-1] == (*vocabs[0], "yy")
+
+
+def test_encoding_chunks_hashes_the_model_once(tmp_path, monkeypatch):
+    # dozens of blocks, each in chunks of one or two rows, one model hash;
+    # the chunks are byte for byte the rows of one whole encoding
+    synth, real = write_mixed(tmp_path)
+    set_small_blocks(monkeypatch)
+    model = encoding.fit_encoding(tables.load_csv(synth))
+    calls = []
+    model_hash = encoding.EncodingModel.model_hash
+    monkeypatch.setattr(encoding.EncodingModel, "model_hash",
+                        lambda self: calls.append(1) or model_hash(self))
+    chunks = list(encoding.encode_chunks(model, tables.read_blocks(real, model.schema)))
+    assert len(chunks) > 100 and len(calls) == 1
+    assert {c.model_hash for c in chunks} == {model_hash(model)}
+    whole = encoding.encode(model, tables.load_csv(real, model.schema)).vectors
+    assert np.vstack([c.vectors for c in chunks]).tobytes() == whole.tobytes()
+
+
 def test_a_row_encodes_alike_in_any_batch_also_under_pca(tmp_path):
     # a real row equal to a synthetic medoid is at distance 0, not a rounding
     # error away, because a row's projection does not depend on its batch
