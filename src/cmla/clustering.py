@@ -16,15 +16,12 @@ its neighbours' weights sum to at least min_samples, as in scikit-learn's
 DBSCAN(sample_weight=) (Pedregosa et al., JMLR 2011). Labels and the core
 mask go back to every copy.
 
-Two streaming passes over kernels' hit blocks, and no neighbour list is
-stored whole. Pass 1 keeps each distinct row's min_samples lowest-index
-neighbours: every weight is at least one, so a full list is core, and a
-shorter list is complete, so its weight sum is exact. Pass 2 takes the
-components of the eps-graph on the core rows (kernels.eps_components, a
-union-find whose roots are the lowest rows), which are the clusters' cores
-(Patwary et al., SC 2012; Schubert et al., TODS 2017). A border point takes
-the label of the first core entry of its ascending list. Memory is
-O(n_distinct * min_samples) neighbour entries plus one tile.
+One stream of kernels' hit blocks (kernels.neighbor_lists) gives the core
+rows, the components of the eps-graph on them, which are the clusters' cores,
+each rooted at its lowest row (Patwary et al., SC 2012; Schubert et al., TODS
+2017), and the complete neighbour lists of the non-core rows only. A border
+point takes the label of the first core entry of its ascending list. Memory
+is O(n_distinct + non-core rows * min_samples) plus one tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index weighs each
@@ -114,32 +111,17 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
         eps = auto_eps(matrix, min_samples)
 
     first, inverse, weight = kernels.distinct_rows(x)
-    xd = x[first]
-    neighbors = kernels.neighbor_lists(xd, eps, min_samples)
-    lengths = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(xd))
-    core = lengths >= min_samples
-    # A short list is complete: sum its weights, a tile's worth of lists at a
-    # time. Every list holds its own row, so none is empty for reduceat.
-    short = np.flatnonzero(~core)
-    step = max(1, kernels.TILE_BYTES // (8 * min_samples))
-    for lo in range(0, len(short), step):
-        rows = short[lo : lo + step]
-        starts = np.cumsum(lengths[rows]) - lengths[rows]
-        hits = np.concatenate(list(map(neighbors.__getitem__, rows.tolist())))
-        core[rows] = np.add.reduceat(weight[hits], starts) >= min_samples
-    labels = np.full(len(xd), NOISE, dtype=np.int32)
-    core_rows = np.flatnonzero(core)
-    # components of the core graph, numbered by their lowest row
-    roots, ids = np.unique(kernels.eps_components(xd[core_rows], eps), return_inverse=True)
-    labels[core_rows] = ids
-
-    # Border points: non-core within eps of a core point. Neighbor lists are
-    # ascending, so the first core neighbor is the lowest-index one.
-    for i in np.flatnonzero(~core).tolist():
-        nb = neighbors[i]
-        hit = nb[core[nb]]
-        if len(hit):
-            labels[i] = labels[hit[0]]
+    core, root, indptr, indices = kernels.neighbor_lists(x[first], eps, min_samples, weight)
+    # clusters numbered by their lowest core row
+    roots, ids = np.unique(root[core], return_inverse=True)
+    labels = np.full(len(first), NOISE, dtype=np.int32)
+    labels[core] = ids
+    # a border row takes the label of the first core entry of its ascending
+    # list, if the list holds one
+    at = np.append(np.flatnonzero(core[indices]), len(indices))
+    at = at[np.searchsorted(at, indptr[:-1])]
+    border = at < indptr[1:]
+    labels[border] = labels[indices[at[border]]]
 
     return ClusterLabeling(
         labels=labels[inverse],
@@ -160,9 +142,11 @@ def extract_medoids(
     if len(labeling.labels) != len(matrix.vectors) or len(labeling.labels) != table.n_rows:
         raise LineageError("labeling, matrix, and table row counts disagree")
     medoids: list[Medoid] = []
-    sizes: list[int] = []
+    # each cluster's members, in ascending row order, from one stable sort
+    order = np.argsort(labeling.labels, kind="stable")
+    bounds = np.searchsorted(labeling.labels, np.arange(labeling.n_clusters + 1), sorter=order)
     for cid in range(labeling.n_clusters):
-        members = np.flatnonzero(labeling.labels == cid)
+        members = order[bounds[cid] : bounds[cid + 1]]
         local = kernels.medoid_local_index(matrix.vectors[members])
         row_id = int(members[local])
         medoids.append(
@@ -173,7 +157,7 @@ def extract_medoids(
                 raw=table.row(row_id),
             )
         )
-        sizes.append(int(len(members)))
+    sizes = np.diff(bounds).tolist()
     return MedoidSet(medoids=medoids, cluster_sizes=sizes, model_hash=matrix.model_hash)
 
 

@@ -15,9 +15,15 @@ pairs, then that exact comparison for the rest.
 - The eps-graph is never stored whole. _hit_blocks yields it one block of
   rows at a time as a boolean hit matrix against ascending columns, decided
   by the tile test: row tiles against every row, or a block of grid cells
-  against their adjacent cells. neighbor_lists(x, eps, limit) keeps at most
-  limit of each row's lowest neighbours, and eps_components unions the hits
-  into connected components; each streams the blocks once.
+  against their adjacent cells. neighbor_lists streams them once for DBSCAN.
+  A row with min_samples hits is core (every weight is at least one); any
+  other row's list is complete, its weight sum decides it, and only non-core
+  rows keep lists. Hits are symmetric bit for bit (fl(a - b) = -fl(b - a)),
+  so a column's hits from the rows streamed so far bound its count from
+  below: it is known core once they reach min_samples or its block is done.
+  A block's core rows join the known-core columns they hit in a union-find
+  whose roots are the lowest rows, so each core-core edge is joined by the
+  later of its two blocks at the latest.
 - The grid (_cell_map) gives each row one int64 code for its cell and sorts
   the rows by it. Every dimension whose occupied keys never differ by
   exactly one (a one-hot column at a radius below about 1/2) is a digit
@@ -125,13 +131,14 @@ for bit. Otherwise r doubles and the grid is rebuilt.
 The kernels run in one thread: on 2 vCPUs, a pool of row workers saved at
 most 30 ms of an 8000-row k-th pass and cost CPU time and peak RSS on every
 benchmark workload (CHANGES.md). Each kernel takes its blocks in one fixed
-order, and the component union ends at the lowest index of each set whatever
-that order, so results do not depend on the tile size.
+order, and the union-find ends at the lowest index of each set whatever that
+order, so results do not depend on the tile size.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -437,69 +444,77 @@ def _hit_blocks(x: np.ndarray, eps: float):
             yield rows[i0 : i0 + len(hit)], cols, hit
 
 
-def neighbor_lists(x: np.ndarray, eps: float, limit: int) -> list[np.ndarray]:
-    """Sorted index arrays of the points within eps of each row (self
-    included), each cut to its limit lowest indices. A block's lists are
-    views of one array, which keeps the allocations few."""
-    out: list[np.ndarray | None] = [None] * len(x)
+class EpsGraph(NamedTuple):
+    """The core mask; each row's lowest core row of its component (a non-core
+    row's own index); the non-core rows' lists, indices[indptr[i]:indptr[i+1]]."""
+
+    core: np.ndarray
+    root: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarray) -> EpsGraph:
+    """DBSCAN's core rows, their components and the non-core rows' lists in
+    one stream of the hit blocks (module docstring). A row is core when the
+    weights of its neighbours, itself included, sum to at least min_samples."""
+    n = len(x)
+    core = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=np.int64)  # hits from the rows streamed so far
+    parent = np.arange(n)
+    # the non-core rows, the lengths of their lists and the lists, by block
+    owners, lengths, lists = ([np.empty(0, dtype=np.int64)] for _ in range(3))
     for rows, cols, hit in _hit_blocks(x, eps):
-        m, width = hit.shape
-        flat = np.flatnonzero(hit)
-        starts = np.searchsorted(flat, np.arange(m + 1) * width)
-        # row k keeps flat[starts[k] : starts[k] + counts[k]], which go to
-        # kept[bounds[k] : bounds[k + 1]]
-        counts = np.minimum(np.diff(starts), limit)
-        bounds = np.r_[0, np.cumsum(counts)]
-        at = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
-        kept = cols[flat[at] - np.repeat(np.arange(m) * width, counts)]
-        bounds = bounds.tolist()
-        for k, i in enumerate(rows.tolist()):
-            out[i] = kept[bounds[k] : bounds[k + 1]]
-    return out  # type: ignore[return-value]
+        if not core[cols].all():
+            seen[cols] += np.add.reduce(hit, axis=0, dtype=np.int32)
+            core[cols[seen[cols] >= min_samples]] = True
+        count = hit.sum(axis=1, dtype=np.int32)
+        row_core = count >= min_samples
+        short = np.flatnonzero(~row_core)
+        if len(short):
+            r, c = _pairs(hit[short])
+            row_core[short] = np.bincount(r, weight[cols[c]], len(short)) >= min_samples
+            keep = ~row_core[short]
+            owners.append(rows[short[keep]])
+            lengths.append(count[short[keep]])
+            lists.append(cols[c[keep[r]]])
+        core[rows] = row_core
+        live = (hit if row_core.all() else hit[row_core]) & core[cols]
+        if len(live):
+            _join_hits(parent, rows[row_core], cols, live)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[np.concatenate(owners) + 1] = np.concatenate(lengths)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    while lists:  # move each block's lists to their rows' places, and free them
+        rows, count, nb = owners.pop(), lengths.pop(), lists.pop()
+        indices[np.repeat(indptr[rows] - np.cumsum(count) + count, count) + np.arange(len(nb))] = nb
+    return EpsGraph(core, _roots(parent, np.arange(n)), indptr, indices)
+
+
+def _join_hits(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, hit: np.ndarray) -> None:
+    """Merge the sets of rows[r] and cols[c] for every hit (r, c); every row
+    has a hit. Joining each row to its first hit column leaves most rows of a
+    dense block in one set s (the median root): s is joined to every column
+    its rows hit, and only the other rows' hits are listed pair by pair."""
+    _join(parent, rows, cols[hit.argmax(axis=1)])
+    root = parent[rows] = _roots(parent, rows)
+    s = np.sort(root)[len(root) // 2]
+    in_s = root == s
+    reach = np.logical_or.reduce(hit if in_s.all() else hit[in_s], axis=0) & (parent[cols] != s)
+    r, c = _pairs(hit[~in_s] & (parent[cols] != root[~in_s][:, None]))
+    a = np.concatenate([np.full(np.count_nonzero(reach), s), rows[~in_s][r]])
+    b = np.concatenate([cols[reach], cols[c]])
+    _join(parent, a, b)
+    parent[a], parent[b] = _roots(parent, a), _roots(parent, b)
 
 
 def _roots(parent: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The root of each node in v, following parents until they stop moving."""
     p = parent[v]
-    while True:
-        pp = parent[p]
-        if (pp == p).all():
-            return p
-        p = pp
-
-
-def eps_components(x: np.ndarray, eps: float) -> np.ndarray:
-    """For each row, the lowest row index in its connected component of the
-    graph that joins rows within eps.
-
-    A union-find over the hit blocks, vectorised per block: hits whose rows
-    already share a parent are dropped, and the remaining pairs are joined.
-    A block with more such hits than rows and columns first joins each row
-    to its first hit column and each column to its first hit row; on a
-    dense block that leaves few hits spanning two sets to list pair by pair.
-    Joining hooks the larger of two roots onto the smaller with
-    np.minimum.at and finds the roots again until no pair spans two of them.
-    Parents only decrease, so a root is the lowest index of its set. The
-    joined rows and columns then point straight at their roots, so later
-    hits within a set are dropped.
-    """
-    parent = np.arange(len(x))
-    for rows, cols, hit in _hit_blocks(x, eps):
-        hit &= parent[cols] != parent[rows][:, None]
-        if np.count_nonzero(hit) > len(rows) + len(cols):
-            live_rows, live_cols = hit.any(axis=1), hit.any(axis=0)
-            ends = rows[live_rows], cols[live_cols]
-            _join(parent, ends[0], cols[hit.argmax(axis=1)[live_rows]])
-            _join(parent, rows[hit.argmax(axis=0)[live_cols]], ends[1])
-            for v in ends:
-                parent[v] = _roots(parent, v)
-            hit &= parent[cols] != parent[rows][:, None]
-        r, c = _pairs(hit)
-        ends = rows[r], cols[c]
-        _join(parent, *ends)
-        for v in ends:
-            parent[v] = _roots(parent, v)
-    return _roots(parent, np.arange(len(x)))
+    while (parent[p] != p).any():
+        p = parent[p]
+    return p
 
 
 def _join(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmla import kernels
 from cmla.clustering import Medoid, MedoidSet
 from cmla.encoding import EncodedMatrix
 from cmla.tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
@@ -70,6 +71,16 @@ def clustered_cloud(rng: np.random.Generator, n: int, d: int, duplicates: float 
     if m and n >= 2:
         x[rng.integers(0, n, size=m)] = x[rng.integers(0, n, size=m)]
     return np.ascontiguousarray(x)
+
+
+def hit_lists(x, eps) -> list[np.ndarray]:
+    """Each row's full sorted list of the rows within eps, as the hit blocks
+    that kernels.neighbor_lists streams decide it."""
+    lists = [None] * len(x)
+    for rows, cols, hit in kernels._hit_blocks(x, eps):
+        for k, i in enumerate(rows.tolist()):
+            lists[i] = cols[hit[k]]
+    return lists
 
 
 def child_env() -> dict[str, str]:

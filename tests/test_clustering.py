@@ -1,9 +1,15 @@
 """Density clustering semantics and medoid extraction."""
 
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cmla.clustering import (
+    ClusterLabeling,
     auto_eps,
     dbscan,
     extract_medoids,
@@ -163,6 +169,44 @@ def test_dbscan_memory_does_not_grow_with_the_edge_count():
     assert growth < 48
 
 
+def test_dbscan_stores_no_neighbour_list_for_a_core_row():
+    # 12000 rows, each with more than 700 rows within eps, at min_samples
+    # 600: lists cut to min_samples for every row would hold 12000 x 600
+    # int64 indices, 55 MiB
+    growth = child_rss_growth_mib(
+        "import numpy as np\n"
+        "from cmla.clustering import dbscan\n"
+        "from cmla.encoding import EncodedMatrix\n"
+        "n = 12000\n"
+        "x = np.column_stack([np.linspace(0.0, 100.0, n),\n"
+        "                     np.random.default_rng(6).uniform(0.0, 1.0, n)])\n"
+        "dbscan(EncodedMatrix(x[::40].copy(), 'm'), 6.0, 5)",
+        "labeling = dbscan(EncodedMatrix(x, 'm'), 6.0, 600)\n"
+        "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
+    )
+    assert growth < 16
+
+
+def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch):
+    # bench/tracing.py times layers by replacing cmla's module attributes, so
+    # each must exist, and dbscan must look neighbor_lists up at call time
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module(f"cmla.{module}"), attr)), (module, attr)
+    calls = []
+    real = kernels.neighbor_lists
+    monkeypatch.setattr(kernels, "neighbor_lists", lambda *args: calls.append(args) or real(*args))
+    x = clustered_cloud(np.random.default_rng(8), 200, 2, duplicates=0.2)
+    for eps in (0.5, None):
+        calls.clear()
+        cluster(x, eps=eps, min_samples=4)
+        assert len(calls) == 1
+
+
 def test_two_separated_blobs_form_two_clusters():
     x = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
     got = cluster(x, eps=0.5, min_samples=3)
@@ -294,6 +338,22 @@ def test_noise_rows_never_reach_medoids(rng):
     assert len(medoids) == labeling.n_clusters
     noise_rows = set(np.flatnonzero(labeling.labels == -1).tolist())
     assert noise_rows.isdisjoint({md.row_id for md in medoids.medoids})
+
+
+def test_extract_medoids_of_many_clusters_match_a_scan_per_cluster(rng):
+    # labels set directly: 600 clusters of one or more rows, shuffled among
+    # noise rows, on a table with repeated rows
+    x = clustered_cloud(rng, 2000, 2, duplicates=0.3)
+    labels = np.full(len(x), -1, dtype=np.int32)
+    labels[:1800] = np.r_[np.arange(600), rng.integers(0, 600, size=1200)]
+    labels = labels[rng.permutation(len(x))]
+    labeling = ClusterLabeling(labels, labels >= 0, 600, 0.5, "m0")
+    got = extract_medoids(matrix(x), labeling, numeric_table(x))
+    assert len(got) == 600
+    for cid, (medoid, size) in enumerate(zip(got.medoids, got.cluster_sizes)):
+        members = np.flatnonzero(labels == cid)
+        assert medoid.cluster_id == cid and size == len(members)
+        assert medoid.row_id == members[kernels.medoid_local_index(x[members])]
 
 
 def test_extract_medoids_verifies_lineage(rng):

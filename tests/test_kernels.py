@@ -12,14 +12,13 @@ from cmla.errors import ConfigError
 from cmla.kernels import (
     cross_min_distances,
     dists_to,
-    eps_components,
     kth_neighbor_distances,
     medoid_local_index,
     neighbor_lists,
 )
 
 import reference
-from conftest import child_rss_growth_mib, clustered_cloud, matrix, mixed_table
+from conftest import child_rss_growth_mib, clustered_cloud, hit_lists, matrix, mixed_table
 
 
 def test_row_reduction_matches_per_pair_reduction_bitwise(rng):
@@ -66,7 +65,7 @@ def count_exact_pairs(monkeypatch):
 
 def assert_engine_matches_reference(x, epss, ks, a_rows=()):
     for eps in epss:
-        for got, want in zip(neighbor_lists(x, eps, len(x)), reference_neighbors(x, eps)):
+        for got, want in zip(hit_lists(x, eps), reference_neighbors(x, eps)):
             np.testing.assert_array_equal(got, want)
     for k in ks:
         want = [reference.kth_nn_distance(x, i, k) for i in range(len(x))]
@@ -106,7 +105,7 @@ def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
     # NaN distances rank as np.partition, np.argmin and np.minimum rank them
     x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        nb = neighbor_lists(x, 2e140, len(x))
+        nb = hit_lists(x, 2e140)
         assert list(nb[10]) == [10, 20]
         assert_engine_matches_reference(
             x, [0.6, 2e140], [1, 4, 299], [np.array([0, 10, 30, 40, 50, 60, 70]), np.arange(60, 90)]
@@ -121,7 +120,9 @@ def test_caller_errstate_reaches_pool_workers(rng):
     # np.errstate decides what the exact distances of non-finite rows raise
     x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert list(neighbor_lists(x, 2e140, len(x))[10]) == [10, 20]
+        assert list(hit_lists(x, 2e140)[10]) == [10, 20]
+        graph = neighbor_lists(x, 2e140, 3, np.ones(len(x), dtype=np.int64))
+        assert list(graph.indices[graph.indptr[10] : graph.indptr[11]]) == [10, 20]
         assert np.isnan(kth_neighbor_distances(x, 4)[40])
         assert cross_min_distances(x[[60, 61]], x)[1].tolist() == [40, 40]
 
@@ -130,7 +131,7 @@ def test_far_offset_cloud_sends_every_pair_to_the_exact_path(rng, monkeypatch):
     # at norms near 1e12 the rounding band is wider than any distance here
     x = rng.normal(0.0, 0.01, size=(200, 3)) + 1e6
     pairs = count_exact_pairs(monkeypatch)
-    nb = neighbor_lists(x, 0.015, len(x))
+    nb = hit_lists(x, 0.015)
     assert pairs[0] == 200 * 200
     kth = kth_neighbor_distances(x, 4)
     assert pairs[0] == 2 * 200 * 200
@@ -214,7 +215,7 @@ def test_prefilter_leaves_few_pairs_to_the_exact_path(rng, monkeypatch):
     x = clustered_cloud(rng, 2000, 4)
     n, k = len(x), 10
     pairs = count_exact_pairs(monkeypatch)
-    neighbor_lists(x, 0.5, n)
+    hit_lists(x, 0.5)
     assert pairs[0] < n * n // 100
     pairs[0] = 0
     kth_neighbor_distances(x, k)
@@ -222,9 +223,12 @@ def test_prefilter_leaves_few_pairs_to_the_exact_path(rng, monkeypatch):
 
 
 def test_neighbor_lists_are_sorted_closed_ball_and_include_self(rng):
+    # at min_samples above the row count no row is core, so every list is kept
     x = clustered_cloud(rng, 80, 3)
-    lists = neighbor_lists(x, 0.9, len(x))
-    for i, nb in enumerate(lists):
+    graph = neighbor_lists(x, 0.9, len(x) + 1, np.ones(len(x), dtype=np.int64))
+    assert not graph.core.any()
+    for i in range(len(x)):
+        nb = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
         assert i in nb
         assert list(nb) == sorted(nb)
         d = dists_to(x[i], x)
@@ -236,23 +240,32 @@ def force_grid(monkeypatch, grid):
     monkeypatch.setattr(kernels, "_grid_pays", lambda cost, n: grid)
 
 
-def neighbor_lists_by(monkeypatch, grid, x, eps, limit=None):
-    """neighbor_lists through the grid or through brute force, uncut unless
-    limit is given."""
+def hit_lists_by(monkeypatch, grid, x, eps):
+    """hit_lists through the grid or through brute force."""
     force_grid(monkeypatch, grid)
-    return neighbor_lists(x, eps, len(x) if limit is None else limit)
+    return hit_lists(x, eps)
+
+
+def graph_by(monkeypatch, grid, x, eps, min_samples, weight=None):
+    """neighbor_lists through the grid or through brute force, every row
+    weighted one unless weight is given."""
+    force_grid(monkeypatch, grid)
+    if weight is None:
+        weight = np.ones(len(x), dtype=np.int64)
+    return neighbor_lists(x, eps, min_samples, weight)
 
 
 def assert_grid_equals_brute_force(monkeypatch, x, eps):
-    brute = neighbor_lists_by(monkeypatch, False, x, eps)
-    grid = neighbor_lists_by(monkeypatch, True, x, eps)
+    brute = hit_lists_by(monkeypatch, False, x, eps)
+    grid = hit_lists_by(monkeypatch, True, x, eps)
     assert len(brute) == len(grid)
     for a, b in zip(brute, grid):
         np.testing.assert_array_equal(a, b)
-    force_grid(monkeypatch, False)
-    components = eps_components(x, eps)
-    force_grid(monkeypatch, True)
-    np.testing.assert_array_equal(eps_components(x, eps), components)
+    for min_samples in (1, 5):
+        want = graph_by(monkeypatch, False, x, eps, min_samples)
+        got = graph_by(monkeypatch, True, x, eps, min_samples)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
     return brute
 
 
@@ -389,39 +402,189 @@ def test_grid_index_falls_back_to_brute_force_when_cell_keys_overflow(rng, monke
     assert kernels._cell_map(x, 1e-19) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = neighbor_lists_by(monkeypatch, True, x, 1e-19)
-    brute = neighbor_lists_by(monkeypatch, False, x, 1e-19)
+        grid = hit_lists_by(monkeypatch, True, x, 1e-19)
+    brute = hit_lists_by(monkeypatch, False, x, 1e-19)
     for a, b in zip(brute, grid):
         np.testing.assert_array_equal(a, b)
     assert [len(nb) for nb in grid] == [2] * 20 + [1] * 20 + [2] * 20
 
 
-def test_capped_neighbor_lists_are_the_full_lists_cut(rng, monkeypatch):
+def test_neighbor_lists_store_the_full_lists_of_non_core_rows_only(rng, monkeypatch):
     x = clustered_cloud(rng, 300, 3, duplicates=0.2)
     want = reference_neighbors(x, 0.7)
     assert max(map(len, want)) > 20 and min(map(len, want)) < 3
     for grid in (False, True):
-        for limit in (1, 2, 7, 20, 301):
-            got = neighbor_lists_by(monkeypatch, grid, x, 0.7, limit)
-            for i, (g, w) in enumerate(zip(got, want)):
-                np.testing.assert_array_equal(g, w[:limit], err_msg=f"row {i}, limit {limit}")
+        for min_samples in (1, 2, 7, 20, 301):
+            graph = graph_by(monkeypatch, grid, x, 0.7, min_samples)
+            core = np.array([len(w) >= min_samples for w in want])
+            np.testing.assert_array_equal(graph.core, core)
+            assert graph.indptr[0] == 0 and graph.indptr[-1] == len(graph.indices)
+            for i, w in enumerate(want):
+                got = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
+                where = f"row {i}, min_samples {min_samples}"
+                np.testing.assert_array_equal(got, [] if core[i] else w, err_msg=where)
 
 
-def test_eps_components_give_each_row_the_lowest_row_of_its_component(rng, monkeypatch):
-    # a shuffled line needs many hooking rounds per block; duplicates and
-    # scatter give ties and singletons
+def test_neighbor_lists_give_each_core_row_the_lowest_row_of_its_component(rng, monkeypatch):
+    # at min_samples 1 every row is core. A shuffled line needs many hooking
+    # rounds per block; duplicates and scatter give ties and singletons
     line = np.column_stack([np.arange(300.0), np.zeros(300)])[rng.permutation(300)]
     for x, eps in ((line, 1.0), (clustered_cloud(rng, 400, 2, duplicates=0.2), 0.3)):
         labels, _ = reference.eps_graph_clustering(x, eps, 1)
         want = np.array([np.flatnonzero(labels == lab)[0] for lab in labels])
         for grid, tile_bytes in ((False, kernels.TILE_BYTES), (False, 4096), (True, 4096)):
-            force_grid(monkeypatch, grid)
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-            np.testing.assert_array_equal(eps_components(x, eps), want)
-    assert eps_components(line, 1.0).tolist() == [0] * 300
-    assert eps_components(np.empty((0, 2)), 1.0).tolist() == []
+            graph = graph_by(monkeypatch, grid, x, eps, 1)
+            assert graph.core.all() and len(graph.indices) == 0
+            np.testing.assert_array_equal(graph.root, want)
+    ones = np.ones(300, dtype=np.int64)
+    assert neighbor_lists(line, 1.0, 1, ones).root.tolist() == [0] * 300
+    empty = neighbor_lists(np.empty((0, 2)), 1.0, 1, ones[:0])
+    assert [len(a) for a in empty] == [0, 0, 1, 0]
     with pytest.raises(ConfigError, match="eps must be positive"):
-        eps_components(line, 0.0)
+        neighbor_lists(line, 0.0, 1, ones)
+
+
+def assert_one_pass_matches_reference(monkeypatch, x, eps, min_samples):
+    """neighbor_lists on the rows of x weighted one, and dbscan on x, against
+    the reference at default and 4 KiB tiles with the grid forced off and on:
+    the core mask, each core row's lowest core row of its component, the
+    non-core rows' lists and the labels. Returns the reference labels."""
+    labels, core = reference.eps_graph_clustering(x, eps, min_samples)
+    root = np.arange(len(x))
+    for lab in np.unique(labels[core]):
+        members = np.flatnonzero(core & (labels == lab))
+        root[members] = members[0]
+    lists = reference_neighbors(x, eps)
+    for tile_bytes in (kernels.TILE_BYTES, 4096):
+        for grid in (False, True):
+            where = f"tiles {tile_bytes}, grid {grid}"
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            graph = graph_by(monkeypatch, grid, x, eps, min_samples)
+            np.testing.assert_array_equal(graph.core, core, err_msg=where)
+            np.testing.assert_array_equal(graph.root, root, err_msg=where)
+            for i in np.flatnonzero(~core):
+                got = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
+                np.testing.assert_array_equal(got, lists[i], err_msg=where)
+            labeling = dbscan(matrix(x), eps, min_samples)
+            np.testing.assert_array_equal(labeling.labels, labels, err_msg=where)
+            np.testing.assert_array_equal(labeling.core_mask, core, err_msg=where)
+            monkeypatch.undo()
+    return labels
+
+
+def one_row_blocks(n):
+    """True when 4 KiB brute-force tiles hold one row of an n-row input."""
+    return max(1, 4096 // (8 * n)) == 1
+
+
+def test_one_pass_hits_are_symmetric_bit_for_bit(rng, monkeypatch):
+    # the pass counts a column's hits from the rows before its block, which
+    # bounds its count only if every hit (i, j) is also the hit (j, i): pairs
+    # exactly eps and sqrt(2)*eps apart, rows on the grid's cell boundaries
+    # and a far offset cloud whose every pair goes to the exact comparison
+    eps = 0.1
+    lattice = np.array([[i, j] for i in range(16) for j in range(18)], dtype=np.float64) * eps
+    side = kernels._cell_side(1.0)
+    bounds = side * np.arange(1, 101)
+    edges = np.concatenate([bounds - 1.0, bounds, bounds + 1.0])[:, None]
+    far = rng.normal(0.0, 0.01, size=(260, 3)) + 1e6
+    diag = float(np.sqrt(2.0) * eps)
+    lattice = lattice[rng.permutation(len(lattice))]
+    cases = [(lattice, e, 5) for e in (eps, diag, np.nextafter(diag, 0))]
+    cases += [(edges, 1.0, 3), (far, 0.015, 4)]
+    for x, e, min_samples in cases:
+        assert one_row_blocks(len(x))
+        for tile_bytes in (kernels.TILE_BYTES, 4096):
+            for grid in (False, True):
+                monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+                hit = np.zeros((len(x), len(x)), dtype=bool)
+                for i, nb in enumerate(hit_lists_by(monkeypatch, grid, x, e)):
+                    hit[i, nb] = True
+                assert (hit == hit.T).all(), (e, tile_bytes, grid)
+                monkeypatch.undo()
+        labels = assert_one_pass_matches_reference(monkeypatch, x, e, min_samples)
+        assert labels.max() >= 0
+
+
+def test_one_pass_joins_core_rows_whose_core_neighbours_come_in_later_blocks(monkeypatch):
+    # two lines of rows 1 apart, 2 apart from each other: with one row per
+    # block, every other row comes first, so no core neighbour of those rows
+    # is known core in their blocks (2 of its 3 hits streamed) and each core
+    # edge is joined in the block of its second row
+    line = np.r_[np.arange(200.0), 202.0 + np.arange(200.0)]
+    x = np.r_[line[::2], line[1::2]][:, None]
+    assert one_row_blocks(len(x))
+    labels = assert_one_pass_matches_reference(monkeypatch, x, 1.0, 3)
+    assert labels.max() == 1 and (labels >= 0).all()
+
+
+def bridged_pairs(min_samples):
+    """Rows on a line at eps 1 and this min_samples: pairs of clusters, each
+    pair bridged by one row that comes after every other row and reaches
+    min_samples + 1, min_samples or min_samples - 1 rows of the two clusters
+    with itself, and scattered rows that make the input long enough for one
+    row per 4 KiB block. Returns (x, the bridges)."""
+    clusters, bridges = [], []
+    for k, reach in enumerate((min_samples + 1, min_samples, min_samples - 1)):
+        centre = 100.0 * k
+        near = reach - 1  # the bridge's neighbours besides itself
+        left = centre - 0.7 - 0.05 * np.arange(near - near // 2)
+        right = centre + 0.7 + 0.05 * np.arange(near // 2)
+        # each cluster gets min_samples rows beyond the bridge's reach
+        far = 1.4 + 0.05 * np.arange(min_samples)
+        clusters += [left, centre - far, right, centre + far]
+        bridges.append(centre)
+    scatter = 1000.0 + 3.0 * np.arange(300)
+    x = np.concatenate(clusters + [scatter, bridges])[:, None]
+    return x, len(x) - 3 + np.arange(3)
+
+
+def test_one_pass_certifies_a_column_core_early_at_exactly_min_samples(monkeypatch):
+    # the first bridge has min_samples hits streamed before its block, so it
+    # is known core from then on; the second reaches min_samples only with
+    # itself, and the third stays a border row, which must not join its two
+    # clusters
+    min_samples = 5
+    x, bridges = bridged_pairs(min_samples)
+    assert one_row_blocks(len(x))
+    labels = assert_one_pass_matches_reference(monkeypatch, x, 1.0, min_samples)
+    core = reference.eps_graph_clustering(x, 1.0, min_samples)[1]
+    assert core[bridges].tolist() == [True, True, False]
+    assert labels.max() == 3
+    assert len(np.unique(labels[np.abs(x[:, 0] - 200.0) < 3.0])) == 2
+
+
+def test_one_pass_joins_a_row_core_by_weight_alone_before_its_neighbours(rng, monkeypatch):
+    # row 0 stands for three copies: its two distinct neighbours (itself and
+    # the row at 0.9) make a short list, complete in the first block, whose
+    # weights reach min_samples 4; the row at 0.9 is core by count, in a
+    # later block, and joins it
+    chain = np.array([0.0, 0.9, 1.2, 1.4, 1.6, 1.8])
+    scatter = 100.0 + 3.0 * np.arange(300)
+    xd = np.r_[chain, scatter][:, None]
+    weight = np.ones(len(xd), dtype=np.int64)
+    weight[0] = 3
+    assert one_row_blocks(len(xd))
+    for tile_bytes in (kernels.TILE_BYTES, 4096):
+        for grid in (False, True):
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            graph = graph_by(monkeypatch, grid, xd, 1.0, 4, weight)
+            assert graph.core[:6].all() and not graph.core[6:].any()
+            assert graph.root[:6].tolist() == [0] * 6
+            assert graph.indptr[1] == 0
+            monkeypatch.undo()
+    x = np.repeat(xd, weight, axis=0)
+    assert_one_pass_matches_reference(monkeypatch, x, 1.0, 4)
+
+
+def test_dbscan_streams_the_hit_blocks_once(rng, monkeypatch):
+    calls = count_calls(monkeypatch, "_hit_blocks")
+    x = clustered_cloud(rng, 500, 2, duplicates=0.1)
+    for eps in (0.3, None):
+        calls.clear()
+        dbscan(matrix(x), eps, 5)
+        assert len(calls) == 1, eps
 
 
 def assert_median_is_brute_forces(monkeypatch, x, k, grid=True):
@@ -564,7 +727,7 @@ def test_tile_budget_counts_the_row_width_and_the_exact_batch():
 
 def test_neighbor_lists_reject_non_positive_eps(rng):
     with pytest.raises(ConfigError, match="eps must be positive"):
-        neighbor_lists(np.zeros((3, 1)), 0.0, 3)
+        neighbor_lists(np.zeros((3, 1)), 0.0, 3, np.ones(3, dtype=np.int64))
 
 
 def test_kth_neighbor_distances_match_sorted_reference(rng):
@@ -778,7 +941,7 @@ def test_results_do_not_depend_on_tile_size(rng, monkeypatch):
         ]
         return (
             kth_neighbor_distances(x, 5),
-            neighbor_lists(x, 0.8, len(x)),
+            hit_lists(x, 0.8),
             labeling,
             medoids,
             cross_min_distances(x, real),
