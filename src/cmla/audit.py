@@ -14,7 +14,6 @@ timing ever enters an emitted file.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -229,10 +228,8 @@ def _emit_files(
     medoids: clustering.MedoidSet,
     synthetic: tables.DataTable,
 ) -> None:
-    report_mod.write_report_json(rpt, out_dir / "report.json")
-    (out_dir / "model.json").write_text(
-        json.dumps(model.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / "report.json").write_text(report_mod.render_json(rpt), encoding="utf-8")
+    (out_dir / "model.json").write_text(documents.render(model.to_json_dict()), encoding="utf-8")
     clustering.write_labels_csv(labeling, out_dir / "labels.csv")
     clustering.write_medoids_csv(medoids, synthetic, out_dir / "medoids.csv")
     if rpt.curves is not None:
@@ -247,14 +244,8 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
     Also checks that the stored document is canonical: parsing and
     re-rendering it must reproduce the original bytes.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"no such report: {p}")
-    try:
-        text = p.read_text(encoding="utf-8")
-        rpt = report_mod.parse_json(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{p.name}: unreadable report: {e}") from None
+    _, text, doc = documents.load(path)
+    rpt = report_mod.report_from_dict(doc)
     problems = []
     if report_mod.render_json(rpt) != text:
         problems.append("serialization: document is not canonical")
@@ -287,8 +278,8 @@ class ScenarioOutcome:
     scenario: harness.HarnessScenario
     reports: dict[str, report_mod.LeakageReport]
     out_dir: Path
-    ordering_checked: bool
-    ordering_ok: bool
+    # None when the scenario declares no ordering
+    ordering_ok: bool | None
 
 
 def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutcome:
@@ -369,17 +360,12 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
             for gen in sc.generators
         ],
     }
-    (out / "scenario_summary.json").write_text(
-        json.dumps(summary_doc, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "scenario_summary.json").write_text(documents.render(summary_doc), encoding="utf-8")
 
-    checked = sc.expected_ordering is not None
-    ok = True
+    ok = None
     if sc.expected_ordering is not None:
         ok = _ordering_holds(sc.expected_ordering, reports)
-    return ScenarioOutcome(
-        scenario=sc, reports=reports, out_dir=out, ordering_checked=checked, ordering_ok=ok
-    )
+    return ScenarioOutcome(scenario=sc, reports=reports, out_dir=out, ordering_ok=ok)
 
 
 def _ordering_holds(

@@ -17,14 +17,12 @@ default. argparse converts the flags, and --mark takes a comma list.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__, audit, encoding, report as report_mod, tables
+from . import __version__, audit, documents, encoding, report as report_mod, tables
 from .errors import CmlaError, ConfigError, OrderingError, StageError
 
 
@@ -95,15 +93,9 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
     """The --config file's settings with the given flags over them."""
     settings: dict = {}
     if args.config is not None:
-        p = Path(args.config)
-        if not p.is_file():
-            raise ConfigError(f"no such config file: {p}")
-        try:
-            settings = json.loads(p.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ConfigError(f"{p.name}: invalid JSON: {e}") from None
+        name, _, settings = documents.load(args.config)
         if not isinstance(settings, dict):
-            raise ConfigError(f"{p.name}: config must be a JSON object")
+            raise ConfigError(f"{name}: config must be a JSON object")
     for f in fields(audit.AuditConfig):
         if getattr(args, f.name) is not None:
             settings[f.name] = getattr(args, f.name)
@@ -121,14 +113,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print(f"clusters={rpt.clustering.n_clusters} (no real table evaluated)")
     for r in rpt.reference_readouts or []:
         print(f"tau={r.tau:g}: asr={r.asr:.4f}, coverage={r.coverage:.4f}")
-    if args.verify:
-        problems = audit.verify_report_file(Path(config.out) / "report.json")
-        if problems:
-            for line in problems:
-                print(f"verify: {line}", file=sys.stderr)
-            return 1
-        print("verify: ok")
-    return 0
+    return _verify(Path(config.out) / "report.json") if args.verify else 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -139,17 +124,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             f"asr@{r.tau:g}={r.asr:.4f}" for r in (rpt.reference_readouts or [])
         )
         print(f"{gen.label}: clusters={rpt.clustering.n_clusters} {readouts}")
-    if outcome.ordering_checked and not outcome.ordering_ok:
+    if outcome.ordering_ok is False:
         print("declared ordering violated", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    problems = audit.verify_report_file(args.report)
+def _verify(report: str | Path) -> int:
+    """Verify a stored report, printing each problem, or "verify: ok"."""
+    problems = audit.verify_report_file(report)
+    for line in problems:
+        print(f"verify: {line}", file=sys.stderr)
     if problems:
-        for line in problems:
-            print(f"verify: {line}", file=sys.stderr)
         return 1
     print("verify: ok")
     return 0
@@ -162,11 +148,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.table is not None:
         target = tables.load_csv(args.table, synthetic.schema)
     matrix = encoding.encode(model, target)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", *model.feature_names()])
-        for i, row in enumerate(matrix.vectors):
-            writer.writerow([i, *(repr(float(v)) for v in row)])
+    tables.write_rows(args.out, ["row_id", *model.feature_names()],
+                      ([i, *row.tolist()] for i, row in enumerate(matrix.vectors)))
     print(f"encoded {len(matrix.vectors)} rows x {matrix.vectors.shape[1]} dims -> {args.out}")
     return 0
 
@@ -181,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scenario":
             return _cmd_scenario(args)
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _verify(args.report)
         if args.command == "encode":
             return _cmd_encode(args)
         parser.error(f"unknown command {args.command!r}")

@@ -31,8 +31,8 @@ lower bound, from the tile engine's band, does not rule them out.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, DegenerateGeometryError, LineageError
 from .encoding import EncodedMatrix
-from .tables import WRITE_ROWS, DataTable
+from .tables import WRITE_ROWS, DataTable, write_rows
 
 NOISE = -1
 
@@ -162,19 +162,19 @@ def extract_medoids(
 
 
 def write_labels_csv(labeling: ClusterLabeling, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "label"])
-        for start in range(0, len(labeling.labels), WRITE_ROWS):
-            labels = labeling.labels[start : start + WRITE_ROWS].tolist()
-            writer.writerows(zip(range(start, start + len(labels)), labels))
+    labels = labeling.labels
+    blocks = (
+        zip(range(start, len(labels)), labels[start : start + WRITE_ROWS].tolist())
+        for start in range(0, len(labels), WRITE_ROWS)
+    )
+    write_rows(path, ["row_id", "label"], chain.from_iterable(blocks))
 
 
 def write_medoids_csv(medoids: MedoidSet, table: DataTable, path: str | Path) -> None:
     """cluster_id, row_id, cluster_size, then the medoid's raw column values."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "row_id", "cluster_size", *table.schema.names])
-        for m, size in zip(medoids.medoids, medoids.cluster_sizes):
-            cells = [repr(v) if isinstance(v, float) else v for v in m.raw]
-            writer.writerow([m.cluster_id, m.row_id, size, *cells])
+    write_rows(
+        path,
+        ["cluster_id", "row_id", "cluster_size", *table.schema.names],
+        ([m.cluster_id, m.row_id, size, *m.raw]
+         for m, size in zip(medoids.medoids, medoids.cluster_sizes)),
+    )

@@ -1,16 +1,45 @@
-"""One reader and one writer for cmla's JSON documents: scenario files,
-settings and report.json. A dataclass is its document's schema, its field
-names the keys, in declaration order, and its type hints the JSON types.
-Checks that are not about type stay in the dataclass's own __post_init__.
+"""cmla's JSON documents: scenario files, --config settings, report.json,
+model.json and scenario_summary.json.
+
+Every JSON file cmla reads goes through load, which gives one error form for
+a missing file and for bytes that are not UTF-8 JSON, and every JSON file it
+writes takes its text from render. read and write map a document onto a
+dataclass and back: a dataclass is its document's schema, its field names
+the keys, in declaration order, and its type hints the JSON types. Checks
+that are not about type stay in the dataclass's own __post_init__.
 """
 
 from __future__ import annotations
 
+import json
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, LoadError
+
+
+def load(path: str | Path) -> tuple[str, str, object]:
+    """The file's name, its text and the JSON value the text holds. The text
+    is the file's bytes decoded, line ends untranslated, so that verify can
+    compare it with a rendering. A missing file is the LoadError "no such
+    file: <path>", and bytes that are not UTF-8 or not JSON are "<name>:
+    invalid JSON: <reason>"."""
+    p = Path(path)
+    if not p.is_file():
+        raise LoadError(f"no such file: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+        return p.name, text, json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise LoadError(f"{p.name}: invalid JSON: {e}") from None
+
+
+def render(doc) -> str:
+    """The text of every JSON file cmla writes: two-space indents, keys in
+    the document's order and a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class _Mismatch(Exception):

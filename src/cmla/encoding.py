@@ -252,7 +252,7 @@ def gower_to_table(
     row: tuple,
     table: DataTable,
     ranges: dict[str, tuple[float, float]],
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Gower distance from one raw row to every row of a table: the mean
     per-column dissimilarity.
@@ -266,8 +266,6 @@ def gower_to_table(
     """
     if len(row) != len(table.schema.columns):
         raise SchemaError("row length does not match the table schema")
-    if out is None:
-        out = np.empty((2, table.n_rows), dtype=np.float64)
     total, term = out
     total.fill(0.0)
     for col, cell in zip(table.schema.columns, row):

@@ -8,7 +8,7 @@ class CmlaError(Exception):
 
 
 class LoadError(CmlaError):
-    """A CSV file could not be parsed into a table."""
+    """An input file is missing, or a CSV or JSON file cannot be parsed."""
 
 
 class SchemaError(CmlaError):

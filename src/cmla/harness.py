@@ -27,7 +27,6 @@ so a bad scenario fails when it is read, before any table is written.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import documents
-from .errors import ConfigError, LoadError
+from .errors import ConfigError
 from .tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
 
 GENERATOR_KINDS = ("memorizer", "noised", "independent")
@@ -247,14 +246,8 @@ def sample_synthetic(
 
 def load_scenario(path: str | Path) -> HarnessScenario:
     """Parse and validate a scenario description file (JSON)."""
-    p = Path(path)
-    if not p.is_file():
-        raise LoadError(f"no such file: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise LoadError(f"{p.name}: invalid JSON: {e}") from None
-    return scenario_from_dict(doc, source=p.name)
+    name, _, doc = documents.load(path)
+    return scenario_from_dict(doc, source=name)
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> HarnessScenario:

@@ -7,7 +7,7 @@ medoids with d_min strictly below tau; coverage at tau is the fraction of real
 rows strictly within tau of at least one medoid. Both inequalities are strict,
 so both curves are exactly zero at tau = 0.
 
-The real rows may come as a stream of blocks. Each block is reduced as it
+The real rows come as a stream of blocks. Each block is reduced as it
 arrives, by kernels.cross_min_distances on its encoding or by gower_to_table
 on its raw rows, and one loop merges the blocks' minima in row order. So the
 real side's memory is bounded per block, and the profile is the one a whole
@@ -144,17 +144,14 @@ def _profile(medoids: MedoidSet, pieces: Iterable[Minima]) -> ProximityProfile:
     return ProximityProfile(records=records, per_real_min=np.concatenate(per_real))
 
 
-def proximity_profile(
-    medoids: MedoidSet, real: EncodedMatrix | Iterable[EncodedMatrix]
-) -> ProximityProfile:
+def proximity_profile(medoids: MedoidSet, real: Iterable[EncodedMatrix]) -> ProximityProfile:
     """Brute-force nearest-real distances for every medoid, with the per-real
-    minimum cached for the coverage sweep. real is one matrix or consecutive
-    row chunks of one, each reduced by kernels.cross_min_distances."""
-    chunks = (real,) if isinstance(real, EncodedMatrix) else real
+    minimum cached for the coverage sweep. real is the consecutive row chunks
+    of one matrix, each reduced by kernels.cross_min_distances."""
 
     def pieces():
         vectors = medoids.vectors()
-        for chunk in chunks:
+        for chunk in real:
             if medoids.model_hash != chunk.model_hash:
                 raise LineageError("medoids and real matrix come from different encoding models")
             # a square that overflows makes d_min infinite, as intended; the
@@ -168,16 +165,15 @@ def proximity_profile(
 
 def proximity_profile_gower(
     medoids: MedoidSet,
-    real: DataTable | Iterable[DataTable],
+    real: Iterable[DataTable],
     ranges: dict[str, tuple[float, float]],
 ) -> ProximityProfile:
     """Gower variant: distances on raw rows with model-fitted numeric ranges.
-    real is one table or consecutive blocks of one, each reduced by
+    real is the consecutive blocks of one table, each reduced by
     gower_to_table per medoid."""
-    blocks = (real,) if isinstance(real, DataTable) else real
 
     def pieces():
-        for block in blocks:
+        for block in real:
             d_min = np.empty(len(medoids), dtype=np.float64)
             nearest = np.empty(len(medoids), dtype=np.int64)
             per_real = np.full(block.n_rows, np.inf, dtype=np.float64)

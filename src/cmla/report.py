@@ -13,8 +13,6 @@ render -> parse -> render is the identity on bytes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +24,7 @@ from . import __version__, documents
 from .clustering import ClusterLabeling, MedoidSet
 from .errors import ConfigError, CurveError, LineageError
 from .metrics import DistanceRecord, DminSummary, MetricCurves, ThresholdGrid
+from .tables import write_rows
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_KIND = "leakage_report"
@@ -127,15 +126,7 @@ def report_from_dict(doc: dict) -> LeakageReport:
 
 
 def render_json(report: LeakageReport) -> str:
-    return json.dumps(documents.write(report), indent=2) + "\n"
-
-
-def parse_json(text: str) -> LeakageReport:
-    return report_from_dict(json.loads(text))
-
-
-def write_report_json(report: LeakageReport, path: str | Path) -> None:
-    Path(path).write_text(render_json(report), encoding="utf-8")
+    return documents.render(documents.write(report))
 
 
 def format_summary_row(summary: DminSummary) -> str:
@@ -159,33 +150,26 @@ def emit_curves_csv(grid: ThresholdGrid, curves: MetricCurves, path: str | Path)
             raise CurveError(f"{name} curve leaves [0, 1]")
         if len(v) > 1 and np.any(np.diff(v) < 0.0):
             raise CurveError(f"{name} curve is not non-decreasing")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "asr", "coverage"])
-        for t, a, c in zip(grid.taus, curves.asr, curves.coverage):
-            writer.writerow([repr(float(t)), repr(float(a)), repr(float(c))])
+    write_rows(path, ["tau", "asr", "coverage"], zip(grid.taus, curves.asr, curves.coverage))
 
 
 def write_dmin_records_csv(records: Sequence[DistanceRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "medoid_row_id", "d_min", "nearest_real_row_id"])
-        for r in records:
-            writer.writerow(
-                [r.cluster_id, r.medoid_row_id, repr(float(r.d_min)), r.nearest_real_row_id]
-            )
+    write_rows(
+        path,
+        ["cluster_id", "medoid_row_id", "d_min", "nearest_real_row_id"],
+        ([r.cluster_id, r.medoid_row_id, r.d_min, r.nearest_real_row_id] for r in records),
+    )
 
 
 def write_heatmap_csv(reports: Sequence[LeakageReport], tau: float, path: str | Path) -> None:
     """Coverage at grid threshold tau of reports on one dataset: a
     generator,<dataset> header, then one row per report that has curves."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", reports[0].meta.dataset_label])
-        for rpt in reports:
-            if rpt.curves is not None:
-                coverage = rpt.curves.coverage[rpt.grid.index_of(tau)]
-                writer.writerow([rpt.meta.generator_label, repr(float(coverage))])
+    write_rows(
+        path,
+        ["generator", reports[0].meta.dataset_label],
+        ([rpt.meta.generator_label, rpt.curves.coverage[rpt.grid.index_of(tau)]]
+         for rpt in reports if rpt.curves is not None),
+    )
 
 
 def compare_reports(original: dict, recomputed: dict, tol: float = 1e-9) -> list[str]:

@@ -1,4 +1,10 @@
-"""CSV-backed tables with a typed, ordered schema.
+"""CSV-backed tables with a typed, ordered schema, and every CSV file cmla
+reads or writes.
+
+Every CSV that cmla writes (tables, labels, medoids, curves, distance
+records, heatmaps and the encode dump) goes through write_rows, in
+csv.writer's default dialect, and reads back through load_csv with the values
+written, floats bit for bit.
 
 The loader reads an RFC-4180 style format: comma delimiter, double-quote
 quoting, UTF-8, one mandatory header row. Column kinds are inferred unless a
@@ -462,18 +468,32 @@ def read_blocks(path: str | Path, schema: TableSchema) -> Iterator[DataTable]:
         reader.specs()
 
 
-def write_csv(table: DataTable, path: str | Path) -> None:
-    """Write a table back to CSV, WRITE_ROWS rows at a time. Numeric cells use
-    repr(float), the shortest form that reloads to the identical value."""
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV, in the dialect load_csv reads:
+    csv.writer's defaults, so CRLF line ends and quotes only where a cell
+    needs them. A float cell, numpy's float64 too, is written as float's
+    repr, the shortest form that reloads to the identical value."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
-        for start in range(0, table.n_rows, WRITE_ROWS):
-            columns = []
-            for spec, arr in zip(table.schema.columns, table.columns):
-                cells = arr[start : start + WRITE_ROWS].tolist()
-                if spec.kind == NUMERIC:
-                    columns.append(map(repr, cells))
-                else:
-                    columns.append(map(spec.categories.__getitem__, cells))
-            writer.writerows(zip(*columns))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(table: DataTable, path: str | Path) -> None:
+    """Write a table back to CSV by write_rows, formatting WRITE_ROWS rows at
+    a time."""
+
+    def block(start: int) -> Iterator[tuple]:
+        columns = []
+        for spec, arr in zip(table.schema.columns, table.columns):
+            cells = arr[start : start + WRITE_ROWS].tolist()
+            if spec.kind == NUMERIC:
+                # repr here, in one map per column, is faster than csv.writer's
+                # own float formatting, and gives the same text
+                columns.append(map(repr, cells))
+            else:
+                columns.append(map(spec.categories.__getitem__, cells))
+        return zip(*columns)
+
+    write_rows(path, table.schema.names,
+               chain.from_iterable(map(block, range(0, table.n_rows, WRITE_ROWS))))

@@ -28,7 +28,7 @@ from cmla.metrics import (
     proximity_profile,
     summarize_dmin,
 )
-from cmla.report import format_summary_row, parse_json, render_json
+from cmla.report import format_summary_row, render_json, report_from_dict
 from cmla.tables import load_csv
 
 import reference
@@ -88,7 +88,7 @@ def test_criterion_02_metrics_bitwise_vs_double_loop(rng):
             if k > 1 and n > 1:
                 real[1] = real[0]
 
-        profile = proximity_profile(medoid_set(meds), matrix(real))
+        profile = proximity_profile(medoid_set(meds), [matrix(real)])
         asr = asr_curve(profile.records, grid)
         cov = coverage_from_minima(profile.per_real_min, grid)
         r_dmin, r_nearest, r_per_real, r_asr, r_cov = reference.double_loop_metrics(
@@ -251,9 +251,9 @@ def test_criterion_09_reports_verify_and_round_trip(scenario_run):
     problems.extend(verify_report_file(path, tol=1e-9))
 
     text = path.read_text(encoding="utf-8")
-    if render_json(parse_json(text)) != text:
+    if render_json(report_from_dict(json.loads(text))) != text:
         problems.append("parse/render round trip changed the document bytes")
-    if json.loads(text) != json.loads(render_json(parse_json(text))):
+    if json.loads(text) != json.loads(render_json(report_from_dict(json.loads(text)))):
         problems.append("round trip changed document values")
     _verdict("verify-round-trip", problems)
 

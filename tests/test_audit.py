@@ -17,7 +17,7 @@ from cmla.audit import (
     run_scenario,
     verify_report_file,
 )
-from cmla.errors import ConfigError, StageError
+from cmla.errors import ConfigError, LoadError, StageError
 
 from conftest import DATA_DIR
 
@@ -201,8 +201,11 @@ def test_verify_report_file_clean_and_tampered(tmp_path):
     path.write_text(canonical.replace("\n", "\n "))
     problems = verify_report_file(path)
     assert any("not canonical" in p for p in problems)
+    path.write_bytes(canonical.replace("\n", "\r\n").encode("utf-8"))
+    problems = verify_report_file(path)
+    assert any("not canonical" in p for p in problems)
 
-    with pytest.raises(ConfigError, match="no such report"):
+    with pytest.raises(LoadError, match="no such file"):
         verify_report_file(tmp_path / "absent.json")
 
 
@@ -255,8 +258,7 @@ def test_run_scenario_layout_and_summary(tmp_path):
     out = tmp_path / "run"
     outcome = run_scenario(sp, out)
 
-    assert outcome.ordering_checked
-    assert outcome.ordering_ok
+    assert outcome.ordering_ok is True
     assert sorted(p.name for p in (out / "data").iterdir()) == [
         "independent.csv", "memorizer.csv", "real.csv",
     ]
@@ -286,8 +288,7 @@ def test_run_scenario_flags_a_violated_ordering(tmp_path):
     sp = tmp_path / "scenario.json"
     sp.write_text(json.dumps(small_scenario_doc(["independent", "memorizer"])))
     outcome = run_scenario(sp, tmp_path / "run")
-    assert outcome.ordering_checked
-    assert not outcome.ordering_ok
+    assert outcome.ordering_ok is False
 
 
 def test_run_scenario_without_declared_ordering(tmp_path):
@@ -296,8 +297,7 @@ def test_run_scenario_without_declared_ordering(tmp_path):
     sp = tmp_path / "scenario.json"
     sp.write_text(json.dumps(doc))
     outcome = run_scenario(sp, tmp_path / "run")
-    assert not outcome.ordering_checked
-    assert outcome.ordering_ok
+    assert outcome.ordering_ok is None
 
 
 def test_run_scenario_rejects_unknown_audit_settings(tmp_path):

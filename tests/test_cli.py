@@ -247,7 +247,7 @@ def test_verify_exits_2_naming_an_unreadable_report(tmp_path, capsys, content):
     report = tmp_path / "report.json"
     report.write_bytes(content)
     assert main(["verify", str(report)]) == 2
-    assert "cmla: report.json: unreadable report: " in capsys.readouterr().err
+    assert "cmla: report.json: invalid JSON: " in capsys.readouterr().err
 
 
 def bad_order(grid):
@@ -555,6 +555,29 @@ def test_config_file_that_is_not_utf8_exits_2(csv_pair, tmp_path, capsys):
     cfg.write_bytes(b'{"scale": "\xff"}')
     assert main(["audit", "--synthetic", str(synth), "--config", str(cfg)]) == 2
     assert "cmla: config.json: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [None, b'{"name": "\xff"}', b"{not json"],
+                         ids=["missing", "not-utf8", "not-json"])
+@pytest.mark.parametrize("source", ["scenario", "config", "verify"])
+def test_every_json_input_fails_alike(csv_pair, tmp_path, capsys, source, fault):
+    path = tmp_path / "input.json"
+    if fault is not None:
+        path.write_bytes(fault)
+    argv = {
+        "scenario": ["scenario", str(path), "--out", str(tmp_path / "run")],
+        "config": ["audit", "--synthetic", str(csv_pair[0]), "--config", str(path)],
+        "verify": ["verify", str(path)],
+    }[source]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if fault is None:
+        assert err == f"cmla: no such file: {path}\n"
+    else:
+        assert err.startswith("cmla: input.json: invalid JSON: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_synthetic_everywhere_exits_2(capsys):

@@ -130,7 +130,7 @@ def test_curve_counts_are_strict_on_ties_duplicates_and_infinity(rng):
 def test_proximity_profile_matches_the_double_loop(rng):
     meds = rng.standard_normal((7, 3))
     real = rng.standard_normal((30, 3))
-    profile = proximity_profile(medoid_set(meds), matrix(real))
+    profile = proximity_profile(medoid_set(meds), [matrix(real)])
     d_min, nearest, per_real, _, _ = reference.double_loop_metrics(meds, real, [])
     assert [r.d_min for r in profile.records] == d_min
     assert [r.nearest_real_row_id for r in profile.records] == nearest
@@ -139,18 +139,18 @@ def test_proximity_profile_matches_the_double_loop(rng):
 
 def test_proximity_profile_checks_lineage():
     with pytest.raises(LineageError, match="different encoding models"):
-        proximity_profile(medoid_set([[0.0]], model_hash="a"), matrix([[0.0]], "b"))
+        proximity_profile(medoid_set([[0.0]], model_hash="a"), [matrix([[0.0]], "b")])
 
 
 def test_proximity_profile_requires_medoids():
     empty = medoid_set(np.empty((0, 1)))
     empty.medoids = []
     with pytest.raises(ConfigError, match="no medoids"):
-        proximity_profile(empty, matrix([[0.0]]))
+        proximity_profile(empty, [matrix([[0.0]])])
 
 
 def test_nearest_real_distance_ties_take_the_lowest_real_row():
-    profile = proximity_profile(medoid_set([[0.0]]), matrix([[1.0], [1.0], [-1.0]]))
+    profile = proximity_profile(medoid_set([[0.0]]), [matrix([[1.0], [1.0], [-1.0]])])
     assert profile.records[0].nearest_real_row_id == 0
     assert profile.records[0].d_min == 1.0
 
@@ -161,7 +161,7 @@ def test_gower_profile_hand_case():
     medoids.medoids[0] = medoids.medoids[0].__class__(
         cluster_id=0, row_id=0, vector=np.array([0.0]), raw=(1.0, "u")
     )
-    profile = proximity_profile_gower(medoids, table, {"x": (0.0, 4.0)})
+    profile = proximity_profile_gower(medoids, [table], {"x": (0.0, 4.0)})
     # per row: (|1-0|/4 + 0)/2 = 0.125 and (|1-4|/4 + 1)/2 = 0.875
     assert profile.records[0].d_min == 0.125
     assert profile.records[0].nearest_real_row_id == 0
@@ -171,7 +171,7 @@ def test_gower_profile_hand_case():
 def test_curves_from_profile_carries_counts(rng):
     meds = rng.standard_normal((4, 2))
     real = rng.standard_normal((11, 2))
-    profile = proximity_profile(medoid_set(meds), matrix(real))
+    profile = proximity_profile(medoid_set(meds), [matrix(real)])
     curves = curves_from_profile(profile, grid_from_spec("0:2.5:0.01", (0.1, 0.5)))
     assert len(profile.records) == 4
     assert len(profile.per_real_min) == 11
@@ -182,7 +182,7 @@ def test_curves_from_profile_carries_counts(rng):
 def test_coverage_from_the_profile_minima_matches_a_double_loop(rng):
     meds = rng.standard_normal((3, 2))
     real = rng.standard_normal((9, 2))
-    profile = proximity_profile(medoid_set(meds), matrix(real))
+    profile = proximity_profile(medoid_set(meds), [matrix(real)])
     g = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
     *_, cov = reference.double_loop_metrics(meds, real, g.taus)
     assert coverage_from_minima(profile.per_real_min, g).tolist() == cov

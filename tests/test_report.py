@@ -33,12 +33,10 @@ from cmla.report import (
     compare_reports,
     emit_curves_csv,
     format_summary_row,
-    parse_json,
     render_json,
     report_from_dict,
     write_dmin_records_csv,
     write_heatmap_csv,
-    write_report_json,
 )
 
 from conftest import numeric_table
@@ -58,7 +56,7 @@ def small_pipeline(with_real=True, marks=(0.1, 0.5)):
     summary = curves = records = None
     if with_real:
         real = numeric_table([[0.0, 0.0], [2.4, 0.0], [5.0, 0.0]], names=["x", "y"])
-        profile = proximity_profile(medoids, encode(model, real))
+        profile = proximity_profile(medoids, [encode(model, real)])
         curves = curves_from_profile(profile, grid)
         records = profile.records
         summary = summarize_dmin([r.d_min for r in records])
@@ -90,10 +88,10 @@ def test_render_parse_render_is_byte_stable():
     report = small_report()
     text = render_json(report)
     assert text.endswith("\n")
-    again = render_json(parse_json(text))
+    again = render_json(report_from_dict(json.loads(text)))
     assert again == text
     # and the dict layer agrees too
-    assert json.loads(text) == write(parse_json(text))
+    assert json.loads(text) == write(report_from_dict(json.loads(text)))
 
 
 def numpy_typed_report(with_real, with_records):
@@ -161,7 +159,7 @@ def numpy_typed_report(with_real, with_records):
 def test_rendered_bytes_are_pinned_and_round_trip(with_real, with_records, digest):
     text = render_json(numpy_typed_report(with_real, with_records))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
-    assert render_json(parse_json(text)) == text
+    assert render_json(report_from_dict(json.loads(text))) == text
     assert '"eps": 1.0,' in text and '"seed": 9223372036854775813,' in text
 
 
@@ -244,13 +242,6 @@ def test_report_from_dict_names_an_unknown_or_missing_section_key(section, key):
         report_from_dict(tampered(lambda part: part.update(extra=1)))
     with pytest.raises(ConfigError, match=re.escape(f"report {name} is missing the key '{key}'")):
         report_from_dict(tampered(lambda part: part.pop(key)))
-
-
-def test_write_report_json_round_trip(tmp_path):
-    report = small_report()
-    p = tmp_path / "report.json"
-    write_report_json(report, p)
-    assert render_json(parse_json(p.read_text())) == p.read_text()
 
 
 def test_compare_reports_tolerance_boundary():

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from cmla import tables
+from cmla.audit import AuditConfig, run_audit
+from cmla.cli import main
+from cmla.encoding import encode, fit_encoding
 from cmla.errors import LoadError, SchemaError
+from cmla.report import write_heatmap_csv
 from cmla.tables import (
     CATEGORICAL,
     NUMERIC,
@@ -332,3 +336,76 @@ def test_table_shape_validation():
         DataTable(schema, (np.zeros(2), np.zeros(3)))
     with pytest.raises(SchemaError, match="do not match the schema"):
         DataTable(schema, (np.zeros(2),))
+
+
+def read_back(path) -> dict:
+    """Each column of a CSV as load_csv reads it: numeric columns as float64
+    arrays, categorical ones as lists of cells."""
+    t = load_csv(path)
+    return {
+        spec.name: arr if spec.kind == NUMERIC else [spec.categories[c] for c in arr]
+        for spec, arr in zip(t.schema.columns, t.columns)
+    }
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_every_csv_cmla_writes_reads_back_with_the_values_written(tmp_path, rng):
+    def cloud(n):
+        x = np.concatenate([rng.normal(0.0, 0.01, n // 2), rng.normal(1.0, 0.01, n // 2)])
+        return {"x": x, "y": x + rng.normal(0.0, 0.01, n)}
+
+    synth_values = cloud(60)
+    synth_values["x"][:3] = (-0.0, 5e-324, 0.1 + 0.2)
+    tags = [("a", "b,c", 'q"z')[i % 3] for i in range(60)]
+    table = mixed_table(numeric=synth_values, categorical={"tag": tags})
+    synth, real = tmp_path / "synthetic.csv", tmp_path / "real.csv"
+    write_csv(table, synth)
+    write_csv(mixed_table(numeric=cloud(20), categorical={"tag": tags[:20]}), real)
+    cols = read_back(synth)
+    assert bits(cols["x"]) == bits(synth_values["x"])
+    assert bits(cols["y"]) == bits(synth_values["y"])
+    assert cols["tag"] == tags
+
+    out = tmp_path / "out"
+    result = run_audit(AuditConfig(synthetic=str(synth), real=str(real), out=str(out),
+                                   eps=0.1, min_samples=3, records=True))
+    rpt, medoids = result.report, result.medoids
+    assert len(medoids) >= 2 and rpt.records is not None
+
+    cols = read_back(out / "labels.csv")
+    assert bits(cols["row_id"]) == bits(range(60))
+    assert bits(cols["label"]) == bits(result.labeling.labels)
+
+    cols = read_back(out / "medoids.csv")
+    assert bits(cols["cluster_id"]) == bits([m.cluster_id for m in medoids.medoids])
+    assert bits(cols["row_id"]) == bits([m.row_id for m in medoids.medoids])
+    assert bits(cols["cluster_size"]) == bits(medoids.cluster_sizes)
+    assert bits(cols["x"]) == bits([m.raw[0] for m in medoids.medoids])
+    assert bits(cols["y"]) == bits([m.raw[1] for m in medoids.medoids])
+    assert cols["tag"] == [m.raw[2] for m in medoids.medoids]
+
+    cols = read_back(out / "curves.csv")
+    assert bits(cols["tau"]) == bits(rpt.grid.taus)
+    assert bits(cols["asr"]) == bits(rpt.curves.asr)
+    assert bits(cols["coverage"]) == bits(rpt.curves.coverage)
+
+    cols = read_back(out / "dmin_records.csv")
+    for name in ("cluster_id", "medoid_row_id", "d_min", "nearest_real_row_id"):
+        assert bits(cols[name]) == bits([getattr(r, name) for r in rpt.records])
+
+    write_heatmap_csv([rpt], 0.1, tmp_path / "heatmap.csv")
+    cols = read_back(tmp_path / "heatmap.csv")
+    assert cols["generator"] == ["synthetic"]
+    assert bits(cols["real"]) == bits([rpt.curves.coverage[rpt.grid.index_of(0.1)]])
+
+    assert main(["encode", "--synthetic", str(synth), "--out", str(tmp_path / "enc.csv")]) == 0
+    cols = read_back(tmp_path / "enc.csv")
+    model = fit_encoding(load_csv(synth))
+    vectors = encode(model, load_csv(synth)).vectors
+    assert list(cols) == ["row_id", *model.feature_names()]
+    assert bits(cols["row_id"]) == bits(range(60))
+    for j, name in enumerate(model.feature_names()):
+        assert bits(cols[name]) == bits(vectors[:, j])
