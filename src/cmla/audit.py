@@ -324,6 +324,10 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         if heatmaps.setdefault(name, mark) != mark:
             raise ConfigError(f"{source}: the audit section: marks {heatmaps[name]!r} and "
                               f"{mark!r} would both write {name}")
+        # the heatmap header is generator,<scenario name>
+        if sc.name == "generator":
+            raise ConfigError(f"{source}: name 'generator' would write {name} with the "
+                              "header generator,generator, which names one column twice")
 
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(sc.seed)

@@ -18,10 +18,11 @@ mask go back to every copy.
 
 One stream of kernels' hit blocks (kernels.neighbor_lists) gives the core
 rows, the components of the eps-graph on them, which are the clusters' cores,
-each rooted at its lowest row (Patwary et al., SC 2012; Schubert et al., TODS
-2017), and the complete neighbour lists of the non-core rows only. A border
-point takes the label of the first core entry of its ascending list. Memory
-is O(n_distinct + non-core rows * min_samples) plus one tile.
+each rooted at its lowest row (Patwary et al., SC 2012), and each border
+point's lowest-index core neighbour, whose label it takes (Schubert et al.,
+TODS 2017). The pass keeps only the non-core rows' neighbour lists, each
+shorter than min_samples, so memory is O(n_distinct + non-core rows *
+min_samples) plus one tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index weighs each
@@ -32,7 +33,6 @@ lower bound, from the tile engine's band, does not rule them out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, DegenerateGeometryError, LineageError
 from .encoding import EncodedMatrix
-from .tables import WRITE_ROWS, DataTable, write_rows
+from .tables import DataTable, write_rows
 
 NOISE = -1
 
@@ -111,17 +111,14 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
         eps = auto_eps(matrix, min_samples)
 
     first, inverse, weight = kernels.distinct_rows(x)
-    core, root, indptr, indices = kernels.neighbor_lists(x[first], eps, min_samples, weight)
+    core, root, border = kernels.neighbor_lists(x[first], eps, min_samples, weight)
     # clusters numbered by their lowest core row
     roots, ids = np.unique(root[core], return_inverse=True)
     labels = np.full(len(first), NOISE, dtype=np.int32)
     labels[core] = ids
-    # a border row takes the label of the first core entry of its ascending
-    # list, if the list holds one
-    at = np.append(np.flatnonzero(core[indices]), len(indices))
-    at = at[np.searchsorted(at, indptr[:-1])]
-    border = at < indptr[1:]
-    labels[border] = labels[indices[at[border]]]
+    # a border row takes the label of its lowest core neighbour
+    reached = border < len(first)
+    labels[reached] = labels[border[reached]]
 
     return ClusterLabeling(
         labels=labels[inverse],
@@ -162,12 +159,7 @@ def extract_medoids(
 
 
 def write_labels_csv(labeling: ClusterLabeling, path: str | Path) -> None:
-    labels = labeling.labels
-    blocks = (
-        zip(range(start, len(labels)), labels[start : start + WRITE_ROWS].tolist())
-        for start in range(0, len(labels), WRITE_ROWS)
-    )
-    write_rows(path, ["row_id", "label"], chain.from_iterable(blocks))
+    write_rows(path, ["row_id", "label"], enumerate(labeling.labels.tolist()))
 
 
 def write_medoids_csv(medoids: MedoidSet, table: DataTable, path: str | Path) -> None:

@@ -19,11 +19,11 @@ pairs, then that exact comparison for the rest.
   A row with min_samples hits is core (every weight is at least one); any
   other row's list is complete, its weight sum decides it, and only non-core
   rows keep lists. Hits are symmetric bit for bit (fl(a - b) = -fl(b - a)),
-  so a column's hits from the rows streamed so far bound its count from
-  below: it is known core once they reach min_samples or its block is done.
-  A block's core rows join the known-core columns they hit in a union-find
-  whose roots are the lowest rows, so each core-core edge is joined by the
-  later of its two blocks at the latest.
+  so a block's core rows join only the core rows they hit in their own block
+  and in the blocks streamed before it, in a union-find whose roots are the
+  lowest rows: each core-core edge is joined when the later of its two
+  blocks streams, whatever the block order. Once the core mask is final,
+  each stored list gives its row's lowest core neighbour.
 - The grid (_cell_map) gives each row one int64 code for its cell and sorts
   the rows by it. Every dimension whose occupied keys never differ by
   exactly one (a one-hot column at a radius below about 1/2) is a digit
@@ -446,28 +446,25 @@ def _hit_blocks(x: np.ndarray, eps: float):
 
 class EpsGraph(NamedTuple):
     """The core mask; each row's lowest core row of its component (a non-core
-    row's own index); the non-core rows' lists, indices[indptr[i]:indptr[i+1]]."""
+    row's own index); each non-core row's lowest core neighbour, len(x) for a
+    core row or a row with none."""
 
     core: np.ndarray
     root: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    border: np.ndarray
 
 
 def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarray) -> EpsGraph:
-    """DBSCAN's core rows, their components and the non-core rows' lists in
-    one stream of the hit blocks (module docstring). A row is core when the
-    weights of its neighbours, itself included, sum to at least min_samples."""
+    """DBSCAN's core rows, their components and the border rows' lowest core
+    neighbours from one stream of the hit blocks (module docstring). A row is
+    core when the weights of its neighbours, itself included, sum to at least
+    min_samples."""
     n = len(x)
     core = np.zeros(n, dtype=bool)
-    seen = np.zeros(n, dtype=np.int64)  # hits from the rows streamed so far
     parent = np.arange(n)
     # the non-core rows, the lengths of their lists and the lists, by block
-    owners, lengths, lists = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+    owners, lengths, lists = [], [], []
     for rows, cols, hit in _hit_blocks(x, eps):
-        if not core[cols].all():
-            seen[cols] += np.add.reduce(hit, axis=0, dtype=np.int32)
-            core[cols[seen[cols] >= min_samples]] = True
         count = hit.sum(axis=1, dtype=np.int32)
         row_core = count >= min_samples
         short = np.flatnonzero(~row_core)
@@ -482,14 +479,15 @@ def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarr
         live = (hit if row_core.all() else hit[row_core]) & core[cols]
         if len(live):
             _join_hits(parent, rows[row_core], cols, live)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[np.concatenate(owners) + 1] = np.concatenate(lengths)
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    while lists:  # move each block's lists to their rows' places, and free them
-        rows, count, nb = owners.pop(), lengths.pop(), lists.pop()
-        indices[np.repeat(indptr[rows] - np.cumsum(count) + count, count) + np.arange(len(nb))] = nb
-    return EpsGraph(core, _roots(parent, np.arange(n)), indptr, indices)
+    # each list ascends, so its first core entry, if any, is the lowest
+    border = np.full(n, n)
+    for rows, count, nb in zip(owners, lengths, lists):
+        end = np.cumsum(count)
+        at = np.append(np.flatnonzero(core[nb]), len(nb))
+        at = at[np.searchsorted(at, end - count)]
+        found = at < end
+        border[rows[found]] = nb[at[found]]
+    return EpsGraph(core, _roots(parent, np.arange(n)), border)
 
 
 def _join_hits(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, hit: np.ndarray) -> None:

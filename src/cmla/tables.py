@@ -53,7 +53,7 @@ CATEGORICAL = "categorical"
 
 # The reader reads lines in blocks of about this many characters.
 BLOCK_BYTES = 1 << 20
-# Rows that write_csv and clustering.write_labels_csv format at a time.
+# Rows that write_csv formats at a time.
 WRITE_ROWS = 1 << 14
 
 

@@ -472,6 +472,8 @@ def test_generator_label_must_stay_inside_out(tmp_path, capsys, label):
      "real: column 'tag' is declared twice"),
     (lambda doc: doc["audit"].update(grid="0.1:0.101:0.0000002", marks=[0.1000002, 0.1000004]),
      "the audit section: marks 0.1000002 and 0.1000004 would both write heatmap_tau0.1.csv"),
+    (lambda doc: doc.update(name="generator"),
+     "name 'generator' would write heatmap_tau0.1.csv with the header generator,generator"),
 ])
 def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, message):
     doc = scenario_doc(["memorizer", "independent"])
@@ -481,6 +483,17 @@ def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, messa
     assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 2
     assert f"cmla: scenario.json: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "data").exists()
+
+
+def test_scenario_named_generator_runs_when_it_writes_no_heatmap(tmp_path):
+    # only a heatmap's header clashes with that name
+    doc = scenario_doc(["memorizer", "independent"])
+    doc.update(name="generator")
+    doc["audit"]["marks"] = []
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps(doc))
+    assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 0
+    assert not list((tmp_path / "run").glob("heatmap_*"))
 
 
 def test_scenario_ordering_violation_exits_1(tmp_path):

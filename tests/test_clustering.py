@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from cmla.clustering import (
     write_medoids_csv,
 )
 from cmla.errors import ConfigError, DegenerateGeometryError, LineageError
+from cmla.tables import write_csv
 
 import reference
-from cmla import kernels
+from cmla import cli, kernels
 from conftest import child_rss_growth_mib, clustered_cloud, matrix, mixed_table, numeric_table
 
 
@@ -187,7 +189,7 @@ def test_dbscan_stores_no_neighbour_list_for_a_core_row():
     assert growth < 16
 
 
-def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch):
+def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch, tmp_path):
     # bench/tracing.py times layers by replacing cmla's module attributes, so
     # each must exist, and dbscan must look neighbor_lists up at call time
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -195,8 +197,10 @@ def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    originals = {}
     for module, attr, _, _ in tracing.LAYERS:
-        assert callable(getattr(importlib.import_module(f"cmla.{module}"), attr)), (module, attr)
+        originals[module, attr] = getattr(importlib.import_module(f"cmla.{module}"), attr)
+        assert callable(originals[module, attr]), (module, attr)
     calls = []
     real = kernels.neighbor_lists
     monkeypatch.setattr(kernels, "neighbor_lists", lambda *args: calls.append(args) or real(*args))
@@ -205,6 +209,26 @@ def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch):
         calls.clear()
         cluster(x, eps=eps, min_samples=4)
         assert len(calls) == 1
+    monkeypatch.setattr(kernels, "neighbor_lists", real)
+    # one small audit under the tracer evaluates every layer's counters on the
+    # wrapped functions' real arguments and results; at 200 rows the grid
+    # loses to brute force, so auto eps calls kth_neighbor_distances
+    synth, real_csv = tmp_path / "synth.csv", tmp_path / "real.csv"
+    write_csv(numeric_table(x, ["a", "b"]), synth)
+    write_csv(numeric_table(x[::3] + 0.01, ["a", "b"]), real_csv)
+    argv = ["audit", "--synthetic", str(synth), "--real", str(real_csv),
+            "--out", str(tmp_path / "out"), "--eps", "auto", "--min-samples", "4"]
+    with tracing.Tracer() as tracer, tracer.span(tracing.ROOT_SPAN):
+        assert cli.main(argv) == 0
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(f"cmla.{module}"), attr) is original, (module, attr)
+    counted = {sp.name for sp in tracer.spans if sp.counters}
+    assert counted == {name for _, _, name, count in tracing.LAYERS if count is not None}
+    layers = tracing.layer_metrics(tracer.spans)
+    assert set(layers) == set(tracing.LAYER_UNITS)
+    assert all(math.isfinite(v) and v >= 0 for v in layers.values())
+    assert layers["tables.load_csv.rows"] == len(x)
+    assert layers["clustering.clusters"] >= 1
 
 
 def test_two_separated_blobs_form_two_clusters():

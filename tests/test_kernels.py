@@ -41,6 +41,17 @@ def reference_neighbors(x, eps):
     return [np.flatnonzero(reference.row_dists(x, i) <= eps) for i in range(len(x))]
 
 
+def reference_border(lists, core):
+    """Each non-core row's lowest core neighbour, the first core entry of its
+    ascending list, or len(core) for a core row or a list with none."""
+    border = np.full(len(core), len(core))
+    for i in np.flatnonzero(~core):
+        hits = lists[i][core[lists[i]]]
+        if len(hits):
+            border[i] = hits[0]
+    return border
+
+
 def reference_cross_min(a, b):
     """Per row of a, the minimum into b and its lowest index; per row of b,
     the minimum into a; each row from the explicit-difference formula."""
@@ -115,14 +126,16 @@ def test_engine_matches_reference_with_non_finite_and_overflowing_rows(rng):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_caller_errstate_reaches_pool_workers(rng):
+def test_caller_errstate_reaches_the_exact_distances(rng):
     # the kernels silence only their own bound arithmetic, so a caller's
     # np.errstate decides what the exact distances of non-finite rows raise
     x = non_finite_cloud(rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert list(hit_lists(x, 2e140)[10]) == [10, 20]
+        lists = hit_lists(x, 2e140)
+        assert list(lists[10]) == [10, 20]
         graph = neighbor_lists(x, 2e140, 3, np.ones(len(x), dtype=np.int64))
-        assert list(graph.indices[graph.indptr[10] : graph.indptr[11]]) == [10, 20]
+        assert not graph.core[10]
+        np.testing.assert_array_equal(graph.border, reference_border(lists, graph.core))
         assert np.isnan(kth_neighbor_distances(x, 4)[40])
         assert cross_min_distances(x[[60, 61]], x)[1].tolist() == [40, 40]
 
@@ -174,8 +187,7 @@ def test_engine_is_exact_on_inputs_of_many_tiles(rng):
 def test_cross_min_ties_across_tiles_and_identical_rows(rng):
     a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # four rows at distance 3 from the first medoid, repeated so that tied
-    # minima fall in different tiles (and worker ranges); the lowest b row
-    # must win
+    # minima fall in different tiles; the lowest b row must win
     per_tile = kernels.TILE_BYTES // (8 * max(len(a), a.shape[1] + 2))
     b = np.tile([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]], (3 * per_tile // 4 + 50, 1))
     b = b[rng.permutation(len(b))]
@@ -223,12 +235,12 @@ def test_prefilter_leaves_few_pairs_to_the_exact_path(rng, monkeypatch):
 
 
 def test_neighbor_lists_are_sorted_closed_ball_and_include_self(rng):
-    # at min_samples above the row count no row is core, so every list is kept
+    # at min_samples above the row count no row is core, so no row has a core
+    # neighbour; the lists are those the hit blocks give
     x = clustered_cloud(rng, 80, 3)
     graph = neighbor_lists(x, 0.9, len(x) + 1, np.ones(len(x), dtype=np.int64))
-    assert not graph.core.any()
-    for i in range(len(x)):
-        nb = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
+    assert not graph.core.any() and (graph.border == len(x)).all()
+    for i, nb in enumerate(hit_lists(x, 0.9)):
         assert i in nb
         assert list(nb) == sorted(nb)
         d = dists_to(x[i], x)
@@ -418,11 +430,8 @@ def test_neighbor_lists_store_the_full_lists_of_non_core_rows_only(rng, monkeypa
             graph = graph_by(monkeypatch, grid, x, 0.7, min_samples)
             core = np.array([len(w) >= min_samples for w in want])
             np.testing.assert_array_equal(graph.core, core)
-            assert graph.indptr[0] == 0 and graph.indptr[-1] == len(graph.indices)
-            for i, w in enumerate(want):
-                got = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
-                where = f"row {i}, min_samples {min_samples}"
-                np.testing.assert_array_equal(got, [] if core[i] else w, err_msg=where)
+            where = f"grid {grid}, min_samples {min_samples}"
+            np.testing.assert_array_equal(graph.border, reference_border(want, core), err_msg=where)
 
 
 def test_neighbor_lists_give_each_core_row_the_lowest_row_of_its_component(rng, monkeypatch):
@@ -435,12 +444,12 @@ def test_neighbor_lists_give_each_core_row_the_lowest_row_of_its_component(rng, 
         for grid, tile_bytes in ((False, kernels.TILE_BYTES), (False, 4096), (True, 4096)):
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
             graph = graph_by(monkeypatch, grid, x, eps, 1)
-            assert graph.core.all() and len(graph.indices) == 0
+            assert graph.core.all() and (graph.border == len(x)).all()
             np.testing.assert_array_equal(graph.root, want)
     ones = np.ones(300, dtype=np.int64)
     assert neighbor_lists(line, 1.0, 1, ones).root.tolist() == [0] * 300
     empty = neighbor_lists(np.empty((0, 2)), 1.0, 1, ones[:0])
-    assert [len(a) for a in empty] == [0, 0, 1, 0]
+    assert [len(a) for a in empty] == [0, 0, 0]
     with pytest.raises(ConfigError, match="eps must be positive"):
         neighbor_lists(line, 0.0, 1, ones)
 
@@ -448,8 +457,9 @@ def test_neighbor_lists_give_each_core_row_the_lowest_row_of_its_component(rng, 
 def assert_one_pass_matches_reference(monkeypatch, x, eps, min_samples):
     """neighbor_lists on the rows of x weighted one, and dbscan on x, against
     the reference at default and 4 KiB tiles with the grid forced off and on:
-    the core mask, each core row's lowest core row of its component, the
-    non-core rows' lists and the labels. Returns the reference labels."""
+    the core mask, each core row's lowest core row of its component, each
+    non-core row's lowest core neighbour and the labels. Returns the reference
+    labels."""
     labels, core = reference.eps_graph_clustering(x, eps, min_samples)
     root = np.arange(len(x))
     for lab in np.unique(labels[core]):
@@ -463,9 +473,7 @@ def assert_one_pass_matches_reference(monkeypatch, x, eps, min_samples):
             graph = graph_by(monkeypatch, grid, x, eps, min_samples)
             np.testing.assert_array_equal(graph.core, core, err_msg=where)
             np.testing.assert_array_equal(graph.root, root, err_msg=where)
-            for i in np.flatnonzero(~core):
-                got = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
-                np.testing.assert_array_equal(got, lists[i], err_msg=where)
+            np.testing.assert_array_equal(graph.border, reference_border(lists, core), err_msg=where)
             labeling = dbscan(matrix(x), eps, min_samples)
             np.testing.assert_array_equal(labeling.labels, labels, err_msg=where)
             np.testing.assert_array_equal(labeling.core_mask, core, err_msg=where)
@@ -509,9 +517,8 @@ def test_one_pass_hits_are_symmetric_bit_for_bit(rng, monkeypatch):
 
 def test_one_pass_joins_core_rows_whose_core_neighbours_come_in_later_blocks(monkeypatch):
     # two lines of rows 1 apart, 2 apart from each other: with one row per
-    # block, every other row comes first, so no core neighbour of those rows
-    # is known core in their blocks (2 of its 3 hits streamed) and each core
-    # edge is joined in the block of its second row
+    # block, every other row comes first, before any of its core neighbours,
+    # so each core edge is joined in the block of its second row
     line = np.r_[np.arange(200.0), 202.0 + np.arange(200.0)]
     x = np.r_[line[::2], line[1::2]][:, None]
     assert one_row_blocks(len(x))
@@ -540,11 +547,11 @@ def bridged_pairs(min_samples):
     return x, len(x) - 3 + np.arange(3)
 
 
-def test_one_pass_certifies_a_column_core_early_at_exactly_min_samples(monkeypatch):
-    # the first bridge has min_samples hits streamed before its block, so it
-    # is known core from then on; the second reaches min_samples only with
-    # itself, and the third stays a border row, which must not join its two
-    # clusters
+def test_one_pass_joins_clusters_through_a_bridge_core_at_exactly_min_samples(monkeypatch):
+    # each bridge streams after every row it hits: the first reaches
+    # min_samples + 1 rows and the second exactly min_samples, so both are
+    # core and join their two clusters in their own blocks; the third stays a
+    # border row, which must not join its two clusters
     min_samples = 5
     x, bridges = bridged_pairs(min_samples)
     assert one_row_blocks(len(x))
@@ -553,6 +560,30 @@ def test_one_pass_certifies_a_column_core_early_at_exactly_min_samples(monkeypat
     assert core[bridges].tolist() == [True, True, False]
     assert labels.max() == 3
     assert len(np.unique(labels[np.abs(x[:, 0] - 200.0) < 3.0])) == 2
+
+
+def test_border_row_takes_its_lowest_core_neighbour_when_a_higher_one_streams_first(monkeypatch):
+    # a border row at 11 between two cores of different clusters: the core
+    # at 12 has the lower row index, the core at 10 the higher, and on the
+    # grid the block of the core at 10 streams first; the row still takes
+    # the label of the core at 12
+    right = np.r_[12.0, np.linspace(12.05, 12.95, 30)]
+    left = np.r_[10.0, np.linspace(9.05, 9.95, 30)]
+    scatter = 1000.0 + 3.0 * np.arange(300)
+    x = np.r_[right, 11.0, left, scatter][:, None]
+    low, row, high = 0, len(right), len(right) + 1
+    assert one_row_blocks(len(x))
+    monkeypatch.setattr(kernels, "TILE_BYTES", 4096)
+    force_grid(monkeypatch, True)
+    block = {}
+    for k, (rows, _, _) in enumerate(kernels._hit_blocks(x, 1.0)):
+        block.update(dict.fromkeys(rows.tolist(), k))
+    assert block[high] < block[low]
+    monkeypatch.undo()
+    labels = assert_one_pass_matches_reference(monkeypatch, x, 1.0, 4)
+    core = reference.eps_graph_clustering(x, 1.0, 4)[1]
+    assert core[[low, high]].all() and not core[row]
+    assert labels[row] == labels[low] != labels[high]
 
 
 def test_one_pass_joins_a_row_core_by_weight_alone_before_its_neighbours(rng, monkeypatch):
@@ -572,7 +603,7 @@ def test_one_pass_joins_a_row_core_by_weight_alone_before_its_neighbours(rng, mo
             graph = graph_by(monkeypatch, grid, xd, 1.0, 4, weight)
             assert graph.core[:6].all() and not graph.core[6:].any()
             assert graph.root[:6].tolist() == [0] * 6
-            assert graph.indptr[1] == 0
+            assert (graph.border == len(xd)).all()
             monkeypatch.undo()
     x = np.repeat(xd, weight, axis=0)
     assert_one_pass_matches_reference(monkeypatch, x, 1.0, 4)
