@@ -26,8 +26,9 @@ min_samples) plus one tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index weighs each
-distinct member by its count and computes the exact sum only for rows whose
-lower bound, from the tile engine's band, does not rule them out.
+distinct member by its count and computes the exact sum only for rows that
+two lower bounds cannot rule out: a sorted one-axis bound in O(md log md),
+then the tile engine's band for the rows it keeps, against every member.
 """
 
 from __future__ import annotations

@@ -41,10 +41,15 @@ pairs, then that exact comparison for the rest.
 - Rows with equal bytes give equal distances, so distinct_rows merges them
   where the work scales with their count: clustering.dbscan and
   medoid_local_index run on distinct rows weighted by their counts. The
-  medoid kernel screens them with the same tiles: the weighted row sums
-  fl(sqrt(U)) . weight bound each row's exact (fsum) distance sum over the
-  m = sum(weight) members from above and, less m*sqrt(spread), from below.
-  Only rows whose lower bound reaches the least upper bound get an exact sum.
+  medoid kernel first bounds each row's exact (fsum) distance sum over the
+  m = sum(weight) members from below by its weighted L1 spread along the
+  one axis of widest range (the axis bound below): one sort of that column
+  and two prefix sums, O(md log md) for md distinct rows. The row with the
+  least bound gets its exact sum s0, and every row whose bound exceeds s0 is
+  ruled out. Only the rest reach the tiles: their weighted row sums
+  fl(sqrt(U)) . weight bound each sum from above and, less m*sqrt(spread),
+  from below, and only rows whose lower bound reaches the least upper bound
+  (or s0) get an exact sum.
 
 The band. Write u = 2^-53, d for the dimension and, for stored rows a and b,
 A = |a|^2, B = |b|^2, P = a.b and D^2 = |a - b|^2 = A + B - 2P in exact
@@ -128,6 +133,34 @@ are certified ones, so np.median over the certified values with +inf for
 the rest reads the same one or two numbers as np.median over every v, bit
 for bit. Otherwise r doubles and the grid is rebuilt.
 
+The axis bound. For the column k of widest range, a distinct row j and a
+distinct row i with exact difference delta = |x_jk - x_ik| and
+t = fl(x_jk - x_ik), |t| >= delta(1 - u), and since s >= fl(t^2) (the grid
+proof above) the distance is fl(sqrt(s)) >= fl(sqrt(fl(t^2))). If
+t^2 >= 2^-1022 this is at least |t|(1 - u)^2 >= delta(1 - 3u); otherwise
+delta < 2^-510, so the distance is at least delta(1 - 3u) - 2^-510 either
+way. fsum rounds the sum of the m distances once, so j's exact sum
+S(j) >= (1 - 4u)A(j) - m*2^-510 with A(j) = sum over i of weight_i * delta,
+or S(j) is inf. Sorted by x_k, with W and P the prefix sums of weight and
+weight * x_k up to j's position, A(j) = x_jk(2W - m) + P_total - 2P. W is exact; each float P is a sum of
+at most md products, within gamma_md*Z of its exact value for
+Z = m * max |x_k| (plus 2^-1074 per product that underflows, which the
+m*2^-508 term below covers), and the remaining three operations add at
+most u|x_jk|m, 3u*Z and 4u*Z, so the computed A is within (3md + 8)u*Z of
+A(j) to first order. The bound L(j) = A(1 - 8u) - (4(md + 4)u*Z + m*2^-508)
+covers these, the higher-order terms and its own rounding for any
+m*u < 2^-10, so L(j) <= S(j): the error grows with Z, so for clusters far
+from the origin the bound stays valid and only gets weaker. The bound is
+taken only when Z <= 2^1000, so nothing overflows. A column holding a value
+that is not finite has an inf or NaN range, so the axis taken has one too
+(np.argmax takes the first NaN), its Z is NaN, inf or above 2^1000, and
+no bound is taken. A row with L(j) > s0 has
+S(j) > s0 >= the least sum, so it is neither the medoid nor tied with it.
+When s0 is inf (sums that overflow), no comparison with it holds and
+nothing is ruled out. A sum is NaN only when a member has a coordinate
+that is not finite, and then no bound is taken, so np.argmin sees the same
+NaN sums as without it.
+
 The kernels run in one thread: on 2 vCPUs, a pool of row workers saved at
 most 30 ms of an 8000-row k-th pass and cost CPU time and peak RSS on every
 benchmark workload (CHANGES.md). Each kernel takes its blocks in one fixed
@@ -191,8 +224,9 @@ def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order[starts[by_first]], inverse, np.diff(starts, append=len(keys))[by_first]
 
 
-def _bracket_tiles(x: np.ndarray, y: np.ndarray):
-    """Yields (i0, upper, spread) for blocks of the rows of x, in order.
+def _bracket_tiles(x: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None):
+    """Yields (i0, upper, spread) for blocks of the rows of x, or of
+    x[rows] without copying it, in order.
 
     For every pair, upper[r, j] - spread[r]/2 <= s <= upper[r, j] (module
     docstring), where s is the float sum of squares that
@@ -205,6 +239,8 @@ def _bracket_tiles(x: np.ndarray, y: np.ndarray):
     """
     d = x.shape[1]
     x_up, x_slack = _norm_addends(x)
+    if rows is not None:
+        x_up, x_slack = x_up[rows], x_slack[rows]
     y_up, y_slack = _norm_addends(y)
     x_bad = np.isinf(x_slack)
     y_bad = np.flatnonzero(np.isinf(y_slack))
@@ -214,13 +250,15 @@ def _bracket_tiles(x: np.ndarray, y: np.ndarray):
     right[:d] = y.T
     right[d] = 1.0
     right[d + 1] = y_up
-    rows = max(1, TILE_BYTES // (8 * max(len(y), d + 2)))
-    size = min(rows, len(x))
+    n = len(x_up)
+    step = max(1, TILE_BYTES // (8 * max(len(y), d + 2)))
+    size = min(step, n)
     left = np.ones((size, d + 2))
     out = np.empty((size, len(y)))
-    for i0 in range(0, len(x), rows):
-        m = min(rows, len(x) - i0)
-        np.multiply(x[i0 : i0 + m], -2.0, out=left[:m, :d])
+    for i0 in range(0, n, step):
+        m = min(step, n - i0)
+        block = x[i0 : i0 + m] if rows is None else x[rows[i0 : i0 + m]]
+        np.multiply(block, -2.0, out=left[:m, :d])
         left[:m, d] = x_up[i0 : i0 + m]
         upper = out[:m]
         with np.errstate(all="ignore"):
@@ -605,9 +643,18 @@ def medoid_local_index(members: np.ndarray) -> int:
     (distinct_rows), each weighted by its count; m = sum(weight). A row's sum
     is exact: the fsum of its distances each repeated weight times, the
     multiset of its sum over all members, so rows whose sums tie exactly
-    rank as equal, which a naive float sum could order either way.
+    rank as equal, which a naive float sum could order either way. The pick
+    is np.argmin over the computed sums (inf for the rest), so when any sum
+    is NaN it is the first row whose sum is NaN, as an exhaustive scan with
+    np.argmin gives.
 
-    Only rows that the tile engine's band cannot rule out get an exact sum.
+    Two screens rule rows out before any exact sum. First the axis bound
+    (module docstring): L(j) <= S(j) from the weighted L1 spread along the
+    column of widest range, in O(md log md) time and O(md) memory. The row
+    with the least L (the lowest on ties) gets its exact sum s0, and every
+    row with L > s0 is dropped; a NaN or inf s0 drops none. Only the rest
+    reach the tile engine's band, against all md distinct rows, with s0
+    joining the least upper bound.
     Each pair of distinct row i has U - spread/2 <= s <= U (module docstring),
     so with r = fl(sqrt(U)) its distance fl(sqrt(s)) is at most r and at least
     (1 - 2u)r - sqrt(spread/2). T = fl(r . weight), an inner product of at
@@ -618,25 +665,59 @@ def medoid_local_index(members: np.ndarray) -> int:
     T(1 - w) - m*sqrt(spread) with w = 4(m + 2)u: the factor four and the
     sqrt(2) on the spread term cover the higher-order terms and the rounding
     of the bounds themselves for any m*u < 2^-10. A row whose lower bound
-    exceeds the least upper bound has a sum above the minimum; every other
-    row gets its exact sum, so each row attaining the minimum is computed. A
-    NaN bound rules nothing out.
+    exceeds the least upper bound (or s0) has a sum above the minimum; every
+    other row gets its exact sum, so each row attaining the minimum is
+    computed. A NaN bound rules nothing out.
     """
     first, _, weight = distinct_rows(members)
     xd = members if len(first) == len(members) else members[first]
     md, m = len(xd), int(weight.sum())
+    ids = np.arange(md)
+
+    def exact_sum(i: int) -> float:
+        return math.fsum(np.repeat(_exact_dists(xd, np.full(md, i), xd, ids), weight))
+
+    sums = np.full(md, np.inf)
+    rows, s0 = ids, math.inf
+    bound = _axis_bound(xd, weight, m)
+    if bound is not None:
+        j0 = int(np.argmin(bound))
+        sums[j0] = s0 = exact_sum(j0)
+        rows = np.flatnonzero(~(bound > s0) & (ids != j0))
     w = 4 * (m + 2) * _U
-    upper_sum = np.empty(md)
-    lower_sum = np.empty(md)
-    for i0, upper, spread in _bracket_tiles(xd, xd):
+    upper_sum = np.empty(len(rows))
+    lower_sum = np.empty(len(rows))
+    for i0, upper, spread in _bracket_tiles(xd, xd, rows):
         t = np.sqrt(upper, out=upper) @ weight
         upper_sum[i0 : i0 + len(t)] = t * (1 + w)
         lower_sum[i0 : i0 + len(t)] = t * (1 - w) - m * np.sqrt(spread)
-    sums = np.full(md, np.inf)
-    ids = np.arange(md)
-    for i in np.flatnonzero(~(lower_sum > np.fmin.reduce(upper_sum))).tolist():
-        sums[i] = math.fsum(np.repeat(_exact_dists(xd, np.full(md, i), xd, ids), weight))
+    least = np.fmin.reduce(upper_sum, initial=s0)
+    for i in rows[~(lower_sum > least)].tolist():
+        sums[i] = exact_sum(i)
     return int(first[np.argmin(sums)])
+
+
+def _axis_bound(xd: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray | None:
+    """A lower bound on each row's exact distance sum from the one axis k of
+    widest range, sum over i of weight[i] * |x_k - xd[i, k]| widened for
+    rounding (module docstring); None when that axis holds a value that is
+    not finite or m * max |x_k| exceeds 2^1000."""
+    with np.errstate(all="ignore"):
+        k = int(np.argmax(xd.max(axis=0) - xd.min(axis=0)))
+        z = m * float(np.abs(xd[:, k]).max())
+    if not z <= 2.0**1000:
+        return None
+    order = np.argsort(xd[:, k], kind="stable")
+    v = xd[order, k]
+    w = weight[order]
+    # the rows up to each sorted position count at v minus their values, the
+    # rest at their values minus v: v(2W - m) + P_total - 2P over prefix sums
+    below = np.cumsum(w)
+    prefix = np.cumsum(w * v)
+    total = v * (2 * below - m) + (prefix[-1] - 2 * prefix)
+    out = np.empty(len(v))
+    out[order] = total * (1 - 8 * _U) - (4 * (len(v) + 4) * _U * z + m * 2.0**-508)
+    return out
 
 
 def cross_min_distances(

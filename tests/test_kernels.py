@@ -805,7 +805,7 @@ def test_medoid_duplicated_optimum_takes_the_lowest_copy(rng):
     assert medoid_local_index(x) == want
 
 
-def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule():
+def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule(monkeypatch):
     # every sum ties mathematically; rounding alone separates the rows
     for n in (12, 64, 257):
         angle = 2.0 * np.pi * np.arange(n) / n
@@ -815,6 +815,36 @@ def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule():
     for n in (2, 10, 400):
         line = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
         assert medoid_local_index(line) == exhaustive_medoid(line) == n // 2 - 1
+        # mirrored counts of 1 to 4 keep the exact tie under weights, so the
+        # middle point the axis bound does not pick must pass it to tie; in
+        # reverse order the other middle point's copy comes first
+        half = 1 + np.arange(n // 2) % 4
+        counts = np.concatenate([half, half[::-1]])
+        x = np.repeat(line, counts, axis=0)
+        for tile_bytes in (kernels.TILE_BYTES, 4096):
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            assert medoid_local_index(x) == exhaustive_medoid(x) == half[:-1].sum()
+            reverse = np.ascontiguousarray(x[::-1])
+            assert medoid_local_index(reverse) == exhaustive_medoid(reverse) == half[:-1].sum()
+        monkeypatch.undo()
+
+
+def test_medoid_of_non_finite_members_takes_the_first_nan_sum():
+    # np.argmin over every exact sum: a NaN member makes every sum NaN; an inf
+    # member's distance to itself is NaN (inf - inf) and every other sum is
+    # inf; squares that overflow make every sum inf, so the first row wins
+    nan, inf = math.nan, math.inf
+    cases = [
+        ([[0.0, 1.0], [nan, 0.0], [2.0, 0.0]], 0),
+        ([[0.0, 0.0], [1.0, 0.0], [inf, 0.0], [3.0, 0.0]], 2),
+        ([[0.0, 0.0], [inf, 0.0], [0.0, -inf], [1.0, 0.0]], 1),
+        ([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]], 0),
+    ]
+    with np.errstate(all="ignore"):
+        for rows, want in cases:
+            x = np.array(rows)
+            sums = [math.fsum(reference.row_dists(x, i)) for i in range(len(x))]
+            assert medoid_local_index(x) == np.argmin(sums) == want, rows
 
 
 def test_distinct_rows_compare_bytes_in_order_of_first_occurrence(monkeypatch):
@@ -854,7 +884,7 @@ def test_medoid_ties_between_distinct_rows_take_the_lowest_row_id(rng):
 
 def test_medoid_of_an_identical_wide_cluster_makes_one_exact_sum(monkeypatch):
     x = np.ones((2000, 2001))
-    got, sums = exact_sums(monkeypatch, x)
+    got, sums, _ = medoid_work(monkeypatch, x)
     assert got == 0
     assert sums == 1
 
@@ -874,20 +904,28 @@ def test_medoid_matches_exhaustive_fsum_across_scales(rng):
                 assert medoid_local_index(x) == exhaustive_medoid(x), (scale, d)
 
 
-def exact_sums(monkeypatch, x):
-    """(medoid_local_index(x), the exact sums it computed: pairs sent to
-    dists_to over the distinct member count)."""
-    pairs = []
-    real_dists_to = kernels.dists_to
+def medoid_work(monkeypatch, x):
+    """(medoid_local_index(x), the exact sums it computed, the rows its tiles
+    bounded): pairs sent to dists_to and pairs of _bracket_tiles' upper
+    bounds, each over the distinct member count."""
+    exact, bounded = [], []
+    real_dists_to, real_tiles = kernels.dists_to, kernels._bracket_tiles
 
     def counting(a, points):
-        pairs.append(len(points))
+        exact.append(len(points))
         return real_dists_to(a, points)
 
+    def tiles(*args):
+        for i0, upper, spread in real_tiles(*args):
+            bounded.append(upper.size)
+            yield i0, upper, spread
+
     monkeypatch.setattr(kernels, "dists_to", counting)
+    monkeypatch.setattr(kernels, "_bracket_tiles", tiles)
     got = medoid_local_index(x)
     monkeypatch.undo()
-    return got, sum(pairs) / len(kernels.distinct_rows(x)[0])
+    md = len(kernels.distinct_rows(x)[0])
+    return got, sum(exact) / md, sum(bounded) / md
 
 
 def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
@@ -896,9 +934,29 @@ def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
     # in 9-d as in 2-d, although 9-d distances concentrate
     for d in (2, 9):
         x = rng.normal(0.0, 1.0, size=(4000, d))
-        got, sums = exact_sums(monkeypatch, x)
+        got, sums, _ = medoid_work(monkeypatch, x)
         assert got == exhaustive_medoid(x)
         assert sums <= 10, d
+
+
+def test_medoid_rules_out_rows_by_the_widest_axis_before_the_tiles(rng, monkeypatch):
+    # one column spans the cluster and eight are constant: the axis bound is
+    # the exact sum up to rounding, so few rows reach the tiles, which alone
+    # would bound all n^2 pairs
+    n = 20_000
+    x = np.column_stack([rng.random(n), np.full((n, 8), 0.5)])
+    got, sums, screened = medoid_work(monkeypatch, x)
+    assert screened <= 10 and sums <= 10
+    # the two middle rows' sums differ from every other one by far more than
+    # rounding, so the exhaustive rule reduces to them
+    middle = np.argsort(x[:, 0])[n // 2 - 1 : n // 2 + 1].tolist()
+    assert got == min(middle, key=lambda i: (math.fsum(reference.row_dists(x, i)), i))
+    # far from the origin the tiles' band spans many sums, but the axis
+    # bound's error grows only with m * max |x| * md * u
+    line = 1e6 + rng.random((4000, 1))
+    got, sums, _ = medoid_work(monkeypatch, line)
+    assert got == exhaustive_medoid(line)
+    assert sums <= 30
 
 
 def one_hot_ids(rng, m):
@@ -913,7 +971,7 @@ def one_hot_ids(rng, m):
 
 def test_medoid_of_equidistant_one_hot_rows_computes_few_exact_sums(rng, monkeypatch):
     x = one_hot_ids(rng, 500)
-    got, sums = exact_sums(monkeypatch, x)
+    got, sums, _ = medoid_work(monkeypatch, x)
     assert got == exhaustive_medoid(x)
     assert sums <= 10
 
