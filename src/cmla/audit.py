@@ -328,6 +328,13 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         if sc.name == "generator":
             raise ConfigError(f"{source}: name 'generator' would write {name} with the "
                               "header generator,generator, which names one column twice")
+    # a label names data/<label>.csv and the report directory <label>/
+    for gen in sc.generators:
+        if gen.label in ("real", "data", "scenario_summary.json") or (
+            gen.label.startswith("heatmap_tau") and gen.label.endswith(".csv")
+        ):
+            raise ConfigError(f"{source}: generator label {gen.label!r} names a file that "
+                              "the scenario writes itself")
 
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(sc.seed)

@@ -7,8 +7,9 @@ table for debugging).
 
 Exit codes: 0 success, 1 failed verification or violated scenario ordering,
 2 bad input or configuration (a malformed CSV reports the loading stage that
-rejected it). Config precedence: flags override --config file values, which
-override the built-in defaults. A --config file is a JSON object keyed by the
+rejected it), or a file the system refuses to write, reported in one line.
+Config precedence: flags override --config file values, which override the
+built-in defaults. A --config file is a JSON object keyed by the
 audit settings' names (the flag names with underscores, and marks for --mark),
 read with exact JSON types like a scenario's audit section; null keeps the
 default. argparse converts the flags, and --mark takes a comma list.
@@ -174,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     except OrderingError as e:
         print(f"cmla: {e}", file=sys.stderr)
         return 1
-    except CmlaError as e:
+    except (CmlaError, OSError) as e:
         print(f"cmla: {e}", file=sys.stderr)
         return 2
     return 0

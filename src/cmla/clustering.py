@@ -10,11 +10,12 @@ which is the order of each cluster's lowest core row. All distances are
 euclidean on encoded vectors. eps and min_samples arrive resolved and checked
 by audit.AuditConfig; this module keeps no defaults of its own.
 
-Rows with equal bytes are clustered once (kernels.distinct_rows), in order
-of first occurrence and weighted by their count: a distinct row is core iff
-its neighbours' weights sum to at least min_samples, as in scikit-learn's
+Rows with equal bytes are merged once, in dbscan, in order of first
+occurrence and weighted by their count: a distinct row is core iff its
+neighbours' weights sum to at least min_samples, as in scikit-learn's
 DBSCAN(sample_weight=) (Pedregosa et al., JMLR 2011). Labels and the core
-mask go back to every copy.
+mask go back to every copy, and the labeling's weight keeps each count at
+the first copy for extract_medoids, which merges nothing itself.
 
 One stream of kernels' hit blocks (kernels.neighbor_lists) gives the core
 rows, the components of the eps-graph on them, which are the clusters' cores,
@@ -25,10 +26,11 @@ shorter than min_samples, so memory is O(n_distinct + non-core rows *
 min_samples) plus one tile.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
-cluster, ties to the lowest row id; kernels.medoid_local_index weighs each
-distinct member by its count and computes the exact sum only for rows that
-two lower bounds cannot rule out: a sorted one-axis bound in O(md log md),
-then the tile engine's band for the rows it keeps, against every member.
+cluster, ties to the lowest row id; kernels.medoid_local_index takes each
+cluster's distinct members with their counts and computes the exact sum only
+for rows that two lower bounds cannot rule out: a sorted one-axis bound in
+O(md log md), then the tile engine's band for the rows it keeps, against
+every member.
 """
 
 from __future__ import annotations
@@ -48,8 +50,13 @@ NOISE = -1
 
 @dataclass(eq=False)
 class ClusterLabeling:
+    """Per row: its label (NOISE or a cluster id), whether it is core, and its
+    weight, the number of rows with its bytes at the first of them and 0 at
+    each later copy. Copies share a label."""
+
     labels: np.ndarray
     core_mask: np.ndarray
+    weight: np.ndarray
     n_clusters: int
     eps: float
     model_hash: str
@@ -120,10 +127,13 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
     # a border row takes the label of its lowest core neighbour
     reached = border < len(first)
     labels[reached] = labels[border[reached]]
+    counts = np.zeros(len(x), dtype=weight.dtype)
+    counts[first] = weight
 
     return ClusterLabeling(
         labels=labels[inverse],
         core_mask=core[inverse],
+        weight=counts,
         n_clusters=len(roots),
         eps=eps,
         model_hash=matrix.model_hash,
@@ -134,7 +144,13 @@ def extract_medoids(
     matrix: EncodedMatrix, labeling: ClusterLabeling, table: DataTable
 ) -> MedoidSet:
     """Medoid per cluster: the member minimizing the sum of encoded distances
-    to its cluster, ties to the lowest row id. Noise rows are discarded."""
+    to its cluster, ties to the lowest row id. Noise rows are discarded.
+
+    Each cluster's rows of zero weight are dropped and the rest go to the
+    kernel with their weights, so this relies on the labeling's weight: a
+    row's count at its first copy, in the copies' shared cluster. dbscan
+    guarantees that. A weight of 1 on every row is always valid, whatever
+    the labels, since equal rows have equal sums."""
     if labeling.model_hash != matrix.model_hash:
         raise LineageError("labeling and matrix come from different encoding models")
     if len(labeling.labels) != len(matrix.vectors) or len(labeling.labels) != table.n_rows:
@@ -145,7 +161,8 @@ def extract_medoids(
     bounds = np.searchsorted(labeling.labels, np.arange(labeling.n_clusters + 1), sorter=order)
     for cid in range(labeling.n_clusters):
         members = order[bounds[cid] : bounds[cid + 1]]
-        local = kernels.medoid_local_index(matrix.vectors[members])
+        members = members[labeling.weight[members] > 0]
+        local = kernels.medoid_local_index(matrix.vectors[members], labeling.weight[members])
         row_id = int(members[local])
         medoids.append(
             Medoid(

@@ -38,18 +38,17 @@ pairs, then that exact comparison for the rest.
 - clustering.auto_eps needs only the median of the k-th-neighbour
   distances. kth_neighbor_median computes the k-th distance exactly for the
   rows that a grid of side r certifies, and the median from them alone.
-- Rows with equal bytes give equal distances, so distinct_rows merges them
-  where the work scales with their count: clustering.dbscan and
-  medoid_local_index run on distinct rows weighted by their counts. The
-  medoid kernel first bounds each row's exact (fsum) distance sum over the
-  m = sum(weight) members from below by its weighted L1 spread along the
-  one axis of widest range (the axis bound below): one sort of that column
-  and two prefix sums, O(md log md) for md distinct rows. The row with the
-  least bound gets its exact sum s0, and every row whose bound exceeds s0 is
-  ruled out. Only the rest reach the tiles: their weighted row sums
-  fl(sqrt(U)) . weight bound each sum from above and, less m*sqrt(spread),
-  from below, and only rows whose lower bound reaches the least upper bound
-  (or s0) get an exact sum.
+- Rows with equal bytes give equal distances, so clustering.dbscan merges
+  them once, and neighbor_lists and medoid_local_index take the distinct
+  rows with their counts as weights. The medoid kernel first bounds each
+  row's exact (fsum) distance sum over the m = sum(weight) members from
+  below by its weighted L1 spread along the one axis of widest range (the
+  axis bound below): one sort of that column and two prefix sums,
+  O(md log md) for md distinct rows. The row with the least bound gets its
+  exact sum s0, and every row whose bound exceeds s0 is ruled out. Only the
+  rest reach the tiles: their weighted row sums fl(sqrt(U)) . weight bound
+  each sum from above and, less m*sqrt(spread), from below, and only rows
+  whose lower bound reaches the least upper bound (or s0) get an exact sum.
 
 The band. Write u = 2^-53, d for the dimension and, for stored rows a and b,
 A = |a|^2, B = |b|^2, P = a.b and D^2 = |a - b|^2 = A + B - 2P in exact
@@ -635,18 +634,20 @@ def kth_neighbor_median(x: np.ndarray, k: int) -> float:
     return float(np.median(kth_neighbor_distances(x, k)))
 
 
-def medoid_local_index(members: np.ndarray) -> int:
-    """Index of the member minimizing the sum of distances to all members.
+def medoid_local_index(xd: np.ndarray, weight: np.ndarray) -> int:
+    """Index of the row of xd minimizing the sum of distances to all members,
+    where row i stands for weight[i] members (a positive integer count).
 
     Ties resolve to the lowest index, which is the lowest row id when callers
-    pass members in ascending row order. Duplicate members are merged
-    (distinct_rows), each weighted by its count; m = sum(weight). A row's sum
-    is exact: the fsum of its distances each repeated weight times, the
-    multiset of its sum over all members, so rows whose sums tie exactly
-    rank as equal, which a naive float sum could order either way. The pick
-    is np.argmin over the computed sums (inf for the rest), so when any sum
-    is NaN it is the first row whose sum is NaN, as an exhaustive scan with
-    np.argmin gives.
+    pass rows in ascending row order. clustering.dbscan merges byte-equal rows
+    once and extract_medoids passes each cluster's distinct rows with their
+    counts; a weight of 1 on rows that repeat is also valid, as equal rows
+    have equal sums. m = sum(weight). A row's sum is exact: the fsum of its
+    distances each repeated weight times, the multiset of its sum over all
+    members, so rows whose sums tie exactly rank as equal, which a naive
+    float sum could order either way. The pick is np.argmin over the
+    computed sums (inf for the rest), so when any sum is NaN it is the first
+    row whose sum is NaN, as an exhaustive scan with np.argmin gives.
 
     Two screens rule rows out before any exact sum. First the axis bound
     (module docstring): L(j) <= S(j) from the weighted L1 spread along the
@@ -669,8 +670,6 @@ def medoid_local_index(members: np.ndarray) -> int:
     other row gets its exact sum, so each row attaining the minimum is
     computed. A NaN bound rules nothing out.
     """
-    first, _, weight = distinct_rows(members)
-    xd = members if len(first) == len(members) else members[first]
     md, m = len(xd), int(weight.sum())
     ids = np.arange(md)
 
@@ -694,7 +693,7 @@ def medoid_local_index(members: np.ndarray) -> int:
     least = np.fmin.reduce(upper_sum, initial=s0)
     for i in rows[~(lower_sum > least)].tolist():
         sums[i] = exact_sum(i)
-    return int(first[np.argmin(sums)])
+    return int(np.argmin(sums))
 
 
 def _axis_bound(xd: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray | None:

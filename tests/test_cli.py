@@ -463,6 +463,14 @@ def test_generator_label_must_stay_inside_out(tmp_path, capsys, label):
     assert not work.exists()
 
 
+def relabel(label):
+    """A scenario change giving the first generator this label."""
+    def change(doc):
+        doc["generators"][0]["label"] = label
+        doc["expected_ordering"] = None
+    return change
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda doc: doc["expected_ordering"].update(tau=0.123),
      "expected_ordering.tau: threshold 0.123 is not on the grid"),
@@ -474,6 +482,9 @@ def test_generator_label_must_stay_inside_out(tmp_path, capsys, label):
      "the audit section: marks 0.1000002 and 0.1000004 would both write heatmap_tau0.1.csv"),
     (lambda doc: doc.update(name="generator"),
      "name 'generator' would write heatmap_tau0.1.csv with the header generator,generator"),
+    *[(relabel(label), f"generator label {label!r} names a file that the scenario writes itself")
+      for label in ["real", "data", "scenario_summary.json", "heatmap_tau0.1.csv",
+                    "heatmap_tau7.csv"]],
 ])
 def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, message):
     doc = scenario_doc(["memorizer", "independent"])
@@ -483,6 +494,27 @@ def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, messa
     assert main(["scenario", str(sp), "--out", str(tmp_path / "run")]) == 2
     assert f"cmla: scenario.json: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "data").exists()
+
+
+def test_unwritable_outputs_exit_2_with_one_line(csv_pair, tmp_path, capsys):
+    # exit 1 means a failed check; a path the OS refuses is bad input
+    synth, _ = csv_pair
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps(scenario_doc(["memorizer", "independent"])))
+    runs = {
+        "audit": (["audit", "--synthetic", str(synth), "--out", str(taken)], "File exists"),
+        "scenario": (["scenario", str(sp), "--out", str(taken)], "Not a directory"),
+        "encode": (["encode", "--synthetic", str(synth),
+                    "--out", str(tmp_path / "missing" / "x.csv")], "No such file or directory"),
+    }
+    for command, (argv, reason) in runs.items():
+        capsys.readouterr()
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("cmla: ") and reason in err[-1], command
+        assert not any("Traceback" in line for line in err), command
 
 
 def test_scenario_named_generator_runs_when_it_writes_no_heatmap(tmp_path):

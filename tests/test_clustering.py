@@ -136,7 +136,8 @@ def test_labels_match_the_graph_reference_on_edge_cases_in_every_setting(rng, mo
 
 
 def test_medoids_of_duplicated_rows_match_the_exhaustive_reference(rng, monkeypatch):
-    # the medoid kernel sums each distinct row once, weighted by its copies
+    # dbscan's weights let the medoid kernel sum each distinct row once,
+    # times its count
     for case, (x, eps, min_samples) in duplicate_cases(rng).items():
         labeling = cluster(x, eps=eps, min_samples=min_samples)
         assert labeling.n_clusters > 0, case
@@ -152,6 +153,8 @@ def test_a_row_repeated_min_samples_times_is_core_by_weight_alone():
     got = cluster(x, eps=1.0, min_samples=4)
     assert got.core_mask.tolist() == (x[:, 0] == 0.0).tolist()
     assert got.labels.tolist() == [-1, 0, -1, -1, 0, -1, 0, 0, -1]
+    # each count sits at the first copy
+    assert got.weight.tolist() == [3, 4, 0, 2, 0, 0, 0, 0, 0]
     want_labels, want_core = reference.eps_graph_clustering(x, 1.0, 4)
     np.testing.assert_array_equal(got.labels, want_labels)
     np.testing.assert_array_equal(got.core_mask, want_core)
@@ -229,6 +232,25 @@ def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch, tmp_pat
     assert all(math.isfinite(v) and v >= 0 for v in layers.values())
     assert layers["tables.load_csv.rows"] == len(x)
     assert layers["clustering.clusters"] >= 1
+
+
+def test_an_audit_finds_the_distinct_rows_once(monkeypatch, tmp_path):
+    # dbscan alone decides which rows are copies; the medoid stage takes its
+    # weights, at a fixed eps as at auto eps
+    calls = []
+    real = kernels.distinct_rows
+    monkeypatch.setattr(kernels, "distinct_rows", lambda x: calls.append(len(x)) or real(x))
+    x = clustered_cloud(np.random.default_rng(8), 200, 2, duplicates=0.2)
+    synth = tmp_path / "synth.csv"
+    write_csv(numeric_table(x, ["a", "b"]), synth)
+    for eps in ("0.5", "auto"):
+        calls.clear()
+        out = tmp_path / eps
+        argv = ["audit", "--synthetic", str(synth), "--out", str(out),
+                "--eps", eps, "--min-samples", "4"]
+        assert cli.main(argv) == 0
+        assert len((out / "medoids.csv").read_text().splitlines()) > 1, eps
+        assert calls == [len(x)], eps
 
 
 def test_two_separated_blobs_form_two_clusters():
@@ -371,13 +393,14 @@ def test_extract_medoids_of_many_clusters_match_a_scan_per_cluster(rng):
     labels = np.full(len(x), -1, dtype=np.int32)
     labels[:1800] = np.r_[np.arange(600), rng.integers(0, 600, size=1200)]
     labels = labels[rng.permutation(len(x))]
-    labeling = ClusterLabeling(labels, labels >= 0, 600, 0.5, "m0")
+    weight = np.ones(len(x), dtype=np.int64)
+    labeling = ClusterLabeling(labels, labels >= 0, weight, 600, 0.5, "m0")
     got = extract_medoids(matrix(x), labeling, numeric_table(x))
     assert len(got) == 600
     for cid, (medoid, size) in enumerate(zip(got.medoids, got.cluster_sizes)):
         members = np.flatnonzero(labels == cid)
         assert medoid.cluster_id == cid and size == len(members)
-        assert medoid.row_id == members[kernels.medoid_local_index(x[members])]
+        assert medoid.row_id == members[kernels.medoid_local_index(x[members], weight[members])]
 
 
 def test_extract_medoids_verifies_lineage(rng):

@@ -777,21 +777,33 @@ def test_kth_neighbor_distance_bounds():
         kth_neighbor_distances(x, 0)
 
 
+def ones(x):
+    return np.ones(len(x), dtype=np.int64)
+
+
 def test_medoid_local_index_hand_case():
     # sums of distances: 11, 10, 19, so the middle point wins
     members = np.array([[0.0], [1.0], [10.0]])
-    assert medoid_local_index(members) == 1
+    assert medoid_local_index(members, ones(members)) == 1
 
 
 def test_medoid_local_index_tie_takes_lowest():
+    # equal rows of weight 1 each are valid input: their sums are equal
     members = np.array([[1.0], [1.0], [1.0]])
-    assert medoid_local_index(members) == 0
+    assert medoid_local_index(members, ones(members)) == 0
 
 
 def exhaustive_medoid(x):
     """Lowest index with the smallest exact (fsum) distance sum."""
     sums = [math.fsum(reference.row_dists(x, i)) for i in range(len(x))]
     return sums.index(min(sums))
+
+
+def medoid_of_copies(x):
+    """The row of x whose copy medoid_local_index picks from x's distinct rows
+    and their counts, the input clustering.dbscan gives extract_medoids."""
+    first, _, weight = kernels.distinct_rows(x)
+    return int(first[medoid_local_index(x[first], weight)])
 
 
 def test_medoid_duplicated_optimum_takes_the_lowest_copy(rng):
@@ -802,7 +814,7 @@ def test_medoid_duplicated_optimum_takes_the_lowest_copy(rng):
     x[copies] = core[best]
     want = exhaustive_medoid(x)
     assert want == min(copies + [best])
-    assert medoid_local_index(x) == want
+    assert medoid_of_copies(x) == want
 
 
 def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule(monkeypatch):
@@ -810,11 +822,11 @@ def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule(monkeypatch):
     for n in (12, 64, 257):
         angle = 2.0 * np.pi * np.arange(n) / n
         polygon = np.column_stack([np.cos(angle), np.sin(angle)])
-        assert medoid_local_index(polygon) == exhaustive_medoid(polygon)
+        assert medoid_local_index(polygon, ones(polygon)) == exhaustive_medoid(polygon)
     # the two middle points tie exactly: the lower one wins
     for n in (2, 10, 400):
         line = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
-        assert medoid_local_index(line) == exhaustive_medoid(line) == n // 2 - 1
+        assert medoid_local_index(line, ones(line)) == exhaustive_medoid(line) == n // 2 - 1
         # mirrored counts of 1 to 4 keep the exact tie under weights, so the
         # middle point the axis bound does not pick must pass it to tie; in
         # reverse order the other middle point's copy comes first
@@ -823,9 +835,9 @@ def test_medoid_symmetric_layouts_keep_the_exhaustive_tie_rule(monkeypatch):
         x = np.repeat(line, counts, axis=0)
         for tile_bytes in (kernels.TILE_BYTES, 4096):
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-            assert medoid_local_index(x) == exhaustive_medoid(x) == half[:-1].sum()
+            assert medoid_of_copies(x) == exhaustive_medoid(x) == half[:-1].sum()
             reverse = np.ascontiguousarray(x[::-1])
-            assert medoid_local_index(reverse) == exhaustive_medoid(reverse) == half[:-1].sum()
+            assert medoid_of_copies(reverse) == exhaustive_medoid(reverse) == half[:-1].sum()
         monkeypatch.undo()
 
 
@@ -844,7 +856,7 @@ def test_medoid_of_non_finite_members_takes_the_first_nan_sum():
         for rows, want in cases:
             x = np.array(rows)
             sums = [math.fsum(reference.row_dists(x, i)) for i in range(len(x))]
-            assert medoid_local_index(x) == np.argmin(sums) == want, rows
+            assert medoid_local_index(x, ones(x)) == np.argmin(sums) == want, rows
 
 
 def test_distinct_rows_compare_bytes_in_order_of_first_occurrence(monkeypatch):
@@ -867,24 +879,24 @@ def test_medoid_of_rows_repeated_2_to_5_times_matches_exhaustive_fsum(rng, monke
         want = exhaustive_medoid(x)
         for tile_bytes in (kernels.TILE_BYTES, 4096):
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-            assert medoid_local_index(x) == want, (d, tile_bytes)
+            assert medoid_of_copies(x) == want, (d, tile_bytes)
 
 
 def test_medoid_ties_between_distinct_rows_take_the_lowest_row_id(rng):
     # 1 and 2 both sum to 5 and occur twice each: the first 2 is row 1
     line = np.array([[3.0], [2.0], [1.0], [0.0], [2.0], [1.0]])
-    assert medoid_local_index(line) == exhaustive_medoid(line) == 1
+    assert medoid_of_copies(line) == exhaustive_medoid(line) == 1
     # each vertex of a polygon repeated equally: the sums tie mathematically
     for n in (12, 64):
         angle = 2.0 * np.pi * np.arange(n) / n
         polygon = np.column_stack([np.cos(angle), np.sin(angle)])
         x = np.ascontiguousarray(np.tile(polygon, (3, 1))[rng.permutation(3 * n)])
-        assert medoid_local_index(x) == exhaustive_medoid(x)
+        assert medoid_of_copies(x) == exhaustive_medoid(x)
 
 
 def test_medoid_of_an_identical_wide_cluster_makes_one_exact_sum(monkeypatch):
-    x = np.ones((2000, 2001))
-    got, sums, _ = medoid_work(monkeypatch, x)
+    # 2000 copies of one row at d = 2001, as dbscan merges them
+    got, sums, _ = medoid_work(monkeypatch, np.ones((1, 2001)), np.array([2000]))
     assert got == 0
     assert sums == 1
 
@@ -892,7 +904,7 @@ def test_medoid_of_an_identical_wide_cluster_makes_one_exact_sum(monkeypatch):
 def test_medoid_with_a_far_outlier_and_a_dense_core(rng):
     x = rng.normal(0.0, 0.01, size=(400, 3))
     x[0] = [1e6, -1e6, 1e6]
-    assert medoid_local_index(x) == exhaustive_medoid(x)
+    assert medoid_local_index(x, ones(x)) == exhaustive_medoid(x)
 
 
 def test_medoid_matches_exhaustive_fsum_across_scales(rng):
@@ -901,13 +913,13 @@ def test_medoid_matches_exhaustive_fsum_across_scales(rng):
         for d in (1, 2, 9):
             x = clustered_cloud(rng, 150, d, duplicates=0.2) * scale
             with np.errstate(over="ignore", invalid="ignore"):
-                assert medoid_local_index(x) == exhaustive_medoid(x), (scale, d)
+                assert medoid_of_copies(x) == exhaustive_medoid(x), (scale, d)
 
 
-def medoid_work(monkeypatch, x):
-    """(medoid_local_index(x), the exact sums it computed, the rows its tiles
-    bounded): pairs sent to dists_to and pairs of _bracket_tiles' upper
-    bounds, each over the distinct member count."""
+def medoid_work(monkeypatch, xd, weight):
+    """(medoid_local_index(xd, weight), the exact sums it computed, the rows
+    its tiles bounded): pairs sent to dists_to and pairs of _bracket_tiles'
+    upper bounds, each over the distinct member count len(xd)."""
     exact, bounded = [], []
     real_dists_to, real_tiles = kernels.dists_to, kernels._bracket_tiles
 
@@ -922,10 +934,9 @@ def medoid_work(monkeypatch, x):
 
     monkeypatch.setattr(kernels, "dists_to", counting)
     monkeypatch.setattr(kernels, "_bracket_tiles", tiles)
-    got = medoid_local_index(x)
+    got = medoid_local_index(xd, weight)
     monkeypatch.undo()
-    md = len(kernels.distinct_rows(x)[0])
-    return got, sum(exact) / md, sum(bounded) / md
+    return got, sum(exact) / len(xd), sum(bounded) / len(xd)
 
 
 def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
@@ -934,7 +945,7 @@ def test_medoid_computes_few_exact_sums_on_a_large_cluster(rng, monkeypatch):
     # in 9-d as in 2-d, although 9-d distances concentrate
     for d in (2, 9):
         x = rng.normal(0.0, 1.0, size=(4000, d))
-        got, sums, _ = medoid_work(monkeypatch, x)
+        got, sums, _ = medoid_work(monkeypatch, x, ones(x))
         assert got == exhaustive_medoid(x)
         assert sums <= 10, d
 
@@ -945,7 +956,7 @@ def test_medoid_rules_out_rows_by_the_widest_axis_before_the_tiles(rng, monkeypa
     # would bound all n^2 pairs
     n = 20_000
     x = np.column_stack([rng.random(n), np.full((n, 8), 0.5)])
-    got, sums, screened = medoid_work(monkeypatch, x)
+    got, sums, screened = medoid_work(monkeypatch, x, ones(x))
     assert screened <= 10 and sums <= 10
     # the two middle rows' sums differ from every other one by far more than
     # rounding, so the exhaustive rule reduces to them
@@ -954,7 +965,7 @@ def test_medoid_rules_out_rows_by_the_widest_axis_before_the_tiles(rng, monkeypa
     # far from the origin the tiles' band spans many sums, but the axis
     # bound's error grows only with m * max |x| * md * u
     line = 1e6 + rng.random((4000, 1))
-    got, sums, _ = medoid_work(monkeypatch, line)
+    got, sums, _ = medoid_work(monkeypatch, line, ones(line))
     assert got == exhaustive_medoid(line)
     assert sums <= 30
 
@@ -971,7 +982,7 @@ def one_hot_ids(rng, m):
 
 def test_medoid_of_equidistant_one_hot_rows_computes_few_exact_sums(rng, monkeypatch):
     x = one_hot_ids(rng, 500)
-    got, sums, _ = medoid_work(monkeypatch, x)
+    got, sums, _ = medoid_work(monkeypatch, x, ones(x))
     assert got == exhaustive_medoid(x)
     assert sums <= 10
 
@@ -987,8 +998,9 @@ def test_medoid_of_a_wide_one_hot_cluster_stays_in_bounded_memory():
         "x = np.zeros((m, m + 1))\n"
         "x[np.arange(m), np.arange(m)] = 1.0\n"
         "x[:, m] = np.random.default_rng(7).random(m)\n"
-        "medoid_local_index(x[:10].copy())",
-        "medoid_local_index(x)",
+        "w = np.ones(m, dtype=np.int64)\n"
+        "medoid_local_index(x[:10].copy(), w[:10])",
+        "medoid_local_index(x, w)",
     )
     assert growth < 1.5 * 2000 * 2001 * 8 / 2**20
 
@@ -1024,10 +1036,10 @@ def test_results_do_not_depend_on_tile_size(rng, monkeypatch):
 
     def run():
         labeling = dbscan(matrix(x), 0.8, 5)
-        medoids = [
-            medoid_local_index(x[labeling.labels == cid])
-            for cid in range(labeling.n_clusters)
-        ]
+        medoids = []
+        for cid in range(labeling.n_clusters):
+            rows = (labeling.labels == cid) & (labeling.weight > 0)
+            medoids.append(medoid_local_index(x[rows], labeling.weight[rows]))
         return (
             kth_neighbor_distances(x, 5),
             hit_lists(x, 0.8),
