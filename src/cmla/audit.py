@@ -14,8 +14,10 @@ timing ever enters an emitted file.
 
 from __future__ import annotations
 
+import errno
 import logging
 import math
+import os
 import time
 from collections.abc import Iterator
 from contextlib import closing, contextmanager
@@ -129,6 +131,12 @@ def run_audit(
     else:
         grid = grid_override
     eps_mode = "auto" if config.eps is None else "fixed"
+    # the report stage makes the out directory; these two paths would fail
+    # there only after every other stage had run
+    if config.out is not None and "\0" in config.out:
+        raise ConfigError(f"out may not hold a NUL byte, got {config.out!r}")
+    if config.out is not None and Path(config.out).exists() and not Path(config.out).is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), config.out)
 
     with _stage(STAGE_LOAD_SYNTHETIC):
         synthetic = tables.load_csv(config.synthetic)

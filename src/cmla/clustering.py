@@ -21,9 +21,9 @@ One stream of kernels' hit blocks (kernels.neighbor_lists) gives the core
 rows, the components of the eps-graph on them, which are the clusters' cores,
 each rooted at its lowest row (Patwary et al., SC 2012), and each border
 point's lowest-index core neighbour, whose label it takes (Schubert et al.,
-TODS 2017). The pass keeps only the non-core rows' neighbour lists, each
-shorter than min_samples, so memory is O(n_distinct + non-core rows *
-min_samples) plus one tile.
+TODS 2017). The pass decides each border row inside the block where the
+later of it and its core neighbour streams and stores no neighbour list, so
+its memory is O(n_distinct) plus one tile, whatever min_samples.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index takes each

@@ -102,7 +102,7 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         # the label names the generator's table and report directory
-        if self.label in ("", ".", "..") or "/" in self.label or "\\" in self.label:
+        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
             raise ConfigError(f"generator label {self.label!r} must be a plain file name")
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")

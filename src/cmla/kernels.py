@@ -15,15 +15,18 @@ pairs, then that exact comparison for the rest.
 - The eps-graph is never stored whole. _hit_blocks yields it one block of
   rows at a time as a boolean hit matrix against ascending columns, decided
   by the tile test: row tiles against every row, or a block of grid cells
-  against their adjacent cells. neighbor_lists streams them once for DBSCAN.
-  A row with min_samples hits is core (every weight is at least one); any
-  other row's list is complete, its weight sum decides it, and only non-core
-  rows keep lists. Hits are symmetric bit for bit (fl(a - b) = -fl(b - a)),
-  so a block's core rows join only the core rows they hit in their own block
-  and in the blocks streamed before it, in a union-find whose roots are the
-  lowest rows: each core-core edge is joined when the later of its two
-  blocks streams, whatever the block order. Once the core mask is final,
-  each stored list gives its row's lowest core neighbour.
+  against their adjacent cells. neighbor_lists streams them once for DBSCAN
+  and stores no list: a row with min_samples hits is core (every weight is
+  at least one), and any other row's hits in its own block are all its
+  neighbours, so their weight sum decides it. Hits are symmetric bit for
+  bit (fl(a - b) = -fl(b - a)), so every pair is seen whole in the block of
+  whichever of its two rows streams later, when both rows are decided. A
+  block's core rows join only the core rows they hit there, in a union-find
+  whose roots are the lowest rows. Its non-core rows take their first core
+  column, the lowest core neighbour so far, and its core rows lower that
+  of the non-core rows of earlier blocks that they hit. So every core-core
+  edge and every core/non-core pair is settled whatever the block order,
+  and the pass holds O(n_distinct) entries plus one block.
 - The grid (_cell_map) gives each row one int64 code for its cell and sorts
   the rows by it. Every dimension whose occupied keys never differ by
   exactly one (a one-hot column at a radius below about 1/2) is a digit
@@ -495,12 +498,14 @@ def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarr
     """DBSCAN's core rows, their components and the border rows' lowest core
     neighbours from one stream of the hit blocks (module docstring). A row is
     core when the weights of its neighbours, itself included, sum to at least
-    min_samples."""
+    min_samples. No list outlives its block: besides the current block, the
+    pass holds one state, one parent and one border entry per row."""
     n = len(x)
-    core = np.zeros(n, dtype=bool)
+    # 0 until the row's block streams, then 1 for a non-core row, 2 for a core one
+    state = np.zeros(n, dtype=np.int8)
     parent = np.arange(n)
-    # the non-core rows, the lengths of their lists and the lists, by block
-    owners, lengths, lists = [], [], []
+    border = np.full(n, n)
+    lone = False  # whether a non-core row has streamed
     for rows, cols, hit in _hit_blocks(x, eps):
         count = hit.sum(axis=1, dtype=np.int32)
         row_core = count >= min_samples
@@ -508,23 +513,24 @@ def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarr
         if len(short):
             r, c = _pairs(hit[short])
             row_core[short] = np.bincount(r, weight[cols[c]], len(short)) >= min_samples
-            keep = ~row_core[short]
-            owners.append(rows[short[keep]])
-            lengths.append(count[short[keep]])
-            lists.append(cols[c[keep[r]]])
-        core[rows] = row_core
-        live = (hit if row_core.all() else hit[row_core]) & core[cols]
-        if len(live):
-            _join_hits(parent, rows[row_core], cols, live)
-    # each list ascends, so its first core entry, if any, is the lowest
-    border = np.full(n, n)
-    for rows, count, nb in zip(owners, lengths, lists):
-        end = np.cumsum(count)
-        at = np.append(np.flatnonzero(core[nb]), len(nb))
-        at = at[np.searchsorted(at, end - count)]
-        found = at < end
-        border[rows[found]] = nb[at[found]]
-    return EpsGraph(core, _roots(parent, np.arange(n)), border)
+        # the columns that are non-core rows of earlier blocks
+        done = np.flatnonzero(state[cols] == 1) if lone else ()
+        state[rows] = row_core + np.int8(1)
+        hot = state[cols] == 2
+        hits = hit if row_core.all() else hit[row_core]
+        if len(hits) < len(hit):
+            # columns ascend, so a non-core row's first core column is its
+            # lowest core neighbour among the rows streamed so far
+            lone = True
+            near = hit[~row_core] & hot
+            border[rows[~row_core]] = np.where(near.any(axis=1), cols[near.argmax(axis=1)], n)
+        if len(done):
+            # the later core neighbours of earlier non-core rows
+            r, c = _pairs(hits[:, done])
+            np.minimum.at(border, cols[done[c]], rows[row_core][r])
+        if len(hits):
+            _join_hits(parent, rows[row_core], cols, hits & hot)
+    return EpsGraph(state == 2, _roots(parent, np.arange(n)), border)
 
 
 def _join_hits(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, hit: np.ndarray) -> None:

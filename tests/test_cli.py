@@ -485,6 +485,7 @@ def relabel(label):
     *[(relabel(label), f"generator label {label!r} names a file that the scenario writes itself")
       for label in ["real", "data", "scenario_summary.json", "heatmap_tau0.1.csv",
                     "heatmap_tau7.csv"]],
+    (relabel("mem\0x"), "generators[0]: generator label 'mem\\x00x' must be a plain file name"),
 ])
 def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, message):
     doc = scenario_doc(["memorizer", "independent"])
@@ -496,25 +497,33 @@ def test_scenario_faults_exit_2_before_any_table(tmp_path, capsys, change, messa
     assert not (tmp_path / "run" / "data").exists()
 
 
-def test_unwritable_outputs_exit_2_with_one_line(csv_pair, tmp_path, capsys):
-    # exit 1 means a failed check; a path the OS refuses is bad input
+def test_unwritable_outputs_exit_2_with_one_line(csv_pair, tmp_path, caplog, capsys):
+    # exit 1 means a failed check; a path the OS refuses is bad input, and
+    # it is refused before the first stage
     synth, _ = csv_pair
     taken = tmp_path / "taken"
     taken.write_text("")
     sp = tmp_path / "scenario.json"
     sp.write_text(json.dumps(scenario_doc(["memorizer", "independent"])))
+    cfg = tmp_path / "nul.json"
+    cfg.write_text(json.dumps({"out": "o\u0000ut"}))
     runs = {
         "audit": (["audit", "--synthetic", str(synth), "--out", str(taken)], "File exists"),
+        "audit NUL": (["audit", "--synthetic", str(synth), "--config", str(cfg)],
+                      "out may not hold a NUL byte"),
         "scenario": (["scenario", str(sp), "--out", str(taken)], "Not a directory"),
         "encode": (["encode", "--synthetic", str(synth),
                     "--out", str(tmp_path / "missing" / "x.csv")], "No such file or directory"),
     }
     for command, (argv, reason) in runs.items():
         capsys.readouterr()
-        assert main(argv) == 2, command
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cmla"):
+            assert main(argv) == 2, command
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("cmla: ") and reason in err[-1], command
         assert not any("Traceback" in line for line in err), command
+        assert not [r for r in caplog.records if r.getMessage().startswith("stage")], command
 
 
 def test_scenario_named_generator_runs_when_it_writes_no_heatmap(tmp_path):

@@ -1,6 +1,7 @@
 """Distance kernels: exactness, the grid index, and the tile size."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -421,7 +422,7 @@ def test_grid_index_falls_back_to_brute_force_when_cell_keys_overflow(rng, monke
     assert [len(nb) for nb in grid] == [2] * 20 + [1] * 20 + [2] * 20
 
 
-def test_neighbor_lists_store_the_full_lists_of_non_core_rows_only(rng, monkeypatch):
+def test_neighbor_lists_give_each_row_the_reference_border(rng, monkeypatch):
     x = clustered_cloud(rng, 300, 3, duplicates=0.2)
     want = reference_neighbors(x, 0.7)
     assert max(map(len, want)) > 20 and min(map(len, want)) < 3
@@ -584,6 +585,59 @@ def test_border_row_takes_its_lowest_core_neighbour_when_a_higher_one_streams_fi
     core = reference.eps_graph_clustering(x, 1.0, 4)[1]
     assert core[[low, high]].all() and not core[row]
     assert labels[row] == labels[low] != labels[high]
+
+
+def test_border_rows_streamed_before_a_block_core_by_weight_alone_take_its_row(rng, monkeypatch):
+    # at eps 1 and min_samples 4, a row of weight two with a row of weight one
+    # 0.95 below it and another 0.99 above, each in the next cell: the middle
+    # row is core by its weights alone (three distinct neighbours), the outer
+    # two are border rows. With one grid cell per block, the lower row streams
+    # before the middle row's block, in which no row is core by count, and
+    # the upper row after it
+    side = kernels._cell_side(1.0)
+    middle = side * (10.0 * np.arange(20) + 0.5)
+    position = np.r_[middle - 0.95, middle, middle + 0.99]
+    perm = rng.permutation(len(position))
+    xd = position[perm][:, None]
+    weight = np.where(perm // 20 == 1, 2, 1)
+    low, mid, high = (np.argsort(perm)[20 * k : 20 * (k + 1)] for k in range(3))
+    monkeypatch.setattr(kernels, "TILE_BYTES", 8)
+    force_grid(monkeypatch, True)
+    block = {}
+    for k, (rows, cols, hit) in enumerate(kernels._hit_blocks(xd, 1.0)):
+        assert (hit.sum(axis=1) < 4).all()
+        block.update(dict.fromkeys(rows.tolist(), (k, len(rows))))
+    assert all(block[a][0] < block[b][0] < block[c][0] for a, b, c in zip(low, mid, high))
+    assert all(block[b][1] == 1 for b in mid)
+    graph = neighbor_lists(xd, 1.0, 4, weight)
+    lists = reference_neighbors(xd, 1.0)
+    core = np.array([weight[nb].sum() >= 4 for nb in lists])
+    assert core[mid].all() and core.sum() == 20
+    np.testing.assert_array_equal(graph.core, core)
+    np.testing.assert_array_equal(graph.border, reference_border(lists, core))
+    assert (graph.border[low] == mid).all() and (graph.border[high] == mid).all()
+    monkeypatch.undo()
+    assert_one_pass_matches_reference(monkeypatch, np.repeat(xd, weight, axis=0), 1.0, 4)
+
+
+def test_neighbor_lists_memory_does_not_grow_with_min_samples(rng):
+    # at min_samples 200 every row of this table is non-core, with about 150
+    # neighbours each; at 10 every row is core. The pass keeps one state and
+    # one border entry per row and one block at a time, so its peak is the
+    # same at both; keeping the non-core rows' neighbour lists would peak
+    # about 4x higher at 200
+    x = rng.random((4000, 3))
+    weight = np.ones(len(x), dtype=np.int64)
+    peaks = {}
+    for min_samples in (10, 200):
+        tracemalloc.start()
+        try:
+            graph = neighbor_lists(x, 0.2, min_samples, weight)
+            peaks[min_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.core.all() if min_samples == 10 else not graph.core.any()
+    assert peaks[200] <= 1.25 * peaks[10]
 
 
 def test_one_pass_joins_a_row_core_by_weight_alone_before_its_neighbours(rng, monkeypatch):
