@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, documents, encoding, harness, metrics, report as report_mod, tables
-from .errors import CmlaError, ConfigError, OrderingError, StageError
+from .errors import CmlaError, ConfigError, LoadError, OrderingError, StageError
 
 log = logging.getLogger("cmla")
 
@@ -131,12 +131,14 @@ def run_audit(
     else:
         grid = grid_override
     eps_mode = "auto" if config.eps is None else "fixed"
-    # the report stage makes the out directory; these two paths would fail
-    # there only after every other stage had run
+    # the report stage makes the out directory and load-real follows the
+    # medoids, so these paths would fail only after the stages before them
     if config.out is not None and "\0" in config.out:
         raise ConfigError(f"out may not hold a NUL byte, got {config.out!r}")
     if config.out is not None and Path(config.out).exists() and not Path(config.out).is_dir():
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), config.out)
+    if config.real is not None and not Path(config.real).is_file():
+        raise StageError(STAGE_LOAD_REAL, LoadError(f"no such file: {Path(config.real)}"))
 
     with _stage(STAGE_LOAD_SYNTHETIC):
         synthetic = tables.load_csv(config.synthetic)
@@ -236,14 +238,26 @@ def _emit_files(
     medoids: clustering.MedoidSet,
     synthetic: tables.DataTable,
 ) -> None:
+    """The one owner of an audit's --out layout: each file's name, header and
+    rows, each CSV written by one tables.write_rows call."""
     (out_dir / "report.json").write_text(report_mod.render_json(rpt), encoding="utf-8")
     (out_dir / "model.json").write_text(documents.render(model.to_json_dict()), encoding="utf-8")
-    clustering.write_labels_csv(labeling, out_dir / "labels.csv")
-    clustering.write_medoids_csv(medoids, synthetic, out_dir / "medoids.csv")
+    tables.write_rows(out_dir / "labels.csv", ["row_id", "label"],
+                      enumerate(labeling.labels.tolist()))
+    # a synthetic column named cluster_id, row_id or cluster_size repeats a
+    # header name, which load_csv refuses to read; the layout is kept as is
+    tables.write_rows(out_dir / "medoids.csv",
+                      ["cluster_id", "row_id", "cluster_size", *synthetic.schema.names],
+                      ([m.cluster_id, m.row_id, size, *m.raw]
+                       for m, size in zip(medoids.medoids, medoids.cluster_sizes)))
     if rpt.curves is not None:
-        report_mod.emit_curves_csv(rpt.grid, rpt.curves, out_dir / "curves.csv")
+        tables.write_rows(out_dir / "curves.csv", ["tau", "asr", "coverage"],
+                          zip(rpt.grid.taus, rpt.curves.asr, rpt.curves.coverage))
     if rpt.records is not None:
-        report_mod.write_dmin_records_csv(rpt.records, out_dir / "dmin_records.csv")
+        tables.write_rows(out_dir / "dmin_records.csv",
+                          ["cluster_id", "medoid_row_id", "d_min", "nearest_real_row_id"],
+                          ([r.cluster_id, r.medoid_row_id, r.d_min, r.nearest_real_row_id]
+                           for r in rpt.records))
 
 
 def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
@@ -357,10 +371,13 @@ def run_scenario(scenario_path: str | Path, out_dir: str | Path) -> ScenarioOutc
         log.info("auditing generator %s", label)
         reports[label] = run_audit(config).report
 
-    generator_reports = list(reports.values())
-    if any(rpt.curves is not None for rpt in generator_reports):
+    with_curves = [rpt for rpt in reports.values() if rpt.curves is not None]
+    if with_curves:
         for name, mark in heatmaps.items():
-            report_mod.write_heatmap_csv(generator_reports, mark, out / name)
+            tables.write_rows(out / name, ["generator", sc.name],
+                              ([rpt.meta.generator_label,
+                                rpt.curves.coverage[rpt.grid.index_of(mark)]]
+                               for rpt in with_curves))
 
     summary_doc = {
         "schema_version": 1,

@@ -36,14 +36,13 @@ every member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateGeometryError, LineageError
 from .encoding import EncodedMatrix
-from .tables import DataTable, write_rows
+from .tables import DataTable
 
 NOISE = -1
 
@@ -175,16 +174,3 @@ def extract_medoids(
     sizes = np.diff(bounds).tolist()
     return MedoidSet(medoids=medoids, cluster_sizes=sizes, model_hash=matrix.model_hash)
 
-
-def write_labels_csv(labeling: ClusterLabeling, path: str | Path) -> None:
-    write_rows(path, ["row_id", "label"], enumerate(labeling.labels.tolist()))
-
-
-def write_medoids_csv(medoids: MedoidSet, table: DataTable, path: str | Path) -> None:
-    """cluster_id, row_id, cluster_size, then the medoid's raw column values."""
-    write_rows(
-        path,
-        ["cluster_id", "row_id", "cluster_size", *table.schema.names],
-        ([m.cluster_id, m.row_id, size, *m.raw]
-         for m, size in zip(medoids.medoids, medoids.cluster_sizes)),
-    )

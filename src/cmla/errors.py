@@ -28,7 +28,7 @@ class LineageError(CmlaError):
 
 
 class CurveError(CmlaError):
-    """An emitted curve violates its monotonicity contract."""
+    """A report's curve breaks its laws: one value per threshold, in [0, 1], non-decreasing."""
 
 
 class OrderingError(CmlaError):

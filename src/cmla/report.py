@@ -1,4 +1,4 @@
-"""Leakage report assembly, serialization, and file emission.
+"""Leakage report assembly and serialization.
 
 The report is a versioned JSON document, report.json, and LeakageReport is
 its schema: its fields are the document's sections in order, and each
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from . import __version__, documents
 from .clustering import ClusterLabeling, MedoidSet
 from .errors import ConfigError, CurveError, LineageError
 from .metrics import DistanceRecord, DminSummary, MetricCurves, ThresholdGrid
-from .tables import write_rows
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_KIND = "leakage_report"
@@ -89,14 +86,24 @@ def build_report(
     curves: MetricCurves | None,
     records: list[DistanceRecord] | None,
 ) -> LeakageReport:
-    """Assemble the report, checking artifact lineage and deriving the
-    reference readouts from the curve values so they agree exactly."""
+    """Assemble the report, checking artifact lineage and the curve laws (one
+    value per grid threshold, both curves within [0, 1] and non-decreasing),
+    and deriving the reference readouts from the curve values so they agree
+    exactly."""
     if labeling.model_hash != meta.model_hash or medoids.model_hash != meta.model_hash:
         raise LineageError("report inputs come from different encoding models")
     if len(medoids) != labeling.n_clusters:
         raise LineageError("medoid count does not match the cluster count")
     readouts = None
     if curves is not None:
+        for name, values in (("asr", curves.asr), ("coverage", curves.coverage)):
+            v = np.asarray(values, dtype=np.float64)
+            if len(v) != len(grid.taus):
+                raise CurveError(f"{name} curve length does not match the grid")
+            if np.any(v < 0.0) or np.any(v > 1.0):
+                raise CurveError(f"{name} curve leaves [0, 1]")
+            if len(v) > 1 and np.any(np.diff(v) < 0.0):
+                raise CurveError(f"{name} curve is not non-decreasing")
         readouts = [
             ReferenceReadout(tau=grid.taus[i], asr=curves.asr[i], coverage=curves.coverage[i])
             for i in map(grid.index_of, grid.marks)
@@ -135,40 +142,6 @@ def format_summary_row(summary: DminSummary) -> str:
     return (
         f"M={s.count}, min={s.min:.4f}, mean={s.mean:.4f}, median={s.median:.4f}, "
         f"max={s.max:.4f}, p10={s.p10:.4f}, p90={s.p90:.4f}"
-    )
-
-
-def emit_curves_csv(grid: ThresholdGrid, curves: MetricCurves, path: str | Path) -> None:
-    """Write tau,asr,coverage rows, validating the curve laws on the way out:
-    one value per grid threshold, both curves within [0, 1] and
-    non-decreasing."""
-    for name, values in (("asr", curves.asr), ("coverage", curves.coverage)):
-        v = np.asarray(values, dtype=np.float64)
-        if len(v) != len(grid.taus):
-            raise CurveError(f"{name} curve length does not match the grid")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise CurveError(f"{name} curve leaves [0, 1]")
-        if len(v) > 1 and np.any(np.diff(v) < 0.0):
-            raise CurveError(f"{name} curve is not non-decreasing")
-    write_rows(path, ["tau", "asr", "coverage"], zip(grid.taus, curves.asr, curves.coverage))
-
-
-def write_dmin_records_csv(records: Sequence[DistanceRecord], path: str | Path) -> None:
-    write_rows(
-        path,
-        ["cluster_id", "medoid_row_id", "d_min", "nearest_real_row_id"],
-        ([r.cluster_id, r.medoid_row_id, r.d_min, r.nearest_real_row_id] for r in records),
-    )
-
-
-def write_heatmap_csv(reports: Sequence[LeakageReport], tau: float, path: str | Path) -> None:
-    """Coverage at grid threshold tau of reports on one dataset: a
-    generator,<dataset> header, then one row per report that has curves."""
-    write_rows(
-        path,
-        ["generator", reports[0].meta.dataset_label],
-        ([rpt.meta.generator_label, rpt.curves.coverage[rpt.grid.index_of(tau)]]
-         for rpt in reports if rpt.curves is not None),
     )
 
 

@@ -4,7 +4,9 @@ reads or writes.
 Every CSV that cmla writes (tables, labels, medoids, curves, distance
 records, heatmaps and the encode dump) goes through write_rows, in
 csv.writer's default dialect, and reads back through load_csv with the values
-written, floats bit for bit.
+written, floats bit for bit, unless its header names a column twice:
+medoids.csv does when a synthetic column is named cluster_id, row_id or
+cluster_size, and the encode dump when a feature is named row_id.
 
 The loader reads an RFC-4180 style format: comma delimiter, double-quote
 quoting, UTF-8, one mandatory header row. Column kinds are inferred unless a

@@ -741,6 +741,19 @@ def test_malformed_setting_fails_before_any_stage(csv_pair, tmp_path, caplog, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_a_missing_real_table_fails_before_any_stage(csv_pair, tmp_path, caplog, capsys):
+    synth, _ = csv_pair
+    missing = tmp_path / "nope.csv"
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        code = main(["audit", "--synthetic", str(synth), "--real", str(missing),
+                     "--out", str(tmp_path / "out"), "--eps", "0.05"])
+    assert code == 2
+    assert capsys.readouterr().err == f"cmla: error in stage load-real: no such file: {missing}\n"
+    assert not [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage")]
+    assert not (tmp_path / "out").exists()
+
+
 class Recorded(Exception):
     pass
 

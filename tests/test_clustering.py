@@ -14,8 +14,6 @@ from cmla.clustering import (
     auto_eps,
     dbscan,
     extract_medoids,
-    write_labels_csv,
-    write_medoids_csv,
 )
 from cmla.errors import ConfigError, DegenerateGeometryError, LineageError
 from cmla.tables import write_csv
@@ -194,7 +192,9 @@ def test_dbscan_stores_no_neighbour_list_for_a_core_row():
 
 def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch, tmp_path):
     # bench/tracing.py times layers by replacing cmla's module attributes, so
-    # each must exist, and dbscan must look neighbor_lists up at call time
+    # each must exist, and dbscan must look neighbor_lists up at call time;
+    # bench/run.py records kernels.thread_count() with every audit
+    assert callable(getattr(kernels, "thread_count", None))
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -426,20 +426,16 @@ def test_medoids_agree_with_the_exhaustive_reference(rng):
 
 def test_label_and_medoid_csv_emission(tmp_path):
     t = mixed_table(numeric={"x": [0.0, 0.1, 9.0]}, categorical={"c": ["u", "u", "v"]})
-    from cmla.encoding import encode, fit_encoding
+    synth, out = tmp_path / "t.csv", tmp_path / "out"
+    write_csv(t, synth)
+    argv = ["audit", "--synthetic", str(synth), "--out", str(out),
+            "--eps", "0.5", "--min-samples", "2"]
+    assert cli.main(argv) == 0
 
-    enc = encode(fit_encoding(t), t)
-    labeling = dbscan(enc, 0.5, 2)
-    medoids = extract_medoids(enc, labeling, t)
-
-    labels_path = tmp_path / "labels.csv"
-    write_labels_csv(labeling, labels_path)
-    lines = labels_path.read_text().splitlines()
+    lines = (out / "labels.csv").read_text().splitlines()
     assert lines[0] == "row_id,label"
     assert lines[1:] == ["0,0", "1,0", "2,-1"]
 
-    medoids_path = tmp_path / "medoids.csv"
-    write_medoids_csv(medoids, t, medoids_path)
-    lines = medoids_path.read_text().splitlines()
+    lines = (out / "medoids.csv").read_text().splitlines()
     assert lines[0] == "cluster_id,row_id,cluster_size,x,c"
     assert lines[1] == "0,0,2,0.0,u"

@@ -1,18 +1,19 @@
-"""Report assembly, JSON round-trips, CSV emission, and document diffs."""
+"""Report assembly, JSON round-trips, the report's CSV files, and document diffs."""
 
 import hashlib
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cmla import metrics
+from cmla.audit import AuditConfig, _emit_files, run_audit, run_scenario
 from cmla.clustering import dbscan, extract_medoids
 from cmla.documents import write
 from cmla.encoding import encode, fit_encoding
-from cmla.errors import ConfigError, CurveError, LineageError
+from cmla.errors import ConfigError, CurveError, LineageError, StageError
 from cmla.metrics import (
     DistanceRecord,
     DminSummary,
@@ -31,23 +32,25 @@ from cmla.report import (
     RunMeta,
     build_report,
     compare_reports,
-    emit_curves_csv,
     format_summary_row,
     render_json,
     report_from_dict,
-    write_dmin_records_csv,
-    write_heatmap_csv,
 )
+from cmla.tables import write_csv
 
 from conftest import numeric_table
 
 
-def small_pipeline(with_real=True, marks=(0.1, 0.5)):
-    """The inputs of build_report for a 7-row toy audit, and its curves."""
-    synth = numeric_table(
+def small_synthetic():
+    return numeric_table(
         [[v, 0.0] for v in (0.0, 0.1, 0.05, 2.0, 2.1, 2.05, 9.0)],
         names=["x", "y"],
     )
+
+
+def small_pipeline(with_real=True, marks=(0.1, 0.5)):
+    """The inputs of build_report for a 7-row toy audit, and its curves."""
+    synth = small_synthetic()
     model = fit_encoding(synth)
     mat = encode(model, synth)
     labeling = dbscan(mat, 0.2, 2)
@@ -82,6 +85,13 @@ def small_pipeline(with_real=True, marks=(0.1, 0.5)):
 
 def small_report(with_real=True, marks=(0.1, 0.5)):
     return build_report(*small_pipeline(with_real, marks))
+
+
+def emit_small_report(report, out_dir):
+    """Lay out report, one of small_report's, in out_dir as an audit's --out."""
+    synth = small_synthetic()
+    _, labeling, medoids, *_ = small_pipeline()
+    _emit_files(report, out_dir, fit_encoding(synth), labeling, medoids, synth)
 
 
 def test_render_parse_render_is_byte_stable():
@@ -286,11 +296,9 @@ def test_format_summary_row_frozen_string():
     )
 
 
-def test_emit_curves_csv_layout(tmp_path):
-    _, _, _, grid, _, curves, _ = small_pipeline()
-    p = tmp_path / "curves.csv"
-    emit_curves_csv(grid, curves, p)
-    lines = p.read_text().splitlines()
+def test_curves_csv_layout(tmp_path):
+    emit_small_report(small_report(), tmp_path)
+    lines = (tmp_path / "curves.csv").read_text().splitlines()
     assert lines[0] == "tau,asr,coverage"
     assert len(lines) == 252
     first = lines[1].split(",")
@@ -298,23 +306,39 @@ def test_emit_curves_csv_layout(tmp_path):
     assert float(first[1]) == 0.0
 
 
-def test_emit_curves_csv_enforces_curve_laws(tmp_path):
+def test_build_report_enforces_curve_laws():
+    meta, labeling, medoids, _, summary, _, records = small_pipeline()
     grid = ThresholdGrid([0.0, 0.1, 0.2])
     ok = [0.0, 0.5, 1.0]
-    p = tmp_path / "c.csv"
-    with pytest.raises(CurveError, match="leaves \\[0, 1\\]"):
-        emit_curves_csv(grid, MetricCurves([0.0, 0.5, 1.2], ok), p)
-    with pytest.raises(CurveError, match="not non-decreasing"):
-        emit_curves_csv(grid, MetricCurves([0.5, 0.1, 1.0], ok), p)
-    with pytest.raises(CurveError, match="length"):
-        emit_curves_csv(grid, MetricCurves([0.0, 1.0], ok), p)
+    for asr, message in (([0.0, 0.5, 1.2], "leaves \\[0, 1\\]"),
+                         ([0.5, 0.1, 1.0], "not non-decreasing"),
+                         ([0.0, 1.0], "length")):
+        with pytest.raises(CurveError, match=message):
+            build_report(meta, labeling, medoids, grid, summary, MetricCurves(asr, ok), records)
+
+
+def test_a_curve_that_breaks_its_laws_leaves_no_out_directory(tmp_path, monkeypatch):
+    synth, real, out = tmp_path / "synthetic.csv", tmp_path / "real.csv", tmp_path / "out"
+    write_csv(small_synthetic(), synth)
+    write_csv(numeric_table([[0.0, 0.0], [2.4, 0.0]], names=["x", "y"]), real)
+
+    def falling(profile, grid):
+        curves = curves_from_profile(profile, grid)
+        return MetricCurves(curves.asr[::-1], curves.coverage)
+
+    monkeypatch.setattr(metrics, "curves_from_profile", falling)
+    with pytest.raises(StageError) as exc:
+        run_audit(AuditConfig(synthetic=str(synth), real=str(real), out=str(out),
+                              eps=0.2, min_samples=2))
+    assert exc.value.stage == "report"
+    assert str(exc.value.cause) == "asr curve is not non-decreasing"
+    assert not out.exists()
 
 
 def test_dmin_records_csv(tmp_path):
     report = small_report()
-    p = tmp_path / "records.csv"
-    write_dmin_records_csv(report.records, p)
-    lines = p.read_text().splitlines()
+    emit_small_report(report, tmp_path)
+    lines = (tmp_path / "dmin_records.csv").read_text().splitlines()
     assert lines[0] == "cluster_id,medoid_row_id,d_min,nearest_real_row_id"
     assert len(lines) == 1 + len(report.records)
     cells = lines[1].split(",")
@@ -322,27 +346,42 @@ def test_dmin_records_csv(tmp_path):
     assert float(cells[2]) == report.records[0].d_min
 
 
-def test_heatmap_cell_and_csv(tmp_path):
-    report = small_report()
-    other = small_report()
-    other.meta = replace(other.meta, generator_label="other")
-    other.curves.coverage[other.grid.index_of(0.5)] = 0.25
-    p = tmp_path / "heat.csv"
-    write_heatmap_csv([report, other], 0.5, p)
-    coverage = float(report.curves.coverage[report.grid.index_of(0.5)])
-    assert p.read_bytes() == f"generator,demo\r\ntoy,{coverage!r}\r\nother,0.25\r\n".encode()
+@pytest.fixture(scope="module")
+def heatmap_run(tmp_path_factory):
+    """A scenario whose generator 'none' draws fewer rows than min_samples,
+    so that its audit finds no cluster and gives no curves."""
+    tmp = tmp_path_factory.mktemp("heatmap")
+    sp = tmp / "scenario.json"
+    sp.write_text(json.dumps({
+        "name": "demo",
+        "seed": 5,
+        "real": {"n_rows": 120, "numeric_columns": ["x"], "categorical_columns": {},
+                 "components": [{"weight": 1.0, "means": [0.0], "sigma": 1.0}]},
+        "generators": [
+            {"label": "toy", "kind": "memorizer", "n_samples": 60},
+            {"label": "none", "kind": "memorizer", "n_samples": 3},
+            {"label": "other", "kind": "independent", "n_samples": 60},
+        ],
+        "audit": {"eps": 0.1, "min_samples": 5, "marks": [0.1, 0.5]},
+    }))
+    return run_scenario(sp, tmp / "run")
 
 
-def test_heatmap_requires_curves(tmp_path):
+def test_heatmap_cell_and_csv(heatmap_run):
+    def cell(label):
+        rpt = heatmap_run.reports[label]
+        return rpt.curves.coverage[rpt.grid.index_of(0.5)]
+
+    assert cell("toy") != cell("other")
+    text = f"generator,demo\r\ntoy,{cell('toy')!r}\r\nother,{cell('other')!r}\r\n"
+    assert (heatmap_run.out_dir / "heatmap_tau0.5.csv").read_bytes() == text.encode()
+
+
+def test_heatmap_requires_curves(heatmap_run):
     # a report without curves gets no row
-    p = tmp_path / "heat.csv"
-    write_heatmap_csv([small_report(with_real=False), small_report()], 0.1, p)
-    assert [line.split(",")[0] for line in p.read_text().splitlines()] == ["generator", "toy"]
-
-
-def test_off_grid_readout_is_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="not on the grid"):
-        write_heatmap_csv([small_report()], 0.123, tmp_path / "heat.csv")
+    assert heatmap_run.reports["none"].curves is None
+    lines = (heatmap_run.out_dir / "heatmap_tau0.1.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["generator", "toy", "other"]
 
 
 def test_rendered_floats_survive_json_exactly():

@@ -1,16 +1,16 @@
 """CSV loading, schema inference, and round trips."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from cmla import tables
-from cmla.audit import AuditConfig, run_audit
+from cmla.audit import AuditConfig, run_audit, run_scenario
 from cmla.cli import main
 from cmla.encoding import encode, fit_encoding
 from cmla.errors import LoadError, SchemaError
-from cmla.report import write_heatmap_csv
 from cmla.tables import (
     CATEGORICAL,
     NUMERIC,
@@ -396,10 +396,20 @@ def test_every_csv_cmla_writes_reads_back_with_the_values_written(tmp_path, rng)
     for name in ("cluster_id", "medoid_row_id", "d_min", "nearest_real_row_id"):
         assert bits(cols[name]) == bits([getattr(r, name) for r in rpt.records])
 
-    write_heatmap_csv([rpt], 0.1, tmp_path / "heatmap.csv")
-    cols = read_back(tmp_path / "heatmap.csv")
-    assert cols["generator"] == ["synthetic"]
-    assert bits(cols["real"]) == bits([rpt.curves.coverage[rpt.grid.index_of(0.1)]])
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps({
+        "name": "real", "seed": 3,
+        "real": {"n_rows": 60, "numeric_columns": ["x"], "categorical_columns": {},
+                 "components": [{"weight": 1.0, "means": [0.0], "sigma": 1.0}]},
+        "generators": [{"label": "synthetic", "kind": "noised", "n_samples": 60, "sigma": 0.1},
+                       {"label": "other", "kind": "independent", "n_samples": 60}],
+        "audit": {"eps": 0.1, "min_samples": 3},
+    }))
+    reports = run_scenario(sp, tmp_path / "run").reports
+    cols = read_back(tmp_path / "run" / "heatmap_tau0.1.csv")
+    assert cols["generator"] == ["synthetic", "other"]
+    assert bits(cols["real"]) == bits([r.curves.coverage[r.grid.index_of(0.1)]
+                                       for r in reports.values()])
 
     assert main(["encode", "--synthetic", str(synth), "--out", str(tmp_path / "enc.csv")]) == 0
     cols = read_back(tmp_path / "enc.csv")
