@@ -172,6 +172,10 @@ def run_audit(
                 profile = metrics.proximity_profile_gower(
                     medoids, blocks, encoding.numeric_ranges(model)
                 )
+                work = profile.gower
+                log.info("gower: %d exact pairs of %d medoid-row pairs; "
+                         "%d of %d blocks scanned in full",
+                         work.pairs, work.cross, work.scanned, work.blocks)
             else:
                 profile = metrics.proximity_profile(
                     medoids, encoding.encode_chunks(model, blocks)

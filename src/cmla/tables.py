@@ -16,14 +16,15 @@ distinct cell values in first-appearance order. A missing cell in a numeric
 column is a load error; the empty string is a legitimate category. The loader
 never imputes, drops, or deduplicates rows.
 
-The file is read in blocks of lines, about BLOCK_BYTES characters each
-(readlines' size hint). A block in the plain form, with no quote, NUL or bare
-CR, one line ending throughout (LF or CRLF), n_cols - 1 commas on every line,
-no line longer than csv's field limit and, in a one-column table, no blank
-line, is cut into cells with one str.split. The first block that is not
-plain, and every line after it, goes through csv.reader, so quoting, ragged
-rows and their errors are csv.reader's. Error rows count over the whole file
-either way.
+The file is read in blocks: one read of BLOCK_BYTES characters, completed
+to the end of its last line. A block in the plain form, with no quote, NUL or
+bare CR, one line ending throughout (LF or CRLF), n_cols - 1 commas on every
+line, no line longer than csv's field limit and, in a one-column table, no
+blank line, is checked by a few NumPy passes over its bytes and cut into
+cells with one str.split, without an object per line. The first block that is
+not plain, and every line after it, goes through csv.reader, so quoting,
+ragged rows and their errors are csv.reader's. Error rows count over the
+whole file either way.
 
 Each column keeps its state from block to block: its cells are parsed as
 decimals, none twice, up to the first non-empty cell that is not one. That
@@ -38,11 +39,12 @@ numbers load_csv gives.
 from __future__ import annotations
 
 import csv
+import io
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import TextIO
 
@@ -53,7 +55,7 @@ from .errors import LoadError, SchemaError
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# The reader reads lines in blocks of about this many characters.
+# The reader reads blocks of this many characters, completed to a line end.
 BLOCK_BYTES = 1 << 20
 # Rows that write_csv formats at a time.
 WRITE_ROWS = 1 << 14
@@ -273,27 +275,39 @@ class _Column:
         return ColumnSpec(name, CATEGORICAL, tuple(self.vocab))
 
 
-def _split(lines: list[str], n_cols: int) -> list[str] | None:
+def _split(text: str, n_cols: int) -> list[str] | None:
     """A block's cells in row order, or None when csv.reader must read it:
     when the block has a quote, a NUL or a bare CR, mixes LF and CRLF, has a
     line without exactly n_cols - 1 commas or one longer than csv's field
     limit, or is a one-column block with a blank line (csv.reader's 0-field
-    row)."""
-    text = "".join(lines)
+    row). The commas are checked on the block's UTF-8 bytes, in which a comma
+    or a line feed is never part of another character: every n_cols-th of
+    its separators must be a line end, and no other."""
     if '"' in text or "\0" in text:
         return None
     end = "\r\n" if "\r" in text else "\n"
     flat = text.replace(end, ",")
     if "\r" in flat or "\n" in flat:
         return None
-    if set(map(str.count, lines, repeat(","))) != {n_cols - 1}:
+    if n_cols == 1 and (text.startswith(end) or end + end in text):
         return None
-    if n_cols == 1 and end in lines:
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    ends = raw[seps] == ord("\n")
+    if not text.endswith(end):
+        ends = np.append(ends, True)
+    rows = len(ends) // n_cols
+    if len(ends) != rows * n_cols or ends.sum() != rows or not ends[n_cols - 1 :: n_cols].all():
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    # line lengths in bytes, at least those in characters
+    limit = csv.field_size_limit()
+    feeds = seps[ends[: len(seps)]]
+    if len(raw) > limit and np.diff(feeds, prepend=-1, append=len(raw)).max() > limit:
         return None
+    # the checks' arrays go before the cells are made
+    del raw, seps, ends, feeds
     cells = flat.split(",")
-    if lines[-1].endswith(end):
+    if text.endswith(end):
         cells.pop()
     return cells
 
@@ -339,18 +353,22 @@ class _Reader:
 
     def blocks(self) -> Iterator[list[np.ndarray]]:
         n_cols = len(self.header)
-        while lines := self.fh.readlines(BLOCK_BYTES):
-            cells = _split(lines, n_cols)
+        while text := self.fh.read(BLOCK_BYTES):
+            if not text.endswith("\n"):
+                text += self.fh.readline()
+            cells = _split(text, n_cols)
             if cells is None:
-                # From here on csv.reader reads everything: a quoted field may
-                # hold a line break that readlines split across blocks.
+                # From here on csv.reader reads everything, one line at a
+                # time: a quoted field may hold a line break that the read
+                # split across blocks.
+                lines = io.StringIO(text, newline="").readlines()
                 yield from self._csv_blocks(chain(lines, self.fh), len(lines))
                 return
             for j, column in enumerate(self.columns):
                 column.feed(cells[j::n_cols])
-            self.rows += len(lines)
+            self.rows += len(cells) // n_cols
             # the block's cells go before the next block is read
-            del lines, cells
+            del text, cells
             yield [column.take() for column in self.columns]
 
     def _csv_blocks(self, lines: Iterable[str], size: int) -> Iterator[list[np.ndarray]]:

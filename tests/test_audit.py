@@ -180,6 +180,19 @@ def test_a_failing_stage_logs_its_elapsed_time(tmp_path, caplog):
     assert not (out / "report.json").exists()
 
 
+def test_a_gower_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog):
+    synth, real = write_tables(tmp_path)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        result = run_audit(AuditConfig(synthetic=str(synth), real=str(real), out=str(out),
+                                       eps=0.05, min_samples=5, metric="gower"))
+    cross = len(result.medoids) * result.report.meta.n_real_rows
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(re.fullmatch(rf"gower: \d+ exact pairs of {cross} medoid-row pairs; "
+                            r"\d+ of 1 blocks scanned in full", m) for m in messages)
+    assert "exact pairs" not in (out / "report.json").read_text()
+
+
 def test_verify_report_file_clean_and_tampered(tmp_path):
     synth, real = write_tables(tmp_path)
     out = tmp_path / "out"

@@ -9,7 +9,8 @@ from cmla.encoding import (
     encode,
     fit_encoding,
     fit_pca,
-    gower_to_table,
+    gower_cells,
+    gower_fold,
     numeric_ranges,
 )
 from cmla.errors import ConfigError, SchemaError
@@ -162,35 +163,50 @@ def test_pca_zero_variance_explains_nothing():
     assert pca.explained.tolist() == [0.0]
 
 
+def gower_to_rows(row, table, ranges):
+    """gower_fold of one raw row against every row of a table."""
+    cells = gower_cells(table.schema, [row])
+    return gower_fold(table.schema, ranges, table.columns, cells, np.empty((2, table.n_rows)))
+
+
 def test_gower_hand_value():
     t = mixed_table(numeric={"x": [1.0, 2.0]}, categorical={"c": ["u", "v"]})
     ranges = {"x": (0.0, 4.0)}
     # |1 - 2| / 4 = 0.25 on the numeric, 1 on the mismatch: mean 0.625
-    assert gower_to_table(t.row(0), t, ranges, np.empty((2, 2))).tolist() == [0.0, 0.625]
+    assert gower_to_rows(t.row(0), t, ranges).tolist() == [0.0, 0.625]
 
 
 def test_gower_clamps_and_ignores_empty_ranges():
     t = mixed_table(numeric={"x": [0.0, 100.0], "y": [5.0, 9.0]})
     ranges = {"x": (0.0, 10.0), "y": (3.0, 3.0)}
     # x overshoots the range (clamped to 1), y has no range (contributes 0)
-    assert gower_to_table(t.row(0), t, ranges, np.empty((2, 2))).tolist() == [0.0, 0.5]
+    assert gower_to_rows(t.row(0), t, ranges).tolist() == [0.0, 0.5]
 
 
-def test_gower_to_table_matches_pairwise_loop(rng):
+def test_gower_fold_matches_pairwise_loop(rng):
     table = mixed_table(
         numeric={"x": rng.uniform(0, 10, 20), "y": rng.uniform(-5, 5, 20)},
         categorical={"c": [str(v) for v in rng.integers(0, 3, 20)]},
     )
     ranges = {"x": (0.0, 10.0), "y": (-5.0, 5.0)}
     probe = (3.3, 0.7, "1")
-    d = gower_to_table(probe, table, ranges, np.empty((2, 20)))
+    d = gower_to_rows(probe, table, ranges)
     for j in range(table.n_rows):
         assert d[j] == reference.gower_pair(probe, table.row(j), table.schema, ranges)
+    # the same pairs with both sides given per pair, as the window kernel does
+    rows = rng.integers(0, 20, 50)
+    probes = [table.row(int(i)) for i in rng.integers(0, 20, 50)]
+    cells = gower_cells(table.schema, probes)
+    d = gower_fold(table.schema, ranges, [c[rows] for c in table.columns], cells,
+                   np.empty((2, 50)))
+    for j, (i, probe) in enumerate(zip(rows, probes)):
+        assert d[j] == reference.gower_pair(probe, table.row(int(i)), table.schema, ranges)
 
 
-def test_gower_to_table_with_unseen_category_counts_every_row_as_mismatch():
+def test_gower_fold_with_unseen_category_counts_every_row_as_mismatch():
     table = mixed_table(categorical={"c": ["a", "b"]})
-    d = gower_to_table(("z",), table, {}, np.empty((2, 2)))
+    assert gower_cells(table.schema, [("z",)])[0].tolist() == [-1]
+    d = gower_to_rows(("z",), table, {})
     assert d.tolist() == [1.0, 1.0]
 
 
@@ -201,14 +217,14 @@ def test_real_only_category_is_a_zero_block_and_a_gower_mismatch(tmp_path):
     real = load_csv(tmp_path / "real.csv", synth.schema)
     model = fit_encoding(synth)
     assert encode(model, real).vectors.tolist() == [[0.5, 0.0, 0.0], [0.5, 1.0, 0.0]]
-    d = gower_to_table((0.5, "a"), real, numeric_ranges(model), np.empty((2, 2)))
+    d = gower_to_rows((0.5, "a"), real, numeric_ranges(model))
     assert d.tolist() == [0.5, 0.0]
 
 
 def test_gower_row_length_validation():
     table = mixed_table(numeric={"x": [1.0]})
     with pytest.raises(SchemaError):
-        gower_to_table((1.0, "extra"), table, {"x": (0.0, 1.0)}, np.empty((2, 1)))
+        gower_to_rows((1.0, "extra"), table, {"x": (0.0, 1.0)})
 
 
 def test_encode_rows_align_with_table_rows():

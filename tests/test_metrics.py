@@ -1,11 +1,14 @@
 """Threshold grids, nearest-real profiles, ASR and coverage, summaries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cmla import metrics, tables
 from cmla.audit import AuditConfig
+from cmla.clustering import Medoid, MedoidSet
 from cmla.errors import ConfigError, LineageError
 from cmla.metrics import (
     ThresholdGrid,
@@ -166,6 +169,114 @@ def test_gower_profile_hand_case():
     assert profile.records[0].d_min == 0.125
     assert profile.records[0].nearest_real_row_id == 0
     assert profile.per_real_min.tolist() == [0.125, 0.875]
+
+
+def raw_medoids(rows) -> MedoidSet:
+    meds = [Medoid(cluster_id=i, row_id=i, vector=np.zeros(1), raw=tuple(row))
+            for i, row in enumerate(rows)]
+    return MedoidSet(medoids=meds, cluster_sizes=[1] * len(meds), model_hash="m0")
+
+
+def gower_double_loop(rows, table, ranges):
+    """d_min, the lowest nearest row and each row's minimum over the medoids,
+    by reference.gower_pair on every pair."""
+    real = [table.row(j) for j in range(table.n_rows)]
+    d = np.array([[reference.gower_pair(row, x, table.schema, ranges) for x in real]
+                  for row in rows])
+    return d.min(axis=1), d.argmin(axis=1), d.min(axis=0)
+
+
+def assert_profile_is(profile, want):
+    d_min, nearest, per_real = want
+    assert [r.d_min for r in profile.records] == d_min.tolist()
+    assert [r.nearest_real_row_id for r in profile.records] == nearest.tolist()
+    assert profile.per_real_min.tolist() == per_real.tolist()
+
+
+def gower_shape(name, rng, n=240, m=48):
+    """A real table, medoid rows and ranges of one shape. Numeric cells sit
+    on a coarse grid, so distances tie; the ranges miss the tails, so terms
+    clamp; one medoid in eight carries an unseen category."""
+    numeric, categorical = {
+        "one-axis": (1, [2, 2, 2, 2]),
+        "five-numeric": (5, []),
+        "thousand-categories": (3, [1000]),
+        "two-three-category": (5, [3, 3]),
+    }[name]
+    cols = {f"x{j}": np.round(rng.standard_normal(n + m), 1) for j in range(numeric)}
+    cats = {f"c{j}": [f"k{v}" for v in rng.integers(0, size, n + m)]
+            for j, size in enumerate(categorical)}
+    table = mixed_table(numeric={k: v[:n] for k, v in cols.items()},
+                        categorical={k: v[:n] for k, v in cats.items()})
+    ranges = {k: (float(np.quantile(v[:n], 0.1)), float(np.quantile(v[:n], 0.9)))
+              for k, v in cols.items()}
+    if numeric > 1:
+        ranges["x0"] = (0.5, 0.5)  # the axis is the first column with a range
+    rows = []
+    for i in range(m):
+        row = [float(cols[k][n + i]) for k in cols] + [cats[k][n + i] for k in cats]
+        if categorical and i % 8 == 0:
+            row[-1] = "unseen"
+        rows.append(tuple(row))
+    return table, rows, ranges
+
+
+@pytest.mark.parametrize("windows", [False, True], ids=["cost-rule", "windows"])
+@pytest.mark.parametrize("block_bytes", [1, 64, tables.BLOCK_BYTES])
+@pytest.mark.parametrize("shape", ["one-axis", "five-numeric", "thousand-categories",
+                                   "two-three-category"])
+def test_gower_profile_equals_a_double_loop_bit_for_bit(tmp_path, monkeypatch, rng, shape,
+                                                        block_bytes, windows):
+    table, rows, ranges = gower_shape(shape, rng)
+    want = gower_double_loop(rows, table, ranges)
+    path = tmp_path / "real.csv"
+    tables.write_csv(table, path)
+    monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
+    if windows:
+        monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: True)
+    profile = proximity_profile_gower(raw_medoids(rows), tables.read_blocks(path, table.schema),
+                                      ranges)
+    assert_profile_is(profile, want)
+    work = profile.gower
+    assert work.cross == len(rows) * table.n_rows
+    if windows:
+        assert work.scanned == 0
+
+
+def test_gower_windows_keep_a_tie_on_the_edge_of_a_medoids_window():
+    # Row 1 is the medoid at 0's nearest row on the axis, and row 0, on the
+    # other side, ties it: |x| / R rounds to the same float for both. Row 0
+    # lies past fl(D * R), the window that the bound (k + t) / C <= D gives
+    # without its rounding margins, so only the margins keep it, and with it
+    # the lowest nearest row.
+    width = 1.4670955493330347
+    near, tie = 0.06231225029749548, 0.062312250297495486
+    assert near / width == tie / width and tie > (near / width) * width
+    x = [-tie, near] + [10.0 * i + 0.001 * j for i in range(1, 100) for j in range(2)]
+    table = mixed_table(numeric={"x": x})
+    rows = [(0.0,)] + [(10.0 * i,) for i in range(1, 100)]
+    ranges = {"x": (0.0, width)}
+    profile = proximity_profile_gower(raw_medoids(rows), [table], ranges)
+    assert profile.gower.scanned == 0
+    assert profile.records[0].nearest_real_row_id == 0
+    assert_profile_is(profile, gower_double_loop(rows, table, ranges))
+
+
+@pytest.mark.parametrize("windows", [False, True], ids=["scan", "windows"])
+def test_gower_reduction_memory_does_not_grow_with_the_medoids(rng, monkeypatch, windows):
+    table, rows, ranges = gower_shape("one-axis", rng, n=20_000, m=200)
+    monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: windows)
+    peaks = {}
+    for m in (10, 200):
+        medoids = raw_medoids(rows[:m])
+        tracemalloc.start()
+        try:
+            profile = proximity_profile_gower(medoids, [table], ranges)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.gower.scanned == (not windows)
+    assert peaks[200] <= 1.25 * peaks[10]
 
 
 def test_curves_from_profile_carries_counts(rng):
