@@ -23,7 +23,13 @@ each rooted at its lowest row (Patwary et al., SC 2012), and each border
 point's lowest-index core neighbour, whose label it takes (Schubert et al.,
 TODS 2017). The pass decides each border row inside the block where the
 later of it and its core neighbour streams and stores no neighbour list, so
-its memory is O(n_distinct) plus one tile, whatever min_samples.
+its memory is O(n_distinct) plus one tile, whatever min_samples. Rows in
+dense grid cells (Gan and Tao, SIGMOD 2015), whose pairs are all within eps
+and whose weights reach min_samples, are core before the pass and never
+stream; their cells are joined at cell level, so the eps-edges inside dense
+regions, where a memorizing generator puts its copies, are never computed.
+The stage logs how many distinct rows the dense cells took and how many
+streamed.
 
 A medoid is the member with the smallest exact (fsum) sum of distances to its
 cluster, ties to the lowest row id; kernels.medoid_local_index takes each

@@ -27,6 +27,21 @@ pairs, then that exact comparison for the rest.
   of the non-core rows of earlier blocks that they hit. So every core-core
   edge and every core/non-core pair is settled whatever the block order,
   and the pass holds O(n_distinct) entries plus one block.
+- Dense cells, after the exact grid DBSCAN of Gan and Tao (SIGMOD 2015).
+  Before the stream, _dense_cells keys every row on every dimension in
+  cells of side a little below eps/sqrt(d), where every pair is a hit (the
+  dense cells below). A cell whose weights reach min_samples and that holds
+  at least CELL_ROWS distinct rows is dense: its rows are core, form one set
+  rooted at its lowest row and never stream. Pairs of dense cells are
+  settled at cell level, with each cell's lowest row standing for it: before
+  the stream, a hit between two lowest rows joins their cells
+  (_join_lowest), so that a dense region streams as one set. The other rows
+  then stream as above, against every row, and see the dense rows as core
+  columns from the first block. After the stream (_join_cells), a certified
+  gap drops a pair of cells, a pair already in one set is skipped, and only
+  the rows of the cells left over take the tile test against each other.
+  So the eps-edges inside dense regions are never computed; the keys take
+  O(n) memory, one dimension at a time.
 - The grid (_cell_map) gives each row one int64 code for its cell and sorts
   the rows by it. Every dimension whose occupied keys never differ by
   exactly one (a one-hot column at a radius below about 1/2) is a digit
@@ -36,8 +51,10 @@ pairs, then that exact comparison for the rest.
   about one tile, each against the union of its cells' adjacent rows. The
   work is estimated as the sum over blocks of rows * columns plus CELL_COST
   per block, and the cost rule (_grid_pays) takes the grid only when that is
-  below the n^2 pairs of brute force: one cell holding most rows stays on
-  brute force. Both neighbour search and the median below use it.
+  below the pairs of brute force, the streamed rows times all n rows: one
+  cell holding most rows stays on brute force. Blocks hold only streamed
+  rows, and cells without one make no block. Both neighbour search and the
+  median below use it.
 - clustering.auto_eps needs only the median of the k-th-neighbour
   distances. kth_neighbor_median computes the k-th distance exactly for the
   rows that a grid of side r certifies, and the median from them alone.
@@ -123,6 +140,28 @@ both keys are occupied, so they are equal. So every pair within r lies in
 adjacent cells, and the tile test decides a block's rows against any
 superset of their adjacent cells' rows exactly as brute force does.
 
+The dense cells. For 2^-500 < eps < 2^496 and d < 2^35, so that
+gamma_{d+1} < 2^-17, the side is h = fl(eps * fl((1 - 2^-8)/fl(sqrt(d)))),
+at most eps(1 - 2^-8)(1 + 4u)/sqrt(d), and a row's key in dimension j is
+floor(fl(x_j / h)); a row is in a cell only when every |fl(x_j / h)| < 2^40
+(a key that is not finite fails this). Each quotient is within 2^-12 of
+x_j / h (u*2^40, or 2^-1074 where it underflows), so two rows with equal
+keys differ by less than h(1 + 2^-11) in every dimension, and their exact
+distance D has D^2 < d*h^2(1 + 2^-11)^2 < eps^2(1 - 2^-8). By the band,
+s <= (1 + gamma_{d+1})D^2 + d*2^-1075 <= eps^2, as eps^2 > 2^-1000, so
+fl(sqrt(s)) <= eps: every pair in a cell is a hit, bit for bit.
+For any pair, the band and the rounding of fl(sqrt) also give
+c(1 - 2^-10) - 2^-520 <= D <= c(1 + 2^-10) + 2^-520 between the computed
+distance c and the exact D. Let rho_A be the largest computed distance from
+a row of cell A to A's lowest row r_A (at most eps, by the above). If the
+computed distance from r_A to r_B exceeds fl((rho_A + rho_B + eps)(1 + 2^-6)),
+then for rows a of A and b of B the triangle inequality gives
+D(a, b) >= D(r_A, r_B) - D(a, r_A) - D(b, r_B) > eps(1 + 2^-7), so
+c(a, b) > eps(1 + 2^-8), past the next float above eps: no pair of the two
+cells is a hit. One hit pass over the lowest rows at radius
+fl((2 max rho + eps)(1 + 2^-6)) <= fl(3.05 eps) < 2^500 lists every pair
+the gap cannot drop.
+
 The median. In a grid for radius r, a row's candidates are the columns of
 its block, which hold the rows of its adjacent cells and itself, and its
 candidate value c is their k-th smallest distance (from 0, as in
@@ -172,6 +211,7 @@ order, so results do not depend on the tile size.
 
 from __future__ import annotations
 
+import logging
 import math
 from typing import NamedTuple
 
@@ -179,11 +219,20 @@ import numpy as np
 
 from .errors import ConfigError
 
+log = logging.getLogger(__name__)
+
 # The set-up of one grid block, in pairs of brute force. Fitted at 25k-75k
 # per cell when each cell was its own tile; fits per batched block read
 # 93k-254k on 8000-row inputs, but every grid decision on them is the same
 # at 50k and 200k, and the grid won each one it took (2 vCPUs; CHANGES.md).
 CELL_COST = 50_000
+# The fewest distinct rows a dense cell of neighbor_lists must hold. Its
+# lowest row stands for it in the passes over the cells, which pays only
+# once it saves several streamed rows: on 4000-row inputs whose cells held
+# one, two or four rows, the pass ran up to 1.7x, 1.25x and 1.13x slower
+# than without dense cells; at eight the slowest input ran 1.1x, within the
+# spread of repeated runs (2 vCPUs; CHANGES.md).
+CELL_ROWS = 8
 # Rows whose exact k-th distances set kth_neighbor_median's first radius.
 MEDIAN_SAMPLE = 256
 # Bytes of upper bounds per tile. 512 KiB measured fastest at n = 8000,
@@ -306,9 +355,10 @@ def _exact_dists(a: np.ndarray, ai: np.ndarray, b: np.ndarray, bi: np.ndarray) -
     return out
 
 
-def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float):
-    """Yields (i0, hit) for the tiles of the rows of x, where hit[r, j] says
-    dists_to(x[i0 + r], y[j]) <= eps."""
+def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float, rows: np.ndarray | None = None):
+    """Yields (i0, hit) for the tiles of the rows of x, or of x[rows], where
+    hit[r, j] says dists_to(a, y[j]) <= eps for the tile's row a, x[i0 + r]
+    or x[rows[i0 + r]]."""
     # U <= inside proves d <= eps, and U >= outside + spread proves d > eps
     # for any spread at least the row's, so the tile's largest one serves all
     # its rows; the thresholds are only used where eps^2 is far from under-
@@ -317,19 +367,20 @@ def _tile_hits(x: np.ndarray, y: np.ndarray, eps: float):
         inside, outside = eps * eps * (1 - 4 * _U), eps * eps * (1 + 8 * _U)
     else:
         inside = outside = math.nan
-    for i0, upper, spread in _bracket_tiles(x, y):
+    for i0, upper, spread in _bracket_tiles(x, y, rows):
         hit = upper <= inside
         settled = hit | (upper >= outside + spread.max())
         if not settled.all():
             r, c = _pairs(~settled)
-            hit[r, c] = _exact_dists(x, i0 + r, y, c) <= eps
+            at = i0 + r if rows is None else rows[i0 + r]
+            hit[r, c] = _exact_dists(x, at, y, c) <= eps
         yield i0, hit
 
 
-def _grid_pays(cost: int, n: int) -> bool:
-    """The cost rule: take the grid when its estimated work is below the n^2
-    pairs of brute force."""
-    return cost < n * n
+def _grid_pays(cost: int, brute: int) -> bool:
+    """The cost rule: take the grid when its estimated work is below the
+    pairs of brute force, the streamed rows times all rows."""
+    return cost < brute
 
 
 def _cell_side(radius: float) -> float:
@@ -366,7 +417,10 @@ def _cell_codes(x: np.ndarray, h: float) -> tuple[np.ndarray, list[int]] | None:
         if span <= n:
             occupied = np.flatnonzero(np.bincount(keys, minlength=span))
         else:
-            occupied = np.unique(keys)
+            # not np.unique, which imports numpy.ma (0.5 MiB) for its first
+            # call; the dense cells' passes key small sets of rows here
+            occupied = np.sort(keys)
+            occupied = occupied[np.r_[True, occupied[1:] != occupied[:-1]]]
         if not (np.diff(occupied) == 1).any():
             code, radix, digit = separating, len(occupied), np.searchsorted(occupied, keys)
         elif len(step_radix) < 3:
@@ -387,19 +441,22 @@ def _cell_codes(x: np.ndarray, h: float) -> tuple[np.ndarray, list[int]] | None:
     return separating, step_radix
 
 
-def _cell_map(x: np.ndarray, radius: float):
+def _cell_map(x: np.ndarray, radius: float, stream: np.ndarray | None = None):
     """An iterator over blocks of the cells of a grid for radius whose
     adjacent cells hold every pair within radius (module docstring), or None
     when the cost rule prefers brute force or no dimension can key the grid
     (radius out of range, keys at or above 2^40, constant or non-finite
     columns). It yields (rows, cols) for runs of consecutive cells in the
-    order of their codes: the block's rows, and the sorted union of the rows
-    of its cells' adjacent cells. A block is the longest run from its first
-    cell whose rows times adjacent rows stay within TILE_BYTES // 8 pairs, or
-    that one cell.
+    order of their codes: the block's rows, those of stream (every row by
+    default), and the sorted union of the rows of its cells' adjacent cells.
+    A block is the longest run from its first cell whose rows times adjacent
+    rows stay within TILE_BYTES // 8 pairs, or that one cell; cells without
+    a row of stream make no block.
     """
     n = len(x)
-    if n == 0 or not 2.0**-500 < radius < 2.0**500:
+    brute = n * (n if stream is None else len(stream))
+    # a grid costs at least one block: where that does not pay, none does
+    if n == 0 or not 2.0**-500 < radius < 2.0**500 or not _grid_pays(CELL_COST, brute):
         return None
     codes = _cell_codes(x, _cell_side(radius))
     if codes is None:
@@ -407,9 +464,16 @@ def _cell_map(x: np.ndarray, radius: float):
     code, step_radix = codes
     order = np.argsort(code, kind="stable")
     code = code[order]
-    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-    cell = code[starts]
-    bounds = np.append(starts, n)
+    # the block rows in the order of their codes
+    mine, mine_code = order, code
+    if stream is not None:
+        keep = np.zeros(n, dtype=bool)
+        keep[stream] = True
+        keep = keep[order]
+        mine, mine_code = order[keep], code[keep]
+    starts = np.flatnonzero(np.r_[True, mine_code[1:] != mine_code[:-1]])
+    cell = mine_code[starts]
+    bounds = np.append(starts, len(mine))
     # a cell's neighbours whose upper step digits are those of code + step are
     # the codes within one of code + step: one run of the sorted codes per
     # step, [lo, hi) in sorted positions, or the cell itself without steps
@@ -447,7 +511,7 @@ def _cell_map(x: np.ndarray, radius: float):
         cost += int(pairs[m - 1]) + CELL_COST
         spans.append((a, a + m))
         a += m
-    if not _grid_pays(cost, n):
+    if not _grid_pays(cost, brute):
         return None
 
     def blocks():
@@ -460,24 +524,27 @@ def _cell_map(x: np.ndarray, radius: float):
             cols = np.sort(order[at])
             if len(steps) > 1:  # runs of different steps may overlap
                 cols = cols[np.r_[True, cols[1:] != cols[:-1]]]
-            yield order[bounds[a] : bounds[b]], cols
+            yield mine[bounds[a] : bounds[b]], cols
 
     return blocks()
 
 
-def _hit_blocks(x: np.ndarray, eps: float):
-    """Yields (rows, cols, hit) for blocks of rows that partition
-    range(len(x)), where hit[r, j] says dists_to(x[rows[r]], x[cols[j]]) <= eps,
-    cols ascend and hold every neighbour of the block's rows. The blocks are
-    runs of grid cells where the cost rule takes the grid (_cell_map), else
-    row tiles."""
+def _hit_blocks(x: np.ndarray, eps: float, stream: np.ndarray | None = None):
+    """Yields (rows, cols, hit) for blocks of rows that partition stream, the
+    ascending rows to stream (all of range(len(x)) by default), where
+    hit[r, j] says dists_to(x[rows[r]], x[cols[j]]) <= eps, cols ascend and
+    hold every neighbour of the block's rows. The blocks are runs of grid
+    cells where the cost rule takes the grid (_cell_map), else row tiles."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
-    cells = _cell_map(x, eps)
+    if stream is not None and not len(stream):
+        return
+    cells = _cell_map(x, eps, stream)
     if cells is None:
         ids = np.arange(len(x))
-        for i0, hit in _tile_hits(x, x, eps):
-            yield ids[i0 : i0 + len(hit)], ids, hit
+        rows = ids if stream is None else stream
+        for i0, hit in _tile_hits(x, x, eps, stream):
+            yield rows[i0 : i0 + len(hit)], ids, hit
         return
     for rows, cols in cells:
         for i0, hit in _tile_hits(x[rows], x[cols], eps):
@@ -505,8 +572,15 @@ def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarr
     state = np.zeros(n, dtype=np.int8)
     parent = np.arange(n)
     border = np.full(n, n)
+    dense = _dense_cells(x, eps, min_samples, weight)
+    stream = None
+    if dense is not None:
+        # rows of dense cells are core, each cell one set, and never stream
+        state[dense[0]] = 2
+        _join_lowest(x, eps, parent, *dense)
+        stream = np.flatnonzero(state == 0)
     lone = False  # whether a non-core row has streamed
-    for rows, cols, hit in _hit_blocks(x, eps):
+    for rows, cols, hit in _hit_blocks(x, eps, stream):
         count = hit.sum(axis=1, dtype=np.int32)
         row_core = count >= min_samples
         short = np.flatnonzero(~row_core)
@@ -530,7 +604,130 @@ def neighbor_lists(x: np.ndarray, eps: float, min_samples: int, weight: np.ndarr
             np.minimum.at(border, cols[done[c]], rows[row_core][r])
         if len(hits):
             _join_hits(parent, rows[row_core], cols, hits & hot)
+    if dense is not None:
+        _join_cells(x, eps, parent, *dense)
+    streamed = n if stream is None else len(stream)
+    cells = 0 if dense is None else np.count_nonzero(dense[0] == dense[1])
+    log.info("eps-graph: %d of %d distinct rows in %d dense cells; %d rows streamed",
+             n - streamed, n, cells, streamed)
     return EpsGraph(state == 2, _roots(parent, np.arange(n)), border)
+
+
+def _dense_cells(
+    x: np.ndarray, eps: float, min_samples: int, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, root): the ascending rows that lie in dense cells, and the
+    lowest row of each one's cell; None when there are none. Cells have side
+    a little below eps/sqrt(d), so every pair in one is within eps (module
+    docstring); a cell is dense when its weights sum to at least min_samples
+    and it holds at least CELL_ROWS rows. A row whose key floor(fl(x_j / h))
+    reaches 2^40 in magnitude, or is not finite, in any dimension is in no
+    cell. The keys are folded one dimension at a time into an int64 code,
+    ranked whenever its radix passes 4n, and after each dimension the rows
+    whose group so far weighs less than min_samples or holds fewer than
+    CELL_ROWS rows are dropped; memory stays O(n) whatever d."""
+    n, d = x.shape
+    if n == 0 or d == 0 or not 2.0**-500 < eps < 2.0**496:
+        return None
+    h = _dense_side(eps, d)
+    rows = np.arange(n)
+    code = np.zeros(n, dtype=np.int64)
+    radix = 1
+    for j in range(d):
+        with np.errstate(all="ignore"):
+            q = x[rows, j] / h
+        keyed = np.abs(q) < 2.0**40
+        if not keyed.all():
+            rows, code, q = rows[keyed], code[keyed], q[keyed]
+            if not len(rows):
+                return None
+        key = np.floor(q).astype(np.int64)
+        key -= key.min()
+        span = int(key.max()) + 1
+        if radix * span > 4 * len(rows):
+            key, span = _rank(key)
+        code *= span
+        code += key
+        radix *= span
+        if radix > 4 * len(rows):
+            code, radix = _rank(code)
+        # a cell lies in one group of every prefix of its dimensions, so the
+        # rows of light or small groups are in no dense cell
+        heavy = ((np.bincount(code, weight[rows], radix) >= min_samples)
+                 & (np.bincount(code, minlength=radix) >= CELL_ROWS))[code]
+        if not heavy.all():
+            rows, code = rows[heavy], code[heavy]
+            if not len(rows):
+                return None
+    cell, count = _rank(code)
+    root = np.full(count, n)
+    np.minimum.at(root, cell, rows)
+    return rows, root[cell]
+
+
+def _dense_side(eps: float, d: int) -> float:
+    """The side of the dense cells: a little below eps/sqrt(d), so that
+    rounding keeps every pair in a cell within eps (module docstring)."""
+    return eps * ((1 - 2.0**-8) / math.sqrt(d))
+
+
+def _rank(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of v >= 0, and their
+    count: by a bincount when the values span at most 4 len(v), else a sort."""
+    span = int(v.max()) + 1
+    if span <= 4 * len(v):
+        seen = np.bincount(v, minlength=span) > 0
+        rank = np.cumsum(seen) - 1
+        return rank[v], int(rank[-1]) + 1
+    order = np.argsort(v)
+    new = np.r_[True, v[order[1:]] != v[order[:-1]]]
+    rank = np.empty_like(v)
+    rank[order] = np.cumsum(new) - 1
+    return rank, int(np.count_nonzero(new))
+
+
+def _join_lowest(
+    x: np.ndarray, eps: float, parent: np.ndarray, rows: np.ndarray, root: np.ndarray
+) -> None:
+    """Make each dense cell one set, for the dense rows and their cells'
+    lowest rows, join the cells whose lowest rows hit, and point every dense
+    row at its set's root, so that the stream finds a dense region one set."""
+    parent[rows] = root
+    reps = rows[rows == root]
+    for a, b, hit in _hit_blocks(x[reps], eps):
+        _join_hits(parent, reps[a], reps[b], hit)
+    parent[rows] = _roots(parent, root)
+
+
+def _join_cells(
+    x: np.ndarray, eps: float, parent: np.ndarray, rows: np.ndarray, root: np.ndarray
+) -> None:
+    """Join the dense cells whose rows hit each other, after _join_lowest and
+    the stream (module docstring). With rho a cell's largest distance from
+    its lowest row, two cells whose lowest rows are further apart than
+    (rho + rho' + eps)(1 + 2^-6) hold no hit; the rows of the cells still in
+    different sets take the exact test against each other."""
+    reps = rows[rows == root]
+    cell = np.searchsorted(reps, root)
+    xr = x[reps]
+    # each cell's largest distance from its lowest row, in batches of a
+    # quarter tile, as an exact batch holds four arrays of its size
+    rho = np.zeros(len(reps))
+    step = max(1, TILE_BYTES // (32 * x.shape[1]))
+    for k in range(0, len(rows), step):
+        at = slice(k, k + step)
+        np.maximum.at(rho, cell[at], _exact_dists(x, rows[at], x, root[at]))
+    unsure = np.zeros(len(reps), dtype=bool)
+    for a, b, hit in _hit_blocks(xr, (2 * rho.max() + eps) * (1 + 2.0**-6)):
+        r, c = _pairs(hit)
+        r, c = a[r], b[c]
+        split = _roots(parent, reps[r]) != _roots(parent, reps[c])
+        r, c = r[split], c[split]
+        near = _exact_dists(xr, r, xr, c) <= (rho[r] + rho[c] + eps) * (1 + 2.0**-6)
+        unsure[r[near]] = True
+    u = rows[unsure[cell]]
+    for a, b, hit in _hit_blocks(x[u], eps):
+        _join_hits(parent, u[a], u[b], hit)
 
 
 def _join_hits(parent: np.ndarray, rows: np.ndarray, cols: np.ndarray, hit: np.ndarray) -> None:

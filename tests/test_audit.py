@@ -193,6 +193,21 @@ def test_a_gower_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog):
     assert "exact pairs" not in (out / "report.json").read_text()
 
 
+def test_a_cluster_stage_logs_its_dense_cells_and_streamed_rows(tmp_path, caplog):
+    # the two 40-row blobs fill dense cells; the 8 scattered rows stream
+    synth, real = write_tables(tmp_path)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        run_audit(AuditConfig(synthetic=str(synth), real=str(real), out=str(out),
+                              eps=0.05, min_samples=5))
+    pattern = r"eps-graph: (\d+) of (\d+) distinct rows in (\d+) dense cells; (\d+) rows streamed"
+    found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
+    (dense, n, cells, streamed), = [tuple(map(int, m.groups())) for m in found if m]
+    assert n == 88 and dense + streamed == n
+    assert dense >= 40 and cells >= 2 and streamed >= 8
+    assert "dense cells" not in (out / "report.json").read_text()
+
+
 def test_verify_report_file_clean_and_tampered(tmp_path):
     synth, real = write_tables(tmp_path)
     out = tmp_path / "out"

@@ -158,36 +158,49 @@ def test_a_row_repeated_min_samples_times_is_core_by_weight_alone():
     np.testing.assert_array_equal(got.core_mask, want_core)
 
 
+# A child's set-up line that keeps kernels.neighbor_lists from taking dense
+# cells, so that every row streams
+REFUSE_DENSE_CELLS = "from cmla import kernels\nkernels.CELL_ROWS = 10**9\n"
+
+
 def test_dbscan_memory_does_not_grow_with_the_edge_count():
-    # 6000 rows within eps of each other are 36M eps-edges, 275 MiB as int64
-    growth = child_rss_growth_mib(
-        "import numpy as np\n"
-        "from cmla.clustering import dbscan\n"
-        "from cmla.encoding import EncodedMatrix\n"
-        "x = np.random.default_rng(5).normal(0.0, 1.0, size=(6000, 2))\n"
-        "dbscan(EncodedMatrix(x[:300].copy(), 'm'), 100.0, 5)",
-        "labeling = dbscan(EncodedMatrix(x, 'm'), 100.0, 5)\n"
-        "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
-    )
-    assert growth < 48
+    # 6000 rows within eps of each other are 36M eps-edges, 275 MiB as int64;
+    # they fill a few dense cells, and with the cells refused they all stream
+    for refuse in ("", REFUSE_DENSE_CELLS):
+        growth = child_rss_growth_mib(
+            refuse + "import numpy as np\n"
+            "from cmla.clustering import dbscan\n"
+            "from cmla.encoding import EncodedMatrix\n"
+            "x = np.random.default_rng(5).normal(0.0, 1.0, size=(6000, 2))\n"
+            "dbscan(EncodedMatrix(x[:300].copy(), 'm'), 100.0, 5)",
+            "labeling = dbscan(EncodedMatrix(x, 'm'), 100.0, 5)\n"
+            "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
+        )
+        assert growth < 48, refuse
 
 
 def test_dbscan_stores_no_neighbour_list_for_a_core_row():
     # 12000 rows, each with more than 700 rows within eps, at min_samples
     # 600: lists cut to min_samples for every row would hold 12000 x 600
-    # int64 indices, 55 MiB
-    growth = child_rss_growth_mib(
-        "import numpy as np\n"
-        "from cmla.clustering import dbscan\n"
-        "from cmla.encoding import EncodedMatrix\n"
-        "n = 12000\n"
-        "x = np.column_stack([np.linspace(0.0, 100.0, n),\n"
-        "                     np.random.default_rng(6).uniform(0.0, 1.0, n)])\n"
-        "dbscan(EncodedMatrix(x[::40].copy(), 'm'), 6.0, 5)",
-        "labeling = dbscan(EncodedMatrix(x, 'm'), 6.0, 600)\n"
-        "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
-    )
-    assert growth < 16
+    # int64 indices, 55 MiB. No cell of side eps/sqrt(2) along the line holds
+    # 600 rows, so every row streams; at min_samples 400 most rows are in
+    # dense cells
+    for min_samples, dense in ((600, False), (400, True)):
+        growth = child_rss_growth_mib(
+            "import numpy as np\n"
+            "from cmla import kernels\n"
+            "from cmla.clustering import dbscan\n"
+            "from cmla.encoding import EncodedMatrix\n"
+            "n = 12000\n"
+            "x = np.column_stack([np.linspace(0.0, 100.0, n),\n"
+            "                     np.random.default_rng(6).uniform(0.0, 1.0, n)])\n"
+            f"cells = kernels._dense_cells(x, 6.0, {min_samples}, np.ones(n, dtype=np.int64))\n"
+            f"assert (cells is not None and len(cells[0]) > n // 2) == {dense}\n"
+            "dbscan(EncodedMatrix(x[::40].copy(), 'm'), 6.0, 5)",
+            f"labeling = dbscan(EncodedMatrix(x, 'm'), 6.0, {min_samples})\n"
+            "assert labeling.n_clusters == 1 and labeling.core_mask.all()",
+        )
+        assert growth < 16, min_samples
 
 
 def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch, tmp_path):

@@ -664,12 +664,228 @@ def test_one_pass_joins_a_row_core_by_weight_alone_before_its_neighbours(rng, mo
 
 
 def test_dbscan_streams_the_hit_blocks_once(rng, monkeypatch):
+    # one stream over the distinct rows, of the rows outside dense cells; the
+    # dense cells' passes run on their own rows, never on the table again
     calls = count_calls(monkeypatch, "_hit_blocks")
     x = clustered_cloud(rng, 500, 2, duplicates=0.1)
+    first, _, weight = kernels.distinct_rows(x)
     for eps in (0.3, None):
         calls.clear()
-        dbscan(matrix(x), eps, 5)
-        assert len(calls) == 1, eps
+        labeling = dbscan(matrix(x), eps, 5)
+        streams = [c for c in calls if len(c[0]) == len(first)]
+        assert len(streams) == 1, eps
+        assert all(len(c[0]) < len(first) for c in calls if c is not streams[0])
+        dense = kernels._dense_cells(x[first], labeling.eps, 5, weight)
+        if dense is None:
+            assert eps is None and len(calls) == 1 and streams[0][2] is None
+        else:
+            assert len(calls) == 4, eps  # the stream, and the cells' three passes
+            stream = np.setdiff1d(np.arange(len(first)), dense[0])
+            np.testing.assert_array_equal(streams[0][2], stream)
+
+
+def dense_case_check(monkeypatch, x, eps, min_samples, weight=None):
+    """The dense rows of x, then neighbor_lists on the rows of x with their
+    weights (one by default) against the reference core mask and borders, and
+    dbscan on the rows repeated weight times against the reference labels, at
+    default and 4 KiB tiles with the grid forced off and on."""
+    weight = np.ones(len(x), dtype=np.int64) if weight is None else weight
+    dense = kernels._dense_cells(x, eps, min_samples, weight)
+    lists = reference_neighbors(x, eps)
+    core = np.array([weight[nb].sum() >= min_samples for nb in lists])
+    for tile_bytes in (kernels.TILE_BYTES, 4096):
+        for grid in (False, True):
+            where = f"tiles {tile_bytes}, grid {grid}"
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            graph = graph_by(monkeypatch, grid, x, eps, min_samples, weight)
+            np.testing.assert_array_equal(graph.core, core, err_msg=where)
+            np.testing.assert_array_equal(graph.border, reference_border(lists, core), err_msg=where)
+            monkeypatch.undo()
+    assert_one_pass_matches_reference(monkeypatch, np.repeat(x, weight, axis=0), eps, min_samples)
+    return set() if dense is None else set(dense[0].tolist())
+
+
+def cell_edges(h, key):
+    """The least and the greatest float x > 0 whose dense-cell key
+    floor(fl(x / h)) is key, by bisection over the ordered bit patterns."""
+
+    def least_at(k):
+        lo, hi = 0, int(np.array(np.inf).view(np.int64))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if np.floor(np.array(mid).view(np.float64) / h) >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return float(np.array(lo).view(np.float64))
+
+    return least_at(key), float(np.nextafter(least_at(key + 1), 0.0))
+
+
+def test_dense_cells_hold_their_widest_pairs_within_eps(rng, monkeypatch):
+    # rows on the extreme floats of a cell's keys in every dimension, at a
+    # small key and at one near 2^39, where each quotient rounds by up to
+    # 2^-13: the corners are within 2^-7 of eps apart and still hits; the
+    # next cell's corners sit one float past them
+    eps, d = 1.0, 3
+    h = kernels._dense_side(eps, d)
+    for key in (5, 2**39 - 3):
+        cells = []
+        for k in (key, key + 1):
+            lo, hi = cell_edges(h, k)
+            corners = np.array(np.meshgrid(*[[lo, hi]] * d)).reshape(d, -1).T
+            inside = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=(4, d))
+            cells.append(np.vstack([corners, inside]))
+        x = np.vstack(cells + [rng.uniform(0.0, 1.0, size=(10, d)) * h * key])
+        spread = dists_to(cells[0][0], cells[0][-5:-4])[0]
+        assert eps * (1 - 2.0**-7) <= spread <= eps, key
+        assert dense_case_check(monkeypatch, x, eps, 4) == set(range(24)), key
+
+
+def test_a_cell_dense_by_its_weights_alone_is_core_without_streaming(rng, monkeypatch):
+    # eight distinct rows 0.1 apart in one cell, each standing for three
+    # copies, at min_samples 20: no row has 20 distinct neighbours, but the
+    # cell weighs 24, so its rows are core; the row 0.95 past its last row is
+    # a border row. At min_samples 25 the cell is light and every row streams
+    eps = 1.0
+    h = kernels._dense_side(eps, 1)
+    cell = 10 * h + 0.1 * np.arange(1, 9)
+    scatter = 30.0 + 1.5 * np.arange(40)
+    x = np.r_[scatter[:20], cell[-1] + 0.95, cell, scatter[20:]][:, None]
+    weight = np.ones(len(x), dtype=np.int64)
+    weight[21:29] = 3
+    assert dense_case_check(monkeypatch, x, eps, 20, weight) == set(range(21, 29))
+    assert kernels._dense_cells(x, eps, 25, weight) is None
+    graph = neighbor_lists(x, eps, 20, weight)
+    assert graph.core.tolist() == [False] * 21 + [True] * 8 + [False] * 20
+    assert graph.border[20] == 28 and graph.root[21:29].tolist() == [21] * 8
+
+
+def block_order(x, eps, stream):
+    """Each streamed row's block index in _hit_blocks."""
+    order = {}
+    for k, (rows, _, _) in enumerate(kernels._hit_blocks(x, eps, stream)):
+        order.update(dict.fromkeys(rows.tolist(), k))
+    return order
+
+
+def test_border_row_beside_a_dense_cell_takes_a_lower_core_row_streamed_later(monkeypatch):
+    # eps 1 and min_samples 4 on a line: a dense cell of eight rows at
+    # 5.0-5.7 (rows 2-9), and a border row at 6.65 (row 0) that reaches only
+    # the cell's row at 5.7 and the core row at 7.6 (row 1). The border row
+    # streams first, by row order and by grid cell, when its first core
+    # column is a dense row; row 1, lower, must replace it when it streams
+    h = kernels._dense_side(1.0, 1)
+    cell = 5.0 + 0.1 * np.arange(8)
+    assert len(np.unique(np.floor(cell / h))) == 1
+    x = np.r_[6.65, 7.6, cell, 7.9, 8.2, 8.5, 1000.0 + 3.0 * np.arange(300)][:, None]
+    assert one_row_blocks(len(x))
+    weight = np.ones(len(x), dtype=np.int64)
+    rows, root = kernels._dense_cells(x, 1.0, 4, weight)
+    assert rows.tolist() == list(range(2, 10)) and (root == 2).all()
+    stream = np.setdiff1d(np.arange(len(x)), rows)
+    # one row per block on brute force, one grid cell per block on the grid
+    for grid, tile_bytes in ((False, 4096), (True, 8)):
+        monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+        force_grid(monkeypatch, grid)
+        order = block_order(x, 1.0, stream)
+        assert order[0] < order[1], grid
+        graph = neighbor_lists(x, 1.0, 4, weight)
+        assert not graph.core[0] and graph.core[1:13].all()
+        assert graph.border[0] == 1, grid
+        monkeypatch.undo()
+    assert dense_case_check(monkeypatch, x, 1.0, 4) == set(range(2, 10))
+
+
+def test_dense_cells_whose_lowest_rows_do_not_decide_take_the_exact_test(monkeypatch):
+    # eps 1 and min_samples 4 on a line of dense cells of eight rows, each
+    # cell's lowest row first. Cells A and B are adjacent with lowest rows
+    # 1.98 apart, while A's last row is 0.016 from B's first: only the exact
+    # test of their rows joins them. The lowest rows of C and D are 1.6 apart,
+    # within what their radii allow, but no pair of theirs is within eps:
+    # the exact test keeps them apart
+    h = kernels._dense_side(1.0, 1)
+    a = 10 * h + np.array([0.001, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99])
+    b = 11 * h + np.array([0.99, 0.01, 0.2, 0.4, 0.6, 0.7, 0.8, 0.9])
+    c = 20 * h + np.array([0.001, 0.1, 0.2, 0.3, 0.35, 0.4, 0.45, 0.5])
+    e = 21 * h + np.array([0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95])
+    x = np.r_[a, b, c, e][:, None]
+    assert dists_to(x[0], x[8:9])[0] > 1.0 and dists_to(x[7], x[9:10])[0] <= 1.0
+    assert dists_to(x[16], x[24:25])[0] < 1.0 + 0.499 + 0.35
+    assert dists_to(x[23], x[24:25])[0] > 1.0
+    assert dense_case_check(monkeypatch, x, 1.0, 4) == set(range(32))
+    labels = dbscan(matrix(x), 1.0, 4).labels
+    assert labels.tolist() == [0] * 16 + [1] * 8 + [2] * 8
+
+
+def test_rows_with_huge_keys_or_not_finite_stay_out_of_dense_cells(rng, monkeypatch):
+    # eps 1e-6 in 2-d: the rows near 1e7 have keys about 1.4e13 >= 2^40, so
+    # their group streams though it is as tight as the dense one near 0;
+    # NaN and inf rows are in no cell
+    near = rng.uniform(0.0, 3e-7, size=(12, 2))
+    bad = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf], [np.nan, np.nan]])
+    x = np.vstack([1e7 + near, bad, near, rng.uniform(1.0, 2.0, size=(20, 2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels._dense_cells(x, 1e-6, 4, np.ones(len(x), dtype=np.int64))[0].tolist() == list(range(16, 28))
+    with np.errstate(invalid="ignore"):
+        assert dense_case_check(monkeypatch, x, 1e-6, 4) == set(range(16, 28))
+
+
+def test_dense_cells_at_eps_near_the_ends_of_their_range(rng, monkeypatch):
+    # dense cells key rows for 2^-500 < eps < 2^496 only; the same cloud,
+    # scaled by powers of two, just inside and just outside that range
+    base = np.vstack([rng.normal(0.0, 0.05, (30, 2)), rng.normal(3.0, 0.05, (30, 2)),
+                      rng.uniform(-5.0, 5.0, (20, 2))])
+    for scale, taken in ((2.0**-498, True), (2.0**-500, False), (2.0**494, True), (2.0**497, False)):
+        x, eps = base * scale, 0.5 * scale
+        assert (len(dense_case_check(monkeypatch, x, eps, 4)) > 40) == taken, scale
+
+
+def test_dense_rows_never_enter_a_tile_as_block_rows(rng, monkeypatch):
+    # a memorizer-like table: two modes of 1500 rows on one numeric column
+    # and four one-hot pairs, and 300 scattered rows, at eps 0.35 and
+    # min_samples 100. Only the rows outside dense cells stream, and the
+    # cells' passes see their lowest rows, so the tiles hold fewer than
+    # n_d^2 / 10 pairs for the n_d dense rows (4.4 %); refusing the cells
+    # gives more than n_d^2 / 4 (56 %), with the same graph
+    n = 3300
+    pattern = np.where(np.arange(n) < 1500, 0, 1)
+    pattern[3000:] = rng.integers(0, 2, size=(300, 4)) @ [1, 2, 4, 8]
+    x = np.zeros((n, 9))
+    x[:, 0] = rng.normal(0.5, 0.15, n)
+    x[3000:, 0] = rng.uniform(0.0, 1.0, 300)
+    for j in range(4):
+        bit = np.where(pattern == 1, 1 - j % 2, (pattern >> j) & 1)
+        x[:, 1 + 2 * j], x[:, 2 + 2 * j] = bit, 1 - bit
+    x = x[rng.permutation(n)]
+    weight = np.ones(n, dtype=np.int64)
+    rows, root = kernels._dense_cells(x, 0.35, 100, weight)
+    dense, lowest = set(rows.tolist()), set(root.tolist())
+    index = {r.tobytes(): i for i, r in enumerate(x)}
+    assert len(index) == n and len(dense) > 2500
+    real = kernels._bracket_tiles
+
+    def spy(a, y, rows=None):
+        block = [index[r.tobytes()] for r in (a if rows is None else a[rows])]
+        seen.extend(block)
+        pairs[0] += len(block) * len(y)
+        return real(a, y, rows)
+
+    monkeypatch.setattr(kernels, "_bracket_tiles", spy)
+    want = None
+    for cell_rows in (kernels.CELL_ROWS, n + 1):
+        seen, pairs = [], [0]
+        monkeypatch.setattr(kernels, "CELL_ROWS", cell_rows)
+        graph = neighbor_lists(x, 0.35, 100, weight)
+        if want is None:
+            assert not (set(seen) & dense) - lowest
+            assert pairs[0] < len(dense) ** 2 / 10
+            want = graph
+        else:
+            assert pairs[0] > len(dense) ** 2 / 4
+            for a, b in zip(graph, want):
+                np.testing.assert_array_equal(a, b)
 
 
 def assert_median_is_brute_forces(monkeypatch, x, k, grid=True):
