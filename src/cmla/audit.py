@@ -7,9 +7,10 @@ Stage order is part of the black-box contract: the real table is not opened
 until clustering and medoid extraction have finished, so nothing about the
 real data can influence the representation or the clusters. The real table
 is then streamed block by block through the evaluate stage, never held
-whole, so its memory is bounded per block; its load errors still name the
-load-real stage. Stage timings go to the logger (stderr in the CLI); no
-timing ever enters an emitted file.
+whole, and reduced to the medoids' nearest-real records and one coverage
+count per threshold, so its memory is bounded per block; its load errors
+still name the load-real stage. Stage timings go to the logger (stderr in
+the CLI); no timing ever enters an emitted file.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def run_audit(
         with _stage(STAGE_EVALUATE), closing(_real_blocks(config.real, synthetic.schema)) as blocks:
             if config.metric == GOWER:
                 profile = metrics.proximity_profile_gower(
-                    medoids, blocks, encoding.numeric_ranges(model)
+                    medoids, blocks, grid, metrics.numeric_ranges(model)
                 )
                 work = profile.gower
                 log.info("gower: %d exact pairs of %d medoid-row pairs; "
@@ -178,9 +179,9 @@ def run_audit(
                          work.pairs, work.cross, work.scanned, work.blocks)
             else:
                 profile = metrics.proximity_profile(
-                    medoids, encoding.encode_chunks(model, blocks)
+                    medoids, encoding.encode_chunks(model, blocks), grid
                 )
-            n_real_rows = len(profile.per_real_min)
+            n_real_rows = profile.n_real
             log.info("real table: %d rows", n_real_rows)
             summary = metrics.summarize_dmin([r.d_min for r in profile.records])
             curves = metrics.curves_from_profile(profile, grid)
@@ -264,8 +265,9 @@ def _emit_files(
                            for r in rpt.records))
 
 
-def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
-    """Recompute every reported number from the recorded inputs and diff.
+def verify_report_file(path: str | Path) -> list[str]:
+    """Recompute every reported number from the recorded inputs and diff
+    them, within report.TOLERANCE.
 
     Also checks that the stored document is canonical: parsing and
     re-rendering it must reproduce the original bytes.
@@ -290,12 +292,8 @@ def verify_report_file(path: str | Path, tol: float = 1e-9) -> list[str]:
         dataset_label=m.dataset_label,
         generator_label=m.generator_label,
     )
-    recomputed = run_audit(config, grid_override=rpt.grid)
-    problems.extend(
-        report_mod.compare_reports(
-            documents.write(rpt), documents.write(recomputed.report), tol
-        )
-    )
+    recomputed = run_audit(config, grid_override=rpt.grid).report
+    problems += report_mod.compare_reports(documents.write(rpt), documents.write(recomputed))
     return problems
 
 

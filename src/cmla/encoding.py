@@ -7,6 +7,8 @@ z-score optional) and categorical columns become one-hot blocks over the
 fitted vocabulary; a category outside that vocabulary encodes as an all-zero
 block. Layout: scaled numerics first in schema order, then one-hot blocks in
 schema order. Values outside the fitted numeric range extrapolate linearly.
+This is the Euclidean metric's representation; the Gower metric compares raw
+rows, in metrics, with only the fitted numeric ranges taken from the model.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,65 +248,6 @@ def encode_chunks(model: EncodingModel, tables: Iterable[DataTable]) -> Iterator
         for start in range(0, table.n_rows, step):
             rows = slice(start, start + step)
             yield encode_table(DataTable(table.schema, tuple(c[rows] for c in table.columns)))
-
-
-def gower_cells(schema: TableSchema, rows: Sequence[tuple]) -> list[np.ndarray]:
-    """Raw rows column by column, as gower_fold compares them: float64 values
-    of the numeric columns, and for a categorical column each cell's index in
-    schema's vocabulary, or -1 for a category outside it, as int32 like a
-    table's codes, so that comparing them widens neither side."""
-    if any(len(row) != len(schema.columns) for row in rows):
-        raise SchemaError("row length does not match the table schema")
-    cells = []
-    for j, col in enumerate(schema.columns):
-        if col.kind == NUMERIC:
-            cells.append(np.array([row[j] for row in rows], dtype=np.float64))
-        else:
-            pos = {cat: k for k, cat in enumerate(col.categories)}
-            cells.append(np.array([pos.get(row[j], -1) for row in rows], dtype=np.int32))
-    return cells
-
-
-def gower_fold(
-    schema: TableSchema,
-    ranges: dict[str, tuple[float, float]],
-    columns: Sequence[np.ndarray],
-    cells: Sequence,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Gower distances, the mean per-column dissimilarity, of rows given
-    column by column (a table's columns, or their cells gathered per pair)
-    against cells of the other side: per column one value for every row, or
-    one per row, as gower_cells gives them.
-
-    Numeric columns contribute |a - b| / (hi - lo) clamped to [0, 1], or 0 when
-    the fitted range is empty; categorical columns contribute 0 on a match and
-    1 otherwise. The terms are added in column order to a total that starts
-    at 0, which is then divided by the column count, so a pair's distance is
-    the same float whichever rows share the call. Ranges come from the
-    fitted model so the comparison stays independent of the real table. out,
-    a (2, rows) float64 array, takes the distances in out[0] and a scratch
-    term in out[1], so a caller that compares many rows allocates them once.
-    """
-    total, term = out
-    total.fill(0.0)
-    for col, arr, cell in zip(schema.columns, columns, cells):
-        if col.kind == NUMERIC:
-            lo, hi = ranges[col.name]
-            if hi != lo:
-                np.subtract(arr, cell, out=term)
-                np.abs(term, out=term)
-                np.divide(term, hi - lo, out=term)
-                total += np.minimum(term, 1.0, out=term)
-        else:
-            total += arr != cell
-    total /= len(schema.columns)
-    return total
-
-
-def numeric_ranges(model: EncodingModel) -> dict[str, tuple[float, float]]:
-    """Per-column (lo, hi) from the fitted model, for Gower evaluation."""
-    return {name: (s.lo, s.hi) for name, s in model.stats.items()}
 
 
 def fit_pca(matrix: EncodedMatrix, d_prime: int) -> PcaModel:

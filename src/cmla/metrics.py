@@ -9,11 +9,13 @@ both curves are exactly zero at tau = 0.
 
 The real rows come as a stream of blocks. Each block is reduced as it
 arrives, by kernels.cross_min_distances on its encoding or by _gower_minima
-on its raw rows, and one loop merges the blocks' minima in row order. So the
-real side's memory is bounded per block, and the profile is the one a whole
-table gives, bit for bit.
+on its raw rows. One loop merges the medoids' minima in row order and adds,
+per grid threshold, how many of the block's rows have a medoid strictly
+within it. The counts are integers, so their sum over blocks is exact: the
+profile is the one a whole table gives, bit for bit, and the real side's
+memory is bounded per block, plus one count per threshold.
 
-Gower. encoding.gower_fold gives a pair the distance d = fl(total / C) for C
+Gower. gower_fold gives a pair the distance d = fl(total / C) for C
 columns, total being the float sum, from 0 in column order, of the terms: 0
 or 1 per categorical column, and min(fl(|fl(x - a)| / R), 1) per numeric
 column whose fitted range lo <= hi has R = fl(hi - lo) > 0. Cells and ranges
@@ -65,11 +67,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import encoding, kernels
+from . import kernels
 from .clustering import MedoidSet
-from .encoding import EncodedMatrix
-from .errors import ConfigError, LineageError
-from .tables import CATEGORICAL, NUMERIC, DataTable
+from .encoding import EncodedMatrix, EncodingModel
+from .errors import ConfigError, LineageError, SchemaError
+from .tables import CATEGORICAL, NUMERIC, DataTable, TableSchema
 
 MARK_RESOLUTION = 1e-12
 _U = 2.0**-53
@@ -95,11 +97,13 @@ class GowerWork(NamedTuple):
 
 @dataclass(eq=False)
 class ProximityProfile:
-    """Per-medoid nearest-real records plus the cached per-real-row minimum
-    over medoids, computed in the same pass, and with Gower the work done."""
+    """Per-medoid nearest-real records and, from the same pass over n_real
+    real rows, per threshold of the grid it was taken on, how many of those
+    rows have a medoid strictly within it; with Gower, the work done."""
 
     records: list[DistanceRecord]
-    per_real_min: np.ndarray
+    counts: np.ndarray
+    n_real: int
     gower: GowerWork | None = None
 
 
@@ -166,8 +170,9 @@ def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
 Minima = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _profile(medoids: MedoidSet, pieces: Iterable[Minima]) -> ProximityProfile:
-    """The profile over pieces that cover the real rows in order.
+def _profile(medoids: MedoidSet, pieces: Iterable[Minima],
+             grid: ThresholdGrid) -> ProximityProfile:
+    """The profile on grid over pieces that cover the real rows in order.
 
     A medoid takes a later piece's row only when it is strictly nearer, with
     NaN nearest of all as in np.argmin, so ties keep the lowest row id; row
@@ -178,14 +183,14 @@ def _profile(medoids: MedoidSet, pieces: Iterable[Minima]) -> ProximityProfile:
     d_min = np.full(len(medoids), np.inf)
     nearest = np.zeros(len(medoids), dtype=np.int64)
     rank = np.full(len(medoids), np.inf)
-    per_real = []
+    counts = np.zeros(len(grid.taus), dtype=np.int64)
     offset = 0
     for a_min, a_arg, b_min in pieces:
         key = np.where(np.isnan(a_min), -np.inf, a_min)
         better = key < rank
         rank[better], d_min[better] = key[better], a_min[better]
         nearest[better] = offset + a_arg[better]
-        per_real.append(b_min)
+        counts += _count_below(b_min, grid)
         offset += len(b_min)
     records = [
         DistanceRecord(
@@ -196,13 +201,14 @@ def _profile(medoids: MedoidSet, pieces: Iterable[Minima]) -> ProximityProfile:
         )
         for i, m in enumerate(medoids.medoids)
     ]
-    return ProximityProfile(records=records, per_real_min=np.concatenate(per_real))
+    return ProximityProfile(records=records, counts=counts, n_real=offset)
 
 
-def proximity_profile(medoids: MedoidSet, real: Iterable[EncodedMatrix]) -> ProximityProfile:
-    """Brute-force nearest-real distances for every medoid, with the per-real
-    minimum cached for the coverage sweep. real is the consecutive row chunks
-    of one matrix, each reduced by kernels.cross_min_distances."""
+def proximity_profile(medoids: MedoidSet, real: Iterable[EncodedMatrix],
+                      grid: ThresholdGrid) -> ProximityProfile:
+    """Exact nearest-real distances for every medoid, and the coverage counts
+    on grid. real is the consecutive row chunks of one matrix, each reduced
+    by kernels.cross_min_distances."""
 
     def pieces():
         vectors = medoids.vectors()
@@ -215,12 +221,13 @@ def proximity_profile(medoids: MedoidSet, real: Iterable[EncodedMatrix]) -> Prox
                 minima = kernels.cross_min_distances(vectors, chunk.vectors)
             yield minima
 
-    return _profile(medoids, pieces())
+    return _profile(medoids, pieces(), grid)
 
 
 def proximity_profile_gower(
     medoids: MedoidSet,
     real: Iterable[DataTable],
+    grid: ThresholdGrid,
     ranges: dict[str, tuple[float, float]],
 ) -> ProximityProfile:
     """Gower variant: distances on raw rows with model-fitted numeric ranges.
@@ -232,7 +239,7 @@ def proximity_profile_gower(
 
     def pieces():
         for block in real:
-            cells = encoding.gower_cells(block.schema, rows)
+            cells = gower_cells(block.schema, rows)
             minima, pairs = _gower_minima(block, cells, ranges)
             cross = block.n_rows * len(rows)
             work[0] += cross if pairs is None else pairs
@@ -241,9 +248,69 @@ def proximity_profile_gower(
             work[3] += 1
             yield minima
 
-    profile = _profile(medoids, pieces())
+    profile = _profile(medoids, pieces(), grid)
     profile.gower = GowerWork(*work)
     return profile
+
+
+def numeric_ranges(model: EncodingModel) -> dict[str, tuple[float, float]]:
+    """Per-column (lo, hi) from the fitted model, for Gower evaluation."""
+    return {name: (s.lo, s.hi) for name, s in model.stats.items()}
+
+
+def gower_cells(schema: TableSchema, rows: Sequence[tuple]) -> list[np.ndarray]:
+    """Raw rows column by column, as gower_fold compares them: float64 values
+    of the numeric columns, and for a categorical column each cell's index in
+    schema's vocabulary, or -1 for a category outside it, as int32 like a
+    table's codes, so that comparing them widens neither side."""
+    if any(len(row) != len(schema.columns) for row in rows):
+        raise SchemaError("row length does not match the table schema")
+    cells = []
+    for j, col in enumerate(schema.columns):
+        if col.kind == NUMERIC:
+            cells.append(np.array([row[j] for row in rows], dtype=np.float64))
+        else:
+            pos = {cat: k for k, cat in enumerate(col.categories)}
+            cells.append(np.array([pos.get(row[j], -1) for row in rows], dtype=np.int32))
+    return cells
+
+
+def gower_fold(
+    schema: TableSchema,
+    ranges: dict[str, tuple[float, float]],
+    columns: Sequence[np.ndarray],
+    cells: Sequence,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Gower distances, the mean per-column dissimilarity, of rows given
+    column by column (a table's columns, or their cells gathered per pair)
+    against cells of the other side: per column one value for every row, or
+    one per row, as gower_cells gives them.
+
+    Numeric columns contribute |a - b| / (hi - lo) clamped to [0, 1], or 0 when
+    the fitted range is empty; categorical columns contribute 0 on a match and
+    1 otherwise. The terms are added in column order to a total that starts
+    at 0, which is then divided by the column count, so a pair's distance is
+    the same float whichever rows share the call, as the window proof in the
+    module docstring needs. Ranges come from the fitted model so the
+    comparison stays independent of the real table. out, a (2, rows) float64
+    array, takes the distances in out[0] and a scratch term in out[1], so a
+    caller that compares many rows allocates them once.
+    """
+    total, term = out
+    total.fill(0.0)
+    for col, arr, cell in zip(schema.columns, columns, cells):
+        if col.kind == NUMERIC:
+            lo, hi = ranges[col.name]
+            if hi != lo:
+                np.subtract(arr, cell, out=term)
+                np.abs(term, out=term)
+                np.divide(term, hi - lo, out=term)
+                total += np.minimum(term, 1.0, out=term)
+        else:
+            total += arr != cell
+    total /= len(schema.columns)
+    return total
 
 
 def _gower_minima(
@@ -278,8 +345,8 @@ def _gower_minima(
     def fold(pm: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The distances of the pairs (medoid pm[i], row rows[i])."""
         out = np.empty((2, len(pm)))
-        return encoding.gower_fold(schema, ranges, [col[rows] for col in block.columns],
-                                   [cell[pm] for cell in cells], out)
+        return gower_fold(schema, ranges, [col[rows] for col in block.columns],
+                          [cell[pm] for cell in cells], out)
 
     # k[i, p]: categories in which medoid i and pattern p differ
     k = np.zeros((m, g), dtype=np.int32)
@@ -407,7 +474,7 @@ def _gower_scan(
     per_real = np.full(block.n_rows, np.inf, dtype=np.float64)
     scratch = np.empty((2, block.n_rows), dtype=np.float64)
     for i, row in enumerate(zip(*(cell.tolist() for cell in cells))):
-        d = encoding.gower_fold(block.schema, ranges, block.columns, row, scratch)
+        d = gower_fold(block.schema, ranges, block.columns, row, scratch)
         d_min[i] = d.min()
         nearest[i] = np.argmin(d)
         np.minimum(per_real, d, out=per_real)
@@ -509,19 +576,13 @@ def asr_curve(records: Sequence[DistanceRecord], grid: ThresholdGrid) -> np.ndar
     return _count_below(dmin, grid) / len(records)
 
 
-def coverage_from_minima(per_real_min: np.ndarray, grid: ThresholdGrid) -> np.ndarray:
-    """Fraction of real rows strictly within each threshold of some medoid,
-    from each real row's minimum distance over the medoids."""
-    if len(per_real_min) == 0:
-        raise ConfigError("coverage needs at least one real row")
-    return _count_below(per_real_min, grid) / len(per_real_min)
-
-
 def _count_below(values: np.ndarray, grid: ThresholdGrid) -> np.ndarray:
-    """Per threshold, how many values lie strictly below it, in O(N) memory:
-    a left insertion point in sorted order counts exactly the smaller values
-    (NaN sorts last and never counts, as with <)."""
-    return np.searchsorted(np.sort(values), grid.taus, side="left")
+    """Per threshold, how many values lie strictly below it: a left insertion
+    point in sorted order counts exactly the smaller values (NaN sorts last
+    and never counts, as with <). values, which its callers make for this
+    call alone, is sorted in place, so a block of real rows needs no copy."""
+    values.sort()
+    return np.searchsorted(values, grid.taus, side="left")
 
 
 @dataclass(frozen=True)
@@ -573,10 +634,12 @@ class MetricCurves:
     coverage: list[float]
 
 
-def curves_from_profile(
-    profile: ProximityProfile, grid: ThresholdGrid
-) -> MetricCurves:
+def curves_from_profile(profile: ProximityProfile, grid: ThresholdGrid) -> MetricCurves:
+    """The curves on grid, the one the profile was taken on: coverage is the
+    fraction of the real rows that its counts give."""
+    if profile.n_real == 0:
+        raise ConfigError("coverage needs at least one real row")
     return MetricCurves(
         asr=asr_curve(profile.records, grid).tolist(),
-        coverage=coverage_from_minima(profile.per_real_min, grid).tolist(),
+        coverage=(profile.counts / profile.n_real).tolist(),
     )

@@ -25,6 +25,9 @@ from .metrics import DistanceRecord, DminSummary, MetricCurves, ThresholdGrid
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_KIND = "leakage_report"
+# verify takes a recomputed number as equal to the stored one within this
+# absolute difference
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,16 @@ def format_summary_row(summary: DminSummary) -> str:
     )
 
 
-def compare_reports(original: dict, recomputed: dict, tol: float = 1e-9) -> list[str]:
-    """Structural diff of two report documents. Numbers must agree within tol,
-    where two equal infinities and two NaNs agree, and everything else
-    exactly. Returns human-readable difference lines."""
+def compare_reports(original: dict, recomputed: dict) -> list[str]:
+    """Structural diff of two report documents. Numbers must agree within
+    TOLERANCE, where two equal infinities and two NaNs agree, and everything
+    else exactly. Returns human-readable difference lines."""
     diffs: list[str] = []
-    _compare("", original, recomputed, tol, diffs)
+    _compare("", original, recomputed, diffs)
     return diffs
 
 
-def _compare(path: str, a, b, tol: float, diffs: list[str]) -> None:
+def _compare(path: str, a, b, diffs: list[str]) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             here = f"{path}.{key}" if path else key
@@ -163,20 +166,20 @@ def _compare(path: str, a, b, tol: float, diffs: list[str]) -> None:
             elif key not in b:
                 diffs.append(f"{here}: missing in recomputation")
             else:
-                _compare(here, a[key], b[key], tol, diffs)
+                _compare(here, a[key], b[key], diffs)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{path}: length {len(a)} vs {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _compare(f"{path}[{i}]", x, y, tol, diffs)
+            _compare(f"{path}[{i}]", x, y, diffs)
     elif isinstance(a, bool) or isinstance(b, bool):
         if a is not b:
             diffs.append(f"{path}: {a!r} vs {b!r}")
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
         fa, fb = float(a), float(b)
         equal = (fa == fb) or (math.isnan(fa) and math.isnan(fb)) or (
-            math.isfinite(fa) and math.isfinite(fb) and abs(fa - fb) <= tol
+            math.isfinite(fa) and math.isfinite(fb) and abs(fa - fb) <= TOLERANCE
         )
         if not equal:
             diffs.append(f"{path}: {a!r} vs {b!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmla import kernels
+from cmla import kernels, metrics
 from cmla.clustering import Medoid, MedoidSet
 from cmla.encoding import EncodedMatrix
 from cmla.tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
@@ -57,6 +57,16 @@ def medoid_set(vectors, model_hash="m0", row_ids=None) -> MedoidSet:
         for i in range(len(vs))
     ]
     return MedoidSet(medoids=meds, cluster_sizes=[1] * len(vs), model_hash=model_hash)
+
+
+def coverage_of(per_real, grid, pieces=3) -> list[float]:
+    """Coverage on grid of real rows whose minima over the medoids are
+    per_real, as metrics._profile counts them over that many consecutive
+    pieces of the rows and metrics.curves_from_profile divides the counts."""
+    rows = np.array_split(np.array(per_real, dtype=np.float64), pieces)
+    blocks = [(np.zeros(1), np.zeros(1, dtype=np.int64), piece) for piece in rows]
+    profile = metrics._profile(medoid_set([[0.0]]), blocks, grid)
+    return metrics.curves_from_profile(profile, grid).coverage
 
 
 def clustered_cloud(rng: np.random.Generator, n: int, d: int, duplicates: float = 0.0):

@@ -18,12 +18,12 @@ import pytest
 from cmla.audit import AuditConfig, run_audit, run_scenario, verify_report_file
 from cmla.clustering import dbscan, extract_medoids
 from cmla.encoding import encode, fit_encoding
-from cmla.kernels import dists_to
+from cmla.kernels import cross_min_distances, dists_to
 from cmla.metrics import (
     DistanceRecord,
     ThresholdGrid,
     asr_curve,
-    coverage_from_minima,
+    curves_from_profile,
     grid_from_spec,
     proximity_profile,
     summarize_dmin,
@@ -32,7 +32,15 @@ from cmla.report import format_summary_row, render_json, report_from_dict
 from cmla.tables import load_csv
 
 import reference
-from conftest import DATA_DIR, clustered_cloud, matrix, medoid_set, mixed_table, numeric_table
+from conftest import (
+    DATA_DIR,
+    clustered_cloud,
+    coverage_of,
+    matrix,
+    medoid_set,
+    mixed_table,
+    numeric_table,
+)
 
 
 def _verdict(name: str, problems: list) -> None:
@@ -88,9 +96,9 @@ def test_criterion_02_metrics_bitwise_vs_double_loop(rng):
             if k > 1 and n > 1:
                 real[1] = real[0]
 
-        profile = proximity_profile(medoid_set(meds), [matrix(real)])
+        profile = proximity_profile(medoid_set(meds), [matrix(real)], grid)
         asr = asr_curve(profile.records, grid)
-        cov = coverage_from_minima(profile.per_real_min, grid)
+        cov = curves_from_profile(profile, grid).coverage
         r_dmin, r_nearest, r_per_real, r_asr, r_cov = reference.double_loop_metrics(
             meds, real, taus
         )
@@ -99,11 +107,11 @@ def test_criterion_02_metrics_bitwise_vs_double_loop(rng):
             problems.append(f"case {case}: d_min differs")
         if [r.nearest_real_row_id for r in profile.records] != r_nearest:
             problems.append(f"case {case}: nearest ids differ")
-        if profile.per_real_min.tolist() != r_per_real:
+        if cross_min_distances(meds, real)[2].tolist() != r_per_real:
             problems.append(f"case {case}: per-real minima differ")
         if asr.tolist() != r_asr:
             problems.append(f"case {case}: asr differs")
-        if cov.tolist() != r_cov:
+        if cov != r_cov:
             problems.append(f"case {case}: coverage differs")
     _verdict("metrics-vs-double-loop", problems)
 
@@ -158,7 +166,7 @@ def test_criterion_04_curve_laws_hold_on_randomized_runs(rng):
 
         asr = asr_curve(records, grid)
         per_real = rng.uniform(0.0, 3.0, int(rng.integers(1, 50)))
-        cov = coverage_from_minima(per_real, grid)
+        cov = np.array(coverage_of(per_real, grid))
 
         for name, curve in (("asr", asr), ("coverage", cov)):
             if curve[0] != 0.0:
@@ -248,7 +256,7 @@ def test_criterion_09_reports_verify_and_round_trip(scenario_run):
     outcome, _ = scenario_run
     problems = []
     path = outcome.out_dir / "memorizer" / "report.json"
-    problems.extend(verify_report_file(path, tol=1e-9))
+    problems.extend(verify_report_file(path))
 
     text = path.read_text(encoding="utf-8")
     if render_json(report_from_dict(json.loads(text))) != text:

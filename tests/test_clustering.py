@@ -245,6 +245,20 @@ def test_bench_tracer_wraps_attributes_that_the_audit_calls(monkeypatch, tmp_pat
     assert all(math.isfinite(v) and v >= 0 for v in layers.values())
     assert layers["tables.load_csv.rows"] == len(x)
     assert layers["clustering.clusters"] >= 1
+    # a Gower audit under the wrappers: proximity_profile_gower's wrapper gets
+    # and passes on every argument, and the report is the untraced one
+    def gower(out):
+        return [*argv[:6], str(tmp_path / out), *argv[7:], "--metric", "gower"]
+
+    assert cli.main(gower("plain")) == 0
+    with tracing.Tracer() as tracer, tracer.span(tracing.ROOT_SPAN):
+        assert cli.main(gower("traced")) == 0
+    names = [sp.name for sp in tracer.spans]
+    assert names.count("metrics.proximity_profile_gower") == 1
+    assert "kernels.cross_min_distances" not in names
+    for name in ("report.json", "curves.csv"):
+        traced, plain = (tmp_path / out / name for out in ("traced", "plain"))
+        assert traced.read_bytes() == plain.read_bytes()
 
 
 def test_an_audit_finds_the_distinct_rows_once(monkeypatch, tmp_path):

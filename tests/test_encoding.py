@@ -1,23 +1,16 @@
-"""The shared representation: scaling, one-hot blocks, PCA, Gower."""
+"""The shared representation: scaling, one-hot blocks, PCA."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cmla.encoding import (
-    encode,
-    fit_encoding,
-    fit_pca,
-    gower_cells,
-    gower_fold,
-    numeric_ranges,
-)
+from cmla.encoding import encode, fit_encoding, fit_pca
 from cmla.errors import ConfigError, SchemaError
 from cmla.kernels import dists_to
+from cmla.metrics import gower_cells, gower_fold, numeric_ranges
 from cmla.tables import load_csv
 
-import reference
 from conftest import mixed_table, numeric_table
 
 
@@ -163,53 +156,6 @@ def test_pca_zero_variance_explains_nothing():
     assert pca.explained.tolist() == [0.0]
 
 
-def gower_to_rows(row, table, ranges):
-    """gower_fold of one raw row against every row of a table."""
-    cells = gower_cells(table.schema, [row])
-    return gower_fold(table.schema, ranges, table.columns, cells, np.empty((2, table.n_rows)))
-
-
-def test_gower_hand_value():
-    t = mixed_table(numeric={"x": [1.0, 2.0]}, categorical={"c": ["u", "v"]})
-    ranges = {"x": (0.0, 4.0)}
-    # |1 - 2| / 4 = 0.25 on the numeric, 1 on the mismatch: mean 0.625
-    assert gower_to_rows(t.row(0), t, ranges).tolist() == [0.0, 0.625]
-
-
-def test_gower_clamps_and_ignores_empty_ranges():
-    t = mixed_table(numeric={"x": [0.0, 100.0], "y": [5.0, 9.0]})
-    ranges = {"x": (0.0, 10.0), "y": (3.0, 3.0)}
-    # x overshoots the range (clamped to 1), y has no range (contributes 0)
-    assert gower_to_rows(t.row(0), t, ranges).tolist() == [0.0, 0.5]
-
-
-def test_gower_fold_matches_pairwise_loop(rng):
-    table = mixed_table(
-        numeric={"x": rng.uniform(0, 10, 20), "y": rng.uniform(-5, 5, 20)},
-        categorical={"c": [str(v) for v in rng.integers(0, 3, 20)]},
-    )
-    ranges = {"x": (0.0, 10.0), "y": (-5.0, 5.0)}
-    probe = (3.3, 0.7, "1")
-    d = gower_to_rows(probe, table, ranges)
-    for j in range(table.n_rows):
-        assert d[j] == reference.gower_pair(probe, table.row(j), table.schema, ranges)
-    # the same pairs with both sides given per pair, as the window kernel does
-    rows = rng.integers(0, 20, 50)
-    probes = [table.row(int(i)) for i in rng.integers(0, 20, 50)]
-    cells = gower_cells(table.schema, probes)
-    d = gower_fold(table.schema, ranges, [c[rows] for c in table.columns], cells,
-                   np.empty((2, 50)))
-    for j, (i, probe) in enumerate(zip(rows, probes)):
-        assert d[j] == reference.gower_pair(probe, table.row(int(i)), table.schema, ranges)
-
-
-def test_gower_fold_with_unseen_category_counts_every_row_as_mismatch():
-    table = mixed_table(categorical={"c": ["a", "b"]})
-    assert gower_cells(table.schema, [("z",)])[0].tolist() == [-1]
-    d = gower_to_rows(("z",), table, {})
-    assert d.tolist() == [1.0, 1.0]
-
-
 def test_real_only_category_is_a_zero_block_and_a_gower_mismatch(tmp_path):
     (tmp_path / "synthetic.csv").write_text("x,c\n0.0,a\n1.0,b\n")
     (tmp_path / "real.csv").write_text("x,c\n0.5,z\n0.5,a\n")
@@ -217,14 +163,9 @@ def test_real_only_category_is_a_zero_block_and_a_gower_mismatch(tmp_path):
     real = load_csv(tmp_path / "real.csv", synth.schema)
     model = fit_encoding(synth)
     assert encode(model, real).vectors.tolist() == [[0.5, 0.0, 0.0], [0.5, 1.0, 0.0]]
-    d = gower_to_rows((0.5, "a"), real, numeric_ranges(model))
+    cells = gower_cells(real.schema, [(0.5, "a")])
+    d = gower_fold(real.schema, numeric_ranges(model), real.columns, cells, np.empty((2, 2)))
     assert d.tolist() == [0.5, 0.0]
-
-
-def test_gower_row_length_validation():
-    table = mixed_table(numeric={"x": [1.0]})
-    with pytest.raises(SchemaError):
-        gower_to_rows((1.0, "extra"), table, {"x": (0.0, 1.0)})
 
 
 def test_encode_rows_align_with_table_rows():

@@ -6,15 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmla import metrics, tables
+from cmla import kernels, metrics, tables
 from cmla.audit import AuditConfig
 from cmla.clustering import Medoid, MedoidSet
-from cmla.errors import ConfigError, LineageError
+from cmla.errors import ConfigError, LineageError, SchemaError
 from cmla.metrics import (
     ThresholdGrid,
     asr_curve,
-    coverage_from_minima,
     curves_from_profile,
+    gower_cells,
+    gower_fold,
     grid_from_spec,
     proximity_profile,
     proximity_profile_gower,
@@ -22,7 +23,11 @@ from cmla.metrics import (
 )
 
 import reference
-from conftest import matrix, medoid_set, mixed_table
+from conftest import coverage_of, matrix, medoid_set, mixed_table
+
+GRID = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
+# Gower distances lie in [0, 1]
+GOWER_GRID = grid_from_spec("0:1:0.001", ())
 
 
 def records_with(dmins):
@@ -109,9 +114,9 @@ def test_asr_requires_records():
 def test_coverage_hand_case():
     per_real = np.array([0.05, 0.2])
     g = ThresholdGrid(np.array([0.0, 0.1, 0.3]))
-    assert coverage_from_minima(per_real, g).tolist() == [0.0, 0.5, 1.0]
+    assert coverage_of(per_real, g) == [0.0, 0.5, 1.0]
     with pytest.raises(ConfigError):
-        coverage_from_minima(np.array([]), g)
+        coverage_of(np.array([]), g)
 
 
 def test_curve_counts_are_strict_on_ties_duplicates_and_infinity(rng):
@@ -121,39 +126,40 @@ def test_curve_counts_are_strict_on_ties_duplicates_and_infinity(rng):
     values += list(rng.choice(g.taus, 40)) + list(rng.uniform(0.0, 2.5, 40))
     want = [sum(1 for v in values if v < t) / len(values) for t in g.taus]
     assert asr_curve(records_with(values), g).tolist() == want
-    assert coverage_from_minima(np.array(values), g).tolist() == want
-    assert coverage_from_minima(np.array([np.inf, np.inf]), g).tolist() == [0.0] * 6
+    assert coverage_of(np.array(values), g) == want
+    assert coverage_of(np.array([np.inf, np.inf]), g) == [0.0] * 6
     assert asr_curve(records_with([0.5] * 3), g).tolist() == [0, 0, 0, 0, 1, 1]
     with pytest.raises(ConfigError, match="at least one record"):
         asr_curve([], g)
     with pytest.raises(ConfigError, match="at least one real row"):
-        coverage_from_minima(np.array([]), g)
+        coverage_of(np.array([]), g)
 
 
 def test_proximity_profile_matches_the_double_loop(rng):
     meds = rng.standard_normal((7, 3))
     real = rng.standard_normal((30, 3))
-    profile = proximity_profile(medoid_set(meds), [matrix(real)])
-    d_min, nearest, per_real, _, _ = reference.double_loop_metrics(meds, real, [])
+    profile = proximity_profile(medoid_set(meds), [matrix(real)], GRID)
+    d_min, nearest, per_real, _, cov = reference.double_loop_metrics(meds, real, GRID.taus)
     assert [r.d_min for r in profile.records] == d_min
     assert [r.nearest_real_row_id for r in profile.records] == nearest
-    assert profile.per_real_min.tolist() == per_real
+    assert kernels.cross_min_distances(meds, real)[2].tolist() == per_real
+    assert curves_from_profile(profile, GRID).coverage == cov
 
 
 def test_proximity_profile_checks_lineage():
     with pytest.raises(LineageError, match="different encoding models"):
-        proximity_profile(medoid_set([[0.0]], model_hash="a"), [matrix([[0.0]], "b")])
+        proximity_profile(medoid_set([[0.0]], model_hash="a"), [matrix([[0.0]], "b")], GRID)
 
 
 def test_proximity_profile_requires_medoids():
     empty = medoid_set(np.empty((0, 1)))
     empty.medoids = []
     with pytest.raises(ConfigError, match="no medoids"):
-        proximity_profile(empty, [matrix([[0.0]])])
+        proximity_profile(empty, [matrix([[0.0]])], GRID)
 
 
 def test_nearest_real_distance_ties_take_the_lowest_real_row():
-    profile = proximity_profile(medoid_set([[0.0]]), [matrix([[1.0], [1.0], [-1.0]])])
+    profile = proximity_profile(medoid_set([[0.0]]), [matrix([[1.0], [1.0], [-1.0]])], GRID)
     assert profile.records[0].nearest_real_row_id == 0
     assert profile.records[0].d_min == 1.0
 
@@ -164,11 +170,14 @@ def test_gower_profile_hand_case():
     medoids.medoids[0] = medoids.medoids[0].__class__(
         cluster_id=0, row_id=0, vector=np.array([0.0]), raw=(1.0, "u")
     )
-    profile = proximity_profile_gower(medoids, [table], {"x": (0.0, 4.0)})
+    ranges = {"x": (0.0, 4.0)}
+    g = ThresholdGrid(np.array([0.0, 0.125, 0.5, 1.0]))
+    profile = proximity_profile_gower(medoids, [table], g, ranges)
     # per row: (|1-0|/4 + 0)/2 = 0.125 and (|1-4|/4 + 1)/2 = 0.875
     assert profile.records[0].d_min == 0.125
     assert profile.records[0].nearest_real_row_id == 0
-    assert profile.per_real_min.tolist() == [0.125, 0.875]
+    assert gower_per_real([(1.0, "u")], [table], ranges).tolist() == [0.125, 0.875]
+    assert curves_from_profile(profile, g).coverage == [0.0, 0.0, 0.5, 1.0]
 
 
 def raw_medoids(rows) -> MedoidSet:
@@ -178,19 +187,30 @@ def raw_medoids(rows) -> MedoidSet:
 
 
 def gower_double_loop(rows, table, ranges):
-    """d_min, the lowest nearest row and each row's minimum over the medoids,
-    by reference.gower_pair on every pair."""
+    """d_min, the lowest nearest row, each row's minimum over the medoids and
+    coverage on GOWER_GRID, by reference.gower_pair on every pair and
+    counting."""
     real = [table.row(j) for j in range(table.n_rows)]
     d = np.array([[reference.gower_pair(row, x, table.schema, ranges) for x in real]
                   for row in rows])
-    return d.min(axis=1), d.argmin(axis=1), d.min(axis=0)
+    per_real = d.min(axis=0)
+    cov = [sum(1 for v in per_real if v < t) / len(per_real) for t in GOWER_GRID.taus]
+    return d.min(axis=1), d.argmin(axis=1), per_real, cov
 
 
-def assert_profile_is(profile, want):
-    d_min, nearest, per_real = want
+def gower_per_real(rows, blocks, ranges) -> np.ndarray:
+    """Each real row's minimum over the medoid rows, as _gower_minima gives
+    it block by block."""
+    return np.concatenate([metrics._gower_minima(b, gower_cells(b.schema, rows), ranges)[0][2]
+                           for b in blocks])
+
+
+def assert_profile_is(profile, per_real, want):
+    d_min, nearest, want_per_real, cov = want
     assert [r.d_min for r in profile.records] == d_min.tolist()
     assert [r.nearest_real_row_id for r in profile.records] == nearest.tolist()
-    assert profile.per_real_min.tolist() == per_real.tolist()
+    assert per_real.tolist() == want_per_real.tolist()
+    assert curves_from_profile(profile, GOWER_GRID).coverage == cov
 
 
 def gower_shape(name, rng, n=240, m=48):
@@ -235,8 +255,9 @@ def test_gower_profile_equals_a_double_loop_bit_for_bit(tmp_path, monkeypatch, r
     if windows:
         monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: True)
     profile = proximity_profile_gower(raw_medoids(rows), tables.read_blocks(path, table.schema),
-                                      ranges)
-    assert_profile_is(profile, want)
+                                      GOWER_GRID, ranges)
+    assert_profile_is(profile, gower_per_real(rows, tables.read_blocks(path, table.schema),
+                                              ranges), want)
     work = profile.gower
     assert work.cross == len(rows) * table.n_rows
     if windows:
@@ -256,10 +277,11 @@ def test_gower_windows_keep_a_tie_on_the_edge_of_a_medoids_window():
     table = mixed_table(numeric={"x": x})
     rows = [(0.0,)] + [(10.0 * i,) for i in range(1, 100)]
     ranges = {"x": (0.0, width)}
-    profile = proximity_profile_gower(raw_medoids(rows), [table], ranges)
+    profile = proximity_profile_gower(raw_medoids(rows), [table], GOWER_GRID, ranges)
     assert profile.gower.scanned == 0
     assert profile.records[0].nearest_real_row_id == 0
-    assert_profile_is(profile, gower_double_loop(rows, table, ranges))
+    assert_profile_is(profile, gower_per_real(rows, [table], ranges),
+                      gower_double_loop(rows, table, ranges))
 
 
 @pytest.mark.parametrize("windows", [False, True], ids=["scan", "windows"])
@@ -271,7 +293,7 @@ def test_gower_reduction_memory_does_not_grow_with_the_medoids(rng, monkeypatch,
         medoids = raw_medoids(rows[:m])
         tracemalloc.start()
         try:
-            profile = proximity_profile_gower(medoids, [table], ranges)
+            profile = proximity_profile_gower(medoids, [table], GOWER_GRID, ranges)
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,21 +304,91 @@ def test_gower_reduction_memory_does_not_grow_with_the_medoids(rng, monkeypatch,
 def test_curves_from_profile_carries_counts(rng):
     meds = rng.standard_normal((4, 2))
     real = rng.standard_normal((11, 2))
-    profile = proximity_profile(medoid_set(meds), [matrix(real)])
-    curves = curves_from_profile(profile, grid_from_spec("0:2.5:0.01", (0.1, 0.5)))
+    profile = proximity_profile(medoid_set(meds), [matrix(real)], GRID)
+    curves = curves_from_profile(profile, GRID)
     assert len(profile.records) == 4
-    assert len(profile.per_real_min) == 11
+    assert profile.n_real == 11
     assert len(curves.asr) == 251
     assert len(curves.coverage) == 251
 
 
 def test_coverage_from_the_profile_minima_matches_a_double_loop(rng):
+    # the counts of the chunks add up to the whole table's
     meds = rng.standard_normal((3, 2))
     real = rng.standard_normal((9, 2))
-    profile = proximity_profile(medoid_set(meds), [matrix(real)])
-    g = grid_from_spec("0:2.5:0.01", (0.1, 0.5))
-    *_, cov = reference.double_loop_metrics(meds, real, g.taus)
-    assert coverage_from_minima(profile.per_real_min, g).tolist() == cov
+    profile = proximity_profile(medoid_set(meds), [matrix(real[:4]), matrix(real[4:])], GRID)
+    *_, cov = reference.double_loop_metrics(meds, real, GRID.taus)
+    assert curves_from_profile(profile, GRID).coverage == cov
+
+
+def test_profile_memory_does_not_grow_with_the_real_rows(rng):
+    # a profile keeps one count per threshold, not a minimum per real row, so
+    # ten times the chunks of 20 000 rows leave its peak where it was
+    medoids = medoid_set(rng.standard_normal((50, 9)))
+    peaks = {}
+    for n in (2, 20):
+        chunks = (matrix(rng.standard_normal((20_000, 9))) for _ in range(n))
+        tracemalloc.start()
+        try:
+            curves = curves_from_profile(proximity_profile(medoids, chunks, GRID), GRID)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < curves.coverage[-1]
+    assert peaks[20] <= 1.1 * peaks[2]
+
+
+def gower_to_rows(row, table, ranges):
+    """gower_fold of one raw row against every row of a table."""
+    cells = gower_cells(table.schema, [row])
+    return gower_fold(table.schema, ranges, table.columns, cells, np.empty((2, table.n_rows)))
+
+
+def test_gower_hand_value():
+    t = mixed_table(numeric={"x": [1.0, 2.0]}, categorical={"c": ["u", "v"]})
+    ranges = {"x": (0.0, 4.0)}
+    # |1 - 2| / 4 = 0.25 on the numeric, 1 on the mismatch: mean 0.625
+    assert gower_to_rows(t.row(0), t, ranges).tolist() == [0.0, 0.625]
+
+
+def test_gower_clamps_and_ignores_empty_ranges():
+    t = mixed_table(numeric={"x": [0.0, 100.0], "y": [5.0, 9.0]})
+    ranges = {"x": (0.0, 10.0), "y": (3.0, 3.0)}
+    # x overshoots the range (clamped to 1), y has no range (contributes 0)
+    assert gower_to_rows(t.row(0), t, ranges).tolist() == [0.0, 0.5]
+
+
+def test_gower_fold_matches_pairwise_loop(rng):
+    table = mixed_table(
+        numeric={"x": rng.uniform(0, 10, 20), "y": rng.uniform(-5, 5, 20)},
+        categorical={"c": [str(v) for v in rng.integers(0, 3, 20)]},
+    )
+    ranges = {"x": (0.0, 10.0), "y": (-5.0, 5.0)}
+    probe = (3.3, 0.7, "1")
+    d = gower_to_rows(probe, table, ranges)
+    for j in range(table.n_rows):
+        assert d[j] == reference.gower_pair(probe, table.row(j), table.schema, ranges)
+    # the same pairs with both sides given per pair, as the window kernel does
+    rows = rng.integers(0, 20, 50)
+    probes = [table.row(int(i)) for i in rng.integers(0, 20, 50)]
+    cells = gower_cells(table.schema, probes)
+    d = gower_fold(table.schema, ranges, [c[rows] for c in table.columns], cells,
+                   np.empty((2, 50)))
+    for j, (i, probe) in enumerate(zip(rows, probes)):
+        assert d[j] == reference.gower_pair(probe, table.row(int(i)), table.schema, ranges)
+
+
+def test_gower_fold_with_unseen_category_counts_every_row_as_mismatch():
+    table = mixed_table(categorical={"c": ["a", "b"]})
+    assert gower_cells(table.schema, [("z",)])[0].tolist() == [-1]
+    d = gower_to_rows(("z",), table, {})
+    assert d.tolist() == [1.0, 1.0]
+
+
+def test_gower_row_length_validation():
+    table = mixed_table(numeric={"x": [1.0]})
+    with pytest.raises(SchemaError):
+        gower_to_rows((1.0, "extra"), table, {"x": (0.0, 1.0)})
 
 
 def test_summarize_dmin_hand_case():

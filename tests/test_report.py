@@ -59,7 +59,7 @@ def small_pipeline(with_real=True, marks=(0.1, 0.5)):
     summary = curves = records = None
     if with_real:
         real = numeric_table([[0.0, 0.0], [2.4, 0.0], [5.0, 0.0]], names=["x", "y"])
-        profile = proximity_profile(medoids, [encode(model, real)])
+        profile = proximity_profile(medoids, [encode(model, real)], grid)
         curves = curves_from_profile(profile, grid)
         records = profile.records
         summary = summarize_dmin([r.d_min for r in records])
@@ -130,7 +130,9 @@ def numpy_typed_report(with_real, with_records):
             DistanceRecord(np.int64(0), np.int64(1), np.float64(0.2), np.int64(2)),
             DistanceRecord(np.int32(1), np.int64(4), np.float64(0.75), np.int64(0)),
         ],
-        per_real_min=np.array([0.75, 0.3, 0.2]),
+        # the real rows' minima 0.75, 0.3 and 0.2 counted below each threshold
+        counts=np.array([0, 1, 2, 3]),
+        n_real=np.int64(3),
     )
     summary = curves = readouts = None
     if with_real:
@@ -259,9 +261,9 @@ def test_compare_reports_tolerance_boundary():
     b = json.loads(json.dumps(a))
     assert compare_reports(a, b) == []
     b["curves"]["asr"][5] = a["curves"]["asr"][5] + 5e-10
-    assert compare_reports(a, b, tol=1e-9) == []
+    assert compare_reports(a, b) == []
     b["curves"]["asr"][5] = a["curves"]["asr"][5] + 2e-9
-    diffs = compare_reports(a, b, tol=1e-9)
+    diffs = compare_reports(a, b)
     assert len(diffs) == 1
     assert diffs[0].startswith("curves.asr[5]:")
 
