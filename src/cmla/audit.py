@@ -173,14 +173,13 @@ def run_audit(
                 profile = metrics.proximity_profile_gower(
                     medoids, blocks, grid, metrics.numeric_ranges(model)
                 )
-                work = profile.gower
-                log.info("gower: %d exact pairs of %d medoid-row pairs; "
-                         "%d of %d blocks scanned in full",
-                         work.pairs, work.cross, work.scanned, work.blocks)
             else:
                 profile = metrics.proximity_profile(
                     medoids, encoding.encode_chunks(model, blocks), grid
                 )
+            work = profile.work
+            log.info("%s: %d exact pairs of %d medoid-row pairs; %d of %d blocks scanned in full",
+                     config.metric, work.pairs, work.cross, work.scanned, work.blocks)
             n_real_rows = profile.n_real
             log.info("real table: %d rows", n_real_rows)
             summary = metrics.summarize_dmin([r.d_min for r in profile.records])

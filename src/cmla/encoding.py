@@ -34,10 +34,11 @@ MODEL_SCHEMA_VERSION = 1
 # take more bytes than this (a 1 GiB bound, not a setting): a one-hot block
 # of a column with many categories grows with rows x categories.
 MAX_ENCODED_BYTES = 1 << 30
-# encode_chunks encodes at most this many bytes at a time. Each chunk starts
-# the pruning bound of kernels.cross_min_distances afresh: on a 200k x 9 real
-# table, 8 MiB chunks took as much CPU as one whole matrix, 512 KiB chunks
-# 12 % more.
+# encode_chunks encodes at most this many bytes at a time. Each chunk is
+# reduced on its own by metrics._euclidean_minima, so its patterns, sort and
+# windows, or on the tiles the pruning bound of kernels.cross_min_distances,
+# start afresh. On the tiles, on a 200k x 9 real table, 8 MiB chunks took as
+# much CPU as one whole matrix, 512 KiB chunks 12 % more.
 CHUNK_BYTES = 8 << 20
 
 

@@ -8,62 +8,100 @@ strictly within tau of at least one medoid. Both inequalities are strict, so
 both curves are exactly zero at tau = 0.
 
 The real rows come as a stream of blocks. Each block is reduced as it
-arrives, by kernels.cross_min_distances on its encoding or by _gower_minima
-on its raw rows. One loop merges the medoids' minima in row order and adds,
-per grid threshold, how many of the block's rows have a medoid strictly
-within it. The counts are integers, so their sum over blocks is exact: the
-profile is the one a whole table gives, bit for bit, and the real side's
-memory is bounded per block, plus one count per threshold.
+arrives, by _euclidean_minima on its encoding or by _gower_minima on its raw
+rows. One loop merges the medoids' minima in row order and adds, per grid
+threshold, how many of the block's rows have a medoid strictly within it.
+The counts are integers, so their sum over blocks is exact: the profile is
+the one a whole table gives, bit for bit, and the real side's memory is
+bounded per block, plus one count per threshold.
+
+The windows. Both metrics reduce a block in one engine (_window_minima)
+unless the cost rule (_windows_pay) expects their full scan to be cheaper:
+the per-medoid Gower scan, or the tiles of kernels.cross_min_distances. The
+block's rows are grouped by pattern over key columns, in each of which a
+mismatch adds a term of exactly 1 to a pair's sum; for a medoid and a
+pattern, k counts the key columns in which they differ. One other column,
+the axis, gives each pair a term t >= 0. Each row and each medoid gets a
+seed distance D, the exact distance to one medoid or row, and only the pairs
+in its windows, which hold every pair with d <= D, are computed: the ones at
+the minimum, ties included, are among them. Write u = 2^-53. Each metric
+proves, for its distance d, that d <= D implies k + t <= B for a bound B,
+and gives a reach X with X(1 - u) >= B. A pattern with k > X then holds no
+pair with d <= D, and T = fl(X - k), which rounds down by at most uX (and
+not at all when subnormal), has t <= T. The metric's half width h(T) bounds
+|x - a| for every pair with t <= T < 1, x and a being the row's and the
+medoid's axis values.
+- Ends. A float x with |x - a| <= h has fl(a - h) <= x <= fl(a + h), as
+  rounding is monotone, so a searchsorted of those two floats over values
+  sorted by the axis drops no row or medoid of the window. If T >= 1 the
+  window holds the whole pattern.
+- Listing. A medoid's windows run over the rows of each pattern with
+  k <= X, sorted by the axis. A row's runs over the medoids sorted by the
+  axis, taking T from the fewest mismatches any medoid has with its
+  pattern; when T < 1 a medoid with more mismatches has t <= X - k - uX < 0,
+  so only the medoids with the fewest are listed. A row whose window holds
+  its seed alone keeps the seed distance.
 
 Gower. gower_fold gives a pair the distance d = fl(total / C) for C
 columns, total being the float sum, from 0 in column order, of the terms: 0
 or 1 per categorical column, and min(fl(|fl(x - a)| / R), 1) per numeric
 column whose fitted range lo <= hi has R = fl(hi - lo) > 0. Cells and ranges
-are finite, so every term lies in [0, 1]. _gower_minima groups a block's
-rows by category pattern and takes as the axis the first numeric column
-with a range, or zeros of width 0 without one (t is then 0 and every window
-whole). For a medoid and a pattern, k counts the categorical columns in
-which they differ, and t is a pair's axis term. Unless the cost rule
-(_windows_pay) expects the per-medoid scan to be cheaper, each row and each
-medoid gets a seed distance D, the exact distance to one medoid or row, and
-only the pairs in its windows, which hold every pair with d <= D, are
-computed: the ones at the minimum, ties included, are among them.
-
-The windows. Write u = 2^-53. A sum of non-negative floats rounds to at
-least 1 - u times its exact value, and of the at most C additions the first
-is exact, so total >= (1 - u)^(C-1) S with S >= k + t the exact sum of the
-terms; the division gives d >= (1 - u) total / C, or total / C - 2^-1075
-when the quotient is subnormal. So d <= D implies
-k + t <= B = C (D + 2^-1075) / (1 - u)^C.
+are finite, so every term lies in [0, 1]. The keys are the categorical
+columns, and the axis is the first numeric column with a range, or zeros of
+width 0 without one (t is then 0 and every window whole). A sum of
+non-negative floats rounds to at least 1 - u times its exact value, and of
+the at most C additions the first is exact, so total >= (1 - u)^(C-1) S
+with S >= k + t the exact sum of the terms; the division gives
+d >= (1 - u) total / C, or total / C - 2^-1075 when the quotient is
+subnormal. So d <= D implies k + t <= B = C (D + 2^-1075) / (1 - u)^C.
 - Reach. X = fl(fl(D' C) (1 + 2(C + 2)u)) with D' = max(D, 2^-1000)
-  (_reach): both products are normal, so X >= D' C (1 - u)^2 (1 + 2(C + 2)u),
-  while B <= D' C (1 + 2^-75)(1 + Cu + C^2 u^2). For any C u < 2^-20, X
-  exceeds B by at least (C + 1)u D' C >= uX + 2^-1075. A pattern with k > X
-  holds no pair with d <= D, and T = fl(X - k), which rounds down by at most
-  uX, has t + 2^-1075 <= T.
-- Width. If T >= 1 the window holds the whole pattern. Otherwise t < 1 is
-  unclamped: t = fl(q) for q = |fl(x - a)| / R, so q <= t / (1 - u) + 2^-1075
-  <= T / (1 - u), and fl(x - a) is finite and within a factor 1 - u of
-  x - a (exact when subnormal), so |x - a| <= T R / (1 - u)^2. The half
-  width h = max(fl(fl(T R)(1 + 8u)), 2^-1020) (_half_width) is at least
+  (_gower_reach): both products are normal, so
+  X >= D' C (1 - u)^2 (1 + 2(C + 2)u), while
+  B <= D' C (1 + 2^-75)(1 + Cu + C^2 u^2). For any C u < 2^-20, X exceeds B
+  by at least (C + 1)u D' C >= uX + 2^-1075, so t + 2^-1075 <= T.
+- Width. t < 1 is unclamped: t = fl(q) for q = |fl(x - a)| / R, so
+  q <= t / (1 - u) + 2^-1075 <= T / (1 - u), and fl(x - a) is finite and
+  within a factor 1 - u of x - a (exact when subnormal), so
+  |x - a| <= T R / (1 - u)^2. The half width
+  h = max(fl(fl(T R)(1 + 8u)), 2^-1020) (_gower_half_width) is at least
   that: if T R >= 2^-1021 both products are normal and
   h >= T R (1 - u)^2 (1 + 8u) >= T R / (1 - u)^2; otherwise
   T R / (1 - u)^2 < 2^-1020. An h that overflows keeps every row.
-- Ends. A float x with |x - a| <= h has fl(a - h) <= x <= fl(a + h), as
-  rounding is monotone, so a searchsorted of those two floats over values
-  sorted by the axis drops no row or medoid of the window.
-A medoid's windows run over the rows of each pattern with k <= X, sorted by
-the axis. A row's runs over the medoids sorted by the axis, taking T from the
-fewest mismatches any medoid has with its pattern; when T < 1 a medoid with
-more mismatches has t <= X - k - uX < 0, so only the medoids with the fewest
-are listed. A row whose window holds its seed alone keeps the seed distance.
+
+Euclidean. kernels._exact_dists gives a pair of encoded rows the distance
+d = fl(sqrt(s)), s being the float sum, in any order, of the terms
+fl(fl(x_j - a_j)^2) over the dim columns. The keys are the columns that
+hold only 0.0 and 1.0 in both the medoids and the chunk, such as one-hot
+columns: a mismatch there is a difference of exactly +-1 and a term of
+exactly 1. The axis is the other column along which the medoids spread
+widest, or zeros without one (t is then 0). A chunk goes to the tiles
+whenever a squared norm in it or in the medoids exceeds 2^1000 or is not
+finite, so every value is finite, |x_j| <= 2^500, and no term overflows.
+- Bound. Of the additions in s, at most dim - 1 round, each to at least
+  1 - u times its exact value (or exactly, when subnormal), so
+  s >= (1 - u)^(dim-1) (k + t). The square root is correctly rounded and
+  never subnormal, so d >= sqrt(s)(1 - u), and d <= D implies
+  k + t <= B = D^2 / (1 - u)^(dim+1).
+- Reach. X = fl(fl(D' D') (1 + 2(dim + 2)u)) with D' = max(D, 2^-500)
+  (_euclidean_reach): both products are normal, so
+  X(1 - u) >= D'^2 (1 - u)^3 (1 + 2(dim + 2)u), which exceeds
+  B <= D'^2 (1 + (dim + 1)u + (dim + 1)^2 u^2) for any dim u < 2^-20.
+- Width. t = fl(e^2) for e = fl(x - a), and e is within a factor 1 - u of
+  x - a (exact when subnormal). If e^2 >= 2^-1022, t >= e^2 (1 - u), so
+  |x - a| <= |e| / (1 - u) <= sqrt(T) / (1 - u)^(3/2); the half width
+  h = max(fl(fl(sqrt(T)) (1 + 4u)), 2^-500) (_euclidean_half_width) is at
+  least sqrt(T)(1 - u)^2 (1 + 4u), which is more. Otherwise
+  |x - a| < 2^-510 < h.
+A tie across patterns shows the margins at work: at D = fl(sqrt(6)),
+D^2 rounds to 5.999999999999999, yet three one-hot mismatches (k = 6,
+t = 0) give s = 6 and d = D.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,9 +123,10 @@ class DistanceRecord:
     nearest_real_row_id: int
 
 
-class GowerWork(NamedTuple):
-    """What the Gower reduction computed: exact pairs (seeds included) out of
-    the medoids x rows of a scan, and the blocks scanned in full out of all."""
+class Work(NamedTuple):
+    """What a profile's reduction computed: exact pairs (window seeds
+    included, and every pair of a block scanned in full) out of the medoids x
+    real rows, and the blocks scanned in full out of all."""
 
     pairs: int
     cross: int
@@ -99,12 +138,12 @@ class GowerWork(NamedTuple):
 class ProximityProfile:
     """Per-medoid nearest-real records and, from the same pass over n_real
     real rows, per threshold of the grid it was taken on, how many of those
-    rows have a medoid strictly within it; with Gower, the work done."""
+    rows have a medoid strictly within it; and the work done."""
 
     records: list[DistanceRecord]
     counts: np.ndarray
     n_real: int
-    gower: GowerWork | None = None
+    work: Work | None = None
 
 
 @dataclass
@@ -170,9 +209,11 @@ def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
 Minima = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _profile(medoids: MedoidSet, pieces: Iterable[Minima],
+def _profile(medoids: MedoidSet, pieces: Iterable[tuple[Minima, int | None]],
              grid: ThresholdGrid) -> ProximityProfile:
-    """The profile on grid over pieces that cover the real rows in order.
+    """The profile on grid over pieces that cover the real rows in order,
+    each with the exact pairs its windows took, or None when it was scanned
+    in full.
 
     A medoid takes a later piece's row only when it is strictly nearer, with
     NaN nearest of all as in np.argmin, so ties keep the lowest row id; row
@@ -184,14 +225,17 @@ def _profile(medoids: MedoidSet, pieces: Iterable[Minima],
     nearest = np.zeros(len(medoids), dtype=np.int64)
     rank = np.full(len(medoids), np.inf)
     counts = np.zeros(len(grid.taus), dtype=np.int64)
-    offset = 0
-    for a_min, a_arg, b_min in pieces:
+    offset = pairs = scanned = blocks = 0
+    for (a_min, a_arg, b_min), exact in pieces:
         key = np.where(np.isnan(a_min), -np.inf, a_min)
         better = key < rank
         rank[better], d_min[better] = key[better], a_min[better]
         nearest[better] = offset + a_arg[better]
         counts += _count_below(b_min, grid)
         offset += len(b_min)
+        pairs += len(b_min) * len(medoids) if exact is None else exact
+        scanned += exact is None
+        blocks += 1
     records = [
         DistanceRecord(
             cluster_id=m.cluster_id,
@@ -201,25 +245,23 @@ def _profile(medoids: MedoidSet, pieces: Iterable[Minima],
         )
         for i, m in enumerate(medoids.medoids)
     ]
-    return ProximityProfile(records=records, counts=counts, n_real=offset)
+    return ProximityProfile(records, counts, offset,
+                            Work(pairs, offset * len(medoids), scanned, blocks))
 
 
 def proximity_profile(medoids: MedoidSet, real: Iterable[EncodedMatrix],
                       grid: ThresholdGrid) -> ProximityProfile:
     """Exact nearest-real distances for every medoid, and the coverage counts
     on grid. real is the consecutive row chunks of one matrix, each reduced
-    by kernels.cross_min_distances."""
+    by _euclidean_minima; the profile's work says how much exact work that
+    took."""
 
     def pieces():
         vectors = medoids.vectors()
         for chunk in real:
             if medoids.model_hash != chunk.model_hash:
                 raise LineageError("medoids and real matrix come from different encoding models")
-            # a square that overflows makes d_min infinite, as intended; the
-            # state is left before yielding, so the caller's stays its own
-            with np.errstate(over="ignore"):
-                minima = kernels.cross_min_distances(vectors, chunk.vectors)
-            yield minima
+            yield _euclidean_minima(vectors, chunk.vectors)
 
     return _profile(medoids, pieces(), grid)
 
@@ -232,25 +274,10 @@ def proximity_profile_gower(
 ) -> ProximityProfile:
     """Gower variant: distances on raw rows with model-fitted numeric ranges.
     real is the consecutive blocks of one table, each reduced by
-    _gower_minima; the profile's gower field says how much exact work that
-    took."""
+    _gower_minima; the profile's work says how much exact work that took."""
     rows = [m.raw for m in medoids.medoids]
-    work = [0, 0, 0, 0]
-
-    def pieces():
-        for block in real:
-            cells = gower_cells(block.schema, rows)
-            minima, pairs = _gower_minima(block, cells, ranges)
-            cross = block.n_rows * len(rows)
-            work[0] += cross if pairs is None else pairs
-            work[1] += cross
-            work[2] += pairs is None
-            work[3] += 1
-            yield minima
-
-    profile = _profile(medoids, pieces(), grid)
-    profile.gower = GowerWork(*work)
-    return profile
+    pieces = (_gower_minima(block, gower_cells(block.schema, rows), ranges) for block in real)
+    return _profile(medoids, pieces, grid)
 
 
 def numeric_ranges(model: EncodingModel) -> dict[str, tuple[float, float]]:
@@ -278,8 +305,8 @@ def gower_cells(schema: TableSchema, rows: Sequence[tuple]) -> list[np.ndarray]:
 def gower_fold(
     schema: TableSchema,
     ranges: dict[str, tuple[float, float]],
-    columns: Sequence[np.ndarray],
-    cells: Sequence,
+    columns: Iterable[np.ndarray],
+    cells: Iterable,
     out: np.ndarray,
 ) -> np.ndarray:
     """Gower distances, the mean per-column dissimilarity, of rows given
@@ -313,46 +340,151 @@ def gower_fold(
     return total
 
 
+def _euclidean_minima(medoids: np.ndarray, chunk: np.ndarray) -> tuple[Minima, int | None]:
+    """One chunk's minima against the medoid vectors, and the exact pairs the
+    windows took (_window_minima), or None when the chunk went to the tiles
+    of kernels.cross_min_distances: always when a value is not finite or a
+    squared norm exceeds 2^1000, in it or in the medoids, so that the tiles'
+    rules for NaN and overflow stay the only ones."""
+    n, (m, dim) = len(chunk), medoids.shape
+    found = None
+    if _windows_pay(2 * m, m, n) and _tame(medoids) and _tame(chunk):
+        one = chunk == 1.0
+        binary = ((one | (chunk == 0.0)).all(axis=0)
+                  & ((medoids == 0.0) | (medoids == 1.0)).all(axis=0))
+        cols = np.flatnonzero(binary)
+        bits = medoids[:, cols]
+
+        def mismatches(rep: np.ndarray) -> np.ndarray:
+            # Hamming distances of 0/1 rows: sums of integers below 2^53,
+            # exact in any order
+            rows = chunk[np.ix_(rep, cols)]
+            return (bits.sum(1)[:, None] + rows.sum(1) - 2.0 * (bits @ rows.T)).astype(np.int32)
+
+        if binary.all():
+            x, a = np.zeros(n), np.zeros(m)
+        else:
+            # the other column along which the medoids spread widest
+            axis = int(np.argmax(np.where(binary, -1.0, np.ptp(medoids, axis=0))))
+            x, a = np.ascontiguousarray(chunk[:, axis]), medoids[:, axis]
+        found = _window_minima(
+            [(one[:, j], 2) for j in cols], mismatches, x, a,
+            lambda d: _euclidean_reach(d, dim), _euclidean_half_width,
+            lambda pm, rows: kernels._exact_dists(medoids, pm, chunk, rows))
+    if found is None:
+        # a square that overflows makes d_min infinite, as intended; the
+        # state is left before returning, so the caller's stays its own
+        with np.errstate(over="ignore"):
+            return kernels.cross_min_distances(medoids, chunk), None
+    return found
+
+
+def _tame(v: np.ndarray) -> bool:
+    """Whether every row's squared norm is at most 2^1000, so no value is
+    NaN or infinite and no pair's sum of squares overflows."""
+    with np.errstate(all="ignore"):
+        return bool((np.einsum("ij,ij->i", v, v) <= 2.0**1000).all())
+
+
 def _gower_minima(
     block: DataTable, cells: list[np.ndarray], ranges: dict[str, tuple[float, float]]
 ) -> tuple[Minima, int | None]:
     """One block's minima against the medoids given by cells, and the exact
-    pairs the windows took, or None when the block is scanned per medoid.
-
-    Seeds give every row and every medoid one exact distance, and their
-    windows (the module docstring) then hold every pair that could reach or
-    tie it: a row's window runs over the medoids listed by pattern and axis,
-    a medoid's over the rows sorted by pattern and axis. The cost rule runs
-    before the patterns are found (as if there were one), on their count, on
-    the windows of a sample of about m rows, and on all the windows before
-    any pair in them is computed.
-    """
+    pairs the windows took (_window_minima), or None when the block is
+    scanned per medoid."""
     schema = block.schema
     n, m, c = block.n_rows, len(cells[0]), len(schema.columns)
-    if not _windows_pay(2 * m, m, n):
+    found = None
+    if _windows_pay(2 * m, m, n):
+        categorical = [j for j, col in enumerate(schema.columns) if col.kind == CATEGORICAL]
+
+        def mismatches(rep: np.ndarray) -> np.ndarray:
+            k = np.zeros((m, len(rep)), dtype=np.int32)
+            for j in categorical:
+                k += cells[j][:, None] != block.columns[j][rep]
+            return k
+
+        axis = next((j for j, col in enumerate(schema.columns)
+                     if col.kind == NUMERIC and ranges[col.name][0] != ranges[col.name][1]),
+                    None)
+        if axis is None:
+            x, a, width = np.zeros(n), np.zeros(m), 0.0
+        else:
+            low, high = ranges[schema.columns[axis].name]
+            x, a, width = block.columns[axis], cells[axis], high - low
+
+        def fold(pm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            # gathered one column at a time, as the fold reaches it, so a
+            # batch of pairs holds one column's cells and not every column's
+            out = np.empty((2, len(pm)))
+            return gower_fold(schema, ranges, (col[rows] for col in block.columns),
+                              (cell[pm] for cell in cells), out)
+
+        found = _window_minima(
+            [(block.columns[j], len(schema.columns[j].categories)) for j in categorical],
+            mismatches, x, a, lambda d: _gower_reach(d, c),
+            lambda t: _gower_half_width(t, width), fold)
+    if found is None:
         return _gower_scan(block, cells, ranges), None
-    gid, g, rep = _patterns(block)
+    return found
+
+
+def _gower_scan(
+    block: DataTable, cells: list[np.ndarray], ranges: dict[str, tuple[float, float]]
+) -> Minima:
+    """One block's minima by one pass over every row per medoid, with its cells
+    as Python scalars, which numpy compares at the column's own width."""
+    m = len(cells[0])
+    d_min = np.empty(m, dtype=np.float64)
+    nearest = np.empty(m, dtype=np.int64)
+    per_real = np.full(block.n_rows, np.inf, dtype=np.float64)
+    scratch = np.empty((2, block.n_rows), dtype=np.float64)
+    for i, row in enumerate(zip(*(cell.tolist() for cell in cells))):
+        d = gower_fold(block.schema, ranges, block.columns, row, scratch)
+        d_min[i] = d.min()
+        nearest[i] = np.argmin(d)
+        np.minimum(per_real, d, out=per_real)
+    return d_min, nearest, per_real
+
+
+# Per column that keys the patterns: the rows' codes, from 0, and the number
+# of codes a row can take.
+Key = tuple[np.ndarray, int]
+
+
+def _window_minima(
+    keys: list[Key],
+    mismatches: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    a: np.ndarray,
+    reach: Callable[[np.ndarray], np.ndarray],
+    half_width: Callable[[np.ndarray], np.ndarray],
+    dist: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[Minima, int] | None:
+    """The minima of the rows, with axis values x, against the medoids, with
+    axis values a, and the exact pairs computed, by the windows of the module
+    docstring; or None when the cost rule expects the metric's full scan to
+    be cheaper. A metric gives its key columns; mismatches(rep), the m x g
+    matrix of k for the patterns whose first rows are rep; its reach X for
+    seed distances; its half width for axis bounds T < 1; and dist(pm, rows),
+    the distances of the pairs (medoid pm[i], row rows[i]).
+
+    Seeds give every row and every medoid one exact distance, and their
+    windows then hold every pair that could reach or tie it: a row's window
+    runs over the medoids listed by pattern and axis, a medoid's over the
+    rows sorted by pattern and axis. The cost rule runs on the pattern count,
+    on the windows of a sample of about m rows, on the medoids' windows plus
+    the sample's estimate for the rows' before any row's window is found,
+    and on all the windows before any pair in them is computed; the caller
+    has already asked it as if there were one pattern.
+    """
+    n, m = len(x), len(a)
+    gid, g, rep = _patterns(keys, n)
     if m * g > kernels.TILE_BYTES // 8 or not _windows_pay(m + m * g, m, n):
-        return _gower_scan(block, cells, ranges), None
-    axis = next((j for j, col in enumerate(schema.columns)
-                 if col.kind == NUMERIC and ranges[col.name][0] != ranges[col.name][1]), None)
-    if axis is None:
-        x, a, width = np.zeros(n), np.zeros(m), 0.0
-    else:
-        low, high = ranges[schema.columns[axis].name]
-        x, a, width = block.columns[axis], cells[axis], high - low
+        return None
 
-    def fold(pm: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The distances of the pairs (medoid pm[i], row rows[i])."""
-        out = np.empty((2, len(pm)))
-        return gower_fold(schema, ranges, [col[rows] for col in block.columns],
-                          [cell[pm] for cell in cells], out)
-
-    # k[i, p]: categories in which medoid i and pattern p differ
-    k = np.zeros((m, g), dtype=np.int32)
-    for j, col in enumerate(schema.columns):
-        if col.kind == CATEGORICAL:
-            k += cells[j][:, None] != block.columns[j][rep]
+    # k[i, p]: key columns in which medoid i and pattern p differ
+    k = mismatches(rep)
 
     # A row's seed is the nearest medoid on the axis among those with its
     # pattern's fewest mismatches, listed by pattern and then by the axis.
@@ -377,9 +509,9 @@ def _gower_minima(
         group, v = gid[rows], x[rows]
         pick = _axis_nearest(a_listed, lstarts[group], lstarts[group + 1] - 1,
                              medpos(group, v, "left"), v)
-        d = fold(listed[pick], rows)
-        t = _reach(d, c) - fewest[group]
-        half = _half_width(np.minimum(t, 1.0), width)
+        d = dist(listed[pick], rows)
+        t = reach(d) - fewest[group]
+        half = half_width(np.minimum(t, 1.0))
         lower, upper = v - half, v + half
         near = t < 1.0
         alone = near & (padded[pick] < lower) & (padded[pick + 2] > upper)
@@ -392,8 +524,9 @@ def _gower_minima(
 
     sample = np.arange(0, n, max(1, n // m))
     _, _, lo, hi = row_windows(sample)
-    if not _windows_pay(m + m * g + int((hi - lo)[hi - lo > 1].sum()) * n // len(sample), m, n):
-        return _gower_scan(block, cells, ranges), None
+    guess = int((hi - lo)[hi - lo > 1].sum()) * n // len(sample)
+    if not _windows_pay(m + m * g + guess, m, n):
+        return None
 
     # rows by pattern, then by the axis
     perm = np.argsort(x)
@@ -408,6 +541,27 @@ def _gower_minima(
     rowpos = _placer(gs, rank[order], x[perm])
     del rank, perm, gs
 
+    # each medoid's seed: the nearest row on the axis in each pattern of its
+    # fewest mismatches; its windows then hold every row within that reach
+    sm, sg = np.nonzero(k == k.min(1)[:, None])
+    sp = _axis_nearest(x[order], starts[sg], starts[sg + 1] - 1,
+                       rowpos(sg, a[sm], "left"), a[sm])
+    seed = np.full(m, np.inf)
+    np.minimum.at(seed, sm, dist(sm, order[sp]))
+    seed = reach(seed)
+    wm, wg = np.nonzero(k <= seed[:, None])
+    lo, hi = starts[wg], starts[wg + 1]
+    t = seed[wm] - k[wm, wg]
+    near = np.flatnonzero(t < 1.0)
+    half = half_width(t[near])
+    v = a[wm[near]]
+    lo[near] = rowpos(wg[near], v - half, "left")
+    hi[near] = rowpos(wg[near], v + half, "right")
+    del rowpos
+    pairs = len(sm) + int((hi - lo).sum())
+    if not _windows_pay(pairs + m * g + guess, m, n):
+        return None
+
     # the rows' windows, in that order, whose ascending values searchsorted
     # places fastest, and in batches whose dozen row arrays of float64 each
     # hold an eighth of a tile
@@ -415,40 +569,21 @@ def _gower_minima(
     wide, row_lo, row_len = [], [], []
     for first in range(0, n, kernels.TILE_BYTES // 64):
         rows = order[first : first + kernels.TILE_BYTES // 64]
-        per_real[rows], at, lo, hi = row_windows(rows)
-        more = hi - lo > 1
+        per_real[rows], at, rlo, rhi = row_windows(rows)
+        more = rhi - rlo > 1
         wide.append(rows[at[more]])
-        row_lo.append(lo[more])
-        row_len.append(hi[more] - lo[more])
+        row_lo.append(rlo[more])
+        row_len.append(rhi[more] - rlo[more])
     more, row_lo, row_len = map(np.concatenate, (wide, row_lo, row_len))
-
-    # each medoid's seed: the nearest row on the axis in each pattern of its
-    # fewest mismatches; its windows then hold every row within that reach
-    sm, sg = np.nonzero(k == k.min(1)[:, None])
-    sp = _axis_nearest(x[order], starts[sg], starts[sg + 1] - 1,
-                       rowpos(sg, a[sm], "left"), a[sm])
-    reach = np.full(m, np.inf)
-    np.minimum.at(reach, sm, fold(sm, order[sp]))
-    reach = _reach(reach, c)
-    wm, wg = np.nonzero(k <= reach[:, None])
-    lo, hi = starts[wg], starts[wg + 1]
-    t = reach[wm] - k[wm, wg]
-    near = np.flatnonzero(t < 1.0)
-    half = _half_width(t[near], width)
-    v = a[wm[near]]
-    lo[near] = rowpos(wg[near], v - half, "left")
-    hi[near] = rowpos(wg[near], v + half, "right")
-    del rowpos
-
-    pairs = n + len(sm) + int((hi - lo).sum()) + int(row_len.sum())
+    pairs += n + int(row_len.sum())
     if not _windows_pay(pairs - n + m * g, m, n):
-        return _gower_scan(block, cells, ranges), None
+        return None
 
     d_min = np.full(m, np.inf)
     nearest = np.zeros(m, dtype=np.int64)
     for seg, pos in _ragged(lo, hi - lo):
         pm, rows = wm[seg], order[pos]
-        d = fold(pm, rows)
+        d = dist(pm, rows)
         chunk_min = np.full(m, np.inf)
         np.minimum.at(chunk_min, pm, d)
         tie = d == chunk_min[pm]
@@ -459,26 +594,8 @@ def _gower_minima(
         np.minimum(d_min, chunk_min, out=d_min)
     for seg, pos in _ragged(row_lo, row_len):
         rows = more[seg]
-        np.minimum.at(per_real, rows, fold(listed[pos], rows))
+        np.minimum.at(per_real, rows, dist(listed[pos], rows))
     return (d_min, nearest, per_real), pairs
-
-
-def _gower_scan(
-    block: DataTable, cells: list[np.ndarray], ranges: dict[str, tuple[float, float]]
-) -> Minima:
-    """One block's minima by one pass over every row per medoid, with its cells
-    as Python scalars, which numpy compares at the column's own width."""
-    m = len(cells[0])
-    d_min = np.empty(m, dtype=np.float64)
-    nearest = np.empty(m, dtype=np.int64)
-    per_real = np.full(block.n_rows, np.inf, dtype=np.float64)
-    scratch = np.empty((2, block.n_rows), dtype=np.float64)
-    for i, row in enumerate(zip(*(cell.tolist() for cell in cells))):
-        d = gower_fold(block.schema, ranges, block.columns, row, scratch)
-        d_min[i] = d.min()
-        nearest[i] = np.argmin(d)
-        np.minimum(per_real, d, out=per_real)
-    return d_min, nearest, per_real
 
 
 def _windows_pay(pairs: int, m: int, n: int) -> bool:
@@ -491,21 +608,22 @@ def _windows_pay(pairs: int, m: int, n: int) -> bool:
     return 8 * (pairs + 4 * n) < m * n
 
 
-def _patterns(block: DataTable) -> tuple[np.ndarray, int, np.ndarray]:
-    """Each row's category pattern as a dense id in 0..g-1, g, and each
-    pattern's first row. The ids are mixed-radix numbers over the
-    vocabularies, renumbered densely whenever their span would pass the row
-    count."""
-    n = block.n_rows
+def _patterns(keys: list[Key], n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Each of the n rows' pattern of key codes as a dense id in 0..g-1, g,
+    and each pattern's first row. The ids are mixed-radix numbers over the
+    keys, renumbered densely before their span would pass 2^62 and, at the
+    end, when it passes the row count."""
     gid = np.zeros(n, dtype=np.int64)
     span = 1
-    for col, codes in zip(block.schema.columns, block.columns):
-        if col.kind == CATEGORICAL:
-            gid = gid * len(col.categories) + codes
-            span *= len(col.categories)
-            if span > n:
-                _, gid = np.unique(gid, return_inverse=True)
-                span = int(gid.max()) + 1
+    for codes, radix in keys:
+        if span * radix > 2**62:
+            _, gid = np.unique(gid, return_inverse=True)
+            span = int(gid.max()) + 1
+        gid = gid * radix + codes
+        span *= radix
+    if span > n:
+        _, gid = np.unique(gid, return_inverse=True)
+        span = int(gid.max()) + 1
     present = np.bincount(gid, minlength=span) > 0
     gid = (np.cumsum(present) - 1)[gid]
     g = int(present.sum())
@@ -539,16 +657,29 @@ def _axis_nearest(values, first, last, place, v) -> np.ndarray:
     return np.where(np.abs(values[after] - v) < np.abs(values[before] - v), after, before)
 
 
-def _reach(d: np.ndarray, c: int) -> np.ndarray:
-    """Per distance d, an X with k + t <= X for every pair whose computed
-    distance is at most d (the module docstring's window proof)."""
+def _gower_reach(d: np.ndarray, c: int) -> np.ndarray:
+    """Per Gower distance d over c columns, an X with k + t <= X for every
+    pair whose distance is at most d (the module docstring)."""
     return np.maximum(d, 2.0**-1000) * c * (1.0 + 2 * (c + 2) * _U)
 
 
-def _half_width(t: np.ndarray, width: float) -> np.ndarray:
+def _gower_half_width(t: np.ndarray, width: float) -> np.ndarray:
     """Per axis bound t < 1, a delta with |x - a| <= delta for every pair
-    whose axis term is at most t (the module docstring's window proof)."""
+    whose Gower axis term is at most t (the module docstring)."""
     return np.maximum(t * width * (1.0 + 8 * _U), 2.0**-1020)
+
+
+def _euclidean_reach(d: np.ndarray, dim: int) -> np.ndarray:
+    """Per Euclidean distance d in dim dimensions, an X with h + t <= X for
+    every pair whose distance is at most d (the module docstring)."""
+    r = np.maximum(d, 2.0**-500)
+    return r * r * (1.0 + 2 * (dim + 2) * _U)
+
+
+def _euclidean_half_width(t: np.ndarray) -> np.ndarray:
+    """Per axis bound t, a delta with |x - a| <= delta for every pair whose
+    Euclidean axis term is at most t (the module docstring)."""
+    return np.maximum(np.sqrt(t) * (1.0 + 4 * _U), 2.0**-500)
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

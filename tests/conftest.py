@@ -64,7 +64,7 @@ def coverage_of(per_real, grid, pieces=3) -> list[float]:
     per_real, as metrics._profile counts them over that many consecutive
     pieces of the rows and metrics.curves_from_profile divides the counts."""
     rows = np.array_split(np.array(per_real, dtype=np.float64), pieces)
-    blocks = [(np.zeros(1), np.zeros(1, dtype=np.int64), piece) for piece in rows]
+    blocks = [((np.zeros(1), np.zeros(1, dtype=np.int64), piece), None) for piece in rows]
     profile = metrics._profile(medoid_set([[0.0]]), blocks, grid)
     return metrics.curves_from_profile(profile, grid).coverage
 

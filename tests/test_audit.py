@@ -193,6 +193,21 @@ def test_a_gower_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog):
     assert "exact pairs" not in (out / "report.json").read_text()
 
 
+def test_a_euclidean_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog):
+    # two medoids: the cost rule leaves the one chunk to the tiles, which
+    # count as a full scan of every medoid-row pair
+    synth, real = write_tables(tmp_path)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        result = run_audit(AuditConfig(synthetic=str(synth), real=str(real), out=str(out),
+                                       eps=0.05, min_samples=5))
+    cross = len(result.medoids) * result.report.meta.n_real_rows
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(result.medoids) == 2
+    assert (f"euclidean: {cross} exact pairs of {cross} medoid-row pairs; "
+            "1 of 1 blocks scanned in full") in messages
+    assert "exact pairs" not in (out / "report.json").read_text()
+
 def test_a_cluster_stage_logs_its_dense_cells_and_streamed_rows(tmp_path, caplog):
     # the two 40-row blobs fill dense cells; the 8 scattered rows stream
     synth, real = write_tables(tmp_path)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmla import kernels, metrics, tables
+from cmla import encoding, kernels, metrics, tables
 from cmla.audit import AuditConfig
 from cmla.clustering import Medoid, MedoidSet
 from cmla.errors import ConfigError, LineageError, SchemaError
@@ -258,7 +258,7 @@ def test_gower_profile_equals_a_double_loop_bit_for_bit(tmp_path, monkeypatch, r
                                       GOWER_GRID, ranges)
     assert_profile_is(profile, gower_per_real(rows, tables.read_blocks(path, table.schema),
                                               ranges), want)
-    work = profile.gower
+    work = profile.work
     assert work.cross == len(rows) * table.n_rows
     if windows:
         assert work.scanned == 0
@@ -278,7 +278,7 @@ def test_gower_windows_keep_a_tie_on_the_edge_of_a_medoids_window():
     rows = [(0.0,)] + [(10.0 * i,) for i in range(1, 100)]
     ranges = {"x": (0.0, width)}
     profile = proximity_profile_gower(raw_medoids(rows), [table], GOWER_GRID, ranges)
-    assert profile.gower.scanned == 0
+    assert profile.work.scanned == 0
     assert profile.records[0].nearest_real_row_id == 0
     assert_profile_is(profile, gower_per_real(rows, [table], ranges),
                       gower_double_loop(rows, table, ranges))
@@ -297,7 +297,176 @@ def test_gower_reduction_memory_does_not_grow_with_the_medoids(rng, monkeypatch,
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert profile.gower.scanned == (not windows)
+        assert profile.work.scanned == (not windows)
+    assert peaks[200] <= 1.25 * peaks[10]
+
+
+def euclidean_shape(name, rng, n=240, m=48):
+    """Synthetic and real tables of one shape, the encoding fitted on the
+    synthetic one, and medoid vectors: m encoded synthetic rows, the first
+    eight of which the real table repeats. Numeric cells sit on a coarse
+    grid, so distances tie; the real table scales past the synthetic range."""
+    numeric, categorical, scale, pca = {
+        "one-axis": (1, [2, 2, 2, 2], "minmax", None),
+        "unknown-categories": (2, [3, 5], "minmax", None),
+        "numeric-01": (2, [2, 3], "minmax", None),
+        "zscore": (1, [2, 2, 2, 2], "zscore", None),
+        "pca": (3, [3, 3], "minmax", 3),
+        "all-binary": (0, [2, 3, 4], "minmax", None),
+    }[name]
+    total = m + n
+    cols = {f"x{j}": np.round(rng.standard_normal(total) * (1.0 + j), 1) for j in range(numeric)}
+    if name == "numeric-01":
+        cols["x0"] = rng.choice([2.0, 5.0], total)  # min-max scales it to exactly 0/1
+    cats = {f"c{j}": [f"k{v}" for v in rng.integers(0, size, total)]
+            for j, size in enumerate(categorical)}
+    if name == "unknown-categories":
+        for labels in cats.values():
+            for i in range(m, total, 7):
+                labels[i] = "unseen"  # a zero one-hot block in the real rows only
+
+    def table(rows):
+        return mixed_table(numeric={k: v[rows] for k, v in cols.items()},
+                           categorical={k: [v[i] for i in rows] for k, v in cats.items()})
+
+    synthetic = table(np.arange(m))
+    real = table(np.concatenate([np.arange(m, total), np.arange(8)]))
+    model = encoding.fit_encoding(synthetic, scale, pca)
+    medoids = medoid_set(encoding.encode(model, synthetic).vectors, model.model_hash())
+    return model, synthetic.schema, real, medoids
+
+
+def euclidean_per_real(medoids, chunks) -> np.ndarray:
+    """Each real row's minimum over the medoids, as _euclidean_minima gives
+    it chunk by chunk."""
+    return np.concatenate([metrics._euclidean_minima(medoids.vectors(), c.vectors)[0][2]
+                           for c in chunks])
+
+
+def assert_euclidean_profile_is_the_double_loop(medoids, chunks, profile):
+    real = np.concatenate([c.vectors for c in chunks])
+    d_min, nearest, per_real, _, cov = reference.double_loop_metrics(medoids.vectors(), real,
+                                                                     GRID.taus)
+    assert [r.d_min for r in profile.records] == d_min
+    assert [r.nearest_real_row_id for r in profile.records] == nearest
+    assert euclidean_per_real(medoids, chunks).tolist() == per_real
+    assert curves_from_profile(profile, GRID).coverage == cov
+    assert profile.work.cross == len(medoids) * len(real)
+
+
+@pytest.mark.parametrize("windows", [False, True], ids=["cost-rule", "windows"])
+@pytest.mark.parametrize("block_bytes", [1, 64, tables.BLOCK_BYTES])
+@pytest.mark.parametrize("shape", ["one-axis", "unknown-categories", "numeric-01", "zscore",
+                                   "pca", "all-binary"])
+def test_euclidean_profile_equals_a_double_loop_bit_for_bit(tmp_path, monkeypatch, rng, shape,
+                                                            block_bytes, windows):
+    model, schema, real, medoids = euclidean_shape(shape, rng)
+    path = tmp_path / "real.csv"
+    tables.write_csv(real, path)
+    monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
+    if windows:
+        monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: True)
+    chunks = list(encoding.encode_chunks(model, tables.read_blocks(path, schema)))
+    profile = proximity_profile(medoids, iter(chunks), GRID)
+    assert_euclidean_profile_is_the_double_loop(medoids, chunks, profile)
+    assert min(r.d_min for r in profile.records) == 0.0
+    if windows:
+        assert profile.work.scanned == 0
+
+
+@pytest.mark.parametrize("windows", [False, True], ids=["cost-rule", "windows"])
+def test_euclidean_windows_keep_a_tie_across_patterns_at_sqrt_6(monkeypatch, windows):
+    # Medoid 0 and real row 0 differ in three categories, six one-hot
+    # columns, so s = 6; real row 1 shares the medoid's pattern and lies
+    # fl(sqrt(6)) away on the axis, so s = fl(sqrt(6))^2 < 6. Both give
+    # d = fl(sqrt(6)). Row 1 is the medoid's seed, and the bound h <= s
+    # without its rounding margins would rule row 0's pattern out.
+    monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: windows)
+    s6 = math.sqrt(6.0)
+    assert s6 * s6 < 6.0 and math.sqrt(s6 * s6) == s6
+    a, b = [1.0, 0.0] * 3, [0.0, 1.0] * 3
+    medoids = [[0.5, *a]] + [[10.0 * i, *(a if i % 2 else b)] for i in range(1, 40)]
+    real = [[0.5, *b], [0.5 + s6, *a]] + [[10.0 * i + 0.1 * j, *(b if j % 2 else a)]
+                                          for i in range(1, 40) for j in range(3)]
+    profile = proximity_profile(medoid_set(medoids), [matrix(real)], GRID)
+    assert profile.records[0].d_min == s6
+    assert profile.records[0].nearest_real_row_id == 0
+    assert profile.work.scanned == (not windows)
+    assert_euclidean_profile_is_the_double_loop(medoid_set(medoids), [matrix(real)], profile)
+
+
+@pytest.mark.parametrize("case", ["binary-in-medoids-only", "binary-in-real-only", "copies"])
+def test_euclidean_windows_on_columns_that_are_0_1_on_one_side(monkeypatch, rng, case):
+    monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: True)
+    medoids = np.column_stack([np.round(rng.standard_normal((40, 2)), 1),
+                               rng.integers(0, 2, (40, 4)).astype(float)])
+    real = np.column_stack([np.round(rng.standard_normal((300, 2)), 1),
+                            rng.integers(0, 2, (300, 4)).astype(float)])
+    if case == "binary-in-medoids-only":
+        real[::9, 3] = 0.5
+    elif case == "binary-in-real-only":
+        medoids[5, 4] = 0.25
+        real[:, 0] = rng.integers(0, 2, 300)
+    else:
+        real[::30] = medoids[:10]
+    chunks = [matrix(real[:150]), matrix(real[150:])]
+    profile = proximity_profile(medoid_set(medoids), chunks, GRID)
+    assert profile.work.scanned == 0
+    assert_euclidean_profile_is_the_double_loop(medoid_set(medoids), chunks, profile)
+
+
+@pytest.mark.parametrize("case", ["nan-real", "inf-real", "overflow-real", "huge-medoid"])
+def test_euclidean_chunks_with_values_past_the_bound_go_to_the_tiles(monkeypatch, rng, case):
+    monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: True)
+    medoids = np.column_stack([rng.standard_normal((40, 1)),
+                               rng.integers(0, 2, (40, 4)).astype(float)])
+    real = np.column_stack([rng.standard_normal((200, 1)),
+                            rng.integers(0, 2, (200, 4)).astype(float)])
+    tame = real.copy()
+    value = {"nan-real": np.nan, "inf-real": np.inf, "overflow-real": 1e200,
+             "huge-medoid": 2.0**501}[case]
+    if case == "huge-medoid":
+        medoids[3, 0] = value
+    else:
+        real[17, 0] = value
+    profile = proximity_profile(medoid_set(medoids), [matrix(real), matrix(tame)], GRID)
+    assert profile.work.scanned == (2 if case == "huge-medoid" else 1)
+    with np.errstate(over="ignore"):
+        tiles = [kernels.cross_min_distances(medoids, real),
+                 kernels.cross_min_distances(medoids, tame)]
+    assert metrics._euclidean_minima(medoids, real)[1] is None
+    for got, want in zip(metrics._euclidean_minima(medoids, real)[0], tiles[0]):
+        np.testing.assert_array_equal(got, want)
+    key = np.where(np.isnan(tiles[0][0]), -np.inf, tiles[0][0])
+    first = key <= np.where(np.isnan(tiles[1][0]), -np.inf, tiles[1][0])
+    want = np.where(first, tiles[0][0], tiles[1][0])
+    np.testing.assert_array_equal([r.d_min for r in profile.records], want)
+    assert [r.nearest_real_row_id for r in profile.records] == np.where(
+        first, tiles[0][1], 200 + tiles[1][1]).tolist()
+
+
+@pytest.mark.parametrize("windows", [False, True], ids=["tiles", "windows"])
+def test_euclidean_reduction_memory_does_not_grow_with_the_medoids(rng, monkeypatch, windows):
+    model, schema, real, _ = euclidean_shape("one-axis", rng, n=20_000, m=10)
+    chunk = encoding.encode(model, real)
+    medoid_rows = np.round(rng.standard_normal((200, 1)), 1), rng.integers(0, 2, (200, 4))
+    vectors = np.column_stack([medoid_rows[0], np.repeat(medoid_rows[1], 2, axis=1)])
+    vectors[:, 2::2] = 1.0 - vectors[:, 1::2]
+    monkeypatch.setattr(metrics, "_windows_pay", lambda pairs, m, n: windows)
+    # at 64 KiB tiles every batch of exact pairs is full at both medoid
+    # counts, so the peak shows only what grows with them, such as the m x g
+    # mismatch matrix, which the windows keep under a tile
+    monkeypatch.setattr(kernels, "TILE_BYTES", 64 * 1024)
+    peaks = {}
+    for m in (10, 200):
+        medoids = medoid_set(vectors[:m], model.model_hash())
+        tracemalloc.start()
+        try:
+            profile = proximity_profile(medoids, [chunk], GRID)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.work.scanned == (not windows)
     assert peaks[200] <= 1.25 * peaks[10]
 
 
