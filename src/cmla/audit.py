@@ -168,7 +168,9 @@ def run_audit(
             n_real_rows = sum(b.n_rows for b in tables.read_blocks(config.real, synthetic.schema))
             log.info("real table: %d rows", n_real_rows)
     elif config.real is not None:
-        with _stage(STAGE_EVALUATE), closing(_real_blocks(config.real, synthetic.schema)) as blocks:
+        counts = tables.ReadCounts()
+        with (_stage(STAGE_EVALUATE),
+              closing(_real_blocks(config.real, synthetic.schema, counts)) as blocks):
             if config.metric == GOWER:
                 profile = metrics.proximity_profile_gower(
                     medoids, blocks, grid, metrics.numeric_ranges(model)
@@ -181,7 +183,8 @@ def run_audit(
             log.info("%s: %d exact pairs of %d medoid-row pairs; %d of %d blocks scanned in full",
                      config.metric, work.pairs, work.cross, work.scanned, work.blocks)
             n_real_rows = profile.n_real
-            log.info("real table: %d rows", n_real_rows)
+            log.info("real table: %d rows; %d of %d decimal cells parsed one by one",
+                     n_real_rows, counts.one_by_one, counts.decimals)
             summary = metrics.summarize_dmin([r.d_min for r in profile.records])
             curves = metrics.curves_from_profile(profile, grid)
             log.info("nearest-real summary: %s", report_mod.format_summary_row(summary))
@@ -221,11 +224,12 @@ def run_audit(
     return AuditResult(report=rpt, labeling=labeling, medoids=medoids, model=model)
 
 
-def _real_blocks(path: str, schema: tables.TableSchema) -> Iterator[tables.DataTable]:
+def _real_blocks(path: str, schema: tables.TableSchema,
+                 counts: tables.ReadCounts) -> Iterator[tables.DataTable]:
     """tables.read_blocks, whose errors belong to the load-real stage though
     they surface while the evaluate stage consumes the blocks."""
     try:
-        yield from tables.read_blocks(path, schema)
+        yield from tables.read_blocks(path, schema, counts)
     except CmlaError as e:
         raise StageError(STAGE_LOAD_REAL, e) from e
 

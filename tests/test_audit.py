@@ -208,6 +208,25 @@ def test_a_euclidean_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog)
             "1 of 1 blocks scanned in full") in messages
     assert "exact pairs" not in (out / "report.json").read_text()
 
+def test_an_audit_logs_the_decimal_cells_parsed_one_by_one(tmp_path, caplog):
+    # e-notation, a leading space and a plus sign are for float alone
+    synth, real = write_tables(tmp_path)
+    with real.open("a") as fh:
+        fh.write("1e-3,0.5\n 2,+3\n")
+    counts = tables.ReadCounts()
+    schema = tables.load_csv(synth).schema
+    n_rows = sum(block.n_rows for block in tables.read_blocks(real, schema, counts))
+    assert counts.decimals == 2 * n_rows and counts.one_by_one >= 3
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="cmla"):
+        run_audit(AuditConfig(synthetic=str(synth), real=str(real), out=str(out),
+                              eps=0.05, min_samples=5, metric="gower"))
+    messages = [r.getMessage() for r in caplog.records]
+    assert (f"real table: {n_rows} rows; {counts.one_by_one} of {counts.decimals} "
+            "decimal cells parsed one by one") in messages
+    assert "one by one" not in (out / "report.json").read_text()
+
+
 def test_a_cluster_stage_logs_its_dense_cells_and_streamed_rows(tmp_path, caplog):
     # the two 40-row blobs fill dense cells; the 8 scattered rows stream
     synth, real = write_tables(tmp_path)

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmla import tables
 from cmla.audit import AuditConfig, run_audit, run_scenario
@@ -166,24 +171,56 @@ _FIFTY = "x,c\n" + "".join(f"{i}.5,k{i % 3}\n" for i in range(50))
 _HINT = TableSchema((ColumnSpec("x", NUMERIC), ColumnSpec("c", CATEGORICAL)))
 
 
-@pytest.mark.parametrize("text, hint, parsed", [
-    (_FIFTY, None, [f"{i}.5" for i in range(50)] + ["k0"]),
-    (_FIFTY, _HINT, [f"{i}.5" for i in range(50)] + ["k0"]),
-    ("c,k\n1,0\n,0\nx,0\n2,0\n", None, ["1", "", "x"] + ["0"] * 4),
-], ids=["inferred", "hinted", "empty-then-text"])
-def test_each_cell_is_parsed_at_most_once(tmp_path, monkeypatch, text, hint, parsed):
-    # a numeric column parses every cell once; a categorical one stops at
-    # its first non-empty cell that is not a decimal
+def count_conversions(monkeypatch) -> list[str]:
+    """The cells converted to decimals from here on, in order: the ones the
+    NumPy conversion proves, then the ones parsed one at a time."""
     calls = []
-    parse = tables._parse_decimal
+    decimals, parse = tables._decimals, tables._parse_decimal
 
-    def counting(cell):
+    def converting(cells):
+        values, proven = decimals(cells)
+        calls.extend(cells.cell(i) for i in np.flatnonzero(proven))
+        return values, proven
+
+    def parsing(cell):
         calls.append(cell)
         return parse(cell)
 
-    monkeypatch.setattr(tables, "_parse_decimal", counting)
+    monkeypatch.setattr(tables, "_decimals", converting)
+    monkeypatch.setattr(tables, "_parse_decimal", parsing)
+    return calls
+
+
+@pytest.mark.parametrize("text, hint, converted", [
+    (_FIFTY, None, ["0.5", "k0"] + [f"{i}.5" for i in range(1, 50)]),
+    (_FIFTY, _HINT, ["0.5", "k0"] + [f"{i}.5" for i in range(1, 50)]),
+    ("c,k\n1,0\n,0\nx,0\n2,0\n", None, ["1", "0", "0", "x", "0", "0"]),
+], ids=["inferred", "hinted", "empty-then-text"])
+def test_each_cell_is_parsed_at_most_once(tmp_path, monkeypatch, text, hint, converted):
+    # at one line a block, each conversion takes one cell, so the calls show
+    # them all in row order: a numeric column converts every cell once, a
+    # categorical one stops at its first non-empty cell that is not a
+    # decimal, and an empty cell is never converted
+    calls = count_conversions(monkeypatch)
+    monkeypatch.setattr(tables, "BLOCK_BYTES", 1)
     load_csv(write(tmp_path, text), hint)
-    assert calls == parsed
+    assert calls == converted
+
+
+def test_a_categorical_column_converts_nothing_after_the_batch_of_its_first_text_cell(
+        tmp_path, monkeypatch):
+    # three batches a column in one block: c turns categorical at row 0, and
+    # of its decimals after that only those in its first batch, which holds
+    # the first _PROBE cells of the file, are converted
+    rows = 3 * tables._BATCH
+    calls = count_conversions(monkeypatch)
+    load_csv(write(tmp_path, "x,c\n0.25,k\n" + "".join(f"{i}.25,{i}\n" for i in range(1, rows))))
+    assert sorted(c for c in calls if c.endswith(".25")) == sorted(
+        f"{i}.25" for i in range(rows))
+    others = [c for c in calls if not c.endswith(".25")]
+    assert others.count("k") == 1
+    assert sorted(others) == sorted(set(others))
+    assert set(others) <= {"k"} | {str(i) for i in range(1, tables._PROBE)}
 
 
 BLOCK_SIZES = pytest.mark.parametrize("block_bytes", [1, 64, tables.BLOCK_BYTES])
@@ -230,6 +267,16 @@ def test_block_reader_gives_csv_readers_table(tmp_path, monkeypatch, block_bytes
         )
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_last_line_without_its_end_stays_plain(tmp_path, monkeypatch, end):
+    def no_csv_reader(*args):
+        raise AssertionError("csv.reader read a plain file")
+
+    monkeypatch.setattr(tables._Reader, "_csv_blocks", no_csv_reader)
+    t = load_csv(write(tmp_path, end.join(["x,c", "1.5,a", "-2,b"])))
+    assert t.row(1) == (-2.0, "b")
+
+
 @pytest.mark.parametrize("hinted", [False, True], ids=["inferred", "hinted"])
 def test_results_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rng, hinted):
     values = rng.standard_normal(300).tolist()
@@ -250,6 +297,39 @@ def test_results_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rng, hin
             tuple((a.dtype.str, a.tobytes()) for a in t.columns),
         ))
     assert len(seen) == 1
+
+
+_LABELS = (
+    # short ones, more than a table scans
+    ["a", "", "é", "1", *(f"k{i}" for i in range(10))]
+    # 9 to 24 bytes, two pairs of which share their last 8
+    + ["Married-civ-spouse", "ü-Married-civ-spouse", "Never-married", "ab-Never-married",
+       *(f"Some-college-{i:02}" for i in range(10))]
+    # more than 24 bytes, which no key holds
+    + ["Outlying-US(Guam-USVI-etc)", "x" * 40, "y" * 25]
+)
+
+
+@pytest.mark.parametrize("hashing", ["hash", "last-word"])
+@BLOCK_SIZES
+def test_categories_are_coded_in_order_of_first_appearance(tmp_path, monkeypatch, block_bytes,
+                                                          hashing):
+    # hashing only the last word makes the pairs collide, and then a batch
+    # is coded one cell at a time
+    monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
+    if hashing == "last-word":
+        monkeypatch.setattr(tables, "_hash", lambda words: words[2].copy())
+    cells = [_LABELS[i] for i in np.random.default_rng(3).integers(0, len(_LABELS), 400)]
+    p = write(tmp_path, "c,x\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
+    # a hint with categories that no cell can match: too long, with a NUL or
+    # with a lone surrogate
+    hinted = ("z" * 30, "q\0", "\ud800", "Never-married", "k3")
+    hint = TableSchema((ColumnSpec("c", CATEGORICAL, hinted), ColumnSpec("x", NUMERIC)))
+    for hint in (None, hint):
+        vocab = list(dict.fromkeys((hinted if hint else ()) + tuple(cells)))
+        t = load_csv(p, hint)
+        assert t.schema.column("c").categories == tuple(vocab)
+        assert t.column_array("c").tolist() == [vocab.index(c) for c in cells]
 
 
 @pytest.mark.parametrize("text, hint, error, match", [
@@ -286,6 +366,121 @@ def test_bad_cell_deep_in_a_large_hinted_file_is_reported_at_its_row(tmp_path):
     hint = load_csv(write(tmp_path, "x,c\n1.0,a\n2.0,b\n", "synthetic.csv")).schema
     with pytest.raises(LoadError, match=r"real.csv: row 150000, column 'x': cell 'n/a'"):
         load_csv(p, hint)
+
+
+@st.composite
+def long_mantissas(draw) -> str:
+    """17 to 20 digits, with a sign and a point anywhere, or none."""
+    digits = draw(st.text("0123456789", min_size=17, max_size=20))
+    point = draw(st.integers(0, len(digits)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + (digits if point == len(digits) else f"{digits[:point]}.{digits[point:]}")
+
+
+@st.composite
+def near_halfway(draw) -> str:
+    """The exact decimal of the midpoint between a double and the next, cut
+    after 16 to 21 digits and moved by -1, 0 or +1 in its last one. Cut
+    after 19, it lies within a long double's unit of the midpoint about one
+    time in ten, where rounding in long double alone can go wrong."""
+    x = draw(st.floats(min_value=1e-3, max_value=1e6))
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        cut = Decimal(1).scaleb(mid.adjusted() + 1 - draw(st.integers(16, 21)))
+        cut = mid.quantize(cut, rounding="ROUND_DOWN") + draw(st.integers(-1, 1)) * cut
+        return format(cut, "f")
+
+
+DECIMAL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+                     "1e300", "-1e-300", "1.7976931348623157e+308", "9007199254740991",
+                     "9007199254740992", "9007199254740993", "-9007199254740993.0",
+                     "18446744073709551615", "0.000000000000000000001"]),
+    long_mantissas(),
+    near_halfway(),
+    # float accepts these, off the plain grammar
+    st.sampled_from(["1.", ".5", "+1", " 1", "1_0", "1e5", "١٢", "-.5", "1.5E-3", "1 "]),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cells=st.lists(DECIMAL_CELLS, min_size=1, max_size=40))
+def test_decimals_have_the_bits_of_float(tmp_path_factory, cells):
+    path = tmp_path_factory.getbasetemp() / "decimals.csv"
+    path.write_text("x,c\n" + "".join(f"{cell},k\n" for cell in cells), encoding="utf-8")
+    expected = bits([float(cell) for cell in cells])
+    hint = TableSchema((ColumnSpec("x", NUMERIC), ColumnSpec("c", CATEGORICAL, ("k",))))
+    with pytest.MonkeyPatch.context() as mp:
+        # with and without long double, when this platform's has 64 bits
+        for wide in {tables._LONG_DOUBLE, False}:
+            mp.setattr(tables, "_LONG_DOUBLE", wide)
+            for block_bytes in (1, 64, tables.BLOCK_BYTES):
+                mp.setattr(tables, "BLOCK_BYTES", block_bytes)
+                assert bits(load_csv(path).column_array("x")) == expected
+                assert bits(load_csv(path, hint).column_array("x")) == expected
+                assert bits(np.concatenate([block.column_array("x") for block in
+                                            tables.read_blocks(path, hint)])) == expected
+
+
+def test_hard_decimals_have_the_bits_of_float(tmp_path, monkeypatch):
+    # midpoints between doubles cut after 17 to 19 digits, of which about one
+    # in forty a long double alone rounds wrong, and mantissas up to 2^53
+    # with 17 to 23 decimals, past the 10^22 of Clinger's path
+    rng = np.random.default_rng(7)
+    cells = []
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        for x, digits, step in zip(rng.uniform(1e-3, 1e3, 4000), rng.integers(17, 20, 4000),
+                                   rng.integers(-1, 2, 4000)):
+            mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+            cut = Decimal(1).scaleb(mid.adjusted() + 1 - int(digits))
+            cells.append(format(mid.quantize(cut, rounding="ROUND_DOWN") + int(step) * cut, "f"))
+    for m, f in zip(rng.integers(1, 2**53, 2000), rng.integers(17, 24, 2000)):
+        digits = str(m).rjust(int(f), "0")
+        cells.append(f"{digits[:-f]}.{digits[-f:]}")  # ".0...0m" where m is short
+    p = write(tmp_path, "x\n" + "\n".join(cells) + "\n")
+    expected = bits([float(cell) for cell in cells])
+    for wide in {tables._LONG_DOUBLE, False}:
+        monkeypatch.setattr(tables, "_LONG_DOUBLE", wide)
+        assert bits(load_csv(p).column_array("x")) == expected
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["long-double", "float-only"])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e999"])
+def test_a_cell_that_float_makes_no_finite_number_is_text(tmp_path, monkeypatch, cell, wide):
+    monkeypatch.setattr(tables, "_LONG_DOUBLE", wide and tables._LONG_DOUBLE)
+    p = write(tmp_path, f"x\n1.5\n{cell}\n2.5\n")
+    assert load_csv(p).schema.column("x").categories == ("1.5", cell, "2.5")
+    with pytest.raises(LoadError, match=rf"row 2, column 'x': cell '{cell}' is not a finite"):
+        load_csv(p, TableSchema((ColumnSpec("x", NUMERIC),)))
+
+
+def test_reader_memory_is_bounded_per_block(tmp_path, monkeypatch):
+    # rows shaped like the benchmark's real table, 64 KiB blocks
+    monkeypatch.setattr(tables, "BLOCK_BYTES", 1 << 16)
+    values = np.random.default_rng(0).standard_normal(45_000).tolist()
+    lines = [f"{v!r},{'ab'[i % 2]},{'ab'[i % 3 % 2]},a,b\r\n" for i, v in enumerate(values)]
+    hint = TableSchema((ColumnSpec("x", NUMERIC),
+                        *(ColumnSpec(name, CATEGORICAL, ("a", "b")) for name in "abcd")))
+
+    def peak(name, text):
+        path = write(tmp_path, "x,a,b,c,d\r\n" + text, name)
+        tracemalloc.start()
+        try:
+            blocks = sum(1 for _ in tables.read_blocks(path, hint))
+            return tracemalloc.get_traced_memory()[1], blocks
+        finally:
+            tracemalloc.stop()
+
+    two, n_two = peak("two.csv", "".join(lines[:4_500]))
+    twenty, n_twenty = peak("twenty.csv", "".join(lines))
+    # a quote sends every line to csv.reader, in blocks of as many lines
+    quoted, _ = peak("quoted.csv", '"0.5",a,b,a,b\r\n' + "".join(lines))
+    assert (n_two, n_twenty) == (2, 20)
+    assert twenty <= 1.1 * two
+    assert twenty <= quoted
 
 
 @pytest.mark.parametrize("text, match", [
