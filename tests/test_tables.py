@@ -171,40 +171,66 @@ _FIFTY = "x,c\n" + "".join(f"{i}.5,k{i % 3}\n" for i in range(50))
 _HINT = TableSchema((ColumnSpec("x", NUMERIC), ColumnSpec("c", CATEGORICAL)))
 
 
-def count_conversions(monkeypatch) -> list[str]:
-    """The cells converted to decimals from here on, in order: the ones the
-    NumPy conversion proves, then the ones parsed one at a time."""
-    calls = []
+def count_conversions(monkeypatch) -> tuple[list[str], list[list[str]], list[str]]:
+    """From here on: the cells converted to decimals, in order, the ones the
+    NumPy conversion proves and then the ones float parses one at a time;
+    the cells that each NumPy conversion takes; and the cells float parses."""
+    converted, batches, parsed = [], [], []
     decimals, parse = tables._decimals, tables._parse_decimal
 
     def converting(cells):
         values, proven = decimals(cells)
-        calls.extend(cells.cell(i) for i in np.flatnonzero(proven))
+        batches.append([cells.cell(i) for i in range(len(cells))])
+        converted.extend(cells.cell(i) for i in np.flatnonzero(proven))
         return values, proven
 
     def parsing(cell):
-        calls.append(cell)
+        converted.append(cell)
+        parsed.append(cell)
         return parse(cell)
 
     monkeypatch.setattr(tables, "_decimals", converting)
     monkeypatch.setattr(tables, "_parse_decimal", parsing)
-    return calls
+    return converted, batches, parsed
+
+
+_EMPTY_THEN_TEXT = "c,k\n1,0\n,0\nx,0\n2,0\n"
 
 
 @pytest.mark.parametrize("text, hint, converted", [
     (_FIFTY, None, ["0.5", "k0"] + [f"{i}.5" for i in range(1, 50)]),
     (_FIFTY, _HINT, ["0.5", "k0"] + [f"{i}.5" for i in range(1, 50)]),
-    ("c,k\n1,0\n,0\nx,0\n2,0\n", None, ["1", "0", "0", "x", "0", "0"]),
+    (_EMPTY_THEN_TEXT, None, ["1", "0", "0", "x", "0", "0"]),
 ], ids=["inferred", "hinted", "empty-then-text"])
 def test_each_cell_is_parsed_at_most_once(tmp_path, monkeypatch, text, hint, converted):
     # at one line a block, each conversion takes one cell, so the calls show
     # them all in row order: a numeric column converts every cell once, a
     # categorical one stops at its first non-empty cell that is not a
     # decimal, and an empty cell is never converted
-    calls = count_conversions(monkeypatch)
+    calls = count_conversions(monkeypatch)[0]
     monkeypatch.setattr(tables, "BLOCK_BYTES", 1)
     load_csv(write(tmp_path, text), hint)
     assert calls == converted
+
+
+_FIFTY_BATCHES = [[f"{i}.5" for i in range(50)], [f"k{i % 3}" for i in range(50)]]
+
+
+@pytest.mark.parametrize("text, hint, batches, parsed", [
+    (_FIFTY, None, _FIFTY_BATCHES, ["k0"]),
+    (_FIFTY, _HINT, _FIFTY_BATCHES, ["k0"]),
+    ("c,k\n1e5,0\n,0\nx,0\n+2,0\n", None, [["1e5", "", "x", "+2"], ["0"] * 4], ["1e5", "x"]),
+], ids=["inferred", "hinted", "empty-then-text"])
+def test_float_stops_at_the_first_text_cell_of_a_batch(tmp_path, monkeypatch, text, hint,
+                                                       batches, parsed):
+    # at the default block size each column's cells are one batch: NumPy
+    # converts the whole batch once, to its end, cells after the first text
+    # cell too, and float parses the cells it leaves in order, up to that
+    # cell and none after it
+    _, taken, calls = count_conversions(monkeypatch)
+    load_csv(write(tmp_path, text), hint)
+    assert taken == batches
+    assert calls == parsed
 
 
 def test_a_categorical_column_converts_nothing_after_the_batch_of_its_first_text_cell(
@@ -213,7 +239,7 @@ def test_a_categorical_column_converts_nothing_after_the_batch_of_its_first_text
     # of its decimals after that only those in its first batch, which holds
     # the first _PROBE cells of the file, are converted
     rows = 3 * tables._BATCH
-    calls = count_conversions(monkeypatch)
+    calls = count_conversions(monkeypatch)[0]
     load_csv(write(tmp_path, "x,c\n0.25,k\n" + "".join(f"{i}.25,{i}\n" for i in range(1, rows))))
     assert sorted(c for c in calls if c.endswith(".25")) == sorted(
         f"{i}.25" for i in range(rows))
@@ -300,7 +326,7 @@ def test_results_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rng, hin
 
 
 _LABELS = (
-    # short ones, more than a table scans
+    # short ones
     ["a", "", "é", "1", *(f"k{i}" for i in range(10))]
     # 9 to 24 bytes, two pairs of which share their last 8
     + ["Married-civ-spouse", "ü-Married-civ-spouse", "Never-married", "ab-Never-married",
