@@ -25,11 +25,16 @@ Python object per cell: a few NumPy passes find its separators as int32
 offsets and check the form, and each column takes its cells as byte spans,
 _BATCH at a time. The first block that is not plain, and every line after
 it, goes through csv.reader, so quoting, ragged rows and their errors are
-csv.reader's. Error rows count over the whole file either way.
+csv.reader's. Error rows count over the whole file either way. csv.reader's
+cells take the same conversion and coding as a plain block's: each
+column's cells, _BATCH at a time, are joined by line feeds behind the lead,
+ended by one and encoded once. Where no cell holds a line feed, the line
+feeds are the cell ends, found in one NumPy pass; otherwise each cell's
+encoded length places it.
 
-A plain cell in the grammar -?digits[.digits] (float reads "1." and ".5"
-alike, and they pass too) with at most 24 bytes after its sign and at most
-19 digits is converted without float. Its last 24 bytes are loaded as three
+A cell in the grammar -?digits[.digits] (float reads "1." and ".5" alike,
+and they pass too) with at most 24 bytes after its sign and at most 19
+digits is converted without float. Its last 24 bytes are loaded as three
 little-endian words from an unaligned uint64 view, XORed with "0" in every
 byte, and the bytes before the cell and its sign are masked off. A byte b is
 no digit iff ((b + 0x76) | b) & 0x80; the cell's one such byte must be a dot,
@@ -57,14 +62,15 @@ e-notation, with a plus, a space, an underscore, other digits, nan or inf,
 and every cell without the probe outside Clinger's path, is parsed by float,
 one at a time, so that every value has float's bits.
 
-A plain categorical cell is coded by the packed key of its bytes, found in
-the column's sorted table of its vocabulary's keys: the last word itself
+A categorical cell is coded by the packed key of its bytes, inverted, found
+in the column's sorted table of its vocabulary's keys: the last word itself
 for a cell of at most 8 bytes, else a hash of the three words, whose match
-is checked word for word. No plain cell holds a NUL, so the zeros in front
-of a short cell make no two cells alike. A category new to the vocabulary
-joins it at the first cell of its key, cells of more than 24 bytes are
-decoded one at a time, and should two new categories share a hash, the
-batch is coded one cell at a time.
+is checked word for word. UTF-8 has no 0xFF byte, so no inverted byte is
+zero, and the zeros in front of a short cell make no two cells alike, not
+even cells that hold a NUL, as csv.reader's may. A category new to the
+vocabulary joins it at the first cell of its key, cells of more than 24
+bytes are decoded one at a time, and should two new categories share a
+hash, the batch is coded one cell at a time.
 
 Each column keeps its state from block to block: its cells are converted
 to decimals, none twice, until its first text cell, the first non-empty
@@ -73,12 +79,12 @@ first _PROBE cells alone. NumPy converts a whole batch, to its end, and
 float parses the cells it leaves in order, stopping at the text cell; the
 values of the cells after it are dropped, and no later batch is converted.
 That pass settles an inferred kind and checks a hinted one; an inferred
-column keeps its cells, as byte spans or strings, until it settles. A
-categorical column codes its cells block by block. After each block the
-reader hands over the block's new values and codes and drops them:
-load_csv joins them into one table, and read_blocks yields them as one
-table per block, so that a real table is streamed in memory bounded per
-block, with the errors and row numbers load_csv gives.
+column keeps its cells, as byte spans, until it settles. A categorical
+column codes its cells block by block. After each block the reader hands
+over the block's new values and codes and drops them: load_csv joins them
+into one table, and read_blocks yields them as one table per block, so
+that a real table is streamed in memory bounded per block, with the errors
+and row numbers load_csv gives.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import TextIO
 
@@ -203,9 +209,9 @@ def _long_double_is_wide() -> bool:
 # Whether _decimals may round the cells outside Clinger's path in long double.
 _LONG_DOUBLE = _long_double_is_wide()
 
-# What a plain block's bytes come behind, so that the three 8-byte words that
-# end at any cell's end lie in them: spaces, and a line feed that stands for
-# the line end before the block.
+# What the bytes of a plain block, or of csv.reader's cells packed, come
+# behind, so that the three 8-byte words that end at any cell's end lie in
+# them: spaces, and a line feed that stands for the line end before them.
 _PAD = 32
 _LEAD = " " * (_PAD - 1) + "\n"
 # Bytes of a block searched for separators at a time.
@@ -242,18 +248,10 @@ _BELOW = _masks(_BYTES < np.append(_BYTES, 0)[:, None])
 _ABOVE = _masks(_BYTES > np.append(_BYTES, -1)[:, None])
 
 
-def _first_non_finite(values: array, start: int) -> int | None:
-    """Offset from start of the first value in values[start:] that is not
-    finite, or None when there is none."""
-    if len(values) == start:
-        return None
-    finite = np.isfinite(np.frombuffer(values[start:], dtype=np.float64))
-    return None if finite.all() else int(finite.argmin())
-
-
 class _Cells:
-    """Cells of one column in a plain block: the spans [starts, ends) of its
-    bytes in data, which begin with _LEAD."""
+    """Cells of one column, of a plain block or packed from csv.reader's: the
+    spans [starts, ends) of their bytes in data, which begins with _LEAD and
+    goes on past the last cell's end."""
 
     __slots__ = ("data", "starts", "ends")
 
@@ -272,14 +270,13 @@ class _Cells:
     def raw(self) -> np.ndarray:
         return np.frombuffer(self.data, np.uint8)
 
-    def words(self, lengths: np.ndarray, n: int, xor: np.uint64 | int = 0) -> np.ndarray:
+    def words(self, lengths: np.ndarray, n: int, xor: np.uint64) -> np.ndarray:
         """The last n of the three little-endian 8-byte words of the 24 bytes
         that end at each cell's end, XORed with xor, and all but their last
         lengths bytes zeroed: an (n, len) uint64 array. lengths is at most 24."""
         view = np.ndarray((len(self.data) - 7,), "<u8", self.data, 0, (1,))
         words = view[self.ends - _WORD_END[3 - n:]]
-        if xor:
-            words ^= xor
+        words ^= xor
         words &= np.take(_KEEP[3 - n:], lengths, axis=1)
         return words
 
@@ -356,11 +353,11 @@ def _merge(keys: np.ndarray, codes: np.ndarray, new_keys: np.ndarray,
 
 
 class _Table:
-    """A vocabulary as plain cells' keys: each category's three words, as
-    _Cells.words gives them, by code; and, for categories of at most 24
-    UTF-8 bytes and no NUL, its key, sorted, with its code, among all such
-    categories and among the ones of at most 8 bytes. update brings it up to
-    a vocabulary that has grown."""
+    """A vocabulary as cells' keys: each category's three words, as
+    _Cells.words gives them with every byte inverted, by code; and, for
+    categories of at most 24 UTF-8 bytes, its key, sorted, with its code,
+    among all such categories and among the ones of at most 8 bytes. update
+    brings it up to a vocabulary that has grown."""
 
     def __init__(self) -> None:
         self.size = 0
@@ -369,14 +366,15 @@ class _Table:
         self.codes = self.short_codes = np.zeros(0, np.int32)
 
     def update(self, vocab: dict[str, int]) -> None:
-        # the words of a category that has no key are never a cell's
-        words = np.full((3, len(vocab) - self.size), ~_U64(0))
+        # the words of a category that has no key are never checked, as no
+        # key gives its code
+        words = np.zeros((3, len(vocab) - self.size), _U64)
         fit = []
         for k, category in enumerate(islice(vocab, self.size, None)):
             # a hint may hold a lone surrogate, whose bytes no cell has
             b = category.encode("utf-8", "surrogatepass")
-            if len(b) <= 24 and b"\0" not in b:
-                words[:, k] = np.frombuffer(b.rjust(24, b"\0"), "<u8")
+            if len(b) <= 24:
+                words[:, k] = ~np.frombuffer(b.rjust(24, b"\xff"), "<u8")
                 fit.append(k)
         codes = np.array(fit, np.int32) + self.size
         self.words = np.concatenate([self.words, words], axis=1)
@@ -393,9 +391,9 @@ class _Table:
         its key, which matches only its own category's among the short ones;
         other batches load three, whose hash is checked word for word."""
         if lengths.max() <= 8:
-            keys = cells.words(lengths, 1)[0]
+            keys = cells.words(lengths, 1, ~_U64(0))[0]
             return _find(keys, self.short_keys, self.short_codes), keys
-        words = cells.words(np.minimum(lengths, 24), 3)
+        words = cells.words(np.minimum(lengths, 24), 3, ~_U64(0))
         keys = _hash(words)
         codes = _find(keys, self.keys, self.codes)
         if self.size:
@@ -407,14 +405,14 @@ class _Table:
 class _Column:
     """One column's parse state, carried from block to block.
 
-    Cells come as a sequence of strings from csv.reader or as _Cells of a
-    plain block. Until its first text cell, the first non-empty cell that is
-    not a finite decimal, the cells are converted to decimals, none twice,
-    and the first empty cell is noted. An inferred column keeps its cells
-    meanwhile, in case a text cell makes it categorical. A categorical column
-    codes each cell by a vocabulary that starts from the hint and grows by
-    first appearance. take hands over and drops what the cells fed since the
-    last take have added. decimals counts the cells converted to values, and
+    Cells come as _Cells, of a plain block or packed from csv.reader's. Until
+    its first text cell, the first non-empty cell that is not a finite
+    decimal, the cells are converted to decimals, none twice, and the first
+    empty cell is noted. An inferred column keeps its cells meanwhile, in
+    case a text cell makes it categorical. A categorical column codes each
+    cell by a vocabulary that starts from the hint and grows by first
+    appearance. take hands over and drops what the cells fed since the last
+    take have added. decimals counts the cells converted to values, and
     one_by_one those of them that float parsed alone.
     """
 
@@ -425,7 +423,7 @@ class _Column:
         self.empty: int | None = None
         self.text: int | None = None
         self.text_cell = ""
-        self.kept: list[Sequence[str] | _Cells] | None = [] if hint is None else None
+        self.kept: list[_Cells] | None = [] if hint is None else None
         self.vocab: dict[str, int] | None = None
         self.table = _Table()
         self.codes: list[np.ndarray] = []
@@ -433,66 +431,31 @@ class _Column:
         if hint is not None and hint.kind == CATEGORICAL:
             self.vocab = {c: k for k, c in enumerate(hint.categories)}
 
-    def feed(self, cells: Sequence[str] | _Cells) -> None:
-        if isinstance(cells, _Cells) and self.rows == 0 and len(cells) > _PROBE:
+    def feed(self, cells: _Cells) -> None:
+        if self.rows == 0 and len(cells) > _PROBE:
             # the first cells go alone: a categorical column mostly meets its
             # first text cell among them, and then converts no more
             self.feed(cells.take(slice(_PROBE)))
             self.feed(cells.take(slice(_PROBE, None)))
             return
         if self.text is None:
-            if isinstance(cells, _Cells):
-                self._convert(cells)
-            else:
-                self._parse(cells)
+            self._convert(cells)
             if self.kept is not None:
                 if self.text is None:
                     self.kept.append(cells)
                 else:
                     self.vocab = {}
-                    for kept in self.kept:
-                        self._code(kept)
+                    self.codes = [self._code(kept) for kept in self.kept]
                     self.kept = None
         if self.vocab is not None:
-            self._code(cells)
+            self.codes.append(self._code(cells))
         self.rows += len(cells)
 
-    def _parse(self, cells: Sequence[str]) -> None:
-        # array.extend keeps what it appended before a ValueError, and map has
-        # taken the failing cell from the iterator, so parsing resumes after it.
-        values = self.values
-        rest = iter(cells)
-        pos = 0
-        first = len(values)
-        while pos < len(cells):
-            start = len(values)
-            try:
-                values.extend(map(_parse_decimal, rest))
-            except ValueError:
-                pass
-            bad = _first_non_finite(values, start)
-            if bad is not None:
-                del values[start + bad:]
-                pos += bad
-            else:
-                pos += len(values) - start
-                if pos == len(cells):
-                    break
-                if not cells[pos]:
-                    if self.empty is None:
-                        self.empty = self.rows + pos
-                    pos += 1
-                    continue
-            self.text = self.rows + pos
-            self.text_cell = cells[pos]
-            break
-        self.decimals += len(values) - first
-        self.one_by_one += len(values) - first
-
     def _convert(self, cells: _Cells) -> None:
-        """_parse for plain cells: _decimals converts the whole batch and
-        proves what it can, and float parses the others, one at a time, up
-        to the first text cell; the values after that cell are dropped."""
+        """Converts the cells to decimals up to the first text cell:
+        _decimals converts the whole batch and proves what it can, and float
+        parses the others, one at a time, stopping at that cell; the values
+        after it are dropped."""
         values, proven = _decimals(cells)
         lengths = cells.ends - cells.starts
         stop = len(cells)
@@ -515,22 +478,8 @@ class _Column:
         self.values.frombytes(values[:stop][filled].tobytes())
         self.decimals += int(filled.sum())
 
-    def _code(self, cells: Sequence[str] | _Cells) -> None:
-        vocab = self.vocab
-        if isinstance(cells, _Cells):
-            codes = self._code_plain(cells)
-        else:
-            # Most blocks bring no new category: grow the vocabulary on a miss.
-            try:
-                codes = np.fromiter(map(vocab.__getitem__, cells), np.int32, len(cells))
-            except KeyError:
-                fresh = list(filterfalse(vocab.__contains__, dict.fromkeys(cells)))
-                vocab.update(zip(fresh, range(len(vocab), len(vocab) + len(fresh))))
-                codes = np.fromiter(map(vocab.__getitem__, cells), np.int32, len(cells))
-        self.codes.append(codes)
-
-    def _code_plain(self, cells: _Cells) -> np.ndarray:
-        """Plain cells' codes, found by their keys in the table. A category
+    def _code(self, cells: _Cells) -> np.ndarray:
+        """The cells' codes, found by their keys in the table. A category
         new to the vocabulary joins it at the first cell of its key, and a
         cell of more than 24 bytes, which has no key, is decoded; should two
         new categories share a key, the cells are coded one at a time."""
@@ -646,6 +595,20 @@ def _plain(data: bytes, n_cols: int) -> tuple[np.ndarray, int] | None:
     return seps, len(end) - 1
 
 
+def _packed(cells: Sequence[str]) -> _Cells:
+    """csv.reader's cells of one column as _Cells: joined by line feeds
+    behind _LEAD, ended by one and encoded once. Where no cell holds a line
+    feed, the line feeds after _LEAD's are the cell ends; otherwise each
+    cell's encoded length places it."""
+    data = (_LEAD + "\n".join(cells) + "\n").encode()
+    feeds = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if len(feeds) == len(cells) + 1:
+        return _Cells(data, feeds[:-1] + 1, feeds[1:])
+    lengths = np.fromiter(map(len, map(str.encode, cells)), np.intp, len(cells))
+    ends = np.cumsum(lengths + 1) + (_PAD - 1)
+    return _Cells(data, ends - lengths, ends)
+
+
 class _Reader:
     """One open CSV file, read block by block.
 
@@ -742,7 +705,8 @@ class _Reader:
 
     def _feed(self, block: list[list[str]]) -> list[np.ndarray]:
         for column, cells in zip(self.columns, zip(*block)):
-            column.feed(cells)
+            for lo in range(0, len(cells), _BATCH):
+                column.feed(_packed(cells[lo:lo + _BATCH]))
         self.rows += len(block)
         return [column.take() for column in self.columns]
 

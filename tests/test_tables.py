@@ -201,7 +201,8 @@ _EMPTY_THEN_TEXT = "c,k\n1,0\n,0\nx,0\n2,0\n"
     (_FIFTY, None, ["0.5", "k0"] + [f"{i}.5" for i in range(1, 50)]),
     (_FIFTY, _HINT, ["0.5", "k0"] + [f"{i}.5" for i in range(1, 50)]),
     (_EMPTY_THEN_TEXT, None, ["1", "0", "0", "x", "0", "0"]),
-], ids=["inferred", "hinted", "empty-then-text"])
+    ('c,k\n"1","0"\n"","0"\n"x","0"\n"2","0"\n', None, ["1", "0", "0", "x", "0", "0"]),
+], ids=["inferred", "hinted", "empty-then-text", "quoted-empty-then-text"])
 def test_each_cell_is_parsed_at_most_once(tmp_path, monkeypatch, text, hint, converted):
     # at one line a block, each conversion takes one cell, so the calls show
     # them all in row order: a numeric column converts every cell once, a
@@ -268,13 +269,14 @@ def csv_reader_rows(path):
     (_LONG[:200] + _LONG[200:].replace("\n", "\r\n"), {"c": ("k0", "k1", "k2", "k3")}),
     ('1,"k,0"\n2,"say ""hi"""\n' + _LONG, {"c": ("k,0", 'say "hi"', "k0", "k1", "k2", "k3")}),
     (_LONG + '7,"two\nlines"\n8,k1\n', {"c": ("k0", "k1", "k2", "k3", "two\nlines")}),
+    ('7,"é"\n8,"two\nlines"\n' + _LONG, {"c": ("é", "two\nlines", "k0", "k1", "k2", "k3")}),
     (_LONG.replace(",k3", ",") + "9,k2\n", {"c": ("k0", "k1", "k2", "")}),
     (_LONG + "nan,k1\n", {"x": tuple(f"{i}.25" for i in range(40)) + ("nan",)}),
     (_LONG + "1e999,k1\n", {"x": tuple(f"{i}.25" for i in range(40)) + ("1e999",)}),
     (_LONG + "z,k1\n", {"x": tuple(f"{i}.25" for i in range(40)) + ("z",)}),
 ], ids=["lf", "crlf", "no-final-newline", "bare-cr", "lf-then-crlf", "quoted",
-        "quoted-newline-across-blocks", "empty-category", "nan-in-last-block",
-        "inf-in-last-block", "turns-categorical-in-last-block"])
+        "quoted-newline-across-blocks", "quoted-non-ascii-and-newline", "empty-category",
+        "nan-in-last-block", "inf-in-last-block", "turns-categorical-in-last-block"])
 @BLOCK_SIZES
 def test_block_reader_gives_csv_readers_table(tmp_path, monkeypatch, block_bytes, text,
                                               categories):
@@ -336,26 +338,33 @@ _LABELS = (
 )
 
 
+# labels with a NUL, which only csv.reader's cells hold, and labels that
+# differ from them only in the NUL
+_NUL_LABELS = ["\0a", "a\0", "\0", "\0abcdefgh", "abcdefgh"]
+
+
 @pytest.mark.parametrize("hashing", ["hash", "last-word"])
 @BLOCK_SIZES
 def test_categories_are_coded_in_order_of_first_appearance(tmp_path, monkeypatch, block_bytes,
                                                           hashing):
     # hashing only the last word makes the pairs collide, and then a batch
-    # is coded one cell at a time
+    # is coded one cell at a time; in the quoted file every cell goes
+    # through csv.reader
     monkeypatch.setattr(tables, "BLOCK_BYTES", block_bytes)
     if hashing == "last-word":
         monkeypatch.setattr(tables, "_hash", lambda words: words[2].copy())
-    cells = [_LABELS[i] for i in np.random.default_rng(3).integers(0, len(_LABELS), 400)]
-    p = write(tmp_path, "c,x\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
-    # a hint with categories that no cell can match: too long, with a NUL or
-    # with a lone surrogate
+    # a hint with categories that no cell of either file holds: too long,
+    # with a NUL or with a lone surrogate
     hinted = ("z" * 30, "q\0", "\ud800", "Never-married", "k3")
     hint = TableSchema((ColumnSpec("c", CATEGORICAL, hinted), ColumnSpec("x", NUMERIC)))
-    for hint in (None, hint):
-        vocab = list(dict.fromkeys((hinted if hint else ()) + tuple(cells)))
-        t = load_csv(p, hint)
-        assert t.schema.column("c").categories == tuple(vocab)
-        assert t.column_array("c").tolist() == [vocab.index(c) for c in cells]
+    for labels, line in ((_LABELS, "{},{}\n"), (_LABELS + _NUL_LABELS, '"{}","{}"\n')):
+        cells = [labels[i] for i in np.random.default_rng(3).integers(0, len(labels), 400)]
+        p = write(tmp_path, "c,x\n" + "".join(line.format(c, i) for i, c in enumerate(cells)))
+        for schema in (None, hint):
+            vocab = list(dict.fromkeys((hinted if schema else ()) + tuple(cells)))
+            t = load_csv(p, schema)
+            assert t.schema.column("c").categories == tuple(vocab)
+            assert t.column_array("c").tolist() == [vocab.index(c) for c in cells]
 
 
 @pytest.mark.parametrize("text, hint, error, match", [
@@ -434,8 +443,11 @@ DECIMAL_CELLS = st.one_of(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cells=st.lists(DECIMAL_CELLS, min_size=1, max_size=40))
 def test_decimals_have_the_bits_of_float(tmp_path_factory, cells):
-    path = tmp_path_factory.getbasetemp() / "decimals.csv"
-    path.write_text("x,c\n" + "".join(f"{cell},k\n" for cell in cells), encoding="utf-8")
+    # the quoted copy goes through csv.reader
+    plain = tmp_path_factory.getbasetemp() / "decimals.csv"
+    plain.write_text("x,c\n" + "".join(f"{cell},k\n" for cell in cells), encoding="utf-8")
+    quoted = tmp_path_factory.getbasetemp() / "quoted-decimals.csv"
+    quoted.write_text("x,c\n" + "".join(f'"{cell}","k"\n' for cell in cells), encoding="utf-8")
     expected = bits([float(cell) for cell in cells])
     hint = TableSchema((ColumnSpec("x", NUMERIC), ColumnSpec("c", CATEGORICAL, ("k",))))
     with pytest.MonkeyPatch.context() as mp:
@@ -444,10 +456,11 @@ def test_decimals_have_the_bits_of_float(tmp_path_factory, cells):
             mp.setattr(tables, "_LONG_DOUBLE", wide)
             for block_bytes in (1, 64, tables.BLOCK_BYTES):
                 mp.setattr(tables, "BLOCK_BYTES", block_bytes)
-                assert bits(load_csv(path).column_array("x")) == expected
-                assert bits(load_csv(path, hint).column_array("x")) == expected
-                assert bits(np.concatenate([block.column_array("x") for block in
-                                            tables.read_blocks(path, hint)])) == expected
+                for path in (plain, quoted):
+                    assert bits(load_csv(path).column_array("x")) == expected
+                    assert bits(load_csv(path, hint).column_array("x")) == expected
+                    assert bits(np.concatenate([block.column_array("x") for block in
+                                                tables.read_blocks(path, hint)])) == expected
 
 
 def test_hard_decimals_have_the_bits_of_float(tmp_path, monkeypatch):
