@@ -126,9 +126,8 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
     first, inverse, weight = kernels.distinct_rows(x)
     core, root, border = kernels.neighbor_lists(x[first], eps, min_samples, weight)
     # clusters numbered by their lowest core row
-    roots, ids = np.unique(root[core], return_inverse=True)
     labels = np.full(len(first), NOISE, dtype=np.int32)
-    labels[core] = ids
+    labels[core], n_clusters = kernels._rank(root[core])
     # a border row takes the label of its lowest core neighbour
     reached = border < len(first)
     labels[reached] = labels[border[reached]]
@@ -139,7 +138,7 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
         labels=labels[inverse],
         core_mask=core[inverse],
         weight=counts,
-        n_clusters=len(roots),
+        n_clusters=n_clusters,
         eps=eps,
         model_hash=matrix.model_hash,
     )

@@ -121,9 +121,8 @@ is d = fl(sqrt(s)).
 - Cross minima: a running minimum of U over the pairs seen bounds each row's
   and each column's minimum s from above, and every pair within widen of
   either bound (plus the largest spread of the block) is computed, which
-  includes every pair tying a minimum. Row minima keep the first
-  (lowest-index) minimum, with NaN first as in np.argmin; column minima
-  propagate NaN as np.minimum does.
+  includes every pair tying a minimum. Row minima merge by _lowest (keys and
+  ties, below); column minima propagate NaN as np.minimum does.
 
 The grid. A cell has side h = fl(r(1 + 2^-10)) for a radius
 2^-500 < r < 2^500, and a row's key in dimension j is floor(fl(x_j / h)); a
@@ -201,6 +200,16 @@ When s0 is inf (sums that overflow), no comparison with it holds and
 nothing is ruled out. A sum is NaN only when a member has a coordinate
 that is not finite, and then no bound is taken, so np.argmin sees the same
 NaN sums as without it.
+
+Keys and ties. _rank gives integer keys dense ranks in value order, and
+_fold appends a key to a code as a mixed-radix digit, ranking the key or the
+code so that codes stay below 4n^2: the dense cells, the grid's separating
+digits, the windows' category patterns (_patterns) and clustering.dbscan's
+cluster ids all rest on them. _lowest merges nearest rows: per group the
+least distance, NaN first as np.argmin ranks it, and on a tie the lowest id,
+in any order of the candidates. A NaN minimum comes back as np.nan, whose
+sign may differ from the input's; the report's NaN and the CSV files' nan
+show no sign.
 
 The kernels run in one thread: on 2 vCPUs, a pool of row workers saved at
 most 30 ms of an 8000-row k-th pass and cost CPU time and peak RSS on every
@@ -399,8 +408,7 @@ def _cell_codes(x: np.ndarray, h: float) -> tuple[np.ndarray, list[int]] | None:
     its key. The first three others are step digits: the key shifted to start
     at 1, so that a step of one never leaves the digit. Separating digits are
     the most significant. Dimensions are taken in order while the radix
-    product stays below 2^62; each is scanned in O(n) memory, by a bincount
-    of its keys, or by a sort when they span more than n values.
+    product stays below 2^62; each is ranked (_rank) in O(n) memory.
     """
     n = len(x)
     with np.errstate(all="ignore"):
@@ -412,19 +420,14 @@ def _cell_codes(x: np.ndarray, h: float) -> tuple[np.ndarray, list[int]] | None:
     for j in np.flatnonzero(serves).tolist():
         if 2 * product >= 2**62:
             break
-        span = int(hi[j] - lo[j]) + 1
         keys = (np.floor(x[:, j] / h) - lo[j]).astype(np.int64)
-        if span <= n:
-            occupied = np.flatnonzero(np.bincount(keys, minlength=span))
-        else:
-            # not np.unique, which imports numpy.ma (0.5 MiB) for its first
-            # call; the dense cells' passes key small sets of rows here
-            occupied = np.sort(keys)
-            occupied = occupied[np.r_[True, occupied[1:] != occupied[:-1]]]
+        digit, radix = _rank(keys)
+        occupied = np.empty(radix, dtype=np.int64)
+        occupied[digit] = keys
         if not (np.diff(occupied) == 1).any():
-            code, radix, digit = separating, len(occupied), np.searchsorted(occupied, keys)
+            code = separating
         elif len(step_radix) < 3:
-            code, radix, digit = steps, span + 2, keys + 1
+            code, radix, digit = steps, int(hi[j] - lo[j]) + 3, keys + 1
         else:
             continue
         if product * radix >= 2**62:
@@ -622,10 +625,10 @@ def _dense_cells(
     docstring); a cell is dense when its weights sum to at least min_samples
     and it holds at least CELL_ROWS rows. A row whose key floor(fl(x_j / h))
     reaches 2^40 in magnitude, or is not finite, in any dimension is in no
-    cell. The keys are folded one dimension at a time into an int64 code,
-    ranked whenever its radix passes 4n, and after each dimension the rows
-    whose group so far weighs less than min_samples or holds fewer than
-    CELL_ROWS rows are dropped; memory stays O(n) whatever d."""
+    cell. The keys are folded (_fold) one dimension at a time into an int64
+    code, and after each dimension the rows whose group so far weighs less
+    than min_samples or holds fewer than CELL_ROWS rows are dropped; memory
+    stays O(n) whatever d."""
     n, d = x.shape
     if n == 0 or d == 0 or not 2.0**-500 < eps < 2.0**496:
         return None
@@ -643,14 +646,7 @@ def _dense_cells(
                 return None
         key = np.floor(q).astype(np.int64)
         key -= key.min()
-        span = int(key.max()) + 1
-        if radix * span > 4 * len(rows):
-            key, span = _rank(key)
-        code *= span
-        code += key
-        radix *= span
-        if radix > 4 * len(rows):
-            code, radix = _rank(code)
+        code, radix = _fold(code, radix, key, int(key.max()) + 1)
         # a cell lies in one group of every prefix of its dimensions, so the
         # rows of light or small groups are in no dense cell
         heavy = ((np.bincount(code, weight[rows], radix) >= min_samples)
@@ -672,18 +668,64 @@ def _dense_side(eps: float, d: int) -> float:
 
 
 def _rank(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each entry's rank among the distinct values of v >= 0, and their
-    count: by a bincount when the values span at most 4 len(v), else a sort."""
-    span = int(v.max()) + 1
+    """Each entry's rank among the distinct values of v, integers >= 0 or
+    booleans, and their count: by a bincount when the values span at most
+    4 len(v), else a sort. An empty v gives (empty, 0)."""
+    v = v.astype(np.intp, copy=False)  # a boolean index would be a mask
+    span = int(v.max(initial=-1)) + 1
     if span <= 4 * len(v):
         seen = np.bincount(v, minlength=span) > 0
-        rank = np.cumsum(seen) - 1
-        return rank[v], int(rank[-1]) + 1
+        return (np.cumsum(seen) - 1)[v], int(np.count_nonzero(seen))
     order = np.argsort(v)
     new = np.r_[True, v[order[1:]] != v[order[:-1]]]
     rank = np.empty_like(v)
     rank[order] = np.cumsum(new) - 1
     return rank, int(np.count_nonzero(new))
+
+
+def _fold(code: np.ndarray, radix: int, key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """(code, radix) with key, in [0, span), appended to code, in [0, radix),
+    as the least significant digit. The key is ranked when radix * span would
+    pass 4n, and the code once its radix does, so codes stay below 4n^2 and,
+    as ranks keep the order, ascend with the keys taken lexicographically."""
+    n = len(code)
+    if radix * span > 4 * n:
+        key, span = _rank(key)
+    code = code * span + key
+    radix *= span
+    if radix > 4 * n:
+        code, radix = _rank(code)
+    return code, radix
+
+
+def _patterns(keys: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Each of the n rows' pattern over keys, (codes in [0, span), span)
+    per key, as a dense id in 0..g-1 that ascends with the patterns taken
+    lexicographically, g, and each pattern's first row."""
+    code, radix = np.zeros(n, dtype=np.int64), 1
+    for key, span in keys:
+        code, radix = _fold(code, radix, key, span)
+    gid, g = _rank(code)
+    first = np.full(g, n)
+    np.minimum.at(first, gid, np.arange(n))
+    return gid, g, first
+
+
+def _lowest(rank: np.ndarray, at: np.ndarray, group: np.ndarray, d: np.ndarray,
+            ids: np.ndarray) -> np.ndarray:
+    """Merge the candidates (group[i], ids[i]) at distance d[i] into each
+    group's running minimum rank, with NaN stored as -inf, and the lowest id
+    at attaining it (keys and ties, module docstring); groups without a
+    candidate keep their entries. Returns the minima, NaN as np.nan."""
+    key = np.where(np.isnan(d), -np.inf, d)
+    low = np.full(len(rank), np.inf)
+    np.minimum.at(low, group, key)
+    tie = key == low[group]
+    first = np.full(len(at), np.iinfo(np.int64).max)
+    np.minimum.at(first, group[tie], ids[tie])
+    take = (low < rank) | ((low == rank) & (first < at))
+    rank[take], at[take] = low[take], first[take]
+    return np.where(rank == -np.inf, np.nan, rank)
 
 
 def _join_lowest(
@@ -819,7 +861,7 @@ def kth_neighbor_median(x: np.ndarray, k: int) -> float:
     n = len(x)
     _check_k(n, k)
     if np.isfinite(x).all():
-        picks = np.unique(np.linspace(0, n - 1, MEDIAN_SAMPLE).astype(np.int64))
+        picks = np.linspace(0, n - 1, min(n, MEDIAN_SAMPLE)).astype(np.int64)
         sample = np.sort(_kth_distances(x[picks], x, k))
         # the sample's 5/8 quantile: a margin of about four standard errors
         # of the sampled median, so one grid usually certifies enough rows
@@ -933,12 +975,10 @@ def cross_min_distances(
     """
     if len(a) == 0 or len(b) == 0:
         raise ConfigError("cross_min_distances requires non-empty inputs")
-    a_min = np.full(len(a), np.inf)
     a_arg = np.zeros(len(a), dtype=np.int64)
     b_min = np.empty(len(b), dtype=np.float64)
     # per row of a: an upper bound over the b rows seen so far, and the rank
-    # of its best exact distance a_min, ranked like argmin (NaN first, then
-    # the value)
+    # of its best exact distance (_lowest)
     bound = np.full(len(a), np.inf)
     rank = np.full(len(a), np.inf)
     for i0, upper, spread in _bracket_tiles(b, a):
@@ -948,10 +988,5 @@ def cross_min_distances(
         r, c = _pairs(~(far_row & (upper > _widen(bound) + spread.max())))
         d = _exact_dists(a, c, b, i0 + r)
         b_min[i0 : i0 + m] = np.minimum.reduceat(d, np.searchsorted(r, np.arange(m)))
-        key = np.where(np.isnan(d), -np.inf, d)
-        order = np.lexsort((r, key, c))
-        first = order[np.r_[True, c[order][1:] != c[order][:-1]]]
-        first = first[key[first] < rank[c[first]]]
-        cols = c[first]
-        rank[cols], a_min[cols], a_arg[cols] = key[first], d[first], i0 + r[first]
+        a_min = _lowest(rank, a_arg, c, d, i0 + r)
     return a_min, a_arg, b_min

@@ -2,10 +2,10 @@
 
 For each medoid m the nearest-real distance is d_min(m) = min over real rows x
 of delta(psi(m), psi(x)), exact over all real rows, ties to the lowest real
-row id. The attack success rate at threshold tau is the fraction of medoids
-with d_min strictly below tau; coverage at tau is the fraction of real rows
-strictly within tau of at least one medoid. Both inequalities are strict, so
-both curves are exactly zero at tau = 0.
+row id, NaN first (kernels._lowest). The attack success rate at threshold
+tau is the fraction of medoids with d_min strictly below tau; coverage at
+tau is the fraction of real rows strictly within tau of at least one medoid.
+Both inequalities are strict, so both curves are exactly zero at tau = 0.
 
 The real rows come as a stream of blocks. Each block is reduced as it
 arrives, by _euclidean_minima on its encoding or by _gower_minima on its raw
@@ -215,22 +215,18 @@ def _profile(medoids: MedoidSet, pieces: Iterable[tuple[Minima, int | None]],
     each with the exact pairs its windows took, or None when it was scanned
     in full.
 
-    A medoid takes a later piece's row only when it is strictly nearer, with
-    NaN nearest of all as in np.argmin, so ties keep the lowest row id; row
-    ids count over all pieces. pieces is consumed only when there are medoids.
+    The pieces' minima merge by kernels._lowest, so ties keep the lowest row
+    id, counted over all pieces, and NaN is nearest of all as in np.argmin.
+    pieces is consumed only when there are medoids.
     """
     if len(medoids) == 0:
         raise ConfigError("no medoids to evaluate")
-    d_min = np.full(len(medoids), np.inf)
+    d_min = rank = np.full(len(medoids), np.inf)
     nearest = np.zeros(len(medoids), dtype=np.int64)
-    rank = np.full(len(medoids), np.inf)
     counts = np.zeros(len(grid.taus), dtype=np.int64)
     offset = pairs = scanned = blocks = 0
     for (a_min, a_arg, b_min), exact in pieces:
-        key = np.where(np.isnan(a_min), -np.inf, a_min)
-        better = key < rank
-        rank[better], d_min[better] = key[better], a_min[better]
-        nearest[better] = offset + a_arg[better]
+        d_min = kernels._lowest(rank, nearest, np.arange(len(rank)), a_min, offset + a_arg)
         counts += _count_below(b_min, grid)
         offset += len(b_min)
         pairs += len(b_min) * len(medoids) if exact is None else exact
@@ -479,7 +475,7 @@ def _window_minima(
     has already asked it as if there were one pattern.
     """
     n, m = len(x), len(a)
-    gid, g, rep = _patterns(keys, n)
+    gid, g, rep = kernels._patterns(keys, n)
     if m * g > kernels.TILE_BYTES // 8 or not _windows_pay(m + m * g, m, n):
         return None
 
@@ -579,19 +575,11 @@ def _window_minima(
     if not _windows_pay(pairs - n + m * g, m, n):
         return None
 
-    d_min = np.full(m, np.inf)
+    d_min = rank = np.full(m, np.inf)
     nearest = np.zeros(m, dtype=np.int64)
     for seg, pos in _ragged(lo, hi - lo):
         pm, rows = wm[seg], order[pos]
-        d = dist(pm, rows)
-        chunk_min = np.full(m, np.inf)
-        np.minimum.at(chunk_min, pm, d)
-        tie = d == chunk_min[pm]
-        chunk_arg = np.full(m, n, dtype=np.int64)
-        np.minimum.at(chunk_arg, pm[tie], rows[tie])
-        nearest = np.where(chunk_min < d_min, chunk_arg, np.where(
-            chunk_min == d_min, np.minimum(nearest, chunk_arg), nearest))
-        np.minimum(d_min, chunk_min, out=d_min)
+        d_min = kernels._lowest(rank, nearest, pm, dist(pm, rows), rows)
     for seg, pos in _ragged(row_lo, row_len):
         rows = more[seg]
         np.minimum.at(per_real, rows, dist(listed[pos], rows))
@@ -606,30 +594,6 @@ def _windows_pay(pairs: int, m: int, n: int) -> bool:
     scan, and each row's sort, seed and window about four pairs (CHANGES.md);
     eight leaves a margin for the estimates."""
     return 8 * (pairs + 4 * n) < m * n
-
-
-def _patterns(keys: list[Key], n: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Each of the n rows' pattern of key codes as a dense id in 0..g-1, g,
-    and each pattern's first row. The ids are mixed-radix numbers over the
-    keys, renumbered densely before their span would pass 2^62 and, at the
-    end, when it passes the row count."""
-    gid = np.zeros(n, dtype=np.int64)
-    span = 1
-    for codes, radix in keys:
-        if span * radix > 2**62:
-            _, gid = np.unique(gid, return_inverse=True)
-            span = int(gid.max()) + 1
-        gid = gid * radix + codes
-        span *= radix
-    if span > n:
-        _, gid = np.unique(gid, return_inverse=True)
-        span = int(gid.max()) + 1
-    present = np.bincount(gid, minlength=span) > 0
-    gid = (np.cumsum(present) - 1)[gid]
-    g = int(present.sum())
-    first = np.full(g, n)
-    np.minimum.at(first, gid, np.arange(n))
-    return gid, g, first
 
 
 def _placer(groups: np.ndarray, ranks: np.ndarray, values: np.ndarray):

@@ -1275,6 +1275,93 @@ def test_medoid_of_a_wide_one_hot_cluster_stays_in_bounded_memory():
     assert growth < 1.5 * 2000 * 2001 * 8 / 2**20
 
 
+def unique_patterns(keys: list, n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The ids, their count and the first rows of the rows' key patterns,
+    ids ascending with the patterns in lexicographic order, by np.unique."""
+    if not keys:
+        return np.zeros(n, dtype=np.int64), int(n > 0), np.zeros(int(n > 0), dtype=np.int64)
+    codes = np.stack([key for key, _ in keys], 1)
+    _, first, gid = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    return gid.ravel(), len(first), first
+
+
+def key_cases(rng) -> list[list[tuple[np.ndarray, int]]]:
+    """Key columns, (codes, span) each, on which ranks and folds turn."""
+    cases = [[], [(np.array([3]), 5)], [(np.array([True]), 2), (np.array([0]), 1)]]
+    for n in (2, 9, 300):
+        cases.append([(rng.random(n) < 0.5, 2) for _ in range(3)])
+        # values that span exactly 4n and 4n + 1: a bincount, then a sort
+        for span in (4 * n, 4 * n + 1):
+            v = rng.integers(0, span, n)
+            v[0] = span - 1
+            cases.append([(v, span), (rng.integers(0, 3, n), 3)])
+        # 70 binary columns: the code passes 4n in the middle of the fold
+        cases.append([(rng.random(n) < 0.1, 2) for _ in range(70)])
+        # one key whose radix alone is above 4n, between two small ones
+        cases.append([(rng.integers(0, 2, n), 2), (rng.integers(0, 40 * n, n), 40 * n),
+                      (rng.integers(0, 3, n).astype(np.int32), 3)])
+    return cases
+
+
+def test_rank_gives_dense_ranks_in_value_order(rng):
+    ranks, count = kernels._rank(np.zeros(0, dtype=np.int64))
+    assert ranks.tolist() == [] and count == 0
+    for keys in key_cases(rng):
+        for v, _ in keys:
+            uniq, inverse = np.unique(v, return_inverse=True)
+            ranks, count = kernels._rank(v)
+            assert ranks.tolist() == inverse.ravel().tolist() and count == len(uniq)
+
+
+def test_fold_keeps_codes_small_and_lexicographic(rng):
+    for keys in key_cases(rng):
+        n = len(keys[0][0]) if keys else 0
+        code, radix = np.zeros(n, dtype=np.int64), 1
+        for j, (key, span) in enumerate(keys):
+            code, radix = kernels._fold(code, radix, key, span)
+            assert 0 <= code.min() and code.max() < radix <= 4 * n
+            assert kernels._rank(code)[0].tolist() == unique_patterns(keys[: j + 1], n)[0].tolist()
+
+
+def test_patterns_match_np_unique_over_the_key_columns(rng):
+    for n in (0, 1, 5):
+        gid, g, first = kernels._patterns([], n)
+        assert (gid.tolist(), g, first.tolist()) == ([0] * n, int(n > 0), [0] * (n > 0))
+    for keys in key_cases(rng):
+        n = len(keys[0][0]) if keys else 1
+        gid, g, first = kernels._patterns(keys, n)
+        want_gid, want_g, want_first = unique_patterns(keys, n)
+        assert gid.tolist() == want_gid.tolist() and g == want_g
+        assert first.tolist() == want_first.tolist()
+
+
+def test_lowest_merges_candidates_in_any_order_as_argmin_does(rng):
+    # ties, infinities and NaNs of both signs; group 5 gets no candidate
+    m, n = 8, 60
+    d = rng.choice([0.0, 0.25, 1.0, 3.0], size=(m, n))
+    d[rng.random((m, n)) < 0.1] = np.inf
+    d[1, [7, 40]] = -np.nan, np.nan
+    d[2, [3, 12]] = np.nan, -np.nan
+    d[3] = np.inf
+    d[4, [10, 20, 30]] = -np.nan
+    group, ids = np.divmod(np.arange(m * n), n)
+    fed = group != 5
+    want_at = np.argmin(d, axis=1)
+    for _ in range(3):
+        rank, at = np.full(m, np.inf), np.full(m, n + 1)
+        perm = rng.permutation(np.flatnonzero(fed))
+        calls = np.array_split(perm, [len(perm) // 3, 2 * len(perm) // 3])
+        # one call with its ids in descending order
+        calls[1] = calls[1][np.argsort(-ids[calls[1]], kind="stable")]
+        for c in calls:
+            got = kernels._lowest(rank, at, group[c], d[group[c], ids[c]], ids[c])
+        assert at[5] == n + 1 and rank[5] == np.inf and got[5] == np.inf
+        rows = np.arange(m) != 5
+        assert at[rows].tolist() == want_at[rows].tolist()
+        np.testing.assert_array_equal(got[rows], d.min(axis=1)[rows])
+        assert not np.signbit(got[np.isnan(got)]).any()
+
+
 def test_cross_min_distances_match_double_loop(rng):
     a = rng.standard_normal((17, 4))
     b = rng.standard_normal((40, 4))
