@@ -15,7 +15,9 @@ occurrence and weighted by their count: a distinct row is core iff its
 neighbours' weights sum to at least min_samples, as in scikit-learn's
 DBSCAN(sample_weight=) (Pedregosa et al., JMLR 2011). Labels and the core
 mask go back to every copy, and the labeling's weight keeps each count at
-the first copy for extract_medoids, which merges nothing itself.
+the first copy for extract_medoids, which merges nothing itself. The merge
+comes before auto eps, so that rows with more than min_samples copies, at a
+k-th distance of 0, settle a zero median from the counts alone.
 
 One stream of kernels' hit blocks (kernels.neighbor_lists) gives the core
 rows, the components of the eps-graph on them, which are the clusters' cores,
@@ -99,11 +101,11 @@ class MedoidSet:
 def auto_eps(matrix: EncodedMatrix, min_samples: int) -> float:
     """Median over rows of the distance to the min_samples-th nearest neighbor
     (self excluded), every row counted. kernels.kth_neighbor_median computes
-    it exactly, bit for bit the median of kernels.kth_neighbor_distances,
-    from the rows whose distance a grid certifies to be at most a radius a
-    little above a sampled median: those hold the middle order statistics.
-    Errors when the result is zero, since a zero radius cannot define a
-    neighborhood."""
+    it exactly, bit for bit the median of kernels.kth_neighbor_distances, by
+    selection: a sample brackets the median between two radii, one grid pass
+    counts the rows on either side, and only the rows that can hold the two
+    middle values get an exact distance. Errors when the result is zero,
+    since a zero radius cannot define a neighborhood."""
     n = len(matrix.vectors)
     if n <= min_samples:
         raise ConfigError(
@@ -120,10 +122,14 @@ def dbscan(matrix: EncodedMatrix, eps: float | None, min_samples: int) -> Cluste
     x = matrix.vectors
     if len(x) == 0:
         raise ConfigError("cannot cluster an empty matrix")
-    if eps is None:
-        eps = auto_eps(matrix, min_samples)
-
     first, inverse, weight = kernels.distinct_rows(x)
+    if eps is None:
+        # a row with more than min_samples copies has a k-th distance of 0;
+        # when such rows are more than half, so are both middle values
+        # (unless a row that is not finite makes the median NaN)
+        if weight[weight > min_samples].sum() > len(x) // 2 and np.isfinite(x).all():
+            raise DegenerateGeometryError("degenerate geometry, supply eps")
+        eps = auto_eps(matrix, min_samples)
     core, root, border = kernels.neighbor_lists(x[first], eps, min_samples, weight)
     # clusters numbered by their lowest core row
     labels = np.full(len(first), NOISE, dtype=np.int32)

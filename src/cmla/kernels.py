@@ -56,8 +56,11 @@ pairs, then that exact comparison for the rest.
   rows, and cells without one make no block. Both neighbour search and the
   median below use it.
 - clustering.auto_eps needs only the median of the k-th-neighbour
-  distances. kth_neighbor_median computes the k-th distance exactly for the
-  rows that a grid of side r certifies, and the median from them alone.
+  distances, and kth_neighbor_median finds it by sampled selection (Floyd
+  and Rivest, CACM 1975) on the grid: a sample brackets the median between
+  radii r_lo and r_hi, one grid pass at r_hi counts each row's neighbours
+  that are certainly within either radius, and only the rows whose value
+  can land on the two middle ranks get an exact k-th distance.
 - Rows with equal bytes give equal distances, so clustering.dbscan merges
   them once, and neighbor_lists and medoid_local_index take the distinct
   rows with their counts as weights. The medoid kernel first bounds each
@@ -161,17 +164,45 @@ cells is a hit. One hit pass over the lowest rows at radius
 fl((2 max rho + eps)(1 + 2^-6)) <= fl(3.05 eps) < 2^500 lists every pair
 the gap cannot drop.
 
-The median. In a grid for radius r, a row's candidates are the columns of
-its block, which hold the rows of its adjacent cells and itself, and its
-candidate value c is their k-th smallest distance (from 0, as in
-kth_neighbor_distances), or +inf when there are at most k; c >= v, the
-row's true value. If v <= r, the k + 1 rows at distance at most v from it
-are all candidates, so c = v. Hence c <= r certifies c = v, and every
-uncertified row has v > r, above every certified value. When more than n/2
-rows certify, the order statistics (n - 1)//2 and n//2 of all the values
-are certified ones, so np.median over the certified values with +inf for
-the rest reads the same one or two numbers as np.median over every v, bit
-for bit. Otherwise r doubles and the grid is rebuilt.
+The median. Write v for a row's k-th distance (from 0, as in
+kth_neighbor_distances) and, for a radius r_hi, w = v where v <= r_hi and
++inf otherwise. w rises with v, so where the order statistics p = (n - 1)//2
+and q = n//2 of w are at most r_hi they are those of v, and np.median, one
+value for odd n and the mean of two for even n, reads the same number from
+them as from every v, bit for bit. In a grid for r_hi, a row's candidates
+are the columns of its block, which hold its adjacent cells and so every row
+within r_hi; its candidate value c is their k-th smallest distance, or +inf
+when there are at most k. c >= v, and if v <= r_hi the k + 1 rows at
+distance at most v are all candidates, so c = v: w is c where c <= r_hi and
++inf otherwise. One pass at r_hi puts w in an interval [lo, hi] per row, by
+the tests of the decisions above:
+- low: at least k + 1 candidates have U <= fl(r_lo^2)(1 - 4u), so v <= r_lo,
+  and [lo, hi] = [0, r_lo];
+- high: at most k candidates have U < fl(fl(r_hi^2)(1 + 8u) + spread), with
+  the largest spread of the tile, so at most k rows lie within r_hi and
+  v > r_hi (as for a block of at most k columns): w = +inf;
+- mid, every other row: with t its (k+1)-th smallest U, k + 1 candidates have
+  distance at most fl(sqrt(t)), and the (k+1)-th smallest s is at least
+  t - spread/2 >= fl(t - spread), so fl(sqrt(max(fl(t - spread), 0))) <= c
+  <= fl(sqrt(t)); hi is +inf where fl(sqrt(t)) > r_hi.
+Let L be the p-th smallest lo and H the q-th smallest hi, so that the p-th
+smallest w is at least L and the q-th at most H. The b rows with hi < L hold
+values below both middle ones, and the rows with lo > H values above them,
+so the middle values are the order statistics p - b and q - b of the rows in
+between: the rank window, which holds at least q + 1 - b rows. Only those of
+its rows whose interval is not one point need their value: c from a grid for
+r_hi that streams them, or v by brute force where the cost rule prefers it.
+A value above r_hi stands for +inf, since only its side of r_hi moves the
+ranks of the values at most r_hi. When the upper middle value exceeds r_hi,
+the median lies above r_hi; with the largest spread of a tile not finite (a
+row whose squared norm overflows), no interval is taken. In either case the
+certified loop takes over, from 2 r_hi or from r_hi: at a radius r, the rows
+with c <= r are certified (c = v) and every other row has v > r, so once
+more than n/2 rows certify, np.median over the certified values with +inf
+for the rest reads the middle values; otherwise r doubles.
+r_lo and r_hi, the 3/8 and 5/8 quantiles of estimates fl(sqrt(t)) of the
+k-th distances of an evenly spaced sample (t against every row), only pick
+the radii: a bracket that misses costs time, never a bit of the result.
 
 The axis bound. For the column k of widest range, a distinct row j and a
 distinct row i with exact difference delta = |x_jk - x_ik| and
@@ -242,8 +273,11 @@ CELL_COST = 50_000
 # than without dense cells; at eight the slowest input ran 1.1x, within the
 # spread of repeated runs (2 vCPUs; CHANGES.md).
 CELL_ROWS = 8
-# Rows whose exact k-th distances set kth_neighbor_median's first radius.
-MEDIAN_SAMPLE = 256
+# Rows whose k-th distance estimates set kth_neighbor_median's radii. Its
+# 3/8 and 5/8 quantiles then lie about 2.7 standard errors of the sampled
+# median from the median, which falls outside about 6 brackets in 1000, and
+# the sample takes about 2.5 ms of an 8000-row median (2 vCPUs; CHANGES.md).
+MEDIAN_SAMPLE = 128
 # Bytes of upper bounds per tile. 512 KiB measured fastest at n = 8000,
 # d = 9 on a 2 MiB-L2 core: the tile, its partition copy and the (d+2) x n
 # right operand stay in L2, while 256 KiB tiles pay twice the per-tile
@@ -851,32 +885,170 @@ def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
     return _kth_distances(x, x, k)
 
 
+class _Selection(NamedTuple):
+    """What one grid pass at r_hi learns of the median (_select_median): the
+    median, or None with above saying whether it certainly lies above r_hi;
+    the low, mid and high row counts; the rows given an exact value."""
+
+    median: float | None
+    above: bool
+    low: int
+    mid: int
+    high: int
+    exact: int
+
+
 def kth_neighbor_median(x: np.ndarray, k: int) -> float:
-    """float(np.median(kth_neighbor_distances(x, k))), bit for bit, from the
-    rows whose k-th distance a grid certifies to be at most a radius r
-    (module docstring). r starts a little above the median of an evenly
-    spaced sample of MEDIAN_SAMPLE rows and doubles until more than half the
-    rows are certified; brute force serves rows that are not finite and
-    grids the cost rule rejects."""
+    """float(np.median(kth_neighbor_distances(x, k))), bit for bit, by
+    selection on a grid (module docstring). Two quantiles of the k-th
+    distance estimates of an evenly spaced sample of MEDIAN_SAMPLE rows, the
+    3/8 and the 5/8, bracket the median as r_lo < r_hi; where the cost rule
+    refuses the grid for r_hi, r_hi steps down through the sample quantiles
+    towards the sample median. One grid pass at r_hi (_select_median) then
+    needs exact k-th distances only for the rows whose value can land on the
+    two middle ranks. Where the bracket misses, the certified loop
+    (_certified_median) doubles the radius from r_hi; brute force serves rows
+    that are not finite and radii the cost rule refuses. Logs one INFO line:
+    the radii, the low, mid and high rows, the exact rows and the path."""
     n = len(x)
     _check_k(n, k)
+    r_lo = r_hi = math.nan
+    found = _Selection(None, False, 0, 0, 0, 0)
+    path, median = "brute", None
     if np.isfinite(x).all():
         picks = np.linspace(0, n - 1, min(n, MEDIAN_SAMPLE)).astype(np.int64)
-        sample = np.sort(_kth_distances(x[picks], x, k))
-        # the sample's 5/8 quantile: a margin of about four standard errors
-        # of the sampled median, so one grid usually certifies enough rows
-        r = float(sample[len(sample) * 5 // 8])
-        while (cells := _cell_map(x, r)) is not None:
-            kth = np.full(n, np.inf)
-            for rows, cols in cells:
-                if len(cols) > k:
-                    for i0, v in _kth_tiles(x[rows], x[cols], k):
-                        kth[rows[i0 : i0 + len(v)]] = v
-            certified = kth <= r
-            if certified.sum() > n // 2:
-                return float(np.median(np.where(certified, kth, np.inf)))
-            r *= 2.0
-    return float(np.median(kth_neighbor_distances(x, k)))
+        sample = np.sort(_kth_estimates(x, picks, k))
+        m = len(sample)
+        r_lo, half = float(sample[m * 3 // 8]), m // 2
+        # from the 5/8 quantile halfway towards the median at each refusal
+        gap = m * 5 // 8 - half
+        steps = [half + (gap >> i) for i in range(gap.bit_length() + 1)]
+        for r_hi in dict.fromkeys(float(sample[j]) for j in steps):
+            if (cells := _cell_map(x, r_hi)) is not None:
+                break
+        if cells is not None:
+            found = _select_median(x, k, cells, r_lo, r_hi)
+            path, median = "selection", found.median
+            if median is None:
+                path = "certified loop"
+                median = _certified_median(x, k, 2.0 * r_hi if found.above else r_hi)
+    if median is None:
+        path = "brute"
+        median = float(np.median(kth_neighbor_distances(x, k)))
+    log.info("k-th distance median: r_lo %.6g, r_hi %.6g; %d low, %d mid and %d high rows; "
+             "%d exact k-th distances; path %s",
+             r_lo, r_hi, found.low, found.mid, found.high, found.exact, path)
+    return median
+
+
+def _kth_estimates(x: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """fl(sqrt(t)) for each of x[rows], t its (k+1)-th smallest upper bound
+    against every row: at least its k-th distance, and close to it."""
+    out = np.empty(len(rows))
+    for i0, upper, _ in _bracket_tiles(x, x, rows):
+        out[i0 : i0 + len(upper)] = _kth_column(upper, k)
+    return np.sqrt(out)
+
+
+def _kth_column(a: np.ndarray, k: int) -> np.ndarray:
+    """A copy of the (k+1)-th smallest entry of each row of a, which it
+    partitions in place; NaN sorts last. A copy, as a view would keep the
+    whole of a alive."""
+    a.partition(k, axis=1)
+    return a[:, k].copy()
+
+
+def _select_median(x: np.ndarray, k: int, cells, r_lo: float, r_hi: float) -> _Selection:
+    """The median of the k-th distances from one pass over cells, the blocks
+    of a grid for r_hi (module docstring). Each row gets an interval that
+    holds w, its k-th distance v where v <= r_hi and +inf otherwise: [0, r_lo]
+    for a low row, +inf for a high one, and for a mid row the bounds its
+    (k+1)-th smallest upper bound t gives, sqrt(t - spread) and sqrt(t).
+    Only the rows whose interval can reach the two middle ranks get an exact
+    value; the median is None where the middle values are not certified."""
+    n = len(x)
+    p, q = (n - 1) // 2, n // 2
+    inside = r_lo * r_lo * (1 - 4 * _U) if 2.0**-500 < r_lo < 2.0**500 else math.nan
+    outside = r_hi * r_hi * (1 + 8 * _U)
+    # every row is low until its tile says otherwise
+    lo = np.zeros(n)
+    hi = np.full(n, r_lo)
+    n_mid = n_high = 0
+    for rows, cols in cells:
+        if len(cols) <= k:
+            lo[rows] = hi[rows] = np.inf
+            n_high += len(rows)
+            continue
+        for i0, upper, spread in _bracket_tiles(x[rows], x[cols]):
+            # a finite spread leaves no NaN bound; the tile's largest one
+            # serves every row in the test for r_hi
+            top = spread.max()
+            if top == np.inf:
+                return _Selection(None, False, 0, 0, 0, 0)
+            at = rows[i0 : i0 + len(upper)]
+            high = _row_counts(upper < outside + top) <= k
+            mid = ~high & (_row_counts(upper <= inside) <= k)
+            lo[at[high]] = hi[at[high]] = np.inf
+            n_high += np.count_nonzero(high)
+            if mid.any():
+                n_mid += np.count_nonzero(mid)
+                t = _kth_column(upper[mid], k)
+                lo[at[mid]] = np.sqrt(np.maximum(t - spread[mid], 0.0))
+                t = np.sqrt(t)
+                hi[at[mid]] = np.where(t <= r_hi, t, np.inf)
+    below, window = _rank_window(lo, hi, p, q)
+    unknown = np.flatnonzero(window & (lo < hi))
+    w = lo[window & (lo == hi)]
+    if len(unknown):
+        grid = _cell_map(x, r_hi, unknown)
+        if grid is None:
+            v = _kth_distances(x[unknown], x, k)
+        else:
+            v = np.empty(len(unknown))
+            for rows, cols in grid:
+                for i0, c in _kth_tiles(x[rows], x[cols], k):
+                    v[np.searchsorted(unknown, rows[i0 : i0 + len(c)])] = c
+        # a value above r_hi stands for +inf: only its side of r_hi matters
+        w = np.concatenate([w, v])
+    w.sort()
+    middle = w[p - below : q - below + 1]
+    counts = (n - n_mid - n_high, n_mid, n_high, len(unknown))
+    if middle[-1] > r_hi:
+        return _Selection(None, True, *counts)
+    return _Selection(float(np.median(middle)), False, *counts)
+
+
+def _rank_window(lo: np.ndarray, hi: np.ndarray, p: int, q: int) -> tuple[int, np.ndarray]:
+    """(b, window) for values known to lie in [lo, hi], row by row, and
+    ranks p <= q: b rows hold values below the p-th smallest value and the
+    rows outside window values above the q-th, so the order statistics p to
+    q are those p - b to q - b of the values of window's rows."""
+    least, most = np.partition(lo, p)[p], np.partition(hi, q)[q]
+    return np.count_nonzero(hi < least), (hi >= least) & (lo <= most)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The set entries of each row of a boolean matrix; summing its bytes
+    is about twice as fast as np.count_nonzero along an axis."""
+    return mask.view(np.uint8).sum(axis=1, dtype=np.int32)
+
+
+def _certified_median(x: np.ndarray, k: int, r: float) -> float | None:
+    """The median from the rows that a grid for r certifies (module
+    docstring), with r doubling until more than half the rows certify; None
+    once the cost rule refuses a grid."""
+    n = len(x)
+    while (cells := _cell_map(x, r)) is not None:
+        kth = np.full(n, np.inf)
+        for rows, cols in cells:
+            if len(cols) > k:
+                for i0, v in _kth_tiles(x[rows], x[cols], k):
+                    kth[rows[i0 : i0 + len(v)]] = v
+        certified = kth <= r
+        if certified.sum() > n // 2:
+            return float(np.median(np.where(certified, kth, np.inf)))
+        r *= 2.0
+    return None
 
 
 def medoid_local_index(xd: np.ndarray, weight: np.ndarray) -> int:

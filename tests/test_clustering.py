@@ -376,6 +376,31 @@ def test_degenerate_geometry_asks_for_an_explicit_eps():
     assert cluster(x, eps=0.1, min_samples=3).n_clusters == 1
 
 
+def test_zero_median_from_the_copies_computes_no_distance(monkeypatch):
+    # 40 rows with 6 copies each and 100 rows alone: 240 of 340 rows have
+    # more than min_samples = 5 copies, so both middle k-th distances are 0
+    rng = np.random.default_rng(4)
+    x = np.vstack([np.repeat(rng.normal(size=(40, 3)), 6, axis=0), rng.normal(size=(100, 3))])
+    assert float(np.median(kernels.kth_neighbor_distances(x, 5))) == 0.0
+    tiles = []
+    real = kernels._bracket_tiles
+    monkeypatch.setattr(kernels, "_bracket_tiles", lambda *args: tiles.append(args) or real(*args))
+    with pytest.raises(DegenerateGeometryError, match="degenerate geometry, supply eps"):
+        cluster(x, eps=None, min_samples=5)
+    assert tiles == []
+    # a row that is not finite makes the median NaN, as before, and no
+    # error is raised
+    x[-1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(cluster(x, eps=None, min_samples=5).eps)
+    # at min_samples = 6, a row's 6th neighbour is no copy: the median is
+    # positive and comes from the kernel
+    x[-1, 0] = 0.0
+    labeling = cluster(x, eps=None, min_samples=6)
+    assert labeling.eps == float(np.median(kernels.kth_neighbor_distances(x, 6))) > 0
+    assert tiles != []
+
+
 def test_dbscan_rejects_empty_input():
     with pytest.raises(ConfigError, match="empty"):
         dbscan(matrix(np.empty((0, 2))), 1.0, 5)

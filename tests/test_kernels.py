@@ -1,5 +1,7 @@
 """Distance kernels: exactness, the grid index, and the tile size."""
 
+import dataclasses
+import logging
 import math
 import tracemalloc
 import warnings
@@ -7,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cmla import encoding, kernels
+from cmla import encoding, harness, kernels
 from cmla.clustering import dbscan
 from cmla.errors import ConfigError
 from cmla.kernels import (
@@ -19,7 +21,14 @@ from cmla.kernels import (
 )
 
 import reference
-from conftest import child_rss_growth_mib, clustered_cloud, hit_lists, matrix, mixed_table
+from conftest import (
+    DATA_DIR,
+    child_rss_growth_mib,
+    clustered_cloud,
+    hit_lists,
+    matrix,
+    mixed_table,
+)
 
 
 def test_row_reduction_matches_per_pair_reduction_bitwise(rng):
@@ -346,14 +355,15 @@ def encoded_mixed_table(rng, n, n_numeric, cardinalities, prototypes=None):
 def test_grid_equals_brute_force_on_encoded_mixed_tables(rng, monkeypatch):
     # a one-hot column's keys are 0 and floor(1/h): two keys apart while the
     # cell side h <= 1/2 (separating), adjacent keys for 1/2 < h <= 1, one
-    # key above; the median's radii land in the same three ranges
+    # key above; the median's last radius lands in each of the three ranges
     dense = encoded_mixed_table(rng, 600, 2, (2, 3), prototypes=6)
     spread = encoded_mixed_table(rng, 600, 6, (2, 2), prototypes=4)
     lonely = encoded_mixed_table(rng, 400, 1, (3,) * 6)
     for eps in (0.3, 0.7, 1.5):
         for x in (dense, spread, lonely):
             assert_grid_equals_brute_force(monkeypatch, x, eps)
-    for x, k, lo, hi in ((dense, 5, 0.0, 0.5), (spread, 5, 0.5, 1.0), (lonely, 3, 1.0, 2.0)):
+    for x, k, lo, hi in ((dense, 5, 0.0, 0.5), (spread, 5, 0.0, 0.5), (spread, 8, 0.5, 1.0),
+                         (lonely, 3, 1.0, 2.0)):
         radii = assert_median_is_brute_forces(monkeypatch, x, k)
         assert lo < kernels._cell_side(radii[-1]) <= hi, radii
 
@@ -891,13 +901,15 @@ def test_dense_rows_never_enter_a_tile_as_block_rows(rng, monkeypatch):
 def assert_median_is_brute_forces(monkeypatch, x, k, grid=True):
     """Checks kth_neighbor_median(x, k), with the cost rule forced to `grid`,
     against the brute-force median bit for bit; returns the radii of the cell
-    maps it asked for."""
+    maps over every row that it asked for (the maps of the rows given an
+    exact value, which stream, are left out)."""
     radii = []
     real = kernels._cell_map
 
-    def spy(x, radius):
-        radii.append(radius)
-        return real(x, radius)
+    def spy(x, radius, stream=None):
+        if stream is None:
+            radii.append(radius)
+        return real(x, radius, stream)
 
     monkeypatch.setattr(kernels, "_cell_map", spy)
     force_grid(monkeypatch, grid)
@@ -913,21 +925,28 @@ def test_certified_median_on_duplicate_heavy_clouds(rng, monkeypatch):
     for k in (1, 2, 3, 5, 40):
         radii = assert_median_is_brute_forces(monkeypatch, x, k)
         # two copies besides itself put most rows' 2nd distance at 0: the
-        # radius is 0, which no grid takes, so brute force answers
-        assert (radii == [0.0]) == (k <= 2), k
+        # sample's estimates of 0 are the bounds' slack, below 1e-6, and the
+        # grid at that radius answers, with no brute force
+        assert len(radii) == 1 and (radii[0] < 1e-6) == (k <= 2), (k, radii)
 
 
 def test_certified_median_with_rows_on_cell_boundaries(monkeypatch):
-    # 600 rows 1 apart (k-th distance 1, so the first radius is exactly 1)
-    # and 399 rows on and 1/2 to either side of the boundaries of the cells
-    # of side r = 1, most with k-th distance 1/2; rows at exactly r certify
+    # 600 rows 1 apart (k-th distance 1, so the first radius is the estimate
+    # of 1) and 399 rows on and 1/2 to either side of the boundaries of the
+    # cells of side r = 1, most with k-th distance 1/2; rows at exactly r_lo
+    # or r_hi are counted on their side of the bracket
     side = kernels._cell_side(1.0)
     lattice = np.column_stack([1000.0 + np.arange(600), np.zeros(600)])
     bounds = side * np.arange(1, 134)
     edges = np.concatenate([bounds - 0.5, bounds, bounds + 0.5])
     x = np.vstack([lattice, np.column_stack([edges, np.ones(399)])])
     assert np.floor(bounds / side).tolist() == list(range(1, 134))
-    assert assert_median_is_brute_forces(monkeypatch, x, 2) == [1.0]
+    (r,) = assert_median_is_brute_forces(monkeypatch, x, 2)
+    assert 1.0 <= r < 1.0 + 2.0**-20
+    want = float(np.median(kth_neighbor_distances(x, 2)))
+    for r_lo, r_hi in ((0.5, 1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 2.0), (1.0, 2.0)):
+        found = kernels._select_median(x, 2, kernels._cell_map(x, r_hi), r_lo, r_hi)
+        assert found.median == (want if r_hi >= 1.0 else None), (r_lo, r_hi)
 
 
 def test_certified_median_doubles_the_radius_until_half_the_rows_certify(rng, monkeypatch):
@@ -941,14 +960,16 @@ def test_certified_median_doubles_the_radius_until_half_the_rows_certify(rng, mo
     assert len(radii) > 2
     assert radii[1:] == [2.0 * r for r in radii[:-1]]
     # exactly n // 2 rows certify at r = 1 and 2, which leaves the middle row
-    # uncertified: the sampled rows and 254 more sit three to a point, points
-    # 1 apart (k-th distance 1); the others sit alone at 1000 + 1.5 * index,
-    # so their k-th distance is at least 3
-    tight = np.r_[np.arange(0, n, 4), np.arange(1, 4 * 254, 4)]
+    # uncertified: the sampled rows and MEDIAN_SAMPLE - 2 more sit three to a
+    # point, points 1 apart (k-th distance 1); the others sit alone at
+    # 1000 + 1.5 * index, so their k-th distance is at least 3
+    tight = np.r_[np.arange(0, n, 4), np.arange(1, 4 * (kernels.MEDIAN_SAMPLE - 2), 4)]
     x = 1000.0 + 1.5 * np.arange(n, dtype=np.float64)[:, None]
     x[np.sort(tight), 0] = np.arange(len(tight)) // 3
     assert len(tight) == n // 2
-    assert assert_median_is_brute_forces(monkeypatch, x, 3) == [1.0, 2.0, 4.0]
+    radii = assert_median_is_brute_forces(monkeypatch, x, 3)
+    r = radii[0]
+    assert radii == [r, 2.0 * r, 4.0 * r] and 1.0 <= r < 1.0 + 2.0**-20
 
 
 def test_certified_median_at_k_equal_to_n_minus_1(rng, monkeypatch):
@@ -967,8 +988,14 @@ def test_certified_median_falls_back_to_brute_force(rng, monkeypatch):
             with np.errstate(invalid="ignore"):
                 radii = assert_median_is_brute_forces(monkeypatch, x, 4)
         assert len(radii) == (bad == 1e14)
+    # a refused grid steps down from the sample's 5/8 quantile towards its
+    # median, then brute force answers
     x = clustered_cloud(rng, 300, 2)
-    assert len(assert_median_is_brute_forces(monkeypatch, x, 4, grid=False)) == 1
+    radii = assert_median_is_brute_forces(monkeypatch, x, 4, grid=False)
+    picks = np.linspace(0, 299, kernels.MEDIAN_SAMPLE).astype(np.int64)
+    sample = np.sort(kernels._kth_estimates(x, picks, 4))
+    assert radii[0] == sample[len(sample) * 5 // 8] and radii[-1] == sample[len(sample) // 2]
+    assert len(radii) > 2 and radii == sorted(set(radii), reverse=True)
 
 
 def test_certified_median_on_a_60k_row_table(rng, monkeypatch):
@@ -989,6 +1016,170 @@ def test_certified_median_on_a_60k_row_table(rng, monkeypatch):
     calls = count_calls(monkeypatch, "kth_neighbor_distances")
     assert kernels.kth_neighbor_median(x, k) == float(np.median(kth))
     assert calls == []
+
+
+def two_lattices(n_ones, n_twos):
+    """n_ones rows 1 apart and n_twos rows 2 apart, far from each other, on
+    small integers so that every distance is exact. At k = 2 the k-th
+    distances are n_ones - 2 ones, n_twos twos besides 2 at the ends of the
+    first lattice (2 in all) and two fours at the ends of the second."""
+    ones = np.column_stack([np.arange(n_ones, dtype=np.float64), np.zeros(n_ones)])
+    twos = np.column_stack([2.0 * np.arange(n_twos), np.full(n_twos, 100.0)])
+    return np.vstack([ones, twos])
+
+
+@pytest.mark.parametrize("n_ones, n_twos, want", [(202, 198, 1.5), (201, 200, 2.0), (203, 198, 1.0)])
+def test_median_selection_with_ties_at_both_radii_and_either_parity(monkeypatch, n_ones, n_twos,
+                                                                    want):
+    # 400 rows, whose middle values are a one and a two, and 401 rows whose
+    # middle value is a two or a one. Radii of exactly 1 and 2 put the rows
+    # of the middle ranks on r_lo, on r_hi or on both
+    x = two_lattices(n_ones, n_twos)
+    n = len(x)
+    kth = kth_neighbor_distances(x, 2)
+    assert float(np.median(kth)) == want
+    top = np.sort(kth)[n // 2]
+    force_grid(monkeypatch, True)
+    for r_lo, r_hi in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (0.5, 1.0), (0.5, 2.0), (1.5, 4.0)):
+        found = kernels._select_median(x, 2, kernels._cell_map(x, r_hi), r_lo, r_hi)
+        if r_hi >= top:
+            assert found.median == want, (r_lo, r_hi)
+            assert found.low + found.mid + found.high == n and found.exact < n
+        else:
+            assert found.median is None and found.above, (r_lo, r_hi)
+    assert_median_is_brute_forces(monkeypatch, x, 2)
+
+
+def test_rank_window_holds_the_order_statistics(rng):
+    # small integer intervals, many of them single points (some at +inf),
+    # and values on their ends as often as inside: ties everywhere
+    for _ in range(500):
+        n = int(rng.integers(1, 30))
+        lo = rng.integers(0, 6, n).astype(np.float64)
+        hi = lo + rng.integers(0, 3, n)
+        hi[rng.random(n) < 0.15] = np.inf
+        v = lo + np.floor(rng.random(n) * (np.minimum(hi, lo + 4) - lo + 1))
+        top = rng.random(n) < 0.1
+        lo[top] = hi[top] = v[top] = np.inf
+        p = int(rng.integers(0, n))
+        q = int(rng.integers(p, n))
+        below, window = kernels._rank_window(lo, hi, p, q)
+        got = np.sort(v[window])[p - below : q - below + 1]
+        assert got.tolist() == np.sort(v)[p : q + 1].tolist(), (lo, hi, v, p, q)
+
+
+def median_log(caplog, x, k):
+    """kth_neighbor_median(x, k), checked against brute force bit for bit,
+    and the message of its INFO line."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="cmla.kernels"), np.errstate(over="ignore"):
+        got = kernels.kth_neighbor_median(x, k)
+        want = float(np.median(kth_neighbor_distances(x, k)))
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+    (message,) = [r.getMessage() for r in caplog.records if "k-th distance median" in r.getMessage()]
+    return message
+
+
+def test_median_selection_falls_back_where_the_bracket_misses(rng, monkeypatch, caplog):
+    # estimates scaled down put the median above r_hi, so the certified loop
+    # doubles from 2 r_hi; scaled up, it lies below r_lo and the rows that
+    # can hold it get exact values; a row whose squared norm overflows gives
+    # infinite spreads, on which the selection declines
+    x = clustered_cloud(rng, 1500, 3)
+    force_grid(monkeypatch, True)
+    real = kernels._kth_estimates
+    for scale, path in ((0.25, "certified loop"), (4.0, "selection"), (1.0, "selection")):
+        monkeypatch.setattr(kernels, "_kth_estimates", lambda x, rows, k: scale * real(x, rows, k))
+        message = median_log(caplog, x, 5)
+        assert message.endswith(f"path {path}"), message
+        assert "r_lo" in message and "r_hi" in message and "low" in message
+        exact = int(message.split(" exact")[0].rsplit(" ", 1)[1])
+        # below the median, r_hi rules out the selection before any exact
+        # distance; at the true scale a few rows get one
+        assert exact == 0 if scale < 1 else exact < 10 if scale == 1 else exact > 0, message
+    monkeypatch.setattr(kernels, "_kth_estimates", real)
+    x[7, 0] = 1e160
+    assert median_log(caplog, x, 5).endswith("path certified loop")
+    x[7, 0] = np.nan
+    assert median_log(caplog, x, 5).endswith("path brute")
+
+
+def record_cell_maps(monkeypatch):
+    """Route kernels._cell_map through a recorder of (radius, taken) for
+    each map over every row."""
+    maps = []
+    cell_map = kernels._cell_map
+
+    def spy(x, radius, stream=None):
+        cells = cell_map(x, radius, stream)
+        if stream is None:
+            maps.append((radius, cells is not None))
+        return cells
+
+    monkeypatch.setattr(kernels, "_cell_map", spy)
+    return maps
+
+
+def audit_shaped_table(n_rows):
+    """The encoded synthetic rows of the benchmark's sparse-auto-eps
+    workload at n_rows: the ordering scenario's recipe, the independent
+    generator, the scenario's seed."""
+    scenario = harness.load_scenario(DATA_DIR / "ordering_scenario.json")
+    rng = np.random.default_rng(scenario.seed)
+    real = harness.make_real(dataclasses.replace(scenario.real, n_rows=n_rows), rng)
+    spec = harness.GeneratorSpec("independent", "independent", n_rows)
+    synthetic = harness.sample_synthetic(real, spec, rng)
+    return encoding.encode(encoding.fit_encoding(synthetic), synthetic).vectors
+
+
+def test_median_selection_computes_few_exact_distances_on_an_audit_shaped_table(monkeypatch):
+    # 8000 rows at k = 100: exact k-th distances for under 5 % of the rows,
+    # a partition for under 40 %, with the grid taken at the first radius
+    x = audit_shaped_table(8000)
+    n, k = len(x), 100
+    exact, parted = [0], [0]
+    kth_tiles, kth_column = kernels._kth_tiles, kernels._kth_column
+
+    def tiles(a, y, k):
+        exact[0] += len(a)
+        return kth_tiles(a, y, k)
+
+    def column(a, k):
+        parted[0] += len(a)
+        return kth_column(a, k)
+
+    monkeypatch.setattr(kernels, "_kth_tiles", tiles)
+    monkeypatch.setattr(kernels, "_kth_column", column)
+    brute = count_calls(monkeypatch, "kth_neighbor_distances")
+    maps = record_cell_maps(monkeypatch)
+    got = kernels.kth_neighbor_median(x, k)
+    assert brute == [] and len(maps) == 1 and maps[0][1]
+    assert exact[0] < n / 20 and parted[0] + exact[0] < n * 2 / 5, (exact, parted)
+    monkeypatch.setattr(kernels, "_kth_tiles", kth_tiles)
+    assert got == float(np.median(kernels._kth_distances(x, x, k)))
+
+
+def test_median_steps_down_to_a_radius_the_grid_takes(rng, monkeypatch):
+    # a one-hot table with bimodal k-th distances: 56 % of the rows share
+    # two category patterns and lie close, the rest have patterns of their
+    # own, at least sqrt(2) from any other row. The sample's 5/8 quantile
+    # is such a distance, whose cells no one-hot column can key, and the
+    # schedule steps down to a radius below the grid's limit of about 1/2
+    n, k = 4000, 5
+    cats = rng.integers(0, 4, size=(n, 6))
+    close = rng.random(n) < 0.56
+    cats[close] = cats[rng.integers(0, 2, size=np.count_nonzero(close))]
+    table = mixed_table({"x0": rng.uniform(0.0, 1.0, size=n)},
+                        {f"c{j}": [f"v{v}" for v in cats[:, j]] for j in range(6)})
+    x = encoding.encode(encoding.fit_encoding(table), table).vectors
+    maps = record_cell_maps(monkeypatch)
+    brute = count_calls(monkeypatch, "kth_neighbor_distances")
+    got = kernels.kth_neighbor_median(x, k)
+    assert brute == []
+    (first, refused), (last, grid) = maps[0], maps[-1]
+    assert refused is False and kernels._cell_side(first) > 1.0
+    assert grid is True and kernels._cell_side(last) <= 0.5 and len(maps) > 1
+    assert got == float(np.median(kernels._kth_distances(x, x, k)))
 
 
 def count_calls(monkeypatch, name):
