@@ -176,13 +176,12 @@ def run_audit(
                     medoids, blocks, grid, metrics.numeric_ranges(model)
                 )
             else:
-                profile = metrics.proximity_profile(
-                    medoids, encoding.encode_chunks(model, blocks), grid
-                )
+                profile = metrics.proximity_profile(medoids, blocks, grid, model)
             work = profile.work
-            log.info("%s: %d exact pairs of %d medoid-row pairs; %d of %d blocks scanned in full",
-                     config.metric, work.pairs, work.cross, work.scanned, work.blocks)
             n_real_rows = profile.n_real
+            log.info("%s: %d exact pairs of %d medoid-row pairs; %d of %d blocks scanned in "
+                     "full; %d of %d real rows compared exactly", config.metric, work.pairs,
+                     work.cross, work.scanned, work.blocks, work.compared, n_real_rows)
             log.info("real table: %d rows; %d of %d decimal cells parsed one by one",
                      n_real_rows, counts.one_by_one, counts.decimals)
             summary = metrics.summarize_dmin([r.d_min for r in profile.records])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +34,12 @@ MODEL_SCHEMA_VERSION = 1
 # take more bytes than this (a 1 GiB bound, not a setting): a one-hot block
 # of a column with many categories grows with rows x categories.
 MAX_ENCODED_BYTES = 1 << 30
-# encode_chunks encodes at most this many bytes at a time. Each chunk is
-# reduced on its own by metrics._euclidean_minima, so its patterns, sort and
-# windows, or on the tiles the pruning bound of kernels.cross_min_distances,
-# start afresh. On the tiles, on a 200k x 9 real table, 8 MiB chunks took as
-# much CPU as one whole matrix, 512 KiB chunks 12 % more.
+# encode_chunks encodes at most this many bytes at a time. It serves the
+# real blocks that metrics._euclidean_minima compares in full, on the tiles
+# of kernels.cross_min_distances, where each chunk starts the pruning bound
+# afresh; the windows encode only the rows of their exact pairs. On the
+# tiles, on a 200k x 9 real table, 8 MiB chunks took as much CPU as one whole
+# matrix, 512 KiB chunks 12 % more.
 CHUNK_BYTES = 8 << 20
 
 
@@ -179,76 +180,122 @@ def encode(model: EncodingModel, table: DataTable) -> EncodedMatrix:
     matrix would exceed MAX_ENCODED_BYTES is a ConfigError, before any of it
     is allocated.
     """
-    return _encoder(model)(table)
+    width = _width(model.schema)
+    need = 8 * table.n_rows * width
+    if need > MAX_ENCODED_BYTES:
+        widest = max(model.schema.categorical_columns(), key=lambda col: len(col.categories),
+                     default=None)
+        blame = "" if widest is None else (
+            f"; column {widest.name!r} has {len(widest.categories)} categories"
+        )
+        raise ConfigError(
+            f"encoding {table.n_rows} rows x {width} dimensions needs {need} bytes, "
+            f"over the bound of {MAX_ENCODED_BYTES}{blame}"
+        )
+    return EncodedMatrix(_project(model, parts_of(model)(table)[:]), model.model_hash())
 
 
-def _encoder(model: EncodingModel) -> Callable[[DataTable], EncodedMatrix]:
-    """encode(model, .) for a run of tables. The model's hash and each
-    categorical column's positions in the model vocabulary are worked out
-    once; a table vocabulary's position map is kept while the next table
-    carries the same tuple, as the chunks of a table and the blocks of
-    tables.read_blocks that add no category do."""
+@dataclass(eq=False)
+class Parts:
+    """A table's encoding before its layout: its numeric columns scaled, and
+    per categorical column the table's codes and, per code, the position of
+    its category in the model vocabulary or -1 outside it. parts[rows] lays
+    out the given rows, a slice or an index array, as encode does before
+    any projection, byte for byte: the scaling is elementwise and a row's
+    one-hot entries are its own."""
+
+    numeric: list[np.ndarray]
+    codes: list[np.ndarray]
+    positions: list[np.ndarray]
+    sizes: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len((self.numeric + self.codes)[0])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        n = len(range(len(self))[rows]) if isinstance(rows, slice) else len(rows)
+        base = np.zeros((n, len(self.numeric) + sum(self.sizes)), dtype=np.float64)
+        for j, col in enumerate(self.numeric):
+            base[:, j] = col[rows]
+        offset = len(self.numeric)
+        for code, pos, size in zip(self.codes, self.positions, self.sizes):
+            at = pos[code[rows]]
+            hit = np.flatnonzero(at >= 0)
+            base[hit, offset + at[hit]] = 1.0
+            offset += size
+        return base
+
+
+def parts_of(model: EncodingModel) -> Callable[[DataTable], Parts]:
+    """The parts of a run of tables under model. Each categorical column's
+    positions in the model vocabulary are worked out once; a table
+    vocabulary's position map is kept while the next table carries the same
+    tuple, as the blocks of tables.read_blocks that add no category do."""
     numeric = model.schema.numeric_columns()
     categorical = model.schema.categorical_columns()
-    width = _width(model.schema)
-    model_hash = model.model_hash()
+    sizes = tuple(len(col.categories) for col in categorical)
     model_pos = [{cat: k for k, cat in enumerate(col.categories)} for col in categorical]
     posmaps: list[tuple[tuple[str, ...], np.ndarray] | None] = [None] * len(categorical)
 
-    def encode_table(table: DataTable) -> EncodedMatrix:
+    def parts(table: DataTable) -> Parts:
         _check_compatible(model, table)
-        need = 8 * table.n_rows * width
-        if need > MAX_ENCODED_BYTES:
-            widest = max(categorical, key=lambda col: len(col.categories), default=None)
-            blame = "" if widest is None else (
-                f"; column {widest.name!r} has {len(widest.categories)} categories"
-            )
-            raise ConfigError(
-                f"encoding {table.n_rows} rows x {width} dimensions needs {need} bytes, "
-                f"over the bound of {MAX_ENCODED_BYTES}{blame}"
-            )
-        base = np.zeros((table.n_rows, width), dtype=np.float64)
-
-        for j, col in enumerate(numeric):
+        scaled = []
+        for col in numeric:
             arr = table.column_array(col.name)
             s = model.stats[col.name]
             if model.mode == MINMAX:
                 denom = s.hi - s.lo
-                base[:, j] = (arr - s.lo) / (denom if denom != 0.0 else 1.0)
+                scaled.append((arr - s.lo) / (denom if denom != 0.0 else 1.0))
             else:
                 denom = s.std
-                base[:, j] = (arr - s.mean) / (denom if denom != 0.0 else 1.0)
-
-        offset = len(numeric)
+                scaled.append((arr - s.mean) / (denom if denom != 0.0 else 1.0))
         for c, col in enumerate(categorical):
             table_vocab = table.schema.column(col.name).categories
             if posmaps[c] is None or posmaps[c][0] is not table_vocab:
-                positions = [model_pos[c].get(cat, -1) for cat in table_vocab]
-                posmaps[c] = table_vocab, np.array(positions, dtype=np.int64)
-            pos = posmaps[c][1][table.column_array(col.name)]
-            hit = np.flatnonzero(pos >= 0)
-            base[hit, offset + pos[hit]] = 1.0
-            offset += len(col.categories)
+                pos = [model_pos[c].get(cat, -1) for cat in table_vocab]
+                posmaps[c] = table_vocab, np.array(pos, dtype=np.int64)
+        return Parts(scaled, [table.column_array(col.name) for col in categorical],
+                     [posmap[1] for posmap in posmaps], sizes)
 
-        if model.pca is not None:
-            # einsum sums each row's products in one order whatever the row
-            # count, where a BLAS matmul's order may depend on the batch shape
-            base = np.einsum("ij,kj->ik", base - model.pca.mean, model.pca.components)
-        return EncodedMatrix(base, model_hash)
-
-    return encode_table
+    return parts
 
 
-def encode_chunks(model: EncodingModel, tables: Iterable[DataTable]) -> Iterator[EncodedMatrix]:
-    """The tables' encodings in row order, each table in chunks of rows whose
-    encoded matrix takes at most CHUNK_BYTES (or one row), so a wide one-hot
-    never allocates rows x width at once."""
+def read_layout(model: EncodingModel,
+                vectors: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+    """What Parts lays out as vectors, rows in model's layout before any
+    projection: their numeric columns and, per categorical column, each
+    row's position of the 1.0 in its one-hot block, or -1 where the block is
+    all zero. None under a PCA, or when a block is neither."""
+    if model.pca is not None:
+        return None
+    p = len(model.schema.numeric_columns())
+    positions, offset = [], p
+    for col in model.schema.categorical_columns():
+        block = vectors[:, offset : offset + len(col.categories)]
+        pos = np.where((block == 1.0).any(axis=1), block.argmax(axis=1), -1)
+        if not (block == (np.arange(len(col.categories)) == pos[:, None])).all():
+            return None
+        positions.append(pos)
+        offset += len(col.categories)
+    return list(vectors[:, :p].T), positions
+
+
+def _project(model: EncodingModel, base: np.ndarray) -> np.ndarray:
+    """Rows laid out by Parts, projected when the model has a PCA."""
+    if model.pca is None:
+        return base
+    # einsum sums each row's products in one order whatever the row count,
+    # where a BLAS matmul's order may depend on the batch shape
+    return np.einsum("ij,kj->ik", base - model.pca.mean, model.pca.components)
+
+
+def encode_chunks(model: EncodingModel, parts: Parts) -> Iterator[np.ndarray]:
+    """The encoding of parts' rows in row order, in chunks of rows whose
+    matrix before any projection takes at most CHUNK_BYTES (or one row), so
+    a wide one-hot never allocates rows x width at once."""
     step = max(1, CHUNK_BYTES // (8 * _width(model.schema)))
-    encode_table = _encoder(model)
-    for table in tables:
-        for start in range(0, table.n_rows, step):
-            rows = slice(start, start + step)
-            yield encode_table(DataTable(table.schema, tuple(c[rows] for c in table.columns)))
+    for start in range(0, len(parts), step):
+        yield _project(model, parts[start : start + step])
 
 
 def fit_pca(matrix: EncodedMatrix, d_prime: int) -> PcaModel:

@@ -389,8 +389,10 @@ def _widen(bound: np.ndarray) -> np.ndarray:
     return bound * (1 + 8 * _U)
 
 
-def _exact_dists(a: np.ndarray, ai: np.ndarray, b: np.ndarray, bi: np.ndarray) -> np.ndarray:
-    """dists_to(a[ai], b[bi]) in batches of at most TILE_BYTES of coordinates."""
+def _exact_dists(a: np.ndarray, ai: np.ndarray, b, bi: np.ndarray) -> np.ndarray:
+    """dists_to(a[ai], b[bi]) in batches of at most TILE_BYTES of coordinates;
+    b is a matrix, or anything that an index array turns into its rows, such
+    as encoding.Parts, which lays out only the rows of a batch."""
     step = max(1, TILE_BYTES // (8 * a.shape[1]))
     out = np.empty(len(ai))
     for k in range(0, len(ai), step):

@@ -8,22 +8,22 @@ tau is the fraction of real rows strictly within tau of at least one medoid.
 Both inequalities are strict, so both curves are exactly zero at tau = 0.
 
 The real rows come as a stream of blocks. Each block is reduced as it
-arrives, by _euclidean_minima on its encoding or by _gower_minima on its raw
-rows. One loop merges the medoids' minima in row order and adds, per grid
-threshold, how many of the block's rows have a medoid strictly within it.
-The counts are integers, so their sum over blocks is exact: the profile is
-the one a whole table gives, bit for bit, and the real side's memory is
-bounded per block, plus one count per threshold.
+arrives, by _euclidean_minima or _gower_minima, to pieces: each medoid's
+minimum into the piece and, per grid threshold, how many of its rows have a
+medoid strictly within it. One loop merges the medoids' minima in row order
+and adds the counts. The counts are integers, so their sum over blocks is
+exact: the profile is the one a whole table gives, bit for bit, and the
+real side's memory is bounded per block, plus one count per threshold.
 
 The windows. Both metrics reduce a block in one engine (_window_minima)
 unless the cost rule (_windows_pay) expects their full scan to be cheaper:
 the per-medoid Gower scan, or the tiles of kernels.cross_min_distances. The
-block's rows are grouped by pattern over key columns, in each of which a
-mismatch adds a term of exactly 1 to a pair's sum; for a medoid and a
-pattern, k counts the key columns in which they differ. One other column,
-the axis, gives each pair a term t >= 0. Each row and each medoid gets a
-seed distance D, the exact distance to one medoid or row, and only the pairs
-in its windows, which hold every pair with d <= D, are computed: the ones at
+block's rows are grouped by pattern over key columns, the categorical ones,
+by the block's codes; for a medoid and a pattern, k is the exact sum of the
+pair's terms in the key columns, an integer each metric counts from codes.
+One other column, the axis, gives each pair a term t >= 0. Each row and
+each medoid gets a seed distance D, at least its distance to one medoid or
+row (Seeds below), and its windows hold every pair with d <= D: the ones at
 the minimum, ties included, are among them. Write u = 2^-53. Each metric
 proves, for its distance d, that d <= D implies k + t <= B for a bound B,
 and gives a reach X with X(1 - u) >= B. A pattern with k > X then holds no
@@ -37,18 +37,49 @@ medoid's axis values.
   window holds the whole pattern.
 - Listing. A medoid's windows run over the rows of each pattern with
   k <= X, sorted by the axis. A row's runs over the medoids sorted by the
-  axis, taking T from the fewest mismatches any medoid has with its
+  axis, taking T from the fewest mismatches F any medoid has with its
   pattern; when T < 1 a medoid with more mismatches has t <= X - k - uX < 0,
   so only the medoids with the fewest are listed. A row whose window holds
-  its seed alone keeps the seed distance.
+  its seed alone has the seed's distance as its minimum.
+
+Seeds. A seed pair's distance is bounded, not computed. Its terms outside
+the keys, each the float the distance itself adds, sum with k in floats, in
+any order, to S'. Let S be their exact sum. Each rounding in a float sum of
+non-negative terms is within a factor 1 +- u of its exact value (exact when
+subnormal), so if the distance's own sum s of the same terms rounds a times
+and S' b times, a + b <= N and N u <= 2^-20, then
+S'(1 - Nu) <= s <= S'(1 + 2Nu). _sum_span, with w = 4Nu, gives
+lo = max(fl(fl(S'(1 - w)) - 2^-1000), 0) and hi = fl(fl(S'(1 + w)) + 2^-1000),
+or hi = 0 when S' = 0, which holds only when every term, and so s, is 0. A
+product rounds to within a factor 1 +- u of its value, or by 2^-1075 when
+subnormal, so fl(S'(1 - w)) <= s + 2^-1075 and fl(S'(1 + w)) >= s - 2^-1075;
+the 2^-1000 carries each past the float s, and rounding, monotone, does not
+bring it back: lo <= s <= hi. The same lo holds for every s whose exact sum
+is at least S', such as any pair of a pattern with S' = F. The distance is a
+monotone function of s, so it maps lo and hi to bounds on d; the upper one
+is the seed distance D.
+
+Counts. A row's minimum lies in [L, H]: H is its seed's upper bound, and L
+its seed's lower bound when the window holds no other medoid, else the
+floor of its pattern, the lower bound for S' = F. Its bin, the number of
+thresholds at or below the minimum, is the minimum's when no threshold lies
+in (L, H], and the row then counts under every threshold past its bin
+(strictly below), so the counts are cumsum(bincount(bins)). That holds when
+L reaches the top threshold, and when L = H = 0, as for a copy of a medoid,
+which no threshold counts at tau = 0. Only a row with a threshold in
+(L, H] gets exact distances: to its seed when the seed is alone in its
+window, else to every medoid in it. Every pair in a medoid's windows is
+computed, for its exact minimum and lowest row.
 
 Gower. gower_fold gives a pair the distance d = fl(total / C) for C
 columns, total being the float sum, from 0 in column order, of the terms: 0
 or 1 per categorical column, and min(fl(|fl(x - a)| / R), 1) per numeric
 column whose fitted range lo <= hi has R = fl(hi - lo) > 0. Cells and ranges
 are finite, so every term lies in [0, 1]. The keys are the categorical
-columns, and the axis is the first numeric column with a range, or zeros of
-width 0 without one (t is then 0 and every window whole). A sum of
+columns, with a term of 1 per differing category, and the axis is the first
+numeric column with a range, or zeros of width 0 without one (t is then 0
+and every window whole); with N = 2C, S' takes k and the numeric terms,
+and d = fl(total / C) is monotone in total. A sum of
 non-negative floats rounds to at least 1 - u times its exact value, and of
 the at most C additions the first is exact, so total >= (1 - u)^(C-1) S
 with S >= k + t the exact sum of the terms; the division gives
@@ -70,13 +101,19 @@ subnormal. So d <= D implies k + t <= B = C (D + 2^-1075) / (1 - u)^C.
 
 Euclidean. kernels._exact_dists gives a pair of encoded rows the distance
 d = fl(sqrt(s)), s being the float sum, in any order, of the terms
-fl(fl(x_j - a_j)^2) over the dim columns. The keys are the columns that
-hold only 0.0 and 1.0 in both the medoids and the chunk, such as one-hot
-columns: a mismatch there is a difference of exactly +-1 and a term of
-exactly 1. The axis is the other column along which the medoids spread
-widest, or zeros without one (t is then 0). A chunk goes to the tiles
-whenever a squared norm in it or in the medoids exceeds 2^1000 or is not
-finite, so every value is finite, |x_j| <= 2^500, and no term overflows.
+fl(fl(x_j - a_j)^2) over the dim columns. The keys are the categorical
+columns, whose codes map to positions in the model's vocabulary, and
+encoding.read_layout reads the medoids' from their one-hot blocks: a
+differing category puts a difference of exactly +-1 in two one-hot
+columns, terms of exactly 2 in all, and one outside the vocabulary, an
+all-zero block, a term of exactly 1. The other terms come from the scaled
+numeric columns, and the axis is the one along which the medoids spread
+widest, or zeros without one (t is then 0). Only the rows of exact pairs
+are laid out as encoded rows (encoding.Parts); with N = 2 dim, S' takes k
+and one term per numeric column. A block goes to the tiles, encoded in
+full, whenever a scaled value in it or in the medoids is not finite or
+exceeds 2^500 in magnitude, so no term overflows; under a PCA every block
+does, as no projected column holds a category.
 - Bound. Of the additions in s, at most dim - 1 round, each to at least
   1 - u times its exact value (or exactly, when subnormal), so
   s >= (1 - u)^(dim-1) (k + t). The square root is correctly rounded and
@@ -105,11 +142,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import encoding, kernels
 from .clustering import MedoidSet
-from .encoding import EncodedMatrix, EncodingModel
+from .encoding import EncodingModel
 from .errors import ConfigError, LineageError, SchemaError
-from .tables import CATEGORICAL, NUMERIC, DataTable, TableSchema
+from .tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
 
 MARK_RESOLUTION = 1e-12
 _U = 2.0**-53
@@ -124,14 +161,16 @@ class DistanceRecord:
 
 
 class Work(NamedTuple):
-    """What a profile's reduction computed: exact pairs (window seeds
-    included, and every pair of a block scanned in full) out of the medoids x
-    real rows, and the blocks scanned in full out of all."""
+    """What a profile's reduction computed: exact pairs (every pair of a
+    block scanned in full) out of the medoids x real rows, the blocks
+    scanned in full out of all, and the real rows given at least one exact
+    distance (every row of a block scanned in full)."""
 
     pairs: int
     cross: int
     scanned: int
     blocks: int
+    compared: int
 
 
 @dataclass(eq=False)
@@ -203,17 +242,31 @@ def grid_from_spec(spec: str, marks: Sequence[float]) -> ThresholdGrid:
     return ThresholdGrid(taus, marks)
 
 
-# Per piece of consecutive real rows: each medoid's minimum distance into the
-# piece, the piece-local row attaining it first, and each row's minimum over
-# the medoids.
-Minima = tuple[np.ndarray, np.ndarray, np.ndarray]
+class Piece(NamedTuple):
+    """One piece of consecutive real rows reduced against the medoids: each
+    medoid's minimum distance into it and the piece-local row attaining it
+    first, per grid threshold how many of its rows have a medoid strictly
+    within it, its row count, its exact pairs, the rows among them given an
+    exact distance, and whether it was scanned in full."""
+
+    d_min: np.ndarray
+    nearest: np.ndarray
+    counts: np.ndarray
+    rows: int
+    pairs: int
+    compared: int
+    scanned: bool
 
 
-def _profile(medoids: MedoidSet, pieces: Iterable[tuple[Minima, int | None]],
-             grid: ThresholdGrid) -> ProximityProfile:
-    """The profile on grid over pieces that cover the real rows in order,
-    each with the exact pairs its windows took, or None when it was scanned
-    in full.
+def _scanned(minima: tuple[np.ndarray, np.ndarray, np.ndarray], grid: ThresholdGrid) -> Piece:
+    """The piece of a full scan's (d_min, nearest, each row's minimum)."""
+    d_min, nearest, per_real = minima
+    n = len(per_real)
+    return Piece(d_min, nearest, _count_below(per_real, grid), n, n * len(d_min), n, True)
+
+
+def _profile(medoids: MedoidSet, pieces: Iterable[Piece], grid: ThresholdGrid) -> ProximityProfile:
+    """The profile on grid over pieces that cover the real rows in order.
 
     The pieces' minima merge by kernels._lowest, so ties keep the lowest row
     id, counted over all pieces, and NaN is nearest of all as in np.argmin.
@@ -224,13 +277,15 @@ def _profile(medoids: MedoidSet, pieces: Iterable[tuple[Minima, int | None]],
     d_min = rank = np.full(len(medoids), np.inf)
     nearest = np.zeros(len(medoids), dtype=np.int64)
     counts = np.zeros(len(grid.taus), dtype=np.int64)
-    offset = pairs = scanned = blocks = 0
-    for (a_min, a_arg, b_min), exact in pieces:
-        d_min = kernels._lowest(rank, nearest, np.arange(len(rank)), a_min, offset + a_arg)
-        counts += _count_below(b_min, grid)
-        offset += len(b_min)
-        pairs += len(b_min) * len(medoids) if exact is None else exact
-        scanned += exact is None
+    offset = pairs = scanned = blocks = compared = 0
+    for piece in pieces:
+        d_min = kernels._lowest(rank, nearest, np.arange(len(rank)), piece.d_min,
+                                offset + piece.nearest)
+        counts += piece.counts
+        offset += piece.rows
+        pairs += piece.pairs
+        compared += piece.compared
+        scanned += piece.scanned
         blocks += 1
     records = [
         DistanceRecord(
@@ -242,22 +297,23 @@ def _profile(medoids: MedoidSet, pieces: Iterable[tuple[Minima, int | None]],
         for i, m in enumerate(medoids.medoids)
     ]
     return ProximityProfile(records, counts, offset,
-                            Work(pairs, offset * len(medoids), scanned, blocks))
+                            Work(pairs, offset * len(medoids), scanned, blocks, compared))
 
 
-def proximity_profile(medoids: MedoidSet, real: Iterable[EncodedMatrix],
-                      grid: ThresholdGrid) -> ProximityProfile:
+def proximity_profile(medoids: MedoidSet, real: Iterable[DataTable], grid: ThresholdGrid,
+                      model: EncodingModel) -> ProximityProfile:
     """Exact nearest-real distances for every medoid, and the coverage counts
-    on grid. real is the consecutive row chunks of one matrix, each reduced
-    by _euclidean_minima; the profile's work says how much exact work that
-    took."""
+    on grid, under the Euclidean metric on model's encoding. real is the
+    consecutive blocks of one table, each reduced by the function that
+    _euclidean_minima gives; the profile's work says how much exact work
+    that took."""
 
     def pieces():
-        vectors = medoids.vectors()
-        for chunk in real:
-            if medoids.model_hash != chunk.model_hash:
-                raise LineageError("medoids and real matrix come from different encoding models")
-            yield _euclidean_minima(vectors, chunk.vectors)
+        if medoids.model_hash != model.model_hash():
+            raise LineageError("medoids and real table come from different encoding models")
+        reduce = _euclidean_minima(medoids.vectors(), model, grid)
+        for block in real:
+            yield from reduce(block)
 
     return _profile(medoids, pieces(), grid)
 
@@ -272,7 +328,8 @@ def proximity_profile_gower(
     real is the consecutive blocks of one table, each reduced by
     _gower_minima; the profile's work says how much exact work that took."""
     rows = [m.raw for m in medoids.medoids]
-    pieces = (_gower_minima(block, gower_cells(block.schema, rows), ranges) for block in real)
+    pieces = (_gower_minima(block, gower_cells(block.schema, rows), ranges, grid)
+              for block in real)
     return _profile(medoids, pieces, grid)
 
 
@@ -320,9 +377,18 @@ def gower_fold(
     array, takes the distances in out[0] and a scratch term in out[1], so a
     caller that compares many rows allocates them once.
     """
+    total = _gower_total(schema.columns, ranges, columns, cells, out)
+    total /= len(schema.columns)
+    return total
+
+
+def _gower_total(specs: Iterable[ColumnSpec], ranges: dict[str, tuple[float, float]],
+                 columns: Iterable[np.ndarray], cells: Iterable, out: np.ndarray) -> np.ndarray:
+    """gower_fold before its division: the float sum, from 0 in the order of
+    specs, of the columns' terms, in out[0]."""
     total, term = out
     total.fill(0.0)
-    for col, arr, cell in zip(schema.columns, columns, cells):
+    for col, arr, cell in zip(specs, columns, cells):
         if col.kind == NUMERIC:
             lo, hi = ranges[col.name]
             if hi != lo:
@@ -332,67 +398,95 @@ def gower_fold(
                 total += np.minimum(term, 1.0, out=term)
         else:
             total += arr != cell
-    total /= len(schema.columns)
     return total
 
 
-def _euclidean_minima(medoids: np.ndarray, chunk: np.ndarray) -> tuple[Minima, int | None]:
-    """One chunk's minima against the medoid vectors, and the exact pairs the
-    windows took (_window_minima), or None when the chunk went to the tiles
-    of kernels.cross_min_distances: always when a value is not finite or a
-    squared norm exceeds 2^1000, in it or in the medoids, so that the tiles'
-    rules for NaN and overflow stay the only ones."""
-    n, (m, dim) = len(chunk), medoids.shape
-    found = None
-    if _windows_pay(2 * m, m, n) and _tame(medoids) and _tame(chunk):
-        one = chunk == 1.0
-        binary = ((one | (chunk == 0.0)).all(axis=0)
-                  & ((medoids == 0.0) | (medoids == 1.0)).all(axis=0))
-        cols = np.flatnonzero(binary)
-        bits = medoids[:, cols]
+def _euclidean_minima(medoids: np.ndarray, model: EncodingModel,
+                      grid: ThresholdGrid) -> Callable[[DataTable], Iterator[Piece]]:
+    """The reduction of each real block against the medoid vectors, encoded
+    by model: by the windows (_window_minima), keyed on the block's
+    categories, or else on the tiles of kernels.cross_min_distances over the
+    block's encoding, in chunks of encoding.CHUNK_BYTES, one piece each. The
+    tiles take every block under a PCA, and every block when a medoid's
+    categorical entries are no one-hot block of the model; they take a
+    block when a scaled numeric value is not finite or exceeds 2^500 in
+    magnitude, in it or in the medoids, so that the tiles' rules for NaN and
+    overflow stay the only ones."""
+    to_parts = encoding.parts_of(model)
+    m, dim = medoids.shape
+    layout = encoding.read_layout(model, medoids)
+    keyed = layout is not None and all(map(_tame, layout[0]))
+    taus = np.asarray(grid.taus)
+    if keyed:
+        numeric, codes = layout
+        # the numeric column along which the medoids spread widest
+        axis = int(np.argmax([np.ptp(col) for col in numeric])) if numeric else None
 
-        def mismatches(rep: np.ndarray) -> np.ndarray:
-            # Hamming distances of 0/1 rows: sums of integers below 2^53,
-            # exact in any order
-            rows = chunk[np.ix_(rep, cols)]
-            return (bits.sum(1)[:, None] + rows.sum(1) - 2.0 * (bits @ rows.T)).astype(np.int32)
+    def reduce(block: DataTable) -> Iterator[Piece]:
+        parts = to_parts(block)
+        n = block.n_rows
+        found = None
+        if keyed and _windows_pay(2 * m, m, n) and all(map(_tame, parts.numeric)):
 
-        if binary.all():
-            x, a = np.zeros(n), np.zeros(m)
-        else:
-            # the other column along which the medoids spread widest
-            axis = int(np.argmax(np.where(binary, -1.0, np.ptp(medoids, axis=0))))
-            x, a = np.ascontiguousarray(chunk[:, axis]), medoids[:, axis]
-        found = _window_minima(
-            [(one[:, j], 2) for j in cols], mismatches, x, a,
-            lambda d: _euclidean_reach(d, dim), _euclidean_half_width,
-            lambda pm, rows: kernels._exact_dists(medoids, pm, chunk, rows))
-    if found is None:
-        # a square that overflows makes d_min infinite, as intended; the
-        # state is left before returning, so the caller's stays its own
-        with np.errstate(over="ignore"):
-            return kernels.cross_min_distances(medoids, chunk), None
-    return found
+            def mismatches(rep: np.ndarray) -> np.ndarray:
+                # a differing category costs its two one-hot entries, and
+                # one outside the model's vocabulary, an all-zero block, one
+                k = np.zeros((m, len(rep)), dtype=np.int32)
+                for cm, code, pos in zip(codes, parts.codes, parts.positions):
+                    cr = pos[code[rep]]
+                    known = (cm >= 0).astype(np.int32)[:, None] + (cr >= 0)
+                    k += np.where(cm[:, None] != cr, known, 0)
+                return k
+
+            def terms(pm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                total = np.zeros(len(pm))
+                for x, a in zip(parts.numeric, numeric):
+                    e = x[rows] - a[pm]
+                    total += e * e
+                return total
+
+            def span(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                lo, hi = _sum_span(total, dim)
+                return np.sqrt(lo), np.sqrt(hi)
+
+            if axis is None:
+                x, a = np.zeros(n), np.zeros(m)
+            else:
+                x, a = parts.numeric[axis], numeric[axis]
+            found = _window_minima(
+                [(code, len(pos)) for code, pos in zip(parts.codes, parts.positions)], x, a,
+                _Metric(mismatches, lambda d: _euclidean_reach(d, dim), _euclidean_half_width,
+                        terms, span,
+                        lambda pm, rows: kernels._exact_dists(medoids, pm, parts, rows)),
+                taus)
+        if found is not None:
+            yield found
+            return
+        for chunk in encoding.encode_chunks(model, parts):
+            # a square that overflows makes d_min infinite, as intended; the
+            # state is left before returning, so the caller's stays its own
+            with np.errstate(over="ignore"):
+                yield _scanned(kernels.cross_min_distances(medoids, chunk), grid)
+
+    return reduce
 
 
 def _tame(v: np.ndarray) -> bool:
-    """Whether every row's squared norm is at most 2^1000, so no value is
-    NaN or infinite and no pair's sum of squares overflows."""
-    with np.errstate(all="ignore"):
-        return bool((np.einsum("ij,ij->i", v, v) <= 2.0**1000).all())
+    """Whether every value is at most 2^500 in magnitude, so none is NaN or
+    infinite and no square of a difference overflows."""
+    return bool((np.abs(v) <= 2.0**500).all())
 
 
-def _gower_minima(
-    block: DataTable, cells: list[np.ndarray], ranges: dict[str, tuple[float, float]]
-) -> tuple[Minima, int | None]:
-    """One block's minima against the medoids given by cells, and the exact
-    pairs the windows took (_window_minima), or None when the block is
-    scanned per medoid."""
+def _gower_minima(block: DataTable, cells: list[np.ndarray],
+                  ranges: dict[str, tuple[float, float]], grid: ThresholdGrid) -> Piece:
+    """One block's piece against the medoids given by cells, by the windows
+    (_window_minima), or scanned per medoid."""
     schema = block.schema
     n, m, c = block.n_rows, len(cells[0]), len(schema.columns)
     found = None
     if _windows_pay(2 * m, m, n):
         categorical = [j for j, col in enumerate(schema.columns) if col.kind == CATEGORICAL]
+        numeric = [j for j, col in enumerate(schema.columns) if col.kind == NUMERIC]
 
         def mismatches(rep: np.ndarray) -> np.ndarray:
             k = np.zeros((m, len(rep)), dtype=np.int32)
@@ -400,14 +494,22 @@ def _gower_minima(
                 k += cells[j][:, None] != block.columns[j][rep]
             return k
 
-        axis = next((j for j, col in enumerate(schema.columns)
-                     if col.kind == NUMERIC and ranges[col.name][0] != ranges[col.name][1]),
-                    None)
+        axis = next((j for j in numeric if ranges[schema.columns[j].name][0]
+                     != ranges[schema.columns[j].name][1]), None)
         if axis is None:
             x, a, width = np.zeros(n), np.zeros(m), 0.0
         else:
             low, high = ranges[schema.columns[axis].name]
             x, a, width = block.columns[axis], cells[axis], high - low
+
+        def terms(pm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return _gower_total([schema.columns[j] for j in numeric], ranges,
+                                (block.columns[j][rows] for j in numeric),
+                                (cells[j][pm] for j in numeric), np.empty((2, len(pm))))
+
+        def span(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = _sum_span(total, c)
+            return lo / c, hi / c
 
         def fold(pm: np.ndarray, rows: np.ndarray) -> np.ndarray:
             # gathered one column at a time, as the fold reaches it, so a
@@ -417,17 +519,18 @@ def _gower_minima(
                               (cell[pm] for cell in cells), out)
 
         found = _window_minima(
-            [(block.columns[j], len(schema.columns[j].categories)) for j in categorical],
-            mismatches, x, a, lambda d: _gower_reach(d, c),
-            lambda t: _gower_half_width(t, width), fold)
+            [(block.columns[j], len(schema.columns[j].categories)) for j in categorical], x, a,
+            _Metric(mismatches, lambda d: _gower_reach(d, c),
+                    lambda t: _gower_half_width(t, width), terms, span, fold),
+            np.asarray(grid.taus))
     if found is None:
-        return _gower_scan(block, cells, ranges), None
+        return _scanned(_gower_scan(block, cells, ranges), grid)
     return found
 
 
 def _gower_scan(
     block: DataTable, cells: list[np.ndarray], ranges: dict[str, tuple[float, float]]
-) -> Minima:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block's minima by one pass over every row per medoid, with its cells
     as Python scalars, which numpy compares at the column's own width."""
     m = len(cells[0])
@@ -448,39 +551,50 @@ def _gower_scan(
 Key = tuple[np.ndarray, int]
 
 
-def _window_minima(
-    keys: list[Key],
-    mismatches: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    a: np.ndarray,
-    reach: Callable[[np.ndarray], np.ndarray],
-    half_width: Callable[[np.ndarray], np.ndarray],
-    dist: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[Minima, int] | None:
-    """The minima of the rows, with axis values x, against the medoids, with
-    axis values a, and the exact pairs computed, by the windows of the module
-    docstring; or None when the cost rule expects the metric's full scan to
-    be cheaper. A metric gives its key columns; mismatches(rep), the m x g
-    matrix of k for the patterns whose first rows are rep; its reach X for
-    seed distances; its half width for axis bounds T < 1; and dist(pm, rows),
-    the distances of the pairs (medoid pm[i], row rows[i]).
+class _Metric(NamedTuple):
+    """What the windows need of a metric (module docstring): mismatches(rep),
+    the m x g matrix of k for the patterns whose first rows are rep; the
+    reach X of a seed distance; the half width of an axis bound T < 1;
+    terms(pm, rows), per pair (medoid pm[i], row rows[i]) the float sum of
+    its terms outside the keys; span(s), bounds lo <= d <= hi for the pairs
+    whose k plus those terms sums to s, and lo alone for every pair whose
+    terms sum to at least s; and dist(pm, rows), the pairs' distances."""
 
-    Seeds give every row and every medoid one exact distance, and their
-    windows then hold every pair that could reach or tie it: a row's window
-    runs over the medoids listed by pattern and axis, a medoid's over the
-    rows sorted by pattern and axis. The cost rule runs on the pattern count,
-    on the windows of a sample of about m rows, on the medoids' windows plus
-    the sample's estimate for the rows' before any row's window is found,
-    and on all the windows before any pair in them is computed; the caller
-    has already asked it as if there were one pattern.
+    mismatches: Callable[[np.ndarray], np.ndarray]
+    reach: Callable[[np.ndarray], np.ndarray]
+    half_width: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    span: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    dist: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _window_minima(keys: list[Key], x: np.ndarray, a: np.ndarray, metric: _Metric,
+                   taus: np.ndarray) -> Piece | None:
+    """The piece of the rows, with axis values x, against the medoids, with
+    axis values a, by the windows of the module docstring, with counts on
+    the thresholds taus; or None when the cost rule expects the metric's
+    full scan to be cheaper.
+
+    Seeds give every row and every medoid bounds on its distance to one
+    medoid or row, and their windows then hold every pair that could reach
+    or tie the upper one: a row's window runs over the medoids listed by
+    pattern and axis, a medoid's over the rows sorted by pattern and axis.
+    Every pair in a medoid's window is computed. A row needs an exact
+    distance only when its bounds straddle a threshold: the seed's alone if
+    its window holds no other medoid, else every pair of its window. The cost
+    rule runs on the pattern count, on the windows of a sample of about m
+    rows, on the medoids' windows plus the sample's estimate for the rows'
+    before any row's window is found, and on all the windows, as if each
+    were computed, before any pair in them is; the caller has already asked
+    it as if there were one pattern.
     """
     n, m = len(x), len(a)
     gid, g, rep = kernels._patterns(keys, n)
     if m * g > kernels.TILE_BYTES // 8 or not _windows_pay(m + m * g, m, n):
         return None
 
-    # k[i, p]: key columns in which medoid i and pattern p differ
-    k = mismatches(rep)
+    # k[i, p]: the key terms of medoid i and pattern p
+    k = metric.mismatches(rep)
 
     # A row's seed is the nearest medoid on the axis among those with its
     # pattern's fewest mismatches, listed by pattern and then by the axis.
@@ -488,6 +602,7 @@ def _window_minima(
     # holds the seed alone: its neighbours in the list fall outside. A wider
     # window holds every medoid, the entries from len(lr) on of listed.
     fewest = k.min(0)
+    floor = metric.span(fewest.astype(np.float64))[0]
     mo = np.argsort(a)
     lg, lr = np.nonzero((k[mo] == fewest).T)
     listed = np.concatenate([mo[lr], mo])
@@ -495,19 +610,25 @@ def _window_minima(
     padded = np.concatenate([[-np.inf], a_listed, [np.inf]])
     medpos = _placer(lg, lr, a[mo])
     lstarts = np.searchsorted(lg, np.arange(g + 1))
+    lfirst, llast = lstarts[:-1], lstarts[1:] - 1
 
-    def row_windows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per row, its seed distance, and for the rows whose window may hold
-        more than the seed, their positions in rows and windows [lo, hi) in
-        listed. A neighbour of the seed across a pattern's end in padded is
-        another pattern's medoid or an infinity: at worst it sends the row
-        to the search."""
+    def bounds(pm: np.ndarray, group: np.ndarray, rows: np.ndarray):
+        """Per pair (medoid pm[i], row rows[i] of pattern group[i]), the
+        metric's bounds on its distance."""
+        return metric.span(k[pm, group] + metric.terms(pm, rows))
+
+    def row_windows(rows: np.ndarray):
+        """Per row, its seed and the bounds on its distance, and for the rows
+        whose window may hold more than the seed, their positions in rows and
+        windows [lo, hi) in listed. A neighbour of the seed across a
+        pattern's end in padded is another pattern's medoid or an infinity:
+        at worst it sends the row to the search."""
         group, v = gid[rows], x[rows]
-        pick = _axis_nearest(a_listed, lstarts[group], lstarts[group + 1] - 1,
-                             medpos(group, v, "left"), v)
-        d = dist(listed[pick], rows)
-        t = reach(d) - fewest[group]
-        half = half_width(np.minimum(t, 1.0))
+        pick = _axis_nearest(a_listed, lfirst[group], llast[group], medpos(group, v, "left"), v)
+        seed = listed[pick]
+        d_lo, d_hi = bounds(seed, group, rows)
+        t = metric.reach(d_hi) - fewest[group]
+        half = metric.half_width(np.minimum(t, 1.0))
         lower, upper = v - half, v + half
         near = t < 1.0
         alone = near & (padded[pick] < lower) & (padded[pick + 2] > upper)
@@ -516,10 +637,10 @@ def _window_minima(
         lo = np.concatenate([medpos(group[near], lower[near], "left"), np.full(len(far), len(lr))])
         hi = np.concatenate([medpos(group[near], upper[near], "right"),
                              np.full(len(far), len(listed))])
-        return d, wide, lo, hi
+        return seed, d_lo, d_hi, wide, lo, hi
 
     sample = np.arange(0, n, max(1, n // m))
-    _, _, lo, hi = row_windows(sample)
+    *_, lo, hi = row_windows(sample)
     guess = int((hi - lo)[hi - lo > 1].sum()) * n // len(sample)
     if not _windows_pay(m + m * g + guess, m, n):
         return None
@@ -543,13 +664,13 @@ def _window_minima(
     sp = _axis_nearest(x[order], starts[sg], starts[sg + 1] - 1,
                        rowpos(sg, a[sm], "left"), a[sm])
     seed = np.full(m, np.inf)
-    np.minimum.at(seed, sm, dist(sm, order[sp]))
-    seed = reach(seed)
+    np.minimum.at(seed, sm, bounds(sm, sg, order[sp])[1])
+    seed = metric.reach(seed)
     wm, wg = np.nonzero(k <= seed[:, None])
     lo, hi = starts[wg], starts[wg + 1]
     t = seed[wm] - k[wm, wg]
     near = np.flatnonzero(t < 1.0)
-    half = half_width(t[near])
+    half = metric.half_width(t[near])
     v = a[wm[near]]
     lo[near] = rowpos(wg[near], v - half, "left")
     hi[near] = rowpos(wg[near], v + half, "right")
@@ -558,19 +679,37 @@ def _window_minima(
     if not _windows_pay(pairs + m * g + guess, m, n):
         return None
 
-    # the rows' windows, in that order, whose ascending values searchsorted
-    # places fastest, and in batches whose dozen row arrays of float64 each
-    # hold an eighth of a tile
-    per_real = np.empty(n)
-    wide, row_lo, row_len = [], [], []
+    # Each row's bin, the count of thresholds at or below its minimum, from
+    # bounds on that minimum: the seed's when the window holds no other
+    # medoid, else from the pattern's floor to the seed's upper bound. The
+    # rows whose bounds straddle a threshold are kept for exact distances.
+    # The rows go in pattern and axis order, whose ascending values
+    # searchsorted places fastest, in batches whose dozen row arrays of
+    # float64 each hold an eighth of a tile.
+    bins = np.empty(n, dtype=np.intp)
+    padded_taus = np.concatenate([[-np.inf], taus])
+    single, single_seed = [], []
+    wide, row_lo, row_len, straddles = [], [], [], []
     for first in range(0, n, kernels.TILE_BYTES // 64):
         rows = order[first : first + kernels.TILE_BYTES // 64]
-        per_real[rows], at, rlo, rhi = row_windows(rows)
+        seeds, d_lo, d_hi, at, rlo, rhi = row_windows(rows)
         more = rhi - rlo > 1
-        wide.append(rows[at[more]])
+        many = at[more]
+        d_lo[many] = floor[gid[rows[many]]]
+        # the bounds straddle a threshold when the last one at or below
+        # the upper bound lies above the lower one
+        at_hi = np.searchsorted(taus, d_hi, "right")
+        bins[rows] = at_hi
+        straddle = d_lo < padded_taus[at_hi]
+        straddles.append(straddle[many])
+        straddle[many] = False
+        single.append(rows[straddle])
+        single_seed.append(seeds[straddle])
+        wide.append(rows[many])
         row_lo.append(rlo[more])
         row_len.append(rhi[more] - rlo[more])
-    more, row_lo, row_len = map(np.concatenate, (wide, row_lo, row_len))
+    wide, row_lo, row_len, straddles, single, single_seed = map(
+        np.concatenate, (wide, row_lo, row_len, straddles, single, single_seed))
     pairs += n + int(row_len.sum())
     if not _windows_pay(pairs - n + m * g, m, n):
         return None
@@ -579,11 +718,16 @@ def _window_minima(
     nearest = np.zeros(m, dtype=np.int64)
     for seg, pos in _ragged(lo, hi - lo):
         pm, rows = wm[seg], order[pos]
-        d_min = kernels._lowest(rank, nearest, pm, dist(pm, rows), rows)
+        d_min = kernels._lowest(rank, nearest, pm, metric.dist(pm, rows), rows)
+    bins[single] = np.searchsorted(taus, metric.dist(single_seed, single), "right")
+    wide, row_lo, row_len = wide[straddles], row_lo[straddles], row_len[straddles]
+    per_row = np.full(len(wide), np.inf)
     for seg, pos in _ragged(row_lo, row_len):
-        rows = more[seg]
-        np.minimum.at(per_real, rows, dist(listed[pos], rows))
-    return (d_min, nearest, per_real), pairs
+        np.minimum.at(per_row, seg, metric.dist(listed[pos], wide[seg]))
+    bins[wide] = np.searchsorted(taus, per_row, "right")
+    counts = np.cumsum(np.bincount(bins, minlength=len(taus) + 1)[: len(taus)])
+    exact = int((hi - lo).sum()) + len(single) + int(row_len.sum())
+    return Piece(d_min, nearest, counts, n, exact, len(single) + len(wide), False)
 
 
 def _windows_pay(pairs: int, m: int, n: int) -> bool:
@@ -631,6 +775,17 @@ def _gower_half_width(t: np.ndarray, width: float) -> np.ndarray:
     """Per axis bound t < 1, a delta with |x - a| <= delta for every pair
     whose Gower axis term is at most t (the module docstring)."""
     return np.maximum(t * width * (1.0 + 8 * _U), 2.0**-1020)
+
+
+def _sum_span(total: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per float sum total of non-negative terms, bounds lo <= s <= hi on
+    every float sum s of the same terms when the two sums round at most
+    2 * terms times between them; lo alone also holds for every s whose
+    terms sum to at least total (the module docstring)."""
+    w = 4 * 2 * terms * _U
+    lo = np.maximum(total * (1.0 - w) - 2.0**-1000, 0.0)
+    hi = np.where(total == 0.0, 0.0, total * (1.0 + w) + 2.0**-1000)
+    return lo, hi
 
 
 def _euclidean_reach(d: np.ndarray, dim: int) -> np.ndarray:

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmla import kernels, metrics
+from cmla import encoding, kernels, metrics
 from cmla.clustering import Medoid, MedoidSet
-from cmla.encoding import EncodedMatrix
+from cmla.encoding import EncodedMatrix, EncodingModel, NumericStats
 from cmla.tables import CATEGORICAL, NUMERIC, ColumnSpec, DataTable, TableSchema
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -44,6 +44,29 @@ def mixed_table(numeric=None, categorical=None) -> DataTable:
     return DataTable(TableSchema(tuple(specs)), tuple(cols))
 
 
+def unit_table(vectors, categories=()) -> tuple[DataTable, EncodingModel]:
+    """A table and a min-max model that encodes it to vectors bit for bit
+    (asserted): numeric columns x0.. with lo = 0 and hi = 1, which scale each
+    value to itself, then one categorical column c<j> per vocabulary in
+    categories, whose one-hot block is each row's category, or the label
+    "unseen" where the block is all zero."""
+    vs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    p = vs.shape[1] - sum(map(len, categories))
+    numeric = {f"x{j}": vs[:, j] for j in range(p)}
+    labels, offset = {}, p
+    for j, vocab in enumerate(categories):
+        block = vs[:, offset : offset + len(vocab)]
+        labels[f"c{j}"] = [vocab[int(r.argmax())] if r.any() else "unseen" for r in block]
+        offset += len(vocab)
+    table = mixed_table(numeric, labels)
+    specs = tuple(ColumnSpec(f"x{j}", NUMERIC) for j in range(p)) + tuple(
+        ColumnSpec(f"c{j}", CATEGORICAL, tuple(vocab)) for j, vocab in enumerate(categories))
+    model = EncodingModel(TableSchema(specs), "minmax",
+                          {name: NumericStats(0.0, 1.0, 0.0, 1.0) for name in numeric})
+    assert encoding.encode(model, table).vectors.tobytes() == vs.tobytes()
+    return table, model
+
+
 def matrix(vectors, model_hash="m0") -> EncodedMatrix:
     vs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     return EncodedMatrix(np.ascontiguousarray(vs), model_hash)
@@ -64,7 +87,8 @@ def coverage_of(per_real, grid, pieces=3) -> list[float]:
     per_real, as metrics._profile counts them over that many consecutive
     pieces of the rows and metrics.curves_from_profile divides the counts."""
     rows = np.array_split(np.array(per_real, dtype=np.float64), pieces)
-    blocks = [((np.zeros(1), np.zeros(1, dtype=np.int64), piece), None) for piece in rows]
+    blocks = [metrics._scanned((np.zeros(1), np.zeros(1, dtype=np.int64), piece), grid)
+              for piece in rows]
     profile = metrics._profile(medoid_set([[0.0]]), blocks, grid)
     return metrics.curves_from_profile(profile, grid).coverage
 

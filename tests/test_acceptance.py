@@ -40,6 +40,7 @@ from conftest import (
     medoid_set,
     mixed_table,
     numeric_table,
+    unit_table,
 )
 
 
@@ -96,7 +97,8 @@ def test_criterion_02_metrics_bitwise_vs_double_loop(rng):
             if k > 1 and n > 1:
                 real[1] = real[0]
 
-        profile = proximity_profile(medoid_set(meds), [matrix(real)], grid)
+        table, model = unit_table(real)
+        profile = proximity_profile(medoid_set(meds, model.model_hash()), [table], grid, model)
         asr = asr_curve(profile.records, grid)
         cov = curves_from_profile(profile, grid).coverage
         r_dmin, r_nearest, r_per_real, r_asr, r_cov = reference.double_loop_metrics(

@@ -188,8 +188,10 @@ def test_a_gower_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog):
                                        eps=0.05, min_samples=5, metric="gower"))
     cross = len(result.medoids) * result.report.meta.n_real_rows
     messages = [r.getMessage() for r in caplog.records]
+    n_real = result.report.meta.n_real_rows
     assert any(re.fullmatch(rf"gower: \d+ exact pairs of {cross} medoid-row pairs; "
-                            r"\d+ of 1 blocks scanned in full", m) for m in messages)
+                            r"\d+ of 1 blocks scanned in full; "
+                            rf"\d+ of {n_real} real rows compared exactly", m) for m in messages)
     assert "exact pairs" not in (out / "report.json").read_text()
 
 
@@ -204,8 +206,10 @@ def test_a_euclidean_audit_logs_its_exact_pairs_and_full_scans(tmp_path, caplog)
     cross = len(result.medoids) * result.report.meta.n_real_rows
     messages = [r.getMessage() for r in caplog.records]
     assert len(result.medoids) == 2
+    n_real = result.report.meta.n_real_rows
     assert (f"euclidean: {cross} exact pairs of {cross} medoid-row pairs; "
-            "1 of 1 blocks scanned in full") in messages
+            f"1 of 1 blocks scanned in full; {n_real} of {n_real} real rows compared "
+            "exactly") in messages
     assert "exact pairs" not in (out / "report.json").read_text()
 
 def test_an_audit_logs_the_decimal_cells_parsed_one_by_one(tmp_path, caplog):

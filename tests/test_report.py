@@ -59,7 +59,7 @@ def small_pipeline(with_real=True, marks=(0.1, 0.5)):
     summary = curves = records = None
     if with_real:
         real = numeric_table([[0.0, 0.0], [2.4, 0.0], [5.0, 0.0]], names=["x", "y"])
-        profile = proximity_profile(medoids, [encode(model, real)], grid)
+        profile = proximity_profile(medoids, [real], grid, model)
         curves = curves_from_profile(profile, grid)
         records = profile.records
         summary = summarize_dmin([r.d_min for r in records])

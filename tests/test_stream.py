@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from cmla import encoding, tables
+from cmla import encoding, metrics, tables
 from cmla.audit import AuditConfig, run_audit
+from cmla.clustering import dbscan, extract_medoids
 from cmla.cli import main
 from cmla.errors import LoadError, SchemaError, StageError
 
@@ -91,20 +92,29 @@ def test_a_block_without_a_new_category_reuses_the_vocabulary_tuple(tmp_path, mo
 
 
 def test_encoding_chunks_hashes_the_model_once(tmp_path, monkeypatch):
-    # dozens of blocks, each in chunks of one or two rows, one model hash;
-    # the chunks are byte for byte the rows of one whole encoding
+    # a profile over dozens of blocks hashes the model once; the blocks'
+    # chunks of one or two rows are byte for byte the rows of one whole
+    # encoding
     synth, real = write_mixed(tmp_path)
     set_small_blocks(monkeypatch)
-    model = encoding.fit_encoding(tables.load_csv(synth))
+    table = tables.load_csv(synth)
+    model = encoding.fit_encoding(table)
+    matrix = encoding.encode(model, table)
+    medoids = extract_medoids(matrix, dbscan(matrix, 0.1, 3), table)
     calls = []
     model_hash = encoding.EncodingModel.model_hash
     monkeypatch.setattr(encoding.EncodingModel, "model_hash",
                         lambda self: calls.append(1) or model_hash(self))
-    chunks = list(encoding.encode_chunks(model, tables.read_blocks(real, model.schema)))
-    assert len(chunks) > 100 and len(calls) == 1
-    assert {c.model_hash for c in chunks} == {model_hash(model)}
+    grid = metrics.grid_from_spec("0:2.5:0.01", ())
+    profile = metrics.proximity_profile(medoids, tables.read_blocks(real, model.schema), grid,
+                                        model)
+    assert profile.work.blocks > 20 and len(calls) == 1
+    parts = encoding.parts_of(model)
+    chunks = [chunk for block in tables.read_blocks(real, model.schema)
+              for chunk in encoding.encode_chunks(model, parts(block))]
+    assert len(chunks) > 100
     whole = encoding.encode(model, tables.load_csv(real, model.schema)).vectors
-    assert np.vstack([c.vectors for c in chunks]).tobytes() == whole.tobytes()
+    assert np.vstack(chunks).tobytes() == whole.tobytes()
 
 
 def test_a_row_encodes_alike_in_any_batch_also_under_pca(tmp_path):
