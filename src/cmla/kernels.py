@@ -193,13 +193,13 @@ between: the rank window, which holds at least q + 1 - b rows. Only those of
 its rows whose interval is not one point need their value: c from a grid for
 r_hi that streams them, or v by brute force where the cost rule prefers it.
 A value above r_hi stands for +inf, since only its side of r_hi moves the
-ranks of the values at most r_hi. When the upper middle value exceeds r_hi,
-the median lies above r_hi; with the largest spread of a tile not finite (a
-row whose squared norm overflows), no interval is taken. In either case the
-certified loop takes over, from 2 r_hi or from r_hi: at a radius r, the rows
-with c <= r are certified (c = v) and every other row has v > r, so once
-more than n/2 rows certify, np.median over the certified values with +inf
-for the rest reads the middle values; otherwise r doubles.
+ranks of the values at most r_hi. A tile whose largest spread is not finite
+(a row whose squared norm overflows, so that some bounds are NaN) gives its
+rows the interval [0, +inf], which holds any w; those that reach the rank
+window get their value as the other rows do. When the upper middle value
+exceeds r_hi, the median lies above r_hi, and the pass repeats with
+r_lo = r_hi and r_hi doubled, until one finds the median or the cost rule
+refuses the grid, where brute force answers.
 r_lo and r_hi, the 3/8 and 5/8 quantiles of estimates fl(sqrt(t)) of the
 k-th distances of an evenly spaced sample (t against every row), only pick
 the radii: a bracket that misses costs time, never a bit of the result.
@@ -889,11 +889,10 @@ def kth_neighbor_distances(x: np.ndarray, k: int) -> np.ndarray:
 
 class _Selection(NamedTuple):
     """What one grid pass at r_hi learns of the median (_select_median): the
-    median, or None with above saying whether it certainly lies above r_hi;
-    the low, mid and high row counts; the rows given an exact value."""
+    median, or None where it lies above r_hi; the low, mid and high row
+    counts; the rows given an exact value."""
 
     median: float | None
-    above: bool
     low: int
     mid: int
     high: int
@@ -908,15 +907,16 @@ def kth_neighbor_median(x: np.ndarray, k: int) -> float:
     refuses the grid for r_hi, r_hi steps down through the sample quantiles
     towards the sample median. One grid pass at r_hi (_select_median) then
     needs exact k-th distances only for the rows whose value can land on the
-    two middle ranks. Where the bracket misses, the certified loop
-    (_certified_median) doubles the radius from r_hi; brute force serves rows
-    that are not finite and radii the cost rule refuses. Logs one INFO line:
-    the radii, the low, mid and high rows, the exact rows and the path."""
+    two middle ranks. Where the median lies above r_hi, the pass repeats
+    with r_lo = r_hi and r_hi doubled; brute force serves rows that are not
+    finite and radii the cost rule refuses. Logs one INFO line: the last
+    radii, the last pass's low, mid and high rows and exact rows, the number
+    of passes and the path."""
     n = len(x)
     _check_k(n, k)
     r_lo = r_hi = math.nan
-    found = _Selection(None, False, 0, 0, 0, 0)
-    path, median = "brute", None
+    found = _Selection(None, 0, 0, 0, 0)
+    passes = 0
     if np.isfinite(x).all():
         picks = np.linspace(0, n - 1, min(n, MEDIAN_SAMPLE)).astype(np.int64)
         sample = np.sort(_kth_estimates(x, picks, k))
@@ -928,18 +928,20 @@ def kth_neighbor_median(x: np.ndarray, k: int) -> float:
         for r_hi in dict.fromkeys(float(sample[j]) for j in steps):
             if (cells := _cell_map(x, r_hi)) is not None:
                 break
-        if cells is not None:
+        while cells is not None:
             found = _select_median(x, k, cells, r_lo, r_hi)
-            path, median = "selection", found.median
-            if median is None:
-                path = "certified loop"
-                median = _certified_median(x, k, 2.0 * r_hi if found.above else r_hi)
+            passes += 1
+            if found.median is not None:
+                break
+            r_lo, r_hi = r_hi, 2.0 * r_hi
+            cells = _cell_map(x, r_hi)
+    median, path = found.median, "selection"
     if median is None:
         path = "brute"
         median = float(np.median(kth_neighbor_distances(x, k)))
     log.info("k-th distance median: r_lo %.6g, r_hi %.6g; %d low, %d mid and %d high rows; "
-             "%d exact k-th distances; path %s",
-             r_lo, r_hi, found.low, found.mid, found.high, found.exact, path)
+             "%d exact k-th distances; %d selection passes; path %s",
+             r_lo, r_hi, found.low, found.mid, found.high, found.exact, passes, path)
     return median
 
 
@@ -965,9 +967,10 @@ def _select_median(x: np.ndarray, k: int, cells, r_lo: float, r_hi: float) -> _S
     of a grid for r_hi (module docstring). Each row gets an interval that
     holds w, its k-th distance v where v <= r_hi and +inf otherwise: [0, r_lo]
     for a low row, +inf for a high one, and for a mid row the bounds its
-    (k+1)-th smallest upper bound t gives, sqrt(t - spread) and sqrt(t).
-    Only the rows whose interval can reach the two middle ranks get an exact
-    value; the median is None where the middle values are not certified."""
+    (k+1)-th smallest upper bound t gives, sqrt(t - spread) and sqrt(t), or
+    [0, +inf] in a tile whose largest spread is not finite. Only the rows
+    whose interval can reach the two middle ranks get an exact value; the
+    median is None where it lies above r_hi."""
     n = len(x)
     p, q = (n - 1) // 2, n // 2
     inside = r_lo * r_lo * (1 - 4 * _U) if 2.0**-500 < r_lo < 2.0**500 else math.nan
@@ -983,11 +986,14 @@ def _select_median(x: np.ndarray, k: int, cells, r_lo: float, r_hi: float) -> _S
             continue
         for i0, upper, spread in _bracket_tiles(x[rows], x[cols]):
             # a finite spread leaves no NaN bound; the tile's largest one
-            # serves every row in the test for r_hi
+            # serves every row in the test for r_hi. Without one the rows
+            # keep lo = 0 and take hi = +inf
             top = spread.max()
-            if top == np.inf:
-                return _Selection(None, False, 0, 0, 0, 0)
             at = rows[i0 : i0 + len(upper)]
+            if top == np.inf:
+                hi[at] = np.inf
+                n_mid += len(at)
+                continue
             high = _row_counts(upper < outside + top) <= k
             mid = ~high & (_row_counts(upper <= inside) <= k)
             lo[at[high]] = hi[at[high]] = np.inf
@@ -1016,8 +1022,8 @@ def _select_median(x: np.ndarray, k: int, cells, r_lo: float, r_hi: float) -> _S
     middle = w[p - below : q - below + 1]
     counts = (n - n_mid - n_high, n_mid, n_high, len(unknown))
     if middle[-1] > r_hi:
-        return _Selection(None, True, *counts)
-    return _Selection(float(np.median(middle)), False, *counts)
+        return _Selection(None, *counts)
+    return _Selection(float(np.median(middle)), *counts)
 
 
 def _rank_window(lo: np.ndarray, hi: np.ndarray, p: int, q: int) -> tuple[int, np.ndarray]:
@@ -1033,24 +1039,6 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     """The set entries of each row of a boolean matrix; summing its bytes
     is about twice as fast as np.count_nonzero along an axis."""
     return mask.view(np.uint8).sum(axis=1, dtype=np.int32)
-
-
-def _certified_median(x: np.ndarray, k: int, r: float) -> float | None:
-    """The median from the rows that a grid for r certifies (module
-    docstring), with r doubling until more than half the rows certify; None
-    once the cost rule refuses a grid."""
-    n = len(x)
-    while (cells := _cell_map(x, r)) is not None:
-        kth = np.full(n, np.inf)
-        for rows, cols in cells:
-            if len(cols) > k:
-                for i0, v in _kth_tiles(x[rows], x[cols], k):
-                    kth[rows[i0 : i0 + len(v)]] = v
-        certified = kth <= r
-        if certified.sum() > n // 2:
-            return float(np.median(np.where(certified, kth, np.inf)))
-        r *= 2.0
-    return None
 
 
 def medoid_local_index(xd: np.ndarray, weight: np.ndarray) -> int:

@@ -107,6 +107,46 @@ def clustered_cloud(rng: np.random.Generator, n: int, d: int, duplicates: float 
     return np.ascontiguousarray(x)
 
 
+def record_cell_maps(monkeypatch):
+    """Route kernels._cell_map through a recorder of (radius, taken) for
+    each map over every row."""
+    maps = []
+    cell_map = kernels._cell_map
+
+    def spy(x, radius, stream=None):
+        cells = cell_map(x, radius, stream)
+        if stream is None:
+            maps.append((radius, cells is not None))
+        return cells
+
+    monkeypatch.setattr(kernels, "_cell_map", spy)
+    return maps
+
+
+def count_calls(monkeypatch, name):
+    """Route kernels.<name> through a recorder of its calls' arguments."""
+    calls = []
+    real = getattr(kernels, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, name, recording)
+    return calls
+
+
+def overflow_cloud(rng: np.random.Generator):
+    """A 3000-row clustered cloud in 3 dimensions whose row nearest the
+    centre of its blobs, and 40 copies of that row, hold a coordinate of
+    1e160: their squared norms overflow."""
+    x = clustered_cloud(rng, 3000, 3)
+    i = int(np.argmin(kernels.dists_to(np.median(x[300:], axis=0), x)))
+    x[i, 0] = 1e160
+    x[rng.choice(np.arange(300, 3000), 40, replace=False)] = x[i]
+    return x
+
+
 def hit_lists(x, eps) -> list[np.ndarray]:
     """Each row's full sorted list of the rows within eps, as the hit blocks
     that kernels.neighbor_lists streams decide it."""

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one verdict per test.
+"""Acceptance gate: eleven numbered criteria, one verdict per test.
 
 Each test prints an `ACCEPTANCE <criterion>: PASS|FAIL` line (visible under
 pytest -s, and in the failure output otherwise) and `pytest -v` shows one
@@ -7,6 +7,7 @@ the whole gate is reproducible; the scenario-backed criteria share a single
 run of tests/data/ordering_scenario.json.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from cmla import harness, kernels
 from cmla.audit import AuditConfig, run_audit, run_scenario, verify_report_file
 from cmla.clustering import dbscan, extract_medoids
 from cmla.encoding import encode, fit_encoding
@@ -35,11 +37,14 @@ import reference
 from conftest import (
     DATA_DIR,
     clustered_cloud,
+    count_calls,
     coverage_of,
     matrix,
     medoid_set,
     mixed_table,
     numeric_table,
+    overflow_cloud,
+    record_cell_maps,
     unit_table,
 )
 
@@ -280,3 +285,55 @@ def test_criterion_10_summary_row_format():
     if not re.fullmatch(pattern, row):
         problems.append("row does not match the four-decimal layout")
     _verdict("summary-format", problems)
+
+
+def _median_tables(rng):
+    """(name, rows) of criterion 11: the ordering scenario's recipe at 2500
+    rows through each generator, rows three copies each, a table with a
+    coordinate of 1e160 (overflow_cloud), and a table whose evenly spaced
+    sample sits in one small corner, so that the sample's radii miss the
+    median."""
+    scenario = harness.load_scenario(DATA_DIR / "ordering_scenario.json")
+    draw = np.random.default_rng(scenario.seed)
+    real = harness.make_real(dataclasses.replace(scenario.real, n_rows=2500), draw)
+    for spec in scenario.generators:
+        synthetic = harness.sample_synthetic(real, dataclasses.replace(spec, n_samples=2500), draw)
+        yield spec.label, encode(fit_encoding(synthetic), synthetic).vectors
+    yield "copies", np.repeat(clustered_cloud(rng, 800, 3), 3, axis=0)
+    yield "1e160", overflow_cloud(rng)
+    n = 6000
+    x = rng.uniform(0.0, 10.0, size=(n, 2))
+    sample = np.linspace(0, n - 1, kernels.MEDIAN_SAMPLE).astype(np.int64)
+    x[sample] = rng.uniform(0.0, 0.5, size=(len(sample), 2))
+    yield "bracket miss", x
+
+
+def test_criterion_11_median_matches_reference(rng, monkeypatch):
+    # --eps auto: the median of the k-th distances against each row's sorted
+    # reference distances, with no brute force and a repeated grid pass seen
+    problems = []
+    ks = [1, 5, 40]
+    brute = count_calls(monkeypatch, "kth_neighbor_distances")
+    maps = record_cell_maps(monkeypatch)
+    most_maps = 0
+    t0 = time.perf_counter()
+    for name, x in _median_tables(rng):
+        with np.errstate(over="ignore"):
+            ref = np.array([np.sort(reference.row_dists(x, i))[ks] for i in range(len(x))])
+        for c, k in enumerate(ks):
+            brute.clear()
+            maps.clear()
+            with np.errstate(over="ignore"):
+                got = kernels.kth_neighbor_median(x, k)
+            want = float(np.median(ref[:, c]))
+            if np.array(got).tobytes() != np.array(want).tobytes():
+                problems.append(f"{name}, k={k}: median {got!r}, reference {want!r}")
+            if brute:
+                problems.append(f"{name}, k={k}: brute force ran")
+            most_maps = max(most_maps, sum(taken for _, taken in maps))
+    elapsed = time.perf_counter() - t0
+    if most_maps < 2:
+        problems.append("no table took a second grid map")
+    if elapsed >= 10.0:
+        problems.append(f"took {elapsed:.2f}s, budget is 10s")
+    _verdict("median-vs-reference", problems)

@@ -25,9 +25,12 @@ from conftest import (
     DATA_DIR,
     child_rss_growth_mib,
     clustered_cloud,
+    count_calls,
     hit_lists,
     matrix,
     mixed_table,
+    overflow_cloud,
+    record_cell_maps,
 )
 
 
@@ -951,18 +954,19 @@ def test_certified_median_with_rows_on_cell_boundaries(monkeypatch):
 
 def test_certified_median_doubles_the_radius_until_half_the_rows_certify(rng, monkeypatch):
     # the evenly spaced sample takes every 4th row, all of them in a tight
-    # blob; the other three quarters are scattered, so the first radius
-    # certifies too few rows
+    # blob; the other three quarters are scattered, so the median lies above
+    # the first radius and the selection repeats at twice the radius
     n = (kernels.MEDIAN_SAMPLE - 1) * 4 + 1
     x = rng.uniform(0.0, 100.0, size=(n, 2))
     x[::4] = rng.uniform(0.0, 0.1, size=(len(x[::4]), 2))
     radii = assert_median_is_brute_forces(monkeypatch, x, 5)
     assert len(radii) > 2
     assert radii[1:] == [2.0 * r for r in radii[:-1]]
-    # exactly n // 2 rows certify at r = 1 and 2, which leaves the middle row
-    # uncertified: the sampled rows and MEDIAN_SAMPLE - 2 more sit three to a
-    # point, points 1 apart (k-th distance 1); the others sit alone at
-    # 1000 + 1.5 * index, so their k-th distance is at least 3
+    # exactly n // 2 rows have a k-th distance at most r = 1 and 2, which
+    # leaves the upper middle value above both: the sampled rows and
+    # MEDIAN_SAMPLE - 2 more sit three to a point, points 1 apart (k-th
+    # distance 1); the others sit alone at 1000 + 1.5 * index, so their k-th
+    # distance is at least 3
     tight = np.r_[np.arange(0, n, 4), np.arange(1, 4 * (kernels.MEDIAN_SAMPLE - 2), 4)]
     x = 1000.0 + 1.5 * np.arange(n, dtype=np.float64)[:, None]
     x[np.sort(tight), 0] = np.arange(len(tight)) // 3
@@ -1046,7 +1050,7 @@ def test_median_selection_with_ties_at_both_radii_and_either_parity(monkeypatch,
             assert found.median == want, (r_lo, r_hi)
             assert found.low + found.mid + found.high == n and found.exact < n
         else:
-            assert found.median is None and found.above, (r_lo, r_hi)
+            assert found.median is None, (r_lo, r_hi)
     assert_median_is_brute_forces(monkeypatch, x, 2)
 
 
@@ -1081,43 +1085,56 @@ def median_log(caplog, x, k):
 
 
 def test_median_selection_falls_back_where_the_bracket_misses(rng, monkeypatch, caplog):
-    # estimates scaled down put the median above r_hi, so the certified loop
-    # doubles from 2 r_hi; scaled up, it lies below r_lo and the rows that
+    # estimates scaled down put the median above r_hi, so the pass repeats
+    # at 2 r_hi and further; scaled up, it lies below r_lo and the rows that
     # can hold it get exact values; a row whose squared norm overflows gives
-    # infinite spreads, on which the selection declines
+    # infinite spreads, whose rows take [0, +inf]
     x = clustered_cloud(rng, 1500, 3)
     force_grid(monkeypatch, True)
     real = kernels._kth_estimates
-    for scale, path in ((0.25, "certified loop"), (4.0, "selection"), (1.0, "selection")):
+    for scale in (0.25, 4.0, 1.0):
         monkeypatch.setattr(kernels, "_kth_estimates", lambda x, rows, k: scale * real(x, rows, k))
         message = median_log(caplog, x, 5)
-        assert message.endswith(f"path {path}"), message
+        assert message.endswith("path selection"), message
         assert "r_lo" in message and "r_hi" in message and "low" in message
         exact = int(message.split(" exact")[0].rsplit(" ", 1)[1])
-        # below the median, r_hi rules out the selection before any exact
-        # distance; at the true scale a few rows get one
-        assert exact == 0 if scale < 1 else exact < 10 if scale == 1 else exact > 0, message
+        passes = int(message.split(" selection passes")[0].rsplit(" ", 1)[1])
+        # below the median, r_hi misses it and the pass repeats; at the true
+        # scale one pass gives a few rows an exact value
+        assert passes > 1 if scale < 1 else passes == 1, message
+        assert exact < 10 if scale == 1 else exact > 0, message
     monkeypatch.setattr(kernels, "_kth_estimates", real)
     x[7, 0] = 1e160
-    assert median_log(caplog, x, 5).endswith("path certified loop")
+    assert median_log(caplog, x, 5).endswith("path selection")
     x[7, 0] = np.nan
     assert median_log(caplog, x, 5).endswith("path brute")
 
 
-def record_cell_maps(monkeypatch):
-    """Route kernels._cell_map through a recorder of (radius, taken) for
-    each map over every row."""
-    maps = []
-    cell_map = kernels._cell_map
-
-    def spy(x, radius, stream=None):
-        cells = cell_map(x, radius, stream)
-        if stream is None:
-            maps.append((radius, cells is not None))
-        return cells
-
-    monkeypatch.setattr(kernels, "_cell_map", spy)
-    return maps
+def test_median_selection_gives_rows_of_infinite_spread_tiles_every_value(rng, monkeypatch):
+    # a row with a coordinate of 1e160 and 40 copies of it: their squared
+    # norms overflow, so their pairs get NaN bounds, and every tile with one
+    # as a column an infinite spread. Their other coordinates sit in the
+    # densest blob, so many rows' adjacent cells hold them; those rows take
+    # [0, +inf] and reach the rank window, where the streamed grid gives
+    # them exact values, with no second map and no brute force. The copies'
+    # k-th distances are 0 up to k = 40: a pass that read their NaN bounds
+    # as "above r_hi" would move the median
+    x = overflow_cloud(rng)
+    # kth_neighbor_distances would compute every pair exactly here (the
+    # NaN bounds settle none); the reference rows do the same, one partition
+    # for all three k
+    with np.errstate(over="ignore"):
+        kth = np.array([np.partition(reference.row_dists(x, j), (1, 5, 40))[[1, 5, 40]]
+                        for j in range(len(x))])
+    want = {k: float(np.median(kth[:, c])) for c, k in enumerate((1, 5, 40))}
+    maps = record_cell_maps(monkeypatch)
+    brute = count_calls(monkeypatch, "kth_neighbor_distances")
+    for k, median in want.items():
+        maps.clear()
+        with np.errstate(over="ignore"):
+            got = kernels.kth_neighbor_median(x, k)
+        assert brute == [] and len(maps) == 1 and maps[0][1], (k, maps)
+        assert np.array(got).tobytes() == np.array(median).tobytes(), (k, got, median)
 
 
 def audit_shaped_table(n_rows):
@@ -1180,19 +1197,6 @@ def test_median_steps_down_to_a_radius_the_grid_takes(rng, monkeypatch):
     assert refused is False and kernels._cell_side(first) > 1.0
     assert grid is True and kernels._cell_side(last) <= 0.5 and len(maps) > 1
     assert got == float(np.median(kernels._kth_distances(x, x, k)))
-
-
-def count_calls(monkeypatch, name):
-    """Route kernels.<name> through a recorder of its calls' arguments."""
-    calls = []
-    real = getattr(kernels, name)
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kernels, name, recording)
-    return calls
 
 
 def test_tile_budget_counts_the_row_width_and_the_exact_batch():
